@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .diagram import CROSSING, MARKER, SINGULAR, Node
-from .moves import MoveSpec, Pattern, parse_pattern
+from .diagram import MARKER, Node, StrandParity
+from .moves import HUB, MoveSpec, Pattern, parse_pattern
 
 #: order of the 17 core unoriented moves plus the 3 flagged-derived ones
 UNORIENTED_IDS = [
@@ -126,40 +126,12 @@ def orient_pattern(pat: Pattern) -> list[Pattern]:
     Crossings and singular vertices carry flow straight through; markers
     alternate in/out around the rotation; boundary legs are free.
     """
-    from .diagram import _ParityUF
-
-    uf = _ParityUF()
-    darts = [(nd.id, p) for nd in pat.nodes for p in range(4)]
-    darts += [("#", t) for t in range(pat.K)]
-    for d in darts:
-        uf.add(d)
-    ok = True
-    for e, ends in pat.edge_ends.items():
-        ok &= uf.union(ends[0], ends[1], 1)
-    for nd in pat.nodes:
-        if nd.kind in (CROSSING, SINGULAR):
-            ok &= uf.union((nd.id, 0), (nd.id, 2), 1)
-            ok &= uf.union((nd.id, 1), (nd.id, 3), 1)
-        else:
-            for p in range(3):
-                ok &= uf.union((nd.id, p), (nd.id, p + 1), 1)
-    if not ok:
-        return []
-    roots = sorted({uf.find(d)[0] for d in darts})
+    sp = StrandParity(pat.edge_ends, pat.nodes)
     out = []
-    for bits in range(1 << len(roots)):
-        assign = {root: (bits >> i) & 1 for i, root in enumerate(roots)}
-        heads = []
-        for e, ends in sorted(pat.edge_ends.items()):
-            for dart in ends:
-                root, par = uf.find(dart)
-                if (assign[root] + par) % 2 == 1:  # this end takes the inflow
-                    if dart[0] == "#":
-                        heads.append((e, ("leg", pat.leg_of_hub_dart(dart))))
-                    else:
-                        heads.append((e, dart))
-                    break
-        out.append(Pattern(pat.nodes, pat.legs, tuple(heads)))
+    for bits in sp.assignments():
+        heads = tuple((e, ("leg", pat.leg_of_hub_dart(h)) if h[0] == HUB else h)
+                      for e, h in sp.heads(bits))
+        out.append(Pattern(pat.nodes, pat.legs, heads))
     return out
 
 

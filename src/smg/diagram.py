@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 CROSSING = "X"
 MARKER = "M"
@@ -136,11 +136,6 @@ class Diagram:
         e = self.node(nid).ports[p]
         a, b = self.edge_ends[e]
         return b if a == dart else a
-
-    def darts(self) -> Iterator[Dart]:
-        for nd in self.nodes:
-            for p in range(4):
-                yield (nd.id, p)
 
     def phi(self, dart: Dart) -> Dart:
         """Next dart along the face: cross the edge, then rotate one port."""
@@ -366,6 +361,54 @@ class Diagram:
         return Diagram(self.name, nodes, loops, tuple(anchors))
 
 
+class UnionFind:
+    """Iterative union-find over a fixed set of hashable items, with an
+    optional parity bit relating each item to its class root.
+
+    ``union(a, b)`` makes the root of ``b``'s class the root of the merged
+    class: callers order generators and colour classes by root, so the
+    direction is part of their output.
+    """
+
+    def __init__(self, items: Iterable):
+        self._parent = {x: x for x in items}
+        self._parity = dict.fromkeys(self._parent, 0)
+
+    def find(self, x):
+        parent = self._parent
+        up = parent[x]
+        if parent[up] == up:  # x is a root or a child of one
+            return up
+        parity = self._parity
+        root, acc = x, 0
+        while parent[root] != root:
+            acc ^= parity[root]
+            root = parent[root]
+        # point the whole path at the root; acc is x's parity to the root
+        while x != root:
+            nxt, step = parent[x], parity[x]
+            parent[x], parity[x] = root, acc
+            acc ^= step
+            x = nxt
+        return root
+
+    def parity(self, x) -> int:
+        """Parity of ``x`` relative to its class root."""
+        self.find(x)
+        return self._parity[x]
+
+    def union(self, a, b, rel: int = 0) -> bool:
+        """Relate ``a`` and ``b`` with parity ``rel``; False when they are
+        already related with the other parity."""
+        ra, rb = self.find(a), self.find(b)
+        pa, pb = self._parity[a], self._parity[b]
+        if ra == rb:
+            return pa ^ pb == rel
+        self._parent[ra] = rb
+        self._parity[ra] = pa ^ pb ^ rel
+        return True
+
+
 class Faces:
     """Face structure of the assembled (placed) diagram.
 
@@ -389,18 +432,20 @@ class Faces:
                 self._piece_of[idx] = pid
                 for dart in orbit:
                     self._orbit_of[dart] = idx
-        # Union-find over orbit ids plus the virtual outer face (-1).
-        self._parent: dict[int, int] = {i: i for i in range(len(self.orbits))}
-        self._parent[-1] = -1
+        # Union-find over orbit ids plus the virtual outer face (-1); a
+        # face is named by the root of its class.
+        ids = list(range(len(self.orbits))) + [-1]
+        uf = UnionFind(ids)
         anchor_map = d.anchor_map
         for piece in d.graph_pieces:
             pid = min(piece)
             outward = self._outward_orbit(pid)
             target = self._anchor_face(anchor_map.get(pid))
-            self._union(outward, target)
+            uf.union(outward, target)
+        self._face: dict[int, int] = {i: uf.find(i) for i in ids}
         self._loop_face: dict[str, int] = {}
         for l in d.loops:
-            self._loop_face[l] = self._find(self._anchor_face(anchor_map.get(l)))
+            self._loop_face[l] = self._face[self._anchor_face(anchor_map.get(l))]
 
     def _outward_orbit(self, pid: str) -> int:
         _, roots = self.diagram._piece_canon[pid]
@@ -410,17 +455,6 @@ class Faces:
         if anchor is None:
             return -1
         return self.orbit_of_corner_index(anchor)
-
-    def _find(self, x: int) -> int:
-        while self._parent[x] != x:
-            self._parent[x] = self._parent[self._parent[x]]
-            x = self._parent[x]
-        return x
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[ra] = rb
 
     # corner (n, k) names the face between ports k and k+1 of node n
     def orbit_of_corner_index(self, corner: tuple[str, int]) -> int:
@@ -434,20 +468,17 @@ class Faces:
         return self._piece_of[self.orbit_of_corner_index(corner)]
 
     def face_of_corner(self, corner: tuple[str, int]) -> int:
-        return self._find(self.orbit_of_corner_index(corner))
+        return self._face[self.orbit_of_corner_index(corner)]
 
     def face_of_dart(self, dart: Dart) -> int:
-        return self._find(self._orbit_of[dart])
+        return self._face[self._orbit_of[dart]]
 
     def face_of_loop(self, loop: str) -> int:
         return self._loop_face[loop]
 
-    def edge_sides(self, e: str) -> tuple[int, int]:
-        ends = self.diagram.edge_ends[e]
-        return (self.face_of_dart(ends[0]), self.face_of_dart(ends[1]))
-
     def loops_in_face(self, face: int) -> list[str]:
-        return [l for l, f in self._loop_face.items() if self._find(f) == self._find(face)]
+        face = self._face[face]
+        return [l for l, f in self._loop_face.items() if f == face]
 
     def orbit_degree(self, orbit_index: int) -> int:
         return len(self.orbits[orbit_index])
@@ -456,8 +487,8 @@ class Faces:
         """True when nothing else lives in this orbit's face: no other
         piece's face was merged into it and no loop sits inside.  The outer
         sentinel alone is an empty alias and does not count."""
-        root = self._find(orbit_index)
-        same = [i for i in self._parent if i != -1 and self._find(i) == root]
+        root = self._face[orbit_index]
+        same = [i for i in range(len(self.orbits)) if self._face[i] == root]
         return len(same) == 1 and not self.loops_in_face(root)
 
 
@@ -510,44 +541,64 @@ class OrientedDiagram:
                     issues.append(Issue("bad orientation", f"marker {nd.id} not alternating"))
         return ValidationReport(issues)
 
-    def reversed(self) -> "OrientedDiagram":
-        heads = []
-        for e, h in self.heads:
-            a, b = self.base.edge_ends[e]
-            heads.append((e, b if h == a else a))
-        return OrientedDiagram(self.base, tuple(heads),
-                               tuple((l, 1 - b) for l, b in self.loop_dirs), self.abstract)
 
+class StrandParity:
+    """Strand orientations of a 4-valent map as parity classes of darts.
 
-class _ParityUF:
-    def __init__(self):
-        self.parent: dict = {}
-        self.parity: dict = {}
+    A dart's inflow flag says whether its edge flows into the node there.
+    The two ends of an edge have opposite flags, flow passes straight
+    through crossings and singular vertices, and it alternates in/out
+    around markers.  These ties split the darts into classes in which one
+    bit fixes every flag: ``flag = bits[root] ^ parity``.  ``classes`` lists
+    the class roots in sorted order, or is None when the ties contradict
+    each other.  ``edge_ends`` maps each edge to its two end darts; every
+    dart is the end of one edge.
+    """
 
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.parity[x] = 0
+    def __init__(self, edge_ends: dict[str, tuple], nodes: Iterable[Node]):
+        self.edge_ends = edge_ends
+        self.edges = sorted(edge_ends)
+        darts = [x for ends in edge_ends.values() for x in ends]
+        ties = list(edge_ends.values())
+        for nd in nodes:
+            if nd.kind in (CROSSING, SINGULAR):
+                ties += [((nd.id, 0), (nd.id, 2)), ((nd.id, 1), (nd.id, 3))]
+            else:
+                ties += [((nd.id, p), (nd.id, p + 1)) for p in range(3)]
+        self.uf = uf = UnionFind(darts)
+        ok = all(uf.union(a, b, 1) for a, b in ties)
+        self.classes = sorted({uf.find(x) for x in darts}) if ok else None
 
-    def find(self, x):
-        if self.parent[x] == x:
-            return x, 0
-        root, par = self.find(self.parent[x])
-        self.parent[x] = root
-        self.parity[x] = (self.parity[x] + par) % 2
-        return root, self.parity[x]
+    def assignments(self) -> Iterator[dict]:
+        """Every choice of class bits, counting up: bit i of the count is
+        the bit of ``classes[i]``.  Nothing when the ties contradict."""
+        if self.classes is None:
+            return
+        for n in range(1 << len(self.classes)):
+            yield {root: (n >> i) & 1 for i, root in enumerate(self.classes)}
 
-    def union(self, a, b, rel: int) -> bool:
-        """Relate a and b with parity ``rel``; False on contradiction."""
-        self.add(a)
-        self.add(b)
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa + pb) % 2 == rel
-        self.parent[ra] = rb
-        self.parity[ra] = (pa + pb + rel) % 2
-        return True
+    def pinned(self, pins: Iterable[tuple[Dart, int]]) -> Optional[dict]:
+        """The first assignment, in the order of :meth:`assignments`, that
+        gives each pinned dart its flag: free classes get bit 0.  None when
+        two pins contradict each other or the ties do."""
+        if self.classes is None:
+            return None
+        uf = self.uf
+        fixed: dict = {}
+        for dart, flag in pins:
+            want = flag ^ uf.parity(dart)
+            if fixed.setdefault(uf.find(dart), want) != want:
+                return None
+        return {root: fixed.get(root, 0) for root in self.classes}
+
+    def heads(self, bits: dict) -> tuple[tuple[str, Dart], ...]:
+        """Per edge, in sorted order, the end it flows into under ``bits``."""
+        find, parity = self.uf.find, self.uf.parity
+        out = []
+        for e in self.edges:
+            a, b = self.edge_ends[e]
+            out.append((e, a if bits[find(a)] ^ parity(a) else b))
+        return tuple(out)
 
 
 def enumerate_orientations(d: Diagram) -> list[OrientedDiagram]:
@@ -556,38 +607,25 @@ def enumerate_orientations(d: Diagram) -> list[OrientedDiagram]:
     The inflow flags of the four darts at a node are tied together by parity
     constraints, so the answer is always empty or of size ``2**k``.
     """
-    uf = _ParityUF()
-    for dart in d.darts():
-        uf.add(dart)
-    ok = True
-    for e, ends in d.edge_ends.items():
-        ok &= uf.union(ends[0], ends[1], 1)
-    for nd in d.nodes:
-        if nd.kind in (CROSSING, SINGULAR):
-            ok &= uf.union((nd.id, 0), (nd.id, 2), 1)
-            ok &= uf.union((nd.id, 1), (nd.id, 3), 1)
-        else:
-            for p in range(3):
-                ok &= uf.union((nd.id, p), (nd.id, p + 1), 1)
-    if not ok:
-        return []
-    roots = sorted({uf.find(dart)[0] for dart in d.darts()})
+    sp = StrandParity(d.edge_ends, d.nodes)
     out: list[OrientedDiagram] = []
     n_loops = len(d.loops)
-    for bits in range(1 << len(roots)):
-        assign = {root: (bits >> i) & 1 for i, root in enumerate(roots)}
-        heads = []
-        for e in d.edges:
-            ends = d.edge_ends[e]
-            for dart in ends:
-                root, par = uf.find(dart)
-                if (assign[root] + par) % 2 == 1:  # inflow
-                    heads.append((e, dart))
-                    break
+    for bits in sp.assignments():
+        heads = sp.heads(bits)
         for lbits in range(1 << n_loops):
             loop_dirs = tuple((l, (lbits >> i) & 1) for i, l in enumerate(d.loops))
-            out.append(OrientedDiagram(d, tuple(heads), loop_dirs))
+            out.append(OrientedDiagram(d, heads, loop_dirs))
     return out
+
+
+def _crossing_flow(node_id: str, flows_in: Callable[[Dart], bool]) -> tuple[int, int, int]:
+    """(incoming under port, incoming over port, sign) of a classical
+    crossing, where ``flows_in(dart)`` says whether the edge at ``dart``
+    flows into the node there.  The sign is +1 when the over-strand comes in
+    one port counterclockwise after the under-strand."""
+    pu = next(p for p in (0, 2) if flows_in((node_id, p)))
+    po = next(p for p in (1, 3) if flows_in((node_id, p)))
+    return pu, po, 1 if po == (pu + 1) % 4 else -1
 
 
 # ---------------------------------------------------------------------------

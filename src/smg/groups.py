@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .diagram import CROSSING, MARKER, SINGULAR, Diagram
+from .diagram import CROSSING, MARKER, SINGULAR, Diagram, UnionFind, _crossing_flow
 from .resolution import NEGATIVE, POSITIVE, Resolution, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -142,31 +142,20 @@ def negative_arcs(d: Diagram) -> dict[str, int]:
     over-crossings, marker smoothings and double points unbroken and is cut
     only where it passes under a classical crossing.
     """
-    parent: dict[str, str] = {e: e for e in list(d.edges) + list(d.loops)}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    items = list(d.edges) + list(d.loops)
+    uf = UnionFind(items)
     for nd in d.nodes:
         if nd.kind == CROSSING:
-            union(nd.ports[1], nd.ports[3])
+            uf.union(nd.ports[1], nd.ports[3])
         elif nd.kind == SINGULAR:
-            union(nd.ports[0], nd.ports[2])
-            union(nd.ports[1], nd.ports[3])
+            uf.union(nd.ports[0], nd.ports[2])
+            uf.union(nd.ports[1], nd.ports[3])
         else:
             for p, q in smoothing_pairs(nd.attr, NEGATIVE):
-                union(nd.ports[p], nd.ports[q])
-    roots = sorted({find(x) for x in parent})
+                uf.union(nd.ports[p], nd.ports[q])
+    roots = sorted({uf.find(x) for x in items})
     index = {r: i for i, r in enumerate(roots)}
-    return {x: index[find(x)] for x in parent}
+    return {x: index[uf.find(x)] for x in items}
 
 
 def wirtinger_presentation(d: Diagram,
@@ -182,9 +171,7 @@ def wirtinger_presentation(d: Diagram,
     for nd in d.nodes:
         ports = nd.ports
         if nd.kind == CROSSING:
-            pu = next(p for p in (0, 2) if ao.flows_in((nd.id, p)))
-            po = next(p for p in (1, 3) if ao.flows_in((nd.id, p)))
-            sign = 1 if po == (pu + 1) % 4 else -1
+            pu, po, sign = _crossing_flow(nd.id, ao.flows_in)
             a = arc[ports[pu]] + 1             # incoming under-arc
             cgen = arc[ports[(pu + 2) % 4]] + 1    # outgoing under-arc
             y = arc[ports[po]] + 1             # over-arc

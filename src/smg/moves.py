@@ -26,6 +26,7 @@ from .diagram import (
     Node,
     OrientedDiagram,
     SMGSyntaxError,
+    StrandParity,
 )
 
 HUB = "#"
@@ -170,17 +171,6 @@ class Pattern:
         for k, e in enumerate(self.legs, start=1):
             prof.append(+1 if self.head_map.get(e) == ("leg", k) else -1)
         return tuple(prof)
-
-
-def _rot_node(nd: Node, r: int) -> Node:
-    ports = tuple(nd.ports[(p - r) % 4] for p in range(4))
-    attr = nd.attr if nd.attr is None else (nd.attr + r) % 2
-    return Node(nd.id, nd.kind, attr, ports)
-
-
-def rotate_pattern(pat: Pattern, r: int) -> Pattern:
-    """Rotate every node's ports by ``r``; attributes follow."""
-    return Pattern(tuple(_rot_node(nd, r) for nd in pat.nodes), pat.legs, pat.heads)
 
 
 def parse_pattern(text: str) -> Pattern:
@@ -509,7 +499,7 @@ def find_sites(d, move: MoveSpec, direction: str = FORWARD,
             if validated:
                 try:
                     apply_move(d, move, site)
-                except (StaleSiteError, ValueError):
+                except StaleSiteError:
                     continue
             out.append(site)
     return out
@@ -784,25 +774,18 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
             else:
                 fixed.setdefault(eid, tuple(head_term[1]))
 
-    from .diagram import enumerate_orientations
-
-    for cand in enumerate_orientations(result):
-        hm = cand.head_map
-        if any(hm[e] != v for e, v in fixed.items()):
-            continue
-        if any(hm[e] == v for e, v in banned.items()):
-            continue
-        ok = True
-        for e, h in od.heads:
-            if e in result.edge_ends and hm[e] != h:
-                ok = False
-                break
-        if ok:
-            loop_dirs = dict(od.loop_dirs)
-            dirs = tuple((l, loop_dirs.get(l, 0)) for l in result.loops)
-            ores = OrientedDiagram(result, cand.heads, dirs, od.abstract)
-            return (ores, info) if return_info else ores
-    raise StaleSiteError("rewrite does not extend to a coherent orientation")
+    # the first orientation of the result, in enumeration order, that keeps
+    # the pinned heads and every surviving edge's head
+    sp = StrandParity(result.edge_ends, result.nodes)
+    pins = [(v, 1) for v in fixed.values()] + [(v, 0) for v in banned.values()]
+    pins += [(h, 1) for e, h in od.heads if e in result.edge_ends]
+    bits = sp.pinned(pins)
+    if bits is None:
+        raise StaleSiteError("rewrite does not extend to a coherent orientation")
+    loop_dirs = dict(od.loop_dirs)
+    dirs = tuple((l, loop_dirs.get(l, 0)) for l in result.loops)
+    ores = OrientedDiagram(result, sp.heads(bits), dirs, od.abstract)
+    return (ores, info) if return_info else ores
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .diagram import CROSSING, MARKER, SINGULAR, Diagram, OrientedDiagram
+from .diagram import (
+    CROSSING,
+    MARKER,
+    SINGULAR,
+    Diagram,
+    OrientedDiagram,
+    UnionFind,
+    _crossing_flow,
+)
 
 
 @dataclass(frozen=True)
@@ -168,25 +176,6 @@ def small_quandles(max_order: int = 4) -> tuple[QuandleTable, ...]:
 # colorings
 
 
-class _UF:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def colorings(d: Diagram, q: QuandleTable,
               orientation: Optional[OrientedDiagram] = None) -> list[dict]:
     """All quandle colorings of the diagram's edges and loops.
@@ -198,11 +187,7 @@ def colorings(d: Diagram, q: QuandleTable,
     if orientation is None and not involutory:
         raise ValueError("a non-involutory quandle needs an orientation")
 
-    uf = _UF()
-    for e in d.edges:
-        uf.add(e)
-    for l in d.loops:
-        uf.add(l)
+    uf = UnionFind(list(d.edges) + list(d.loops))
     # forced equalities
     for nd in d.nodes:
         if nd.kind == MARKER:
@@ -219,9 +204,7 @@ def colorings(d: Diagram, q: QuandleTable,
         if nd.kind == CROSSING:
             over = uf.find(nd.ports[1])
             if orientation is not None:
-                pu = next(p for p in (0, 2) if orientation.flows_in((nd.id, p)))
-                po = next(p for p in (1, 3) if orientation.flows_in((nd.id, p)))
-                sign = 1 if po == (pu + 1) % 4 else -1
+                pu, _, sign = _crossing_flow(nd.id, orientation.flows_in)
                 inn = uf.find(nd.ports[pu])
                 out = uf.find(nd.ports[(pu + 2) % 4])
             else:

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .diagram import CROSSING, MARKER, SINGULAR, Diagram, Node, OrientedDiagram
+from .diagram import (
+    CROSSING,
+    MARKER,
+    SINGULAR,
+    Diagram,
+    Node,
+    OrientedDiagram,
+    UnionFind,
+    _crossing_flow,
+)
 from .moves import (
     FORWARD,
     REVERSE,
@@ -87,22 +96,13 @@ def classical_components(c: Diagram) -> list[frozenset]:
     """Strand components of a classical diagram (edges pass straight through
     crossings); loops are singleton components."""
     assert c.is_classical()
-    parent: dict[str, str] = {e: e for e in c.edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(c.edges)
     for nd in c.nodes:
         for p in (0, 1):
-            a, b = find(nd.ports[p]), find(nd.ports[p + 2])
-            if a != b:
-                parent[a] = b
+            uf.union(nd.ports[p], nd.ports[p + 2])
     groups: dict[str, set] = {}
     for e in c.edges:
-        groups.setdefault(find(e), set()).add(e)
+        groups.setdefault(uf.find(e), set()).add(e)
     comps = [frozenset(v) for v in groups.values()]
     comps += [frozenset([l]) for l in c.loops]
     return sorted(comps, key=min)
@@ -233,14 +233,11 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
     n = len(comps)
     twice = [[0] * n for _ in range(n)]
     for nd in c.nodes:
-        under = [p for p in (0, 2) if od.flows_in((nd.id, p))]
-        over = [p for p in (1, 3) if od.flows_in((nd.id, p))]
-        pu, po = under[0], over[0]
         i = comp_of[nd.ports[0]]
         j = comp_of[nd.ports[1]]
         if i == j:
             continue
-        sign = 1 if po == (pu + 1) % 4 else -1
+        sign = _crossing_flow(nd.id, od.flows_in)[2]
         twice[i][j] += sign
         twice[j][i] += sign
     for row in twice:
@@ -249,10 +246,8 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
 
 
 def crossing_sign(od: OrientedDiagram, node_id: str) -> int:
-    nd = od.base.node(node_id)
-    pu = next(p for p in (0, 2) if od.flows_in((node_id, p)))
-    po = next(p for p in (1, 3) if od.flows_in((node_id, p)))
-    return 1 if po == (pu + 1) % 4 else -1
+    """+1 or -1, the sign of crossing ``node_id`` under ``od``."""
+    return _crossing_flow(node_id, od.flows_in)[2]
 
 
 # ---------------------------------------------------------------------------

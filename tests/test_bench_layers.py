@@ -1,0 +1,40 @@
+"""Every per-layer metric of BENCHMARK.json names a function that exists.
+
+The benchmark's traced run fails when a ``<module>.<function>`` metric names
+a function its span recorder did not wrap, so a rename or removal in ``smg``
+has to be caught here, by the suite that runs on every change.
+"""
+
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+from smg.diagram import Diagram
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+#: layers the recorder wraps as ``Diagram`` methods
+METHODS = ("faces", "canonical_code")
+
+
+def test_per_layer_metrics_name_public_functions():
+    layers = set()
+    for metric in json.loads(BENCHMARK.read_text())["per_layer"]:
+        module, function, *stat = metric["name"].split(".")
+        if module != "trace" and function != "all" and stat in (["self_s"], ["calls"]):
+            layers.add((module, function))
+    assert layers
+    missing = []
+    for module, function in sorted(layers):
+        if module == "diagram" and function in METHODS:
+            fn = vars(Diagram).get(function)
+        else:
+            fn = getattr(importlib.import_module(f"smg.{module}"), function, None)
+            # the recorder names a span by where the function is defined
+            if (getattr(fn, "__module__", None), getattr(fn, "__name__", None)) \
+                    != (f"smg.{module}", function):
+                fn = None
+        if function.startswith("_") or not inspect.isfunction(fn):
+            missing.append(f"{module}.{function}")
+    assert not missing, f"BENCHMARK.json names missing layers: {missing}"

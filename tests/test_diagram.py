@@ -176,6 +176,54 @@ def test_enumerate_orientations_examples_and_oracle():
             assert o.validate().ok, name
 
 
+def t2_text(n: int) -> str:
+    """The closed 2-braid T(2, n), its nodes listed along the braid."""
+    lines = [f"diagram t2_{n}"]
+    for i in range(n):
+        j = (i - 1) % n
+        lines.append(f"node v{i:05d} X r{j:05d} l{j:05d} l{i:05d} r{i:05d}")
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+def test_enumerate_orientations_on_a_thousand_crossings():
+    # listing the nodes along the braid chains the strand classes end to end
+    assert len(enumerate_orientations(parse_smg(t2_text(1000)))) == 4
+
+
+def test_orientation_transport_is_first_agreeing_orientation():
+    """An oriented rewrite keeps the head of every surviving edge, the
+    inflow at every surviving node port and the heads the replacement side
+    declares inside; of the result's orientations that do, it is the first
+    one enumerated."""
+    from smg.catalog import move_catalog
+    from smg.moves import FORWARD, REVERSE, apply_move, find_sites
+
+    checked = 0
+    for name in ALL:
+        d = fixture(name)
+        for od in enumerate_orientations(d):
+            for m in move_catalog("oriented"):
+                for direction in (FORWARD, REVERSE):
+                    for s in find_sites(od, m, direction):
+                        res, info = apply_move(od, m, s, return_info=True)
+                        out = m.other_side(s.variant, direction)
+                        pins = {h: True for e, h in od.heads if e in res.base.edge_ends}
+                        for nd in res.base.nodes:
+                            if nd.id in d.node_map:
+                                for p in range(4):
+                                    if nd.ports[p] not in d.edge_ends:
+                                        pins[(nd.id, p)] = od.flows_in((nd.id, p))
+                        for e in out.interior_edges:
+                            h = out.head_map[e]
+                            pins[(info["node_ids"][h[0]], h[1])] = True
+                        agreeing = [o for o in enumerate_orientations(res.base)
+                                    if all(o.flows_in(x) == f for x, f in pins.items())]
+                        assert agreeing, (name, m.id, direction, s)
+                        assert res.heads == agreeing[0].heads, (name, m.id, direction, s)
+                        checked += 1
+    assert checked > 1000
+
+
 def test_oriented_round_trip():
     d = fixture("hopf")
     od = enumerate_orientations(d)[0]
