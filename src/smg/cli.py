@@ -12,7 +12,7 @@ import sys
 
 from . import diagram as dg
 from .catalog import catalog_map, move_catalog
-from .diagram import OrientedDiagram, enumerate_orientations, parse_smg, serialize
+from .diagram import OrientedDiagram, _first_orientation, parse_smg, serialize
 from .fixtures import fixture
 from .groups import (
     GroupTable,
@@ -114,11 +114,11 @@ def _orient_arg(d, want: bool):
         return d
     if not want:
         return None
-    ors = enumerate_orientations(d)
-    if not ors:
+    od = _first_orientation(d)
+    if od is None:
         print("input error: diagram admits no orientation", file=sys.stderr)
         raise SystemExit(INPUT_ERROR)
-    return ors[0]
+    return od
 
 
 def main(argv=None) -> int:

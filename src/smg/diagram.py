@@ -618,6 +618,32 @@ def enumerate_orientations(d: Diagram) -> list[OrientedDiagram]:
     return out
 
 
+def _first_orientation(d: Diagram) -> Optional[OrientedDiagram]:
+    """``enumerate_orientations(d)[0]`` without listing the others: every
+    class bit and every loop direction 0.  None when there is none."""
+    sp = StrandParity(d.edge_ends, d.nodes)
+    bits = sp.pinned(())
+    if bits is None:
+        return None
+    return OrientedDiagram(d, sp.heads(bits), tuple((l, 0) for l in d.loops))
+
+
+def _strand(d: Diagram, start: str, head: Dart) -> Iterator[tuple[str, Dart]]:
+    """Walk the strand of edge ``start`` from its end ``head`` straight
+    through every node: yields each edge with the dart it flows into, until
+    ``start`` comes round again."""
+    e = start
+    while True:
+        yield e, head
+        nid, p = head
+        out = (nid, (p + 2) % 4)
+        e = d.node(nid).ports[out[1]]
+        if e == start:
+            return
+        a, b = d.edge_ends[e]
+        head = b if a == out else a
+
+
 def _crossing_flow(node_id: str, flows_in: Callable[[Dart], bool]) -> tuple[int, int, int]:
     """(incoming under port, incoming over port, sign) of a classical
     crossing, where ``flows_in(dart)`` says whether the edge at ``dart``

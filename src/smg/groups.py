@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
-from .diagram import CROSSING, MARKER, SINGULAR, Diagram, UnionFind, _crossing_flow
+from .diagram import CROSSING, MARKER, SINGULAR, Diagram, UnionFind, _crossing_flow, _strand
 from .resolution import NEGATIVE, POSITIVE, Resolution, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -82,25 +82,12 @@ def abstract_orientation(d: Diagram) -> AbstractOrientation:
     res = resolve(d, NEGATIVE)
     c = res.diagram
 
-    # orient each strand circuit of the classical resolution
+    # orient each strand circuit of the classical resolution: leave the
+    # start edge through its second endpoint
     head: dict[str, tuple] = {}
-    seen: set[str] = set()
     for start in c.edges:
-        if start in seen:
-            continue
-        # leave the start edge through its second endpoint, then follow the
-        # strand straight through every crossing
-        cur, exit_dart = start, c.edge_ends[start][1]
-        while True:
-            seen.add(cur)
-            head[cur] = exit_dart
-            nid, p = exit_dart
-            enter = (nid, (p + 2) % 4)
-            cur = c.node(nid).ports[(p + 2) % 4]
-            a, b = c.edge_ends[cur]
-            exit_dart = b if a == enter else a
-            if cur == start:
-                break
+        if start not in head:
+            head.update(_strand(c, start, c.edge_ends[start][1]))
 
     # pull back along the provenance chains
     orig_head: dict[str, tuple] = {}
@@ -476,39 +463,49 @@ def groups_up_to_order(n: int) -> tuple[tuple[str, GroupTable], ...]:
     return tuple(out)
 
 
+def _assignments(nvars: int, size: int, ready: list[list[Callable]]) -> Iterator[list[int]]:
+    """Every assignment of ``0..size-1`` to variables ``0..nvars-1``, in
+    lexicographic order, for which each check ``ok(values)`` in
+    ``ready[i]`` holds once variables ``0..i`` are set.  One list is yielded
+    each time, updated in place; a variable reads -1 while it is unset."""
+    values = [-1] * nvars
+    i = 0
+    while i >= 0:
+        if i == nvars:
+            yield values
+            i -= 1
+            continue
+        checks = ready[i]
+        for v in range(values[i] + 1, size):
+            values[i] = v
+            if all(ok(values) for ok in checks):
+                i += 1
+                break
+        else:
+            values[i] = -1
+            i -= 1
+
+
 def hom_count(p: Presentation, g: GroupTable) -> int:
-    """Number of homomorphisms into the finite group, by backtracking."""
+    """Number of homomorphisms into the finite group; each relator is
+    checked as soon as its last generator has an image."""
     g.check()
-    n = g.n
+    # by_inverse[v][x] = v * x^-1, as g.mult[v][x] = v * x
+    by_inverse = tuple(tuple(row[y] for y in g.inv) for row in g.mult)
 
-    def word_value(w: Word, images: list[int]) -> int:
-        v = 0
-        for l in w:
-            x = images[abs(l) - 1]
-            if l < 0:
-                x = g.inv[x]
-            v = g.mult[v][x]
-        return v
+    def relator_check(w: Word) -> Callable:
+        letters = [(abs(l) - 1, g.mult if l > 0 else by_inverse) for l in w]
 
-    by_last: dict[int, list[Word]] = {i: [] for i in range(p.ngens)}
+        def ok(images: list[int]) -> bool:
+            v = 0
+            for i, table in letters:
+                v = table[v][images[i]]
+            return v == 0
+
+        return ok
+
+    ready: list[list[Callable]] = [[] for _ in range(p.ngens)]
     for w in p.relators:
         if w:
-            by_last[max(abs(l) for l in w) - 1].append(w)
-
-    count = 0
-    images = [0] * p.ngens
-
-    def backtrack(i: int):
-        nonlocal count
-        if i == p.ngens:
-            count += 1
-            return
-        for v in range(n):
-            images[i] = v
-            if all(word_value(w, images) == 0 for w in by_last[i]):
-                backtrack(i + 1)
-
-    if p.ngens == 0:
-        return 1
-    backtrack(0)
-    return count
+            ready[max(abs(l) for l in w) - 1].append(relator_check(w))
+    return sum(1 for _ in _assignments(p.ngens, g.n, ready))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .diagram import (
     CROSSING,
@@ -24,6 +24,7 @@ from .diagram import (
     UnionFind,
     _crossing_flow,
 )
+from .groups import _assignments
 
 
 @dataclass(frozen=True)
@@ -176,18 +177,16 @@ def small_quandles(max_order: int = 4) -> tuple[QuandleTable, ...]:
 # colorings
 
 
-def colorings(d: Diagram, q: QuandleTable,
-              orientation: Optional[OrientedDiagram] = None) -> list[dict]:
-    """All quandle colorings of the diagram's edges and loops.
-
-    Orientation is required unless the quandle is involutory; with an
-    involutory quandle the under-strand relation is direction-free.
-    """
-    involutory = q.is_involutory()
-    if orientation is None and not involutory:
+def _coloring_problem(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]
+                      ) -> tuple[list[str], dict[str, int], list[list[Callable]]]:
+    """(edges and loops, class index of each, checks per class) for
+    :func:`_assignments`: colour ``k`` of a class is quandle element ``k+1``.
+    Classes are ordered by their union-find root."""
+    if orientation is None and not q.is_involutory():
         raise ValueError("a non-involutory quandle needs an orientation")
 
-    uf = UnionFind(list(d.edges) + list(d.loops))
+    items = list(d.edges) + list(d.loops)
+    uf = UnionFind(items)
     # forced equalities
     for nd in d.nodes:
         if nd.kind == MARKER:
@@ -198,65 +197,48 @@ def colorings(d: Diagram, q: QuandleTable,
             uf.union(nd.ports[1], nd.ports[3])
         else:
             uf.union(nd.ports[1], nd.ports[3])  # over-strand runs through
+    roots = sorted({uf.find(v) for v in items})
+    index = {r: i for i, r in enumerate(roots)}
+    cls = {v: index[uf.find(v)] for v in items}
 
-    constraints = []  # ("conj", out, inn, over, sign) | ("fix", x, y)
+    op = tuple(tuple(z - 1 for z in row) for row in q.table)
+    op_inv = tuple(tuple(z - 1 for z in row) for row in q.inv)
+
+    def conj(out: int, inn: int, over: int, table) -> Callable:
+        return lambda c: c[out] == table[c[inn]][c[over]]
+
+    def fix(x: int, y: int) -> Callable:
+        return lambda c: op[c[x]][c[y]] == c[x] and op[c[y]][c[x]] == c[y]
+
+    # each check waits for the last class it mentions
+    ready: list[list[Callable]] = [[] for _ in roots]
     for nd in d.nodes:
+        ports = nd.ports
         if nd.kind == CROSSING:
-            over = uf.find(nd.ports[1])
+            pu, sign = 0, 1
             if orientation is not None:
                 pu, _, sign = _crossing_flow(nd.id, orientation.flows_in)
-                inn = uf.find(nd.ports[pu])
-                out = uf.find(nd.ports[(pu + 2) % 4])
-            else:
-                sign = 1
-                inn = uf.find(nd.ports[0])
-                out = uf.find(nd.ports[2])
-            constraints.append(("conj", out, inn, over, sign))
+            vs = (cls[ports[(pu + 2) % 4]], cls[ports[pu]], cls[ports[1]])
+            ready[max(vs)].append(conj(*vs, op if sign > 0 else op_inv))
         elif nd.kind == SINGULAR:
-            x = uf.find(nd.ports[0])
-            y = uf.find(nd.ports[1])
-            constraints.append(("fix", x, y))
+            vs = (cls[ports[0]], cls[ports[1]])
+            ready[max(vs)].append(fix(*vs))
+    return items, cls, ready
 
-    classes = sorted({uf.find(v) for v in list(d.edges) + list(d.loops)})
-    # index constraints by the last class they mention in assignment order
-    order = {c: i for i, c in enumerate(classes)}
-    ready_at: dict[int, list] = {i: [] for i in range(len(classes))}
-    for con in constraints:
-        vars_ = con[1:4] if con[0] == "conj" else con[1:3]
-        last = max(order[v] for v in vars_)
-        ready_at[last].append(con)
 
-    out: list[dict] = []
-    assign: dict[str, int] = {}
+def colorings(d: Diagram, q: QuandleTable,
+              orientation: Optional[OrientedDiagram] = None) -> list[dict]:
+    """All quandle colorings of the diagram's edges and loops.
 
-    def ok(con) -> bool:
-        if con[0] == "conj":
-            _, o, i_, y, sign = con
-            if sign > 0:
-                return assign[o] == q.op(assign[i_], assign[y])
-            return assign[o] == q.op_inv(assign[i_], assign[y])
-        _, x, y = con
-        return q.op(assign[x], assign[y]) == assign[x] and \
-            q.op(assign[y], assign[x]) == assign[y]
-
-    def backtrack(i: int):
-        if i == len(classes):
-            color = {}
-            for v in list(d.edges) + list(d.loops):
-                color[v] = assign[uf.find(v)]
-            out.append(color)
-            return
-        c = classes[i]
-        for val in range(1, q.n + 1):
-            assign[c] = val
-            if all(ok(con) for con in ready_at[i]):
-                backtrack(i + 1)
-        del assign[c]
-
-    backtrack(0)
-    return out
+    Orientation is required unless the quandle is involutory; with an
+    involutory quandle the under-strand relation is direction-free.
+    """
+    items, cls, ready = _coloring_problem(d, q, orientation)
+    return [{v: c[cls[v]] + 1 for v in items}
+            for c in _assignments(len(ready), q.n, ready)]
 
 
 def coloring_count(d: Diagram, q: QuandleTable,
                    orientation: Optional[OrientedDiagram] = None) -> int:
-    return len(colorings(d, q, orientation))
+    _, _, ready = _coloring_problem(d, q, orientation)
+    return sum(1 for _ in _assignments(len(ready), q.n, ready))

@@ -24,6 +24,7 @@ from .diagram import (
     OrientedDiagram,
     UnionFind,
     _crossing_flow,
+    _first_orientation,
 )
 from .moves import (
     FORWARD,
@@ -364,9 +365,9 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
 
 
 def _fox3_count(c: Diagram) -> int:
-    from .quandles import colorings, dihedral_quandle
+    from .quandles import coloring_count, dihedral_quandle
 
-    return len(colorings(c, dihedral_quandle(3)))
+    return coloring_count(c, dihedral_quandle(3))
 
 
 def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
@@ -377,10 +378,7 @@ def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
     ncomp = len(classical_components(c))
     if c.counts[0] == 0:
         return TriState(YES, components=ncomp, trace=MoveSequence(()))
-    from .diagram import enumerate_orientations
-
-    od = enumerate_orientations(c)[0]
-    lk = linking_matrix(od)
+    lk = linking_matrix(_first_orientation(c))
     for i in range(len(lk)):
         for j in range(i + 1, len(lk)):
             if lk[i][j] != 0:

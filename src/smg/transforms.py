@@ -18,7 +18,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .diagram import CROSSING, MARKER, SINGULAR, Diagram, Node, enumerate_orientations
+from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, Node, _first_orientation, _strand,
+                      enumerate_orientations)
 from .groups import Presentation, cyclic_reduce
 from .moves import FORWARD, MoveSpec, Pattern, apply_move, find_sites, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
@@ -192,10 +193,9 @@ def kirby_group(k: KirbyDiagram) -> Presentation:
     """Generators from dotted circles; one relator per framed component,
     letters collected when the framed strand passes under a dotted one."""
     c = k.diagram
-    ors = enumerate_orientations(c)
-    if not ors:
+    od = _first_orientation(c)
+    if od is None:
         raise ValueError("degenerate embedding: diagram is not orientable")
-    od = ors[0]
     comps = classical_components(c)
     comp_of = {}
     for i, comp in enumerate(comps):
@@ -213,20 +213,12 @@ def kirby_group(k: KirbyDiagram) -> Presentation:
         # walk the framed circuit in flow direction
         start = min(e for e in comp if e not in c.loops)
         word: list[int] = []
-        cur = start
-        exit_dart = od.head_map[cur]
-        while True:
-            nid, p = exit_dart
+        for _, (nid, p) in _strand(c, start, od.head_map[start]):
             if p in (0, 2):  # we arrive on the under-strand
                 over_comp = comp_of[c.node(nid).ports[1]]
                 if over_comp in dotted_index:
                     g = dotted_index[over_comp] + 1
                     word.append(crossing_sign(od, nid) * g)
-            cur = c.node(nid).ports[(p + 2) % 4]
-            a, b = c.edge_ends[cur]
-            exit_dart = b if a == (nid, (p + 2) % 4) else a
-            if cur == start:
-                break
         relators.append(cyclic_reduce(tuple(word)))
     rels = tuple(w for w in relators if w)
     return Presentation(len(k.dotted), rels)

@@ -186,8 +186,35 @@ def t2_text(n: int) -> str:
 
 
 def test_enumerate_orientations_on_a_thousand_crossings():
+    from smg.groups import cyclic_group, hom_count, wirtinger_presentation
+    from smg.quandles import coloring_count, dihedral_quandle
+
     # listing the nodes along the braid chains the strand classes end to end
-    assert len(enumerate_orientations(parse_smg(t2_text(1000)))) == 4
+    d = parse_smg(t2_text(1000))
+    assert len(enumerate_orientations(d)) == 4
+    # one generator or colour class after another, as deep as the braid
+    assert hom_count(wirtinger_presentation(d), cyclic_group(2)) == 4
+    assert coloring_count(d, dihedral_quandle(3)) == 3
+
+
+def test_first_orientation_is_first_enumerated():
+    from smg.diagram import _first_orientation
+    from smg.resolution import NEGATIVE, POSITIVE, resolve
+    from smg.transforms import export_exterior
+
+    def first(x):
+        ors = enumerate_orientations(x)
+        return ors[0] if ors else None
+
+    # a marker whose bar joins ports 0 and 2 cannot alternate in and out
+    cases = [Diagram("bar", (Node("m", "M", 0, ("a", "b", "a", "b")),))]
+    for name in fixture_names():
+        d = fixture(name)
+        cases += [d, resolve(d, POSITIVE).diagram, resolve(d, NEGATIVE).diagram,
+                  export_exterior(d).diagram]
+    assert first(cases[0]) is None
+    for x in cases:
+        assert _first_orientation(x) == first(x), x.name
 
 
 def test_orientation_transport_is_first_agreeing_orientation():

@@ -3,8 +3,13 @@ import itertools
 import pytest
 
 from smg.diagram import enumerate_orientations
-from smg.fixtures import fixture
-from smg.groups import symmetric_group
+from smg.fixtures import fixture, fixture_names
+from smg.groups import (
+    groups_up_to_order,
+    hom_count,
+    symmetric_group,
+    wirtinger_presentation,
+)
 from smg.quandles import (
     FOUR_QUANDLE,
     check_quandle,
@@ -17,6 +22,7 @@ from smg.quandles import (
     small_quandles,
     trivial_quandle,
 )
+from smg.resolution import NEGATIVE, resolve
 
 
 def test_paper_quandle_is_a_quandle():
@@ -154,3 +160,17 @@ def test_trivial_quandle_counts_components():
     q = trivial_quandle(3)
     assert coloring_count(fixture("trefoil"), q) == 3
     assert coloring_count(fixture("hopf"), q) == 9
+
+
+def test_hom_counts_equal_conjugation_quandle_colorings():
+    """Homomorphisms of a classical link group into G are the colorings by
+    the conjugation quandle of G: the two users of one counting solver
+    checked against each other."""
+    diagrams = [fixture(n) for n in fixture_names() if fixture(n).is_classical()]
+    diagrams += [resolve(fixture(n), NEGATIVE).diagram for n in fixture_names()]
+    for d in diagrams:
+        w = wirtinger_presentation(d)
+        od = enumerate_orientations(d)[0]
+        for name, g in groups_up_to_order(6):
+            q = conjugation_quandle(g.mult)
+            assert hom_count(w, g) == coloring_count(d, q, od), (d.name, name)
