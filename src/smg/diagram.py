@@ -84,13 +84,6 @@ class ValidationReport:
         return "ok" if self.ok else "; ".join(map(str, self.issues))
 
 
-def _norm_entry_rotation(kind: str, q: int) -> int:
-    # Crossings may only be rotated by 0 or 2 (under-strand stays at 0,2).
-    if kind == CROSSING:
-        return q - (q % 2)
-    return q
-
-
 @dataclass(frozen=True)
 class Diagram:
     """An immutable singular marked graph diagram.
@@ -160,17 +153,17 @@ class Diagram:
         """Connected components of the node-bearing graph."""
         seen: set[str] = set()
         pieces = []
+        node_map, edge_ends = self.node_map, self.edge_ends
         for nd in self.nodes:
             if nd.id in seen:
                 continue
-            stack, comp = [nd.id], set()
+            stack, comp = [nd.id], {nd.id}
             while stack:
-                cur = stack.pop()
-                if cur in comp:
-                    continue
-                comp.add(cur)
-                for p in range(4):
-                    stack.append(self.alpha((cur, p))[0])
+                for e in node_map[stack.pop()].ports:
+                    for m, _ in edge_ends[e]:
+                        if m not in comp:
+                            comp.add(m)
+                            stack.append(m)
             seen |= comp
             pieces.append(frozenset(comp))
         return tuple(sorted(pieces, key=min))
@@ -210,12 +203,12 @@ class Diagram:
             # face tracing is unsafe on malformed structure
             return ValidationReport(issues)
 
-        # Euler check, per connected piece: V - E + F = 2.
+        # Euler check, per connected piece: V - E + F = 2, where E = 2V
+        # because every edge has its two ends.
         for piece in self.graph_pieces:
             v = len(piece)
-            piece_edges = {self.node(n).ports[p] for n in piece for p in range(4)}
-            e = len(piece_edges)
-            f = len(self._orbits_of(piece))
+            e = 2 * v
+            f = _face_count(_flat_darts(self, piece)[1])
             if v - e + f != 2:
                 issues.append(
                     Issue("non-spherical embedding",
@@ -251,58 +244,33 @@ class Diagram:
 
     # -- canonical form ---------------------------------------------------
 
-    def _signature_from(self, root: Dart):
-        labels: dict[str, int] = {}
-        rots: dict[str, int] = {}
-        order: list[str] = []
-
-        def visit(nid: str, q: int) -> None:
-            labels[nid] = len(order)
-            rots[nid] = _norm_entry_rotation(self.node(nid).kind, q) % 4
-            order.append(nid)
-
-        visit(root[0], root[1])
-        sig = []
-        i = 0
-        while i < len(order):
-            nid = order[i]
-            i += 1
-            nd = self.node(nid)
-            r = rots[nid]
-            attr = None if nd.attr is None else (nd.attr - r) % 2
-            row: list = [nd.kind, attr]
-            for relp in range(4):
-                m, q = self.alpha((nid, (relp + r) % 4))
-                if m not in labels:
-                    visit(m, q)
-                row.append((labels[m], (q - rots[m]) % 4))
-            sig.append(tuple(row))
-        return tuple(sig), labels, rots
-
     @cached_property
     def _piece_canon(self) -> dict[str, tuple]:
         """piece id -> (signature, tuple of minimizing root darts)."""
         out = {}
         for piece in self.graph_pieces:
-            best = None
-            roots: list[Dart] = []
-            for n in sorted(piece):
-                for p in range(4):
-                    sig, _, _ = self._signature_from((n, p))
-                    if best is None or sig < best:
-                        best, roots = sig, [(n, p)]
-                    elif sig == best:
-                        roots.append((n, p))
-            out[min(piece)] = (best, tuple(roots))
+            ids, table = _canon_table(self, piece)
+            best, roots = None, []
+            for root in range(4 * len(ids)):
+                got = _signature(table, root, best)
+                if got is None:
+                    continue
+                if got[0] is not best:
+                    best, roots = got[0], []
+                roots.append((ids[root >> 2], root & 3))
+            out[ids[0]] = (best, tuple(roots))
         return out
 
     def _canonical_face_name(self, pid: str, orbit: frozenset[Dart]) -> tuple:
         """Automorphism-invariant name of a face orbit inside one piece."""
         _, roots = self._piece_canon[pid]
+        ids, table = _canon_table(self, next(p for p in self.graph_pieces if pid in p))
+        index = {nid: i for i, nid in enumerate(ids)}
+        darts = [(index[n], p) for n, p in orbit]
         best = None
-        for root in roots:
-            _, labels, rots = self._signature_from(root)
-            name = tuple(sorted((labels[n], (p - rots[n]) % 4) for n, p in orbit))
+        for n, p in roots:
+            _, labels, rots = _signature(table, 4 * index[n] + p)
+            name = tuple(sorted((labels[i], (p - rots[i]) % 4) for i, p in darts))
             if best is None or name < best:
                 best = name
         return best
@@ -326,9 +294,15 @@ class Diagram:
             return (self._piece_canon[host][0],
                     self._canonical_face_name(host, faces.orbit_of_corner(anchor)))
 
-        loop_part = sorted(resolve(l) for l in self.loops)
+        # "outer" sorts before every face name, so the two never meet in a
+        # comparison; unmixed lists sort as plain values.
+        def key(place):
+            return place != "outer", place
+
+        loop_part = sorted((resolve(l) for l in self.loops), key=key)
         piece_anchor_part = sorted(
-            (sig, resolve(pid)) for sig, pid in piece_sigs
+            ((sig, resolve(pid)) for sig, pid in piece_sigs),
+            key=lambda item: (item[0], key(item[1])),
         )
         return repr((piece_anchor_part, loop_part)).encode()
 
@@ -359,6 +333,109 @@ class Diagram:
                 anchor = (node_map.get(anchor[0], anchor[0]), anchor[1])
             anchors.append((pid2, anchor))
         return Diagram(self.name, nodes, loops, tuple(anchors))
+
+
+def _flat_darts(d: Diagram, piece: frozenset[str]) -> tuple[list[str], list[int]]:
+    """The node ids of ``piece`` in sorted order, and ``alpha`` on its darts
+    as integers ``4*i + port`` of node ``ids[i]``: ``alpha[dart]`` is the
+    other end of the dart's edge."""
+    ids = sorted(piece)
+    ends: dict[str, list[int]] = {}
+    node_map = d.node_map
+    for i, nid in enumerate(ids):
+        for p, e in enumerate(node_map[nid].ports):
+            ends.setdefault(e, []).append(4 * i + p)
+    alpha = [0] * (4 * len(ids))
+    for a, b in ends.values():
+        alpha[a], alpha[b] = b, a
+    return ids, alpha
+
+
+def _face_count(alpha: list[int]) -> int:
+    """Number of orbits of ``phi`` on integer darts: cross the edge, then
+    rotate one port."""
+    seen = bytearray(len(alpha))
+    count = 0
+    for start in range(len(alpha)):
+        if seen[start]:
+            continue
+        count += 1
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            y = alpha[x]
+            x = y - 3 if y & 3 == 3 else y + 1
+    return count
+
+
+def _canon_table(d: Diagram, piece: frozenset[str]) -> tuple[list[str], tuple]:
+    """The node ids of ``piece`` in sorted order, and the table
+    :func:`_signature` reads: ``(alpha, enter, head)`` on integer darts.
+
+    A node entered at a dart is read from port ``enter[dart]``, the dart's
+    port except that crossings turn only by 0 or 2, so that the
+    under-strand stays on ports 0 and 2.  ``head[dart]`` is the node's kind
+    and its attribute relative to that port, the first two entries of the
+    node's signature row."""
+    ids, alpha = _flat_darts(d, piece)
+    enter, head = [], []
+    node_map = d.node_map
+    for nid in ids:
+        nd = node_map[nid]
+        for p in range(4):
+            r = p - (p & 1) if nd.kind == CROSSING else p
+            enter.append(r)
+            head.append((nd.kind, None if nd.attr is None else (nd.attr - r) % 2))
+    return ids, (alpha, enter, head)
+
+
+def _signature(table: tuple, root: int, best: Optional[tuple] = None):
+    """Breadth-first signature of a piece from the integer dart ``root``.
+
+    Nodes are numbered in the order they are reached and read from the
+    port they were entered at: one row per node, its ``head`` entries, then
+    per port the number and relative port of the neighbour.  Returns
+    ``(signature, labels, rots)`` with the number and the entry port of
+    every node.
+
+    With ``best``, a signature of the same piece, the rows are compared
+    with its rows while the two agree: None as soon as one is greater,
+    ``best`` itself when every row is equal.  Signatures of one piece have
+    one row per node, so the first unequal row decides between them.
+    """
+    alpha, enter, head = table
+    # the first row starts with head[root]: most roots lose right there
+    if best is not None and head[root] > best[0][:2]:
+        return None
+    n = len(alpha) >> 2
+    labels = [-1] * n
+    rots = [0] * n
+    v = root >> 2
+    labels[v], rots[v] = 0, enter[root]
+    order = [v]
+    sig = []
+    tight = best is not None
+    for v in order:
+        r = rots[v]
+        base = 4 * v
+        row = list(head[base + r])
+        for p in range(r, r + 4):
+            w = alpha[base + p % 4]
+            m = w >> 2
+            if labels[m] < 0:
+                labels[m] = len(order)
+                rots[m] = enter[w]
+                order.append(m)
+            row.append((labels[m], (w - rots[m]) % 4))
+        row = tuple(row)
+        if tight:
+            b = best[len(sig)]
+            if row != b:
+                if row > b:
+                    return None
+                tight = False
+        sig.append(row)
+    return (best if tight else tuple(sig)), labels, rots
 
 
 class UnionFind:
@@ -420,7 +497,9 @@ class Faces:
     """
 
     def __init__(self, d: Diagram):
-        self.diagram = d
+        # No reference back to ``d``: ``d`` caches its Faces, and the cycle
+        # would keep every diagram a search drops alive until the cyclic
+        # garbage collector happens to run.
         self.orbits: list[frozenset[Dart]] = []
         self._orbit_of: dict[Dart, int] = {}
         self._piece_of: dict[int, str] = {}
@@ -439,17 +518,13 @@ class Faces:
         anchor_map = d.anchor_map
         for piece in d.graph_pieces:
             pid = min(piece)
-            outward = self._outward_orbit(pid)
+            outward = min(self._orbit_of[r] for r in d._piece_canon[pid][1])
             target = self._anchor_face(anchor_map.get(pid))
             uf.union(outward, target)
         self._face: dict[int, int] = {i: uf.find(i) for i in ids}
         self._loop_face: dict[str, int] = {}
         for l in d.loops:
             self._loop_face[l] = self._face[self._anchor_face(anchor_map.get(l))]
-
-    def _outward_orbit(self, pid: str) -> int:
-        _, roots = self.diagram._piece_canon[pid]
-        return min(self._orbit_of[r] for r in roots)
 
     def _anchor_face(self, anchor: Optional[tuple[str, int]]) -> int:
         if anchor is None:

@@ -25,6 +25,7 @@ from .diagram import (
     Faces,
     Node,
     OrientedDiagram,
+    SMGSemanticError,
     SMGSyntaxError,
     StrandParity,
 )
@@ -814,10 +815,15 @@ class MoveSequence:
     @staticmethod
     def parse(text: str) -> "MoveSequence":
         steps = []
-        for line in text.splitlines():
-            if line.strip():
-                mid, var, direction, fp = line.split()
-                steps.append(MoveStep(mid, int(var), direction, fp))
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            toks = line.split()
+            if (len(toks) != 4 or not re.fullmatch(r"-?\d+", toks[1])
+                    or toks[2] not in (FORWARD, REVERSE)):
+                raise SMGSyntaxError(
+                    "expected '<move-id> <variant> forward|reverse <fingerprint>'", lineno)
+            steps.append(MoveStep(toks[0], int(toks[1]), toks[2], toks[3]))
         return MoveSequence(tuple(steps))
 
 
@@ -830,6 +836,8 @@ def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
     """Replay ``s`` from ``d``, failing fast on the first stale step."""
     cur = d
     for i, step in enumerate(s.steps):
+        if step.move_id not in catalog:
+            raise SMGSemanticError(f"step {i}: unknown move id {step.move_id!r}")
         move = catalog[step.move_id]
         nxt = None
         for site in find_sites(cur, move, step.direction):
@@ -867,7 +875,11 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     ``d2``'s canonical code.  Failure within budget proves nothing.
     """
     budget = budget or SearchBudget()
-    moves = [catalog[m] for m in (allowed if allowed is not None else catalog)]
+    allowed = list(allowed if allowed is not None else catalog)
+    unknown = [m for m in allowed if m not in catalog]
+    if unknown:
+        raise SMGSemanticError(f"unknown move ids {unknown}")
+    moves = [catalog[m] for m in allowed]
     c1, c2 = d1.canonical_code(), d2.canonical_code()
     if c1 == c2:
         return MoveSequence(())

@@ -302,3 +302,80 @@ def test_placement_gates_move_sites():
     # meets the other side of the strand instead
     assert frozenset(("a", "c0")) in strand_pairs(inside) - strand_pairs(outside)
     assert frozenset(("b", "c0")) in strand_pairs(outside) - strand_pairs(inside)
+
+
+def test_outer_and_face_anchors_sort_together():
+    """A loop or piece in the outer face next to one placed in a face."""
+    def code(body):
+        return parse_smg(f"diagram t\n{body}end\n").canonical_code()
+
+    kink = "node k X b a a b\n"
+    mixed = code(kink + "loop c0\nloop c1\nplace c0 in k.1\n")
+    assert mixed == code(kink + "loop c0\nloop c1\nplace c1 in k.1\n")
+    assert mixed != code(kink + "loop c0\nloop c1\nplace c0 in k.1\nplace c1 in k.1\n")
+    # two equal pieces, one inside a face of the other
+    two = kink + "node j X d c c d\n"
+    assert code(two + "place j in k.1\n") == code(two + "place k in j.1\n")
+    assert code(two + "place j in k.1\n") != code(two)
+
+
+def reference_signature(d: Diagram, root) -> tuple:
+    """The full breadth-first signature from ``root``, read with string
+    darts; the same rows the canonical code is built from."""
+    labels, rots, order = {}, {}, []
+
+    def visit(nid, q):
+        labels[nid] = len(order)
+        rots[nid] = q - q % 2 if d.node(nid).kind == "X" else q
+        order.append(nid)
+
+    visit(*root)
+    sig = []
+    for nid in order:
+        nd, r = d.node(nid), rots[nid]
+        row = [nd.kind, None if nd.attr is None else (nd.attr - r) % 2]
+        for k in range(4):
+            m, q = d.alpha((nid, (r + k) % 4))
+            if m not in labels:
+                visit(m, q)
+            row.append((labels[m], (q - rots[m]) % 4))
+        sig.append(tuple(row))
+    return tuple(sig)
+
+
+def reference_piece_canon(d: Diagram) -> dict:
+    """Per piece, the least signature over all ``4n`` roots and every root
+    that reaches it, in root order."""
+    out = {}
+    for piece in d.graph_pieces:
+        sigs = {(n, p): reference_signature(d, (n, p))
+                for n in sorted(piece) for p in range(4)}
+        best = min(sigs.values())
+        out[min(piece)] = (best, tuple(r for r, s in sigs.items() if s == best))
+    return out
+
+
+def test_bounded_canonicalisation_matches_unbounded_reference():
+    from smg.catalog import move_catalog
+    from smg.diagram import _face_count, _flat_darts
+    from smg.moves import FORWARD, REVERSE, apply_move, find_sites
+
+    cases = []
+    for name in fixture_names():
+        d = fixture(name)
+        cases.append(d)
+        for m in move_catalog("unoriented"):
+            for direction in (FORWARD, REVERSE):
+                cases += [apply_move(d, m, s) for s in find_sites(d, m, direction)]
+    rng = random.Random(23)
+    for n in (2, 3, 7, 16, 40):
+        d = parse_smg(t2_text(n))
+        ids = sorted(nd.id for nd in d.nodes)
+        nm = dict(zip(ids, (f"n{k}" for k in rng.sample(range(10 * n), n))))
+        em = {e: f"e{k}" for k, e in enumerate(rng.sample(sorted(d.edges), len(d.edges)))}
+        cases.append(d.relabeled(nm, em))
+    assert len(cases) > 1600
+    for d in cases:
+        assert d._piece_canon == reference_piece_canon(d), serialize(d)
+        for piece in d.graph_pieces:
+            assert _face_count(_flat_darts(d, piece)[1]) == len(d._orbits_of(piece))

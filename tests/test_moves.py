@@ -134,6 +134,72 @@ def test_sequence_serialization_round_trip():
     assert MoveSequence.parse(seq.serialize()) == seq
 
 
+def test_sequence_parse_rejects_malformed_lines_with_line_number():
+    from smg.diagram import SMGSyntaxError
+
+    good = "O1 0 forward " + "ab" * 8
+    for bad in ("O1 0 forward", "O1 x forward " + "ab" * 8,
+                "O1 0 sideways " + "ab" * 8, good + " extra"):
+        with pytest.raises(SMGSyntaxError, match="line 3") as err:
+            MoveSequence.parse(f"{good}\n\n{bad}\n")
+        assert err.value.line == 3 and isinstance(err.value, ValueError)
+
+
+def test_unknown_move_id_is_a_semantic_error():
+    from smg.diagram import SMGSemanticError
+    from smg.moves import MoveStep
+
+    d = fixture("circle")
+    site = find_sites(d, CAT["O1"], FORWARD)[0]
+    kinked = apply_move(d, CAT["O1"], site)
+    seq = MoveSequence((MoveStep("O1", site.variant, FORWARD, code_digest(kinked)),
+                        MoveStep("O99", 0, REVERSE, code_digest(d))))
+    with pytest.raises(SMGSemanticError, match="step 1: unknown move id 'O99'"):
+        verify_sequence(d, seq, CAT)
+    with pytest.raises(SMGSemanticError, match="O99"):
+        search_equivalence(d, fixture("kink"), CAT, ["O1", "O99"])
+
+
+# code_digest of the fixtures and of one rewrite each (the last site of the
+# move) as the canonical code bytes stood before the bounded canonicaliser:
+# trace fingerprints are these digests, so a change here is a change of a
+# public format and has to be deliberate.
+GOLDEN_FIXTURE_DIGESTS = {
+    "circle": "acaf65972f80984f", "d2m5": "0c56d3060f1f7b0f",
+    "d2m6": "7d97b20526754cb1", "fr": "65a791396f377081",
+    "hopf": "58adc8ba447154c4", "kink": "34d8b511f55106b3",
+    "saddle_sphere": "3d0e4a85b70f05a4", "sing_sphere": "0b7a9082154e305a",
+    "three_loops": "ad68c5578335de9f", "trefoil": "44e94250a6bfde3f",
+    "two_loops": "999608bbe0673b28", "d1m5": "0f40587b67a568e7",
+    "d1m6": "28ad8b86aa830c0e",
+}
+GOLDEN_REWRITE_DIGESTS = [
+    ("fr", "O2", FORWARD, 164, "6c1307eae6c0d0e6"),
+    ("fr", "O6", FORWARD, 48, "14239d042147d723"),
+    ("fr", "D_O9ppp", FORWARD, 2, "74e4b6b6d378e03a"),
+    ("trefoil", "O1", FORWARD, 48, "5ee9f2ebc257dae0"),
+    ("kink", "O1", REVERSE, 4, "acaf65972f80984f"),
+    ("d1m6", "O11p", FORWARD, 1, "b91b32aeb91064a6"),
+    ("d1m6", "O12", REVERSE, 1, "7d97b20526754cb1"),
+    ("d1m6", "D_O9pp", FORWARD, 2, "62d6dfa8249a4821"),
+    ("sing_sphere", "O8", FORWARD, 8, "44ac7656c0ea7e89"),
+    ("hopf", "O6p", FORWARD, 16, "9713ade67293e8fb"),
+]
+
+
+def test_code_digests_are_pinned():
+    from smg.fixtures import fixture_names
+
+    assert sorted(GOLDEN_FIXTURE_DIGESTS) == sorted(fixture_names())
+    for name, digest in GOLDEN_FIXTURE_DIGESTS.items():
+        assert code_digest(fixture(name)) == digest, name
+    for name, move, direction, count, digest in GOLDEN_REWRITE_DIGESTS:
+        d = fixture(name)
+        sites = find_sites(d, CAT[move], direction)
+        assert len(sites) == count, (name, move, direction)
+        assert code_digest(apply_move(d, CAT[move], sites[-1])) == digest, (name, move)
+
+
 def test_search_self_is_empty():
     d = fixture("fr")
     seq = search_equivalence(d, d, CAT)

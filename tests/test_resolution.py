@@ -86,6 +86,18 @@ def test_trivial_three_loops():
     assert t.value == "yes" and t.components == 3
 
 
+def test_trivial_fr_exterior_mixes_outer_and_face_anchors():
+    """Simplifying the Kirby exterior of fr passes through diagrams with one
+    component in the outer face and another placed in a face."""
+    from smg.transforms import export_exterior
+
+    d = export_exterior(fixture("fr")).diagram
+    t = is_trivial_unlink(d)
+    assert t.value == "yes" and t.components == 4
+    final = verify_sequence(d, t.trace, catalog_map("unoriented"))
+    assert not final.nodes and len(final.loops) == 4
+
+
 def test_trivial_hopf_no_by_linking():
     t = is_trivial_unlink(fixture("hopf"))
     assert t.value == "no"
