@@ -10,9 +10,10 @@ positive marker smoothing, and a commutation relation at every double point.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .diagram import CROSSING, MARKER, SINGULAR, Diagram, UnionFind, _crossing_flow, _strand
 from .resolution import NEGATIVE, POSITIVE, Resolution, resolve, smoothing_pairs
@@ -355,6 +356,12 @@ class GroupTable:
         return tuple(out)
 
     def check(self) -> None:
+        """Raise ValueError unless 0 is an identity and the table is
+        associative; the O(n^3) scan runs once per table object."""
+        self._checked
+
+    @cached_property
+    def _checked(self) -> bool:
         n = self.n
         for x in range(n):
             if self.mult[0][x] != x or self.mult[x][0] != x:
@@ -365,6 +372,7 @@ class GroupTable:
                     if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
                         raise ValueError("not associative")
         _ = self.inv
+        return True
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -463,11 +471,71 @@ def groups_up_to_order(n: int) -> tuple[tuple[str, GroupTable], ...]:
     return tuple(out)
 
 
-def _assignments(nvars: int, size: int, ready: list[list[Callable]]) -> Iterator[list[int]]:
-    """Every assignment of ``0..size-1`` to variables ``0..nvars-1``, in
-    lexicographic order, for which each check ``ok(values)`` in
-    ``ready[i]`` holds once variables ``0..i`` are set.  One list is yielded
-    each time, updated in place; a variable reads -1 while it is unset."""
+class _Constraint(NamedTuple):
+    """A check on some variables, and for each variable the check
+    determines once the others are set, the function that solves for it."""
+
+    vars: tuple[int, ...]
+    check: Callable[[list[int]], bool]
+    solve: dict[int, Callable[[list[int]], int]]
+
+
+def _order(nvars: int, constraints: list[_Constraint]
+           ) -> tuple[list[tuple[int, Optional[Callable]]], list[list[Callable]]]:
+    """The assignment order as ``(variable, solve or None)``, and per
+    position the checks whose last variable is set there.
+
+    Next comes a variable some constraint solves from assigned ones;
+    otherwise a free variable sharing a constraint with an assigned one,
+    else the least unassigned one.  The order follows the constraints, not
+    the numbering, and is built in one pass over them."""
+    distinct = [tuple(dict.fromkeys(c.vars)) for c in constraints]
+    of_var: list[list[int]] = [[] for _ in range(nvars)]
+    for ci, vs in enumerate(distinct):
+        for v in vs:
+            of_var[v].append(ci)
+    unset = [len(vs) for vs in distinct]
+    position = [-1] * nvars
+    order: list[tuple[int, Optional[Callable]]] = []
+    forced: deque = deque()
+    near: deque = deque()
+    least = 0
+    while len(order) < nvars:
+        if forced:
+            v, solve = forced.popleft()
+        elif near:
+            v, solve = near.popleft(), None
+        else:
+            while position[least] >= 0:
+                least += 1
+            v, solve = least, None
+        if position[v] >= 0:
+            continue
+        position[v] = len(order)
+        order.append((v, solve))
+        for ci in of_var[v]:
+            vs = distinct[ci]
+            if unset[ci] == len(vs):
+                near.extend(vs)
+            unset[ci] -= 1
+            if unset[ci] == 1:
+                last = next(u for u in vs if position[u] < 0)
+                if last in constraints[ci].solve:
+                    forced.append((last, constraints[ci].solve[last]))
+    waiting: list[list[Callable]] = [[] for _ in range(nvars)]
+    for c, vs in zip(constraints, distinct):
+        waiting[max(position[v] for v in vs)].append(c.check)
+    return order, waiting
+
+
+def _assignments(nvars: int, size: int, constraints: list[_Constraint]) -> Iterator[list[int]]:
+    """Every assignment of ``0..size-1`` to variables ``0..nvars-1`` that
+    passes every check, in no particular order.  Variables are set in
+    :func:`_order`'s order: a solved one takes its one value, a free one
+    tries ``0..size-1``, and each check runs once its last variable is set.
+    One list is yielded each time, updated in place; a variable reads -1
+    while it is unset."""
+    order, waiting = _order(nvars, constraints)
     values = [-1] * nvars
     i = 0
     while i >= 0:
@@ -475,37 +543,55 @@ def _assignments(nvars: int, size: int, ready: list[list[Callable]]) -> Iterator
             yield values
             i -= 1
             continue
-        checks = ready[i]
-        for v in range(values[i] + 1, size):
-            values[i] = v
+        v, solve = order[i]
+        checks = waiting[i]
+        if solve is None:
+            for x in range(values[v] + 1, size):
+                values[v] = x
+                if all(ok(values) for ok in checks):
+                    i += 1
+                    break
+            else:
+                values[v] = -1
+                i -= 1
+        elif values[v] < 0:
+            values[v] = solve(values)
             if all(ok(values) for ok in checks):
                 i += 1
-                break
         else:
-            values[i] = -1
+            values[v] = -1
             i -= 1
 
 
 def hom_count(p: Presentation, g: GroupTable) -> int:
-    """Number of homomorphisms into the finite group; each relator is
-    checked as soon as its last generator has an image."""
+    """Number of homomorphisms into the finite group.  A generator that
+    occurs once in a relator ``u x^e v`` is solved as ``x^e = (v u)^-1``
+    once the others have images."""
     g.check()
     # by_inverse[v][x] = v * x^-1, as g.mult[v][x] = v * x
     by_inverse = tuple(tuple(row[y] for y in g.inv) for row in g.mult)
 
-    def relator_check(w: Word) -> Callable:
-        letters = [(abs(l) - 1, g.mult if l > 0 else by_inverse) for l in w]
-
-        def ok(images: list[int]) -> bool:
+    def product(letters: list[tuple[int, tuple]]) -> Callable[[list[int]], int]:
+        def value(images: list[int]) -> int:
             v = 0
             for i, table in letters:
                 v = table[v][images[i]]
-            return v == 0
+            return v
 
-        return ok
+        return value
 
-    ready: list[list[Callable]] = [[] for _ in range(p.ngens)]
-    for w in p.relators:
-        if w:
-            ready[max(abs(l) for l in w) - 1].append(relator_check(w))
-    return sum(1 for _ in _assignments(p.ngens, g.n, ready))
+    def relator_constraint(w: Word) -> _Constraint:
+        letters = [(abs(l) - 1, g.mult if l > 0 else by_inverse) for l in w]
+        whole = product(letters)
+        solve = {}
+        for k, l in enumerate(w):
+            x = abs(l) - 1
+            if sum(abs(m) - 1 == x for m in w) == 1:
+                rest = product(letters[k + 1:] + letters[:k])     # v u
+                solve[x] = rest if l < 0 else \
+                    (lambda images, rest=rest: g.inv[rest(images)])
+        return _Constraint(tuple(abs(l) - 1 for l in w),
+                           lambda images: whole(images) == 0, solve)
+
+    constraints = [relator_constraint(w) for w in p.relators if w]
+    return sum(1 for _ in _assignments(p.ngens, g.n, constraints))

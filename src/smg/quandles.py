@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .diagram import (
     CROSSING,
@@ -24,7 +24,7 @@ from .diagram import (
     UnionFind,
     _crossing_flow,
 )
-from .groups import _assignments
+from .groups import _assignments, _Constraint
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,10 @@ class QuandleTable:
         return self.inv[x - 1][y - 1]
 
     def is_involutory(self) -> bool:
+        return self._involutory
+
+    @cached_property
+    def _involutory(self) -> bool:
         return all(self.op(self.op(x, y), y) == x
                    for x in range(1, self.n + 1) for y in range(1, self.n + 1))
 
@@ -178,10 +182,11 @@ def small_quandles(max_order: int = 4) -> tuple[QuandleTable, ...]:
 
 
 def _coloring_problem(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]
-                      ) -> tuple[list[str], dict[str, int], list[list[Callable]]]:
-    """(edges and loops, class index of each, checks per class) for
-    :func:`_assignments`: colour ``k`` of a class is quandle element ``k+1``.
-    Classes are ordered by their union-find root."""
+                      ) -> tuple[list[str], dict[str, int], int, list[_Constraint]]:
+    """(edges and loops, class index of each, number of classes,
+    constraints on the classes) for :func:`_assignments`: colour ``k`` of a
+    class is quandle element ``k+1``.  Classes are ordered by their
+    union-find root."""
     if orientation is None and not q.is_involutory():
         raise ValueError("a non-involutory quandle needs an orientation")
 
@@ -204,14 +209,22 @@ def _coloring_problem(d: Diagram, q: QuandleTable, orientation: Optional[Oriente
     op = tuple(tuple(z - 1 for z in row) for row in q.table)
     op_inv = tuple(tuple(z - 1 for z in row) for row in q.inv)
 
-    def conj(out: int, inn: int, over: int, table) -> Callable:
-        return lambda c: c[out] == table[c[inn]][c[over]]
+    def conj(out: int, inn: int, over: int, table, inverse) -> _Constraint:
+        """``out = inn * over`` by ``table``; ``inverse`` is its column
+        inverse, so ``inn = out * over`` by ``inverse``."""
+        solve = {}
+        if out not in (inn, over):
+            solve[out] = lambda c: table[c[inn]][c[over]]
+        if inn not in (out, over):
+            solve[inn] = lambda c: inverse[c[out]][c[over]]
+        return _Constraint((out, inn, over),
+                           lambda c: c[out] == table[c[inn]][c[over]], solve)
 
-    def fix(x: int, y: int) -> Callable:
-        return lambda c: op[c[x]][c[y]] == c[x] and op[c[y]][c[x]] == c[y]
+    def fix(x: int, y: int) -> _Constraint:
+        return _Constraint(
+            (x, y), lambda c: op[c[x]][c[y]] == c[x] and op[c[y]][c[x]] == c[y], {})
 
-    # each check waits for the last class it mentions
-    ready: list[list[Callable]] = [[] for _ in roots]
+    constraints = []
     for nd in d.nodes:
         ports = nd.ports
         if nd.kind == CROSSING:
@@ -219,26 +232,26 @@ def _coloring_problem(d: Diagram, q: QuandleTable, orientation: Optional[Oriente
             if orientation is not None:
                 pu, _, sign = _crossing_flow(nd.id, orientation.flows_in)
             vs = (cls[ports[(pu + 2) % 4]], cls[ports[pu]], cls[ports[1]])
-            ready[max(vs)].append(conj(*vs, op if sign > 0 else op_inv))
+            constraints.append(conj(*vs, *((op, op_inv) if sign > 0 else (op_inv, op))))
         elif nd.kind == SINGULAR:
-            vs = (cls[ports[0]], cls[ports[1]])
-            ready[max(vs)].append(fix(*vs))
-    return items, cls, ready
+            constraints.append(fix(cls[ports[0]], cls[ports[1]]))
+    return items, cls, len(roots), constraints
 
 
 def colorings(d: Diagram, q: QuandleTable,
               orientation: Optional[OrientedDiagram] = None) -> list[dict]:
-    """All quandle colorings of the diagram's edges and loops.
+    """All quandle colorings of the diagram's edges and loops, in
+    lexicographic order of their colour class vectors.
 
     Orientation is required unless the quandle is involutory; with an
     involutory quandle the under-strand relation is direction-free.
     """
-    items, cls, ready = _coloring_problem(d, q, orientation)
-    return [{v: c[cls[v]] + 1 for v in items}
-            for c in _assignments(len(ready), q.n, ready)]
+    items, cls, nclasses, constraints = _coloring_problem(d, q, orientation)
+    found = sorted(tuple(c) for c in _assignments(nclasses, q.n, constraints))
+    return [{v: c[cls[v]] + 1 for v in items} for c in found]
 
 
 def coloring_count(d: Diagram, q: QuandleTable,
                    orientation: Optional[OrientedDiagram] = None) -> int:
-    _, _, ready = _coloring_problem(d, q, orientation)
-    return sum(1 for _ in _assignments(len(ready), q.n, ready))
+    _, _, nclasses, constraints = _coloring_problem(d, q, orientation)
+    return sum(1 for _ in _assignments(nclasses, q.n, constraints))

@@ -22,6 +22,8 @@ from .diagram import (
     Diagram,
     Node,
     OrientedDiagram,
+    SMGError,
+    SMGSemanticError,
     UnionFind,
     _crossing_flow,
     _first_orientation,
@@ -93,10 +95,16 @@ class Resolution:
         return self.component_of[self.edge_of[orig_edge]]
 
 
+def _require_classical(c: Diagram, what: str) -> None:
+    if not c.is_classical():
+        raise SMGSemanticError(
+            f"{what} needs a classical diagram; {c.name!r} has markers or double points")
+
+
 def classical_components(c: Diagram) -> list[frozenset]:
     """Strand components of a classical diagram (edges pass straight through
     crossings); loops are singleton components."""
-    assert c.is_classical()
+    _require_classical(c, "classical_components")
     uf = UnionFind(c.edges)
     for nd in c.nodes:
         for p in (0, 1):
@@ -241,8 +249,8 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
         sign = _crossing_flow(nd.id, od.flows_in)[2]
         twice[i][j] += sign
         twice[j][i] += sign
-    for row in twice:
-        assert all(v % 2 == 0 for v in row)
+    if any(v % 2 for row in twice for v in row):
+        raise SMGError("linking_matrix: two components cross an odd number of times")
     return [[v // 2 for v in row] for row in twice]
 
 
@@ -320,7 +328,7 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
     """Greedy-first bounded search over R1/R2/R3; returns the diagram with
     the fewest crossings found and a replayable trace to it."""
     budget = budget or Budget()
-    assert c.is_classical()
+    _require_classical(c, "reidemeister_simplify")
     moves = _rmoves()
     start, presteps = _greedy_reduce(c, moves)
     if start.counts[0] == 0:
@@ -374,7 +382,7 @@ def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
     """YES with a simplification trace, NO with an invariant obstruction,
     or UNKNOWN when the budget runs out."""
     budget = budget or Budget()
-    assert c.is_classical()
+    _require_classical(c, "is_trivial_unlink")
     ncomp = len(classical_components(c))
     if c.counts[0] == 0:
         return TriState(YES, components=ncomp, trace=MoveSequence(()))

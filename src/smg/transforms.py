@@ -23,7 +23,7 @@ from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, Node, _first_orientat
 from .groups import Presentation, cyclic_reduce
 from .moves import FORWARD, MoveSpec, Pattern, apply_move, find_sites, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
-from .resolution import classical_components, crossing_sign, linking_matrix
+from .resolution import _require_classical, classical_components, crossing_sign, linking_matrix
 
 M5 = "M5"
 M6 = "M6"
@@ -131,7 +131,7 @@ def _rate(count_sum: int, n: int, comps: int) -> str:
 def profile(c: Diagram, panel: Optional[tuple[QuandleTable, ...]] = None) -> Profile:
     """Profile of a classical diagram; deterministic and unchanged by
     disjoint union with crossingless loops."""
-    assert c.is_classical()
+    _require_classical(c, "profile")
     panel = panel or small_quandles(4)
     comps = classical_components(c)
     orientations = enumerate_orientations(c)
@@ -142,7 +142,10 @@ def profile(c: Diagram, panel: Optional[tuple[QuandleTable, ...]] = None) -> Pro
                            if lk[i][j]))
     rates = []
     for idx, q in enumerate(panel):
-        total = sum(coloring_count(c, q, o) for o in orientations)
+        if q.is_involutory():   # op_inv == op: the count is orientation-free
+            total = coloring_count(c, q) * len(orientations)
+        else:
+            total = sum(coloring_count(c, q, o) for o in orientations)
         rates.append((f"q{q.n}.{idx}", _rate(total, q.n, len(comps))))
     return Profile(linking, tuple(rates))
 

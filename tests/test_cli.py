@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -25,6 +26,14 @@ def test_color_fr_prints_sixteen(files, capsys):
     rc = main(["color", files["fr"], files["q"]])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "16"
+
+
+def test_color_list_json_is_pinned(files, capsys):
+    """Every colouring of fr, in order, byte for byte."""
+    rc = main(["--json", "color", files["fr"], files["q"], "--list"])
+    out = capsys.readouterr().out
+    assert rc == 0 and json.loads(out)["count"] == 16
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "1f1377ff80b161a1"
 
 
 def test_admissible_circle_yes(files, capsys):

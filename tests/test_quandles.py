@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import random
+from functools import lru_cache
 
 import pytest
 
-from smg.diagram import enumerate_orientations
+from smg.catalog import move_catalog
+from smg.diagram import enumerate_orientations, parse_smg
 from smg.fixtures import fixture, fixture_names
 from smg.groups import (
+    cyclic_group,
     groups_up_to_order,
     hom_count,
     symmetric_group,
@@ -22,7 +27,31 @@ from smg.quandles import (
     small_quandles,
     trivial_quandle,
 )
-from smg.resolution import NEGATIVE, resolve
+from smg.moves import FORWARD, REVERSE, apply_move, find_sites
+from smg.resolution import NEGATIVE, POSITIVE, resolve
+
+
+@lru_cache(maxsize=None)
+def fixtures_and_rewrites(per_fixture: int = 6, seed: int = 5) -> tuple:
+    """The fixtures and, after each, up to ``per_fixture`` one-move
+    rewrites of it: a seeded draw of moves and directions, the first site of
+    each that has one."""
+    rng = random.Random(seed)
+    steps = [(m, direction) for m in move_catalog("unoriented")
+             for direction in (FORWARD, REVERSE)]
+    out = []
+    for name in fixture_names():
+        d = fixture(name)
+        out.append(d)
+        found = 0
+        for m, direction in rng.sample(steps, len(steps)):
+            if found == per_fixture:
+                break
+            sites = find_sites(d, m, direction)
+            if sites:
+                out.append(apply_move(d, m, sites[0]))
+                found += 1
+    return tuple(out)
 
 
 def test_paper_quandle_is_a_quandle():
@@ -97,18 +126,43 @@ def test_constant_colorings_lower_bound():
 
 
 def test_involutory_counts_orientation_free():
-    d = fixture("hopf")
-    counts = {coloring_count(d, dihedral_quandle(3), o)
-              for o in enumerate_orientations(d)}
-    assert len(counts) == 1
+    for d in fixtures_and_rewrites():
+        for q in small_quandles(4) + (FOUR_QUANDLE, dihedral_quandle(5)):
+            if q.is_involutory():
+                counts = {coloring_count(d, q, o) for o in enumerate_orientations(d)}
+                assert counts == {coloring_count(d, q)}, d.name
+
+
+def strand_labels(d) -> dict:
+    """Each edge and loop labelled by the least edge or loop that the local
+    equalities join it to: the over-strand of a crossing, the four ends of a
+    marker, the straight-through strands of a double point."""
+    label = {v: v for v in list(d.edges) + list(d.loops)}
+    pairs = []
+    for nd in d.nodes:
+        a, b, c, e = nd.ports
+        pairs += {"M": [(a, b), (b, c), (c, e)], "S": [(a, c), (b, e)]}.get(nd.kind, [(b, e)])
+    changed = True
+    while changed:
+        changed = False
+        for x, y in pairs:
+            low = min(label[x], label[y])
+            if label[x] != low or label[y] != low:
+                label[x] = label[y] = low
+                changed = True
+    return label
 
 
 def exhaustive_count(d, q, od=None):
-    """Direct check of every assignment against the local conditions."""
-    variables = list(d.edges) + list(d.loops)
+    """Direct check of every assignment against the local conditions.  Only
+    assignments constant on each strand of :func:`strand_labels` are
+    listed: every other one breaks an equality condition."""
+    label = strand_labels(d)
+    strands = sorted(set(label.values()))
     count = 0
-    for assign in itertools.product(range(1, q.n + 1), repeat=len(variables)):
-        col = dict(zip(variables, assign))
+    for assign in itertools.product(range(1, q.n + 1), repeat=len(strands)):
+        of_strand = dict(zip(strands, assign))
+        col = {v: of_strand[s] for v, s in label.items()}
         ok = True
         for nd in d.nodes:
             c0, c1, c2, c3 = (col[e] for e in nd.ports)
@@ -174,3 +228,103 @@ def test_hom_counts_equal_conjugation_quandle_colorings():
         for name, g in groups_up_to_order(6):
             q = conjugation_quandle(g.mult)
             assert hom_count(w, g) == coloring_count(d, q, od), (d.name, name)
+
+
+def test_counts_agree_with_exhaustive_on_fixtures_and_rewrites():
+    """Every quandle of order <= 3, the paper's quandle and the two
+    non-involutory quandles of order 4, unoriented where involutory and
+    under every orientation."""
+    panel = small_quandles(3) + (FOUR_QUANDLE,) + tuple(
+        q for q in small_quandles(4) if not q.is_involutory())
+    for d in fixtures_and_rewrites():
+        orientations = enumerate_orientations(d)
+        for q in panel:
+            if q.is_involutory():
+                assert coloring_count(d, q) == exhaustive_count(d, q), d.name
+            for od in orientations:
+                assert coloring_count(d, q, od) == exhaustive_count(d, q, od), d.name
+
+
+def brute_force_hom_count(p, g) -> int:
+    """Every tuple of generator images, each relator multiplied out."""
+    count = 0
+    for images in itertools.product(range(g.n), repeat=p.ngens):
+        ok = True
+        for w in p.relators:
+            v = 0
+            for l in w:
+                x = images[abs(l) - 1]
+                v = g.mult[v][x if l > 0 else g.inv[x]]
+            if v != 0:
+                ok = False
+                break
+        count += ok
+    return count
+
+
+def test_hom_counts_agree_with_brute_force():
+    presentations = []
+    for d in fixtures_and_rewrites():
+        presentations.append(wirtinger_presentation(d))
+        for sign in (NEGATIVE, POSITIVE):
+            presentations.append(wirtinger_presentation(resolve(d, sign).diagram))
+    presentations = [p for p in dict.fromkeys(presentations) if p.ngens <= 5]
+    assert len(presentations) > 20
+    for p in presentations:
+        for name, g in groups_up_to_order(6):
+            assert hom_count(p, g) == brute_force_hom_count(p, g), (str(p), name)
+
+
+def coloring_digest(cols: list[dict]) -> str:
+    return hashlib.sha256(repr([sorted(c.items()) for c in cols]).encode()).hexdigest()[:16]
+
+
+#: ``coloring_digest`` of the full ``colorings`` lists, order included, under
+#: FOUR_QUANDLE, dihedral_quandle(3), and the first non-involutory quandle of
+#: small_quandles(4) with the first orientation
+GOLDEN_COLORING_DIGESTS = {
+    "circle": ("8685915ef75ee441", "de105e14ec324105", "8685915ef75ee441"),
+    "d2m5": ("f1ae9d0982f7d9ab", "f99eb18d0ceea44e", "f1ae9d0982f7d9ab"),
+    "d2m6": ("f1ae9d0982f7d9ab", "f99eb18d0ceea44e", "f1ae9d0982f7d9ab"),
+    "fr": ("8042810b5e534b1a", "53e866b09e306502", "052a05fd3c45a1ed"),
+    "hopf": ("d3aecca75c37b1b9", "48e276abb9abbed9", "c02edfa942dbb9b3"),
+    "kink": ("7dd79541e6206e6f", "022a85cd2b999c06", "7dd79541e6206e6f"),
+    "saddle_sphere": ("7dd79541e6206e6f", "022a85cd2b999c06", "7dd79541e6206e6f"),
+    "sing_sphere": ("7dd79541e6206e6f", "022a85cd2b999c06", "7dd79541e6206e6f"),
+    "three_loops": ("f7191e5d21e2fc54", "2d897f884d6378e1", "f7191e5d21e2fc54"),
+    "trefoil": ("be800583599ed34f", "016f9dd03d640ba2", "be800583599ed34f"),
+    "two_loops": ("93ea2127672a5204", "c81d6f1e8937d373", "93ea2127672a5204"),
+    "d1m5": ("3088cfdd17664ce1", "5e2f5ede3fb4370b", "3088cfdd17664ce1"),
+    "d1m6": ("3088cfdd17664ce1", "5e2f5ede3fb4370b", "3088cfdd17664ce1"),
+}
+
+
+def test_coloring_lists_are_pinned():
+    oriented = next(q for q in small_quandles(4) if not q.is_involutory())
+    assert sorted(GOLDEN_COLORING_DIGESTS) == sorted(fixture_names())
+    for name, digests in GOLDEN_COLORING_DIGESTS.items():
+        d = fixture(name)
+        od = enumerate_orientations(d)[0]
+        got = (coloring_digest(colorings(d, FOUR_QUANDLE)),
+               coloring_digest(colorings(d, dihedral_quandle(3))),
+               coloring_digest(colorings(d, oriented, od)))
+        assert got == digests, name
+
+
+def test_counts_do_not_depend_on_naming():
+    """T(2,n) with its ids shuffled: 3-colourings and homomorphisms onto
+    Z/2 as for the order-keeping naming, and as the solver does not order
+    its variables by name, without a blow-up."""
+    from test_diagram import t2_text
+
+    rng = random.Random(31)
+    d3, z2 = dihedral_quandle(3), cyclic_group(2)
+    for n in (7, 48, 200):
+        d = parse_smg(t2_text(n))
+        ids = sorted(nd.id for nd in d.nodes)
+        nm = dict(zip(ids, (f"n{k}" for k in rng.sample(range(10 * n), n))))
+        em = {e: f"e{k}" for k, e in enumerate(rng.sample(sorted(d.edges), len(d.edges)))}
+        shuffled = d.relabeled(nm, em)
+        for x in (d, shuffled):
+            assert coloring_count(x, d3) == (9 if n % 3 == 0 else 3), n
+            assert hom_count(wirtinger_presentation(x), z2) == (2 if n % 2 else 4), n

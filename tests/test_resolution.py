@@ -1,4 +1,11 @@
-from smg.diagram import enumerate_orientations, parse_smg
+import os
+import subprocess
+import sys
+
+import pytest
+
+import smg
+from smg.diagram import SMGSemanticError, enumerate_orientations, parse_smg
 from smg.fixtures import fixture
 from smg.moves import verify_sequence
 from smg.catalog import catalog_map
@@ -6,12 +13,14 @@ from smg.resolution import (
     NEGATIVE,
     POSITIVE,
     Budget,
+    classical_components,
     is_admissible,
     is_trivial_unlink,
     linking_matrix,
     reidemeister_simplify,
     resolve,
 )
+from smg.transforms import profile
 
 
 def test_resolve_circle_both_signs():
@@ -171,3 +180,30 @@ def test_admissibility_certificates_replay():
         start = resolve(d, sign).diagram
         final = verify_sequence(start, cert.trace, cat)
         assert final.counts[0] == 0
+
+
+NON_CLASSICAL_CHECK = """
+from smg.diagram import SMGSemanticError
+from smg.fixtures import fixture
+from smg.resolution import is_trivial_unlink
+from smg.transforms import profile
+for f in (profile, is_trivial_unlink):
+    try:
+        f(fixture("saddle_sphere"))
+    except SMGSemanticError as e:
+        print(f.__name__, "raises", type(e).__name__)
+"""
+
+
+def test_non_classical_input_is_a_semantic_error():
+    d = fixture("saddle_sphere")
+    for f in (classical_components, reidemeister_simplify, is_trivial_unlink, profile):
+        with pytest.raises(SMGSemanticError, match=f"{f.__name__} needs a classical diagram"):
+            f(d)
+    # the check is not an assert, so it survives python -O
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", NON_CLASSICAL_CHECK], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.split("\n")[:2] == ["profile raises SMGSemanticError",
+                                   "is_trivial_unlink raises SMGSemanticError"]
