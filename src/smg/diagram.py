@@ -19,6 +19,7 @@ Port conventions
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
@@ -27,9 +28,6 @@ CROSSING = "X"
 MARKER = "M"
 SINGULAR = "S"
 KINDS = (CROSSING, MARKER, SINGULAR)
-
-#: Sentinel for "placed in the common outer face".
-OUTER = "~outer"
 
 Dart = tuple[str, int]
 
@@ -130,11 +128,6 @@ class Diagram:
         a, b = self.edge_ends[e]
         return b if a == dart else a
 
-    def phi(self, dart: Dart) -> Dart:
-        """Next dart along the face: cross the edge, then rotate one port."""
-        n, p = self.alpha(dart)
-        return (n, (p + 1) % 4)
-
     @property
     def counts(self) -> tuple[int, int, int]:
         """(crossings, markers, singular vertices)."""
@@ -205,14 +198,14 @@ class Diagram:
 
         # Euler check, per connected piece: V - E + F = 2, where E = 2V
         # because every edge has its two ends.
-        for piece in self.graph_pieces:
-            v = len(piece)
+        for nids, _, orbit in self._darts:
+            v = len(nids)
             e = 2 * v
-            f = _face_count(_flat_darts(self, piece)[1])
+            f = len(set(orbit))
             if v - e + f != 2:
                 issues.append(
                     Issue("non-spherical embedding",
-                          f"piece {min(piece)}: V-E+F = {v}-{e}+{f} = {v - e + f}"))
+                          f"piece {nids[0]}: V-E+F = {v}-{e}+{f} = {v - e + f}"))
 
         known = set(self.piece_ids)
         for pid, anchor in self.anchors:
@@ -226,21 +219,39 @@ class Diagram:
                     issues.append(Issue("bad placement", f"piece {pid} anchored to itself"))
         return ValidationReport(issues)
 
-    def _orbits_of(self, piece: frozenset[str]) -> list[frozenset[Dart]]:
-        darts = [(n, p) for n in sorted(piece) for p in range(4)]
-        seen: set[Dart] = set()
-        orbits = []
-        for d in darts:
-            if d in seen:
-                continue
-            orbit = []
-            cur = d
-            while cur not in seen:
-                seen.add(cur)
-                orbit.append(cur)
-                cur = self.phi(cur)
-            orbits.append(frozenset(orbit))
-        return orbits
+    @cached_property
+    def _darts(self) -> tuple[tuple[list[str], list[int], list[int]], ...]:
+        """Per graph piece, in order: its node ids sorted, ``alpha`` on its
+        integer darts ``4*i + port`` of node ``ids[i]`` (the other end of the
+        dart's edge), and the face orbit of every dart.
+
+        Orbits are the cycles of ``phi``: cross the edge, then rotate one
+        port.  They are numbered across the pieces in the order of their
+        smallest dart.  Nothing here refers back to the diagram, which
+        caches it."""
+        out, count = [], 0
+        node_map = self.node_map
+        for piece in self.graph_pieces:
+            ids = sorted(piece)
+            ends: dict[str, list[int]] = {}
+            for i, nid in enumerate(ids):
+                for p, e in enumerate(node_map[nid].ports):
+                    ends.setdefault(e, []).append(4 * i + p)
+            alpha = [0] * (4 * len(ids))
+            for a, b in ends.values():
+                alpha[a], alpha[b] = b, a
+            orbit = [-1] * len(alpha)
+            for start in range(len(alpha)):
+                if orbit[start] >= 0:
+                    continue
+                x = start
+                while orbit[x] < 0:
+                    orbit[x] = count
+                    y = alpha[x]
+                    x = y - 3 if y & 3 == 3 else y + 1
+                count += 1
+            out.append((ids, alpha, orbit))
+        return tuple(out)
 
     # -- canonical form ---------------------------------------------------
 
@@ -248,10 +259,10 @@ class Diagram:
     def _piece_canon(self) -> dict[str, tuple]:
         """piece id -> (signature, tuple of minimizing root darts)."""
         out = {}
-        for piece in self.graph_pieces:
-            ids, table = _canon_table(self, piece)
+        for ids, alpha, _ in self._darts:
+            table = _canon_table(self.node_map, ids, alpha)
             best, roots = None, []
-            for root in range(4 * len(ids)):
+            for root in range(len(alpha)):
                 got = _signature(table, root, best)
                 if got is None:
                     continue
@@ -261,16 +272,29 @@ class Diagram:
             out[ids[0]] = (best, tuple(roots))
         return out
 
-    def _canonical_face_name(self, pid: str, orbit: frozenset[Dart]) -> tuple:
-        """Automorphism-invariant name of a face orbit inside one piece."""
-        _, roots = self._piece_canon[pid]
-        ids, table = _canon_table(self, next(p for p in self.graph_pieces if pid in p))
+    def _canonical_face_name(self, pid: str, darts: tuple[int, ...]) -> tuple:
+        """Automorphism-invariant name of a face orbit of the piece ``pid``,
+        given by its integer darts: the least over the piece's minimizing
+        roots of the darts renumbered as the root's signature numbers them.
+
+        A signature row lists every neighbour's number and port relative to
+        the port it is read from, so walking the rows from a root recovers
+        that numbering from ``alpha`` alone."""
+        ids, alpha, _ = next(t for t in self._darts if t[0][0] == pid)
+        sig, roots = self._piece_canon[pid]
         index = {nid: i for i, nid in enumerate(ids)}
-        darts = [(index[n], p) for n, p in orbit]
         best = None
         for n, p in roots:
-            _, labels, rots = _signature(table, 4 * index[n] + p)
-            name = tuple(sorted((labels[i], (p - rots[i]) % 4) for i, p in darts))
+            v = index[n]
+            order, rots = [v], {v: p - (p & 1) if sig[0][0] == CROSSING else p}
+            for row, v in zip(sig, order):
+                for k, (m, q) in enumerate(row[2:]):
+                    if m == len(order):
+                        w = alpha[4 * v + (rots[v] + k) % 4]
+                        order.append(w >> 2)
+                        rots[w >> 2] = (w - q) % 4
+            labels = {v: i for i, v in enumerate(order)}
+            name = tuple(sorted((labels[x >> 2], (x - rots[x >> 2]) % 4) for x in darts))
             if best is None or name < best:
                 best = name
         return best
@@ -282,9 +306,7 @@ class Diagram:
     @cached_property
     def _canonical_code(self) -> bytes:
         faces = self.faces()
-        piece_sigs = sorted(
-            (self._piece_canon[min(piece)][0], min(piece)) for piece in self.graph_pieces
-        )
+        piece_sigs = sorted((sig, pid) for pid, (sig, _) in self._piece_canon.items())
         # Anchors are resolved into piece-signature-relative face names.
         def resolve(pid: str):
             anchor = self.anchor_map.get(pid)
@@ -335,58 +357,23 @@ class Diagram:
         return Diagram(self.name, nodes, loops, tuple(anchors))
 
 
-def _flat_darts(d: Diagram, piece: frozenset[str]) -> tuple[list[str], list[int]]:
-    """The node ids of ``piece`` in sorted order, and ``alpha`` on its darts
-    as integers ``4*i + port`` of node ``ids[i]``: ``alpha[dart]`` is the
-    other end of the dart's edge."""
-    ids = sorted(piece)
-    ends: dict[str, list[int]] = {}
-    node_map = d.node_map
-    for i, nid in enumerate(ids):
-        for p, e in enumerate(node_map[nid].ports):
-            ends.setdefault(e, []).append(4 * i + p)
-    alpha = [0] * (4 * len(ids))
-    for a, b in ends.values():
-        alpha[a], alpha[b] = b, a
-    return ids, alpha
-
-
-def _face_count(alpha: list[int]) -> int:
-    """Number of orbits of ``phi`` on integer darts: cross the edge, then
-    rotate one port."""
-    seen = bytearray(len(alpha))
-    count = 0
-    for start in range(len(alpha)):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            y = alpha[x]
-            x = y - 3 if y & 3 == 3 else y + 1
-    return count
-
-
-def _canon_table(d: Diagram, piece: frozenset[str]) -> tuple[list[str], tuple]:
-    """The node ids of ``piece`` in sorted order, and the table
-    :func:`_signature` reads: ``(alpha, enter, head)`` on integer darts.
+def _canon_table(node_map: dict[str, Node], ids: list[str], alpha: list[int]) -> tuple:
+    """The table :func:`_signature` reads for a piece with sorted node ids
+    ``ids`` and integer darts ``alpha``: ``(alpha, enter, head)``.
 
     A node entered at a dart is read from port ``enter[dart]``, the dart's
     port except that crossings turn only by 0 or 2, so that the
     under-strand stays on ports 0 and 2.  ``head[dart]`` is the node's kind
     and its attribute relative to that port, the first two entries of the
     node's signature row."""
-    ids, alpha = _flat_darts(d, piece)
     enter, head = [], []
-    node_map = d.node_map
     for nid in ids:
         nd = node_map[nid]
         for p in range(4):
             r = p - (p & 1) if nd.kind == CROSSING else p
             enter.append(r)
             head.append((nd.kind, None if nd.attr is None else (nd.attr - r) % 2))
-    return ids, (alpha, enter, head)
+    return alpha, enter, head
 
 
 def _signature(table: tuple, root: int, best: Optional[tuple] = None):
@@ -436,6 +423,23 @@ def _signature(table: tuple, root: int, best: Optional[tuple] = None):
                 tight = False
         sig.append(row)
     return (best if tight else tuple(sig)), labels, rots
+
+
+def _fresh_ids(taken: set[str]) -> Callable[[str], str]:
+    """``fresh(prefix)``: the smallest id ``{prefix}<i>`` not in ``taken``,
+    which it then joins.  ``taken`` only grows, so each prefix keeps a
+    counter that only moves forward, and a run of calls costs linear time."""
+    start: dict[str, int] = {}
+
+    def fresh(prefix: str) -> str:
+        i = start.get(prefix, 0)
+        while f"{prefix}{i}" in taken:
+            i += 1
+        start[prefix] = i + 1
+        taken.add(f"{prefix}{i}")
+        return f"{prefix}{i}"
+
+    return fresh
 
 
 class UnionFind:
@@ -500,43 +504,52 @@ class Faces:
         # No reference back to ``d``: ``d`` caches its Faces, and the cycle
         # would keep every diagram a search drops alive until the cyclic
         # garbage collector happens to run.
-        self.orbits: list[frozenset[Dart]] = []
-        self._orbit_of: dict[Dart, int] = {}
-        self._piece_of: dict[int, str] = {}
-        for piece in d.graph_pieces:
-            pid = min(piece)
-            for orbit in d._orbits_of(piece):
-                idx = len(self.orbits)
-                self.orbits.append(orbit)
-                self._piece_of[idx] = pid
-                for dart in orbit:
-                    self._orbit_of[dart] = idx
+        #: per orbit, its integer darts within its piece (``Diagram._darts``)
+        self.orbits: list[tuple[int, ...]] = []
+        self._piece_of: list[str] = []
+        self._orbit_of: list[int] = []      # every piece's dart orbits in turn
+        self._first: dict[str, int] = {}    # node id -> its port 0 in _orbit_of
+        for ids, _, orbit in d._darts:
+            for i, nid in enumerate(ids):
+                self._first[nid] = len(self._orbit_of) + 4 * i
+            self._orbit_of += orbit
+            darts: dict[int, list[int]] = {}
+            for x, o in enumerate(orbit):
+                darts.setdefault(o, []).append(x)
+            self.orbits += map(tuple, darts.values())
+            self._piece_of += [ids[0]] * len(darts)
         # Union-find over orbit ids plus the virtual outer face (-1); a
         # face is named by the root of its class.
-        ids = list(range(len(self.orbits))) + [-1]
-        uf = UnionFind(ids)
+        uf = UnionFind(range(-1, len(self.orbits)))
         anchor_map = d.anchor_map
-        for piece in d.graph_pieces:
-            pid = min(piece)
-            outward = min(self._orbit_of[r] for r in d._piece_canon[pid][1])
-            target = self._anchor_face(anchor_map.get(pid))
-            uf.union(outward, target)
-        self._face: dict[int, int] = {i: uf.find(i) for i in ids}
+        for pid, (_, roots) in d._piece_canon.items():
+            outward = min(self.orbit_of_dart(r) for r in roots)
+            uf.union(outward, self._anchor_face(anchor_map.get(pid)))
+        # the outer sentinel's face last, so that index -1 reads it
+        self._face = [uf.find(i) for i in range(len(self.orbits))] + [uf.find(-1)]
+        self._merged = Counter(self._face[:-1])     # face -> number of its orbits
         self._loop_face: dict[str, int] = {}
+        self._loops: dict[int, list[str]] = {}
         for l in d.loops:
-            self._loop_face[l] = self._face[self._anchor_face(anchor_map.get(l))]
+            f = self._face[self._anchor_face(anchor_map.get(l))]
+            self._loop_face[l] = f
+            self._loops.setdefault(f, []).append(l)
 
     def _anchor_face(self, anchor: Optional[tuple[str, int]]) -> int:
         if anchor is None:
             return -1
         return self.orbit_of_corner_index(anchor)
 
+    def orbit_of_dart(self, dart: Dart) -> int:
+        n, p = dart
+        return self._orbit_of[self._first[n] + p]
+
     # corner (n, k) names the face between ports k and k+1 of node n
     def orbit_of_corner_index(self, corner: tuple[str, int]) -> int:
         n, k = corner
-        return self._orbit_of[(n, (k + 1) % 4)]
+        return self._orbit_of[self._first[n] + (k + 1) % 4]
 
-    def orbit_of_corner(self, corner: tuple[str, int]) -> frozenset[Dart]:
+    def orbit_of_corner(self, corner: tuple[str, int]) -> tuple[int, ...]:
         return self.orbits[self.orbit_of_corner_index(corner)]
 
     def piece_of_corner(self, corner: tuple[str, int]) -> str:
@@ -546,14 +559,14 @@ class Faces:
         return self._face[self.orbit_of_corner_index(corner)]
 
     def face_of_dart(self, dart: Dart) -> int:
-        return self._face[self._orbit_of[dart]]
+        n, p = dart
+        return self._face[self._orbit_of[self._first[n] + p]]
 
     def face_of_loop(self, loop: str) -> int:
         return self._loop_face[loop]
 
     def loops_in_face(self, face: int) -> list[str]:
-        face = self._face[face]
-        return [l for l, f in self._loop_face.items() if f == face]
+        return list(self._loops.get(self._face[face], ()))
 
     def orbit_degree(self, orbit_index: int) -> int:
         return len(self.orbits[orbit_index])
@@ -562,9 +575,8 @@ class Faces:
         """True when nothing else lives in this orbit's face: no other
         piece's face was merged into it and no loop sits inside.  The outer
         sentinel alone is an empty alias and does not count."""
-        root = self._face[orbit_index]
-        same = [i for i in range(len(self.orbits)) if self._face[i] == root]
-        return len(same) == 1 and not self.loops_in_face(root)
+        face = self._face[orbit_index]
+        return self._merged[face] == 1 and face not in self._loops
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .diagram import (
     SMGSemanticError,
     SMGSyntaxError,
     StrandParity,
+    _fresh_ids,
 )
 
 HUB = "#"
@@ -435,7 +436,7 @@ def _face_conditions(d: Diagram, faces: Faces, pat: Pattern, amap, targets) -> b
             else:
                 ids.add(faces.face_of_dart(hd))
                 if first_orbit is None:
-                    first_orbit = faces._orbit_of[hd]
+                    first_orbit = faces.orbit_of_dart(hd)
         if len(ids) > 1:
             return False
         if not gap:
@@ -497,25 +498,23 @@ def find_sites(d, move: MoveSpec, direction: str = FORWARD,
             if key in seen:
                 continue
             seen.add(key)
-            if validated:
-                try:
-                    apply_move(d, move, site)
-                except StaleSiteError:
-                    continue
             out.append(site)
-    return out
+    return [site for site, _ in _applied(d, move, out)] if validated else out
+
+
+def _applied(d, move: MoveSpec, sites: Iterable[Site], return_info: bool = False):
+    """``(site, apply_move(d, move, site, return_info))`` for each of
+    ``sites`` in turn that is not stale."""
+    for site in sites:
+        try:
+            out = apply_move(d, move, site, return_info)
+        except StaleSiteError:
+            continue
+        yield site, out
 
 
 # ---------------------------------------------------------------------------
 # application
-
-
-def _fresh(prefix: str, taken: set) -> str:
-    i = 0
-    while f"{prefix}{i}" in taken:
-        i += 1
-    taken.add(f"{prefix}{i}")
-    return f"{prefix}{i}"
 
 
 def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
@@ -603,11 +602,11 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
                 raise StaleSiteError("cut edge ends in consumed node")
             stub[k] = ("dart", far)
 
-    taken = set(base.node_map) | set(base.edge_ends) | set(base.loops)
+    fresh = _fresh_ids(set(base.node_map) | set(base.edge_ends) | set(base.loops))
 
     # -- instantiate replacement interior
-    node_ids = {nd.id: _fresh("q", taken) for nd in out.nodes}
-    int_eids = {e: _fresh("t", taken) for e in out.interior_edges}
+    node_ids = {nd.id: fresh("q") for nd in out.nodes}
+    int_eids = {e: fresh("t") for e in out.interior_edges}
 
     # inner terminal of each replacement leg
     inner: dict[int, tuple] = {}
@@ -649,14 +648,14 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
             continue
         t1, seen1 = walk(k, True)
         if t1 is None:
-            new_loops.append(_fresh("c", taken))
+            new_loops.append(fresh("c"))
             done_legs |= seen1
             continue
         t2, seen2 = walk(k, False)
         if t2 is None:
             raise StaleSiteError("inconsistent boundary chain")
         done_legs |= seen1 | seen2
-        new_edges.append((_fresh("t", taken), t1, t2))
+        new_edges.append((fresh("t"), t1, t2))
 
     # -- assemble
     port_sub: dict[tuple, str] = {}
@@ -839,20 +838,12 @@ def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
         if step.move_id not in catalog:
             raise SMGSemanticError(f"step {i}: unknown move id {step.move_id!r}")
         move = catalog[step.move_id]
-        nxt = None
-        for site in find_sites(cur, move, step.direction):
-            if site.variant != step.variant:
-                continue
-            try:
-                cand = apply_move(cur, move, site)
-            except StaleSiteError:
-                continue
-            if code_digest(cand) == step.fingerprint:
-                nxt = cand
-                break
-        if nxt is None:
+        sites = (s for s in find_sites(cur, move, step.direction, validated=False)
+                 if s.variant == step.variant)
+        cur = next((nxt for _, nxt in _applied(cur, move, sites)
+                    if code_digest(nxt) == step.fingerprint), None)
+        if cur is None:
             raise StaleSiteError(f"stale step {i}: {step.move_id} -> {step.fingerprint}")
-        cur = nxt
     return cur
 
 
@@ -910,11 +901,8 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
             path = this_side[d.canonical_code()][1]
             for move in moves:
                 for direction in (FORWARD, REVERSE):
-                    for site in find_sites(d, move, direction, validated=False):
-                        try:
-                            nxt = apply_move(d, move, site)
-                        except StaleSiteError:
-                            continue
+                    sites = find_sites(d, move, direction, validated=False)
+                    for site, nxt in _applied(d, move, sites):
                         code = nxt.canonical_code()
                         if code in this_side:
                             continue

@@ -27,14 +27,14 @@ from .diagram import (
     UnionFind,
     _crossing_flow,
     _first_orientation,
+    _fresh_ids,
 )
 from .moves import (
     FORWARD,
     REVERSE,
     MoveSequence,
     MoveStep,
-    StaleSiteError,
-    apply_move,
+    _applied,
     code_digest,
     find_sites,
 )
@@ -147,14 +147,7 @@ def resolve(d: Diagram, sign: str) -> Resolution:
     edge_of: dict[str, str] = {}
     members: dict[str, tuple] = {}
     visited: set[str] = set()
-    taken = set(d.edges) | set(d.loops) | {nd.id for nd in d.nodes}
-
-    def fresh(prefix: str) -> str:
-        i = 0
-        while f"{prefix}{i}" in taken:
-            i += 1
-        taken.add(f"{prefix}{i}")
-        return f"{prefix}{i}"
+    fresh = _fresh_ids(set(d.edges) | set(d.loops) | {nd.id for nd in d.nodes})
 
     def segment_at(dart):
         return d.node(dart[0]).ports[dart[1]]
@@ -309,11 +302,7 @@ def _greedy_reduce(c: Diagram, moves) -> tuple[Diagram, tuple]:
     while improved and cur.counts[0] > 0:
         improved = False
         for m in moves:
-            for site in find_sites(cur, m, REVERSE, validated=False):
-                try:
-                    nxt = apply_move(cur, m, site)
-                except StaleSiteError:
-                    continue
+            for site, nxt in _applied(cur, m, find_sites(cur, m, REVERSE, validated=False)):
                 if nxt.counts[0] < cur.counts[0]:
                     steps += (MoveStep(m.id, site.variant, REVERSE, code_digest(nxt)),)
                     cur = nxt
@@ -343,11 +332,7 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
         x, _, d, steps = heapq.heappop(heap)
         for m in moves:
             for direction in (REVERSE, FORWARD):
-                for site in find_sites(d, m, direction, validated=False):
-                    try:
-                        nxt = apply_move(d, m, site)
-                    except StaleSiteError:
-                        continue
+                for site, nxt in _applied(d, m, find_sites(d, m, direction, validated=False)):
                     if nxt.counts[0] > ceiling:
                         continue
                     code = nxt.canonical_code()

@@ -288,7 +288,7 @@ def test_placement_changes_the_map():
 
 def test_placement_gates_move_sites():
     from smg.catalog import catalog_map
-    from smg.moves import FORWARD, find_sites
+    from smg.moves import FORWARD, REVERSE, find_sites
 
     cat = catalog_map()
     inside = parse_smg("diagram t\nnode k X b a a b\nloop c0\nplace c0 in k.1\nend\n")
@@ -302,6 +302,13 @@ def test_placement_gates_move_sites():
     # meets the other side of the strand instead
     assert frozenset(("a", "c0")) in strand_pairs(inside) - strand_pairs(outside)
     assert frozenset(("b", "c0")) in strand_pairs(outside) - strand_pairs(inside)
+    # a loop inside a monogon keeps O1 from removing that kink: of the two
+    # monogons only the other one, at rotation 2, can go
+    bare = parse_smg("diagram t\nnode k X b a a b\nend\n")
+    kinks = {s.node_images for s in find_sites(bare, cat["O1"], REVERSE)}
+    assert kinks == {(("k", ("k", 0)),), (("k", ("k", 2)),)}
+    assert {s.node_images for s in find_sites(inside, cat["O1"], REVERSE)} \
+        == {(("k", ("k", 2)),)}
 
 
 def test_outer_and_face_anchors_sort_together():
@@ -321,7 +328,8 @@ def test_outer_and_face_anchors_sort_together():
 
 def reference_signature(d: Diagram, root) -> tuple:
     """The full breadth-first signature from ``root``, read with string
-    darts; the same rows the canonical code is built from."""
+    darts; the same rows the canonical code is built from.  Returns it with
+    the number and the entry port of every node."""
     labels, rots, order = {}, {}, []
 
     def visit(nid, q):
@@ -340,7 +348,7 @@ def reference_signature(d: Diagram, root) -> tuple:
                 visit(m, q)
             row.append((labels[m], (q - rots[m]) % 4))
         sig.append(tuple(row))
-    return tuple(sig)
+    return tuple(sig), labels, rots
 
 
 def reference_piece_canon(d: Diagram) -> dict:
@@ -348,21 +356,82 @@ def reference_piece_canon(d: Diagram) -> dict:
     that reaches it, in root order."""
     out = {}
     for piece in d.graph_pieces:
-        sigs = {(n, p): reference_signature(d, (n, p))
+        sigs = {(n, p): reference_signature(d, (n, p))[0]
                 for n in sorted(piece) for p in range(4)}
         best = min(sigs.values())
         out[min(piece)] = (best, tuple(r for r, s in sigs.items() if s == best))
     return out
 
 
+def reference_faces(d: Diagram) -> tuple[dict, dict]:
+    """Per corner ``(node, k)`` its orbit's index and degree and its face,
+    and per loop its face, traced with string darts.
+
+    An orbit is a cycle of ``phi``: cross the edge, then rotate one port.
+    Orbits are numbered piece after piece in the order of their first dart,
+    node ids sorted, then ports.  Piece after piece, placement joins the
+    orbit of the piece's first minimizing root to the face the piece is
+    anchored in (the outer face ``-1`` by default), and the joined face
+    keeps the anchor face's name."""
+    orbit_of, degree = {}, []
+    for piece in d.graph_pieces:
+        for start in ((n, p) for n in sorted(piece) for p in range(4)):
+            if start in orbit_of:
+                continue
+            degree.append(0)
+            cur = start
+            while cur not in orbit_of:
+                orbit_of[cur] = len(degree) - 1
+                degree[-1] += 1
+                m, q = d.alpha(cur)
+                cur = (m, (q + 1) % 4)
+
+    def anchored(pid):
+        anchor = d.anchor_map.get(pid)
+        return -1 if anchor is None else orbit_of[(anchor[0], (anchor[1] + 1) % 4)]
+
+    face = {i: i for i in range(-1, len(degree))}
+    for pid, (_, roots) in reference_piece_canon(d).items():
+        old, new = face[min(orbit_of[r] for r in roots)], face[anchored(pid)]
+        face = {i: new if f == old else f for i, f in face.items()}
+    corners = {}
+    for (n, p), i in orbit_of.items():
+        corners[(n, (p - 1) % 4)] = (i, degree[i], face[i])
+    return corners, {l: face[anchored(l)] for l in d.loops}
+
+
+def reference_face_name(d: Diagram, corner) -> tuple:
+    """The face orbit at ``corner``, renumbered as the signature of each
+    minimizing root of its piece numbers it; the least of these names."""
+    n, k = corner
+    orbit, cur = [], (n, (k + 1) % 4)
+    while cur not in orbit:
+        orbit.append(cur)
+        m, q = d.alpha(cur)
+        cur = (m, (q + 1) % 4)
+    pid = min(next(piece for piece in d.graph_pieces if n in piece))
+    names = []
+    for root in reference_piece_canon(d)[pid][1]:
+        _, labels, rots = reference_signature(d, root)
+        names.append(tuple(sorted((labels[m], (q - rots[m]) % 4) for m, q in orbit)))
+    return min(names)
+
+
+def anchored_hosts() -> list[Diagram]:
+    """Components placed in faces, next to ones in the outer face."""
+    kinks = "node k X b a a b\nnode j X d c c d\n"
+    bodies = ["node k X b a a b\nloop c0\nloop c1\nplace c0 in k.1\n",
+              kinks + "loop c0\nplace j in k.1\nplace c0 in j.3\n",
+              kinks + "place k in j.1\n"]
+    return [parse_smg(f"diagram t\n{body}end\n") for body in bodies]
+
+
 def test_bounded_canonicalisation_matches_unbounded_reference():
     from smg.catalog import move_catalog
-    from smg.diagram import _face_count, _flat_darts
     from smg.moves import FORWARD, REVERSE, apply_move, find_sites
 
     cases = []
-    for name in fixture_names():
-        d = fixture(name)
+    for d in [fixture(name) for name in fixture_names()] + anchored_hosts():
         cases.append(d)
         for m in move_catalog("unoriented"):
             for direction in (FORWARD, REVERSE):
@@ -377,5 +446,99 @@ def test_bounded_canonicalisation_matches_unbounded_reference():
     assert len(cases) > 1600
     for d in cases:
         assert d._piece_canon == reference_piece_canon(d), serialize(d)
-        for piece in d.graph_pieces:
-            assert _face_count(_flat_darts(d, piece)[1]) == len(d._orbits_of(piece))
+        # validate() counts the faces it checks Euler's formula with on the
+        # same orbits that Faces reads
+        assert d.validate().ok
+        faces = d.faces()
+        corners, loops = reference_faces(d)
+        assert len(faces.orbits) == len({i for i, _, _ in corners.values()})
+        for corner, want in corners.items():
+            i = faces.orbit_of_corner_index(corner)
+            assert (i, faces.orbit_degree(i), faces.face_of_corner(corner)) == want
+        assert {l: faces.face_of_loop(l) for l in d.loops} == loops, serialize(d)
+        for _, anchor in d.anchors:
+            if anchor is not None:
+                host, orbit = faces.piece_of_corner(anchor), faces.orbit_of_corner(anchor)
+                assert d._canonical_face_name(host, orbit) == reference_face_name(d, anchor)
+
+
+def test_face_ids_are_pinned():
+    """``face_of_corner`` and ``face_of_loop`` on the fixtures, one rewrite
+    of each (the last O2 forward site, or O1 where O2 has none), and the
+    same for the anchored hosts; the digest was recorded before faces were
+    traced on integer darts."""
+    import hashlib
+
+    from smg.catalog import catalog_map
+    from smg.moves import FORWARD, apply_move, find_sites
+
+    cat = catalog_map()
+    cases = []
+    for d in [fixture(name) for name in fixture_names()] + anchored_hosts():
+        sites = find_sites(d, cat["O2"], FORWARD)
+        move = cat["O2"] if sites else cat["O1"]
+        site = (sites or find_sites(d, move, FORWARD))[-1]
+        cases += [d, apply_move(d, move, site)]
+    ids = []
+    for d in cases:
+        faces = d.faces()
+        ids.append(([faces.face_of_corner((nd.id, k)) for nd in d.nodes for k in range(4)],
+                    [faces.face_of_loop(l) for l in d.loops]))
+    assert hashlib.sha256(repr(ids).encode()).hexdigest()[:16] == "261130f8d3d23818"
+
+
+def test_rewritten_diagram_is_freed_without_the_cycle_collector():
+    """The cached dart table and Faces hold no reference back to their
+    diagram, so a dropped diagram is freed at once, not by the cyclic
+    garbage collector."""
+    import gc
+    import weakref
+
+    from smg.catalog import catalog_map
+    from smg.moves import FORWARD, apply_move, find_sites
+
+    d = fixture("fr")
+    move = catalog_map()["O2"]
+    site = find_sites(d, move, FORWARD)[-1]
+    gc.collect()
+    gc.disable()
+    try:
+        r = apply_move(d, move, site)
+        assert r.validate().ok
+        r.faces()
+        r.canonical_code()
+        ref = weakref.ref(r)
+        del r
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_fresh_ids_are_the_smallest_unused():
+    """New ids fill the gaps the host's ids leave, prefix by prefix."""
+    from smg.catalog import catalog_map
+    from smg.moves import FORWARD, REVERSE, apply_move, find_sites
+    from smg.resolution import POSITIVE, resolve
+
+    host = parse_smg("diagram gaps\n"
+                     "node q1 M 0 t0 r0 r0 t2\n"
+                     "node x X t2 r2 r2 t0\n"
+                     "node q5 M 0 k0 k0 k1 k1\n"
+                     "node z X u v v u\n"
+                     "loop c1\n"
+                     "end\n")
+
+    def new(after, before):
+        return sorted(set(after) - set(before))
+
+    o1 = catalog_map()["O1"]
+    # a kink on k0: one node, its monogon edge and the two halves of k0
+    out, info = apply_move(host, o1, find_sites(host, o1, FORWARD)[0], return_info=True)
+    assert info == {"int_eids": {"a": "t1"}, "node_ids": {"k": "q0"}}
+    assert new(out.edges, host.edges) == ["t1", "t3", "t4"]
+    # undoing the kink z leaves a loop
+    site = next(s for s in find_sites(host, o1, REVERSE) if s.node_image_map["k"][0] == "z")
+    assert new(apply_move(host, o1, site).loops, host.loops) == ["c0"]
+    res = resolve(host, POSITIVE).diagram
+    assert new(res.edges, host.edges) == ["r1", "r3", "r4", "r5"]
+    assert new(res.loops, host.loops) == ["c0", "c2"]

@@ -127,6 +127,26 @@ def test_verify_sequence_stale_step_reports_index():
         verify_sequence(d, seq, CAT)
 
 
+def test_replay_applies_no_site_after_the_matching_one(monkeypatch):
+    import smg.moves as moves
+    from smg.moves import MoveStep
+
+    d, move = fixture("fr"), CAT["O2"]
+    sites = find_sites(d, move, FORWARD)
+    want = code_digest(apply_move(d, move, sites[len(sites) // 2]))
+    variant = sites[len(sites) // 2].variant
+    candidates = [s for s in find_sites(d, move, FORWARD, validated=False)
+                  if s.variant == variant]
+    match = next(i for i, s in enumerate(candidates)
+                 if s in sites and code_digest(apply_move(d, move, s)) == want)
+    applied = []
+    real = moves.apply_move
+    monkeypatch.setattr(moves, "apply_move",
+                        lambda *args, **kw: applied.append(args[2]) or real(*args, **kw))
+    verify_sequence(d, MoveSequence((MoveStep("O2", variant, FORWARD, want),)), CAT)
+    assert applied == candidates[:match + 1]
+
+
 def test_sequence_serialization_round_trip():
     from smg.moves import MoveStep
 

@@ -22,6 +22,24 @@ def test_semi_transform_identity_on_classical():
             assert out.canonical_code() == d.canonical_code()
 
 
+def test_semi_transform_applies_each_replacement_once(monkeypatch):
+    """Each vertex is replaced by the first site at it that applies, and no
+    site is applied only to check that it would."""
+    import smg.moves
+
+    n = 16
+    chain = parse_smg("diagram chain\n" + "".join(
+        f"node v{i:02d} M 0 s{(i - 1) % n} k{i} k{i} s{i}\n" for i in range(n)) + "end\n")
+    applied = []
+    real = smg.moves.apply_move
+    monkeypatch.setattr(smg.moves, "apply_move",
+                        lambda *args, **kw: applied.append(args[2]) or real(*args, **kw))
+    for kind in ("M5", "M6"):
+        applied.clear()
+        assert semi_transform(chain, kind).is_classical()
+        assert 0 < len(applied) <= 2 * n, kind
+
+
 def test_semi_transform_output_is_classical():
     for name in ("fr", "d2m5", "d2m6", "saddle_sphere"):
         for kind in ("M5", "M6"):
