@@ -32,6 +32,7 @@ from .moves import (
 from .quandles import (
     QuandleTable,
     check_quandle,
+    coloring_count,
     colorings,
     parse_quandle,
 )
@@ -83,6 +84,8 @@ def _load_group(path: str) -> GroupTable:
     try:
         with open(path) as fh:
             toks = fh.read().split()
+        if not toks:
+            raise ValueError("empty group table")
         n = int(toks[0])
         vals = [int(t) - 1 for t in toks[1:]]
         if len(vals) != n * n:
@@ -299,6 +302,8 @@ def _main(argv=None) -> int:
         try:
             with open(args.table) as fh:
                 toks = fh.read().split()
+            if not toks:
+                raise ValueError("empty quandle table")
             n = int(toks[0])
             rows = [[int(t) for t in toks[1 + i * n:1 + (i + 1) * n]] for i in range(n)]
         except (OSError, ValueError) as e:
@@ -323,13 +328,14 @@ def _main(argv=None) -> int:
         od = d if isinstance(d, OrientedDiagram) else None
         if od is None and not q.is_involutory():
             od = _orient_arg(_base(d), True)
+        if not args.list_colorings:
+            count = coloring_count(_base(d), q, od)
+            _emit(args, str(count), {"count": count, "colorings": None})
+            return 0
         cols = colorings(_base(d), q, od)
-        text = str(len(cols))
-        if args.list_colorings:
-            text += "\n" + "\n".join(
-                " ".join(f"{k}={v}" for k, v in sorted(c.items())) for c in cols)
-        _emit(args, text, {"count": len(cols),
-                           "colorings": [dict(c) for c in cols] if args.list_colorings else None})
+        text = str(len(cols)) + "\n" + "\n".join(
+            " ".join(f"{k}={v}" for k, v in sorted(c.items())) for c in cols)
+        _emit(args, text, {"count": len(cols), "colorings": [dict(c) for c in cols]})
         return 0
 
     if args.cmd == "semiinv":

@@ -207,10 +207,13 @@ class Diagram:
                     Issue("non-spherical embedding",
                           f"piece {nids[0]}: V-E+F = {v}-{e}+{f} = {v - e + f}"))
 
-        known = set(self.piece_ids)
+        known, placed = set(self.piece_ids), set()
         for pid, anchor in self.anchors:
             if pid not in known:
                 issues.append(Issue("bad placement", f"unknown piece {pid}"))
+            elif pid in placed:
+                issues.append(Issue("bad placement", f"piece {pid} placed twice"))
+            placed.add(pid)
             if anchor is not None:
                 nid, k = anchor
                 if nid not in self.node_map or not 0 <= k <= 3:

@@ -70,7 +70,6 @@ class AbstractOrientation:
     resolution: Resolution
     head: dict[str, tuple]
     loop_dir: dict[str, int]
-    component_of_edge: dict[str, int]
 
     def flows_in(self, dart) -> bool:
         nid, p = dart
@@ -113,10 +112,7 @@ def abstract_orientation(d: Diagram) -> AbstractOrientation:
                 a, b = d.edge_ends[eid]
                 orig_head[eid] = a if h == b else b
 
-    comp_of_edge = {e: res.component_of_original(e) for e in d.edges}
-    for l in d.loops:
-        comp_of_edge[l] = res.component_of_original(l)
-    return AbstractOrientation(d, res, orig_head, loop_dir, comp_of_edge)
+    return AbstractOrientation(d, res, orig_head, loop_dir)
 
 
 # ---------------------------------------------------------------------------

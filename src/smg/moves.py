@@ -125,9 +125,9 @@ class Pattern:
         return tuple(out)
 
     def check(self) -> None:
-        """A fragment plus its boundary hub must be a sphere map."""
-        if self.K == 0 and not self.nodes:
-            return
+        """A fragment plus its boundary hub must be a sphere map, and either
+        one connected node component or bare strands (the matcher's two
+        shapes)."""
         v = len(self.nodes) + (1 if self.K else 0)
         e = len(self.edge_ends)
         f = len(self.faces)
@@ -138,27 +138,19 @@ class Pattern:
                 raise ValueError(f"pattern node {nd.id}: bad attribute")
             if nd.kind == CROSSING and nd.attr is not None:
                 raise ValueError(f"pattern crossing {nd.id} carries an attribute")
-
-    @cached_property
-    def node_components(self) -> tuple[frozenset, ...]:
-        seen: set[str] = set()
-        comps = []
-        for nd in self.nodes:
-            if nd.id in seen:
-                continue
-            stack, comp = [nd.id], set()
-            while stack:
-                cur = stack.pop()
-                if cur in comp:
-                    continue
-                comp.add(cur)
-                for p in range(4):
-                    m, _ = self.alpha((cur, p))
-                    if m != HUB:
-                        stack.append(m)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=min))
+        if not self.nodes:
+            return
+        if self.through_edges:
+            raise ValueError("pattern mixes nodes with a bare strand")
+        reached, stack = set(), [self.nodes[0].id]
+        while stack:
+            cur = stack.pop()
+            if cur not in reached:
+                reached.add(cur)
+                stack += (m for m, _ in map(self.alpha, ((cur, p) for p in range(4)))
+                          if m != HUB)
+        if len(reached) != len(self.nodes):
+            raise ValueError("pattern has more than one node component")
 
     @cached_property
     def head_map(self) -> dict[str, object]:
@@ -258,15 +250,14 @@ class Site:
         return dict(self.node_images)
 
 
-def _match_component(d: Diagram, pat: Pattern, comp: frozenset):
-    """Yield (node map, interior edge images, leg claims) for one connected
-    pattern component.
+def _match_component(d: Diagram, pat: Pattern):
+    """Yield (node map, leg claims) for a connected node pattern.
 
     A leg-edge consumes one *end* of a host edge, so two leg-edges may share
     a host edge as long as they claim opposite ends; interior edges consume
     the whole host edge.
     """
-    root = min(comp)
+    root = min(pat.node_map)
     rootnd = pat.node_map[root]
     for hostnd in d.nodes:
         if hostnd.kind != rootnd.kind:
@@ -337,70 +328,34 @@ def _match_component(d: Diagram, pat: Pattern, comp: frozenset):
                     seen_pat[e] = he
                     int_img[e] = he
                     queue.append(m)
-            if ok and len(amap) == len(comp):
-                yield amap, int_img, claims
+            if ok:
+                yield amap, claims
 
 
 def _iter_embeddings(d: Diagram, pat: Pattern):
-    """All injective combinatorial embeddings before face filtering.
-
-    Yields (node map, {leg k: target}, interior edge image map).
+    """All injective combinatorial embeddings before face filtering, as
+    (node map, {leg k: target}).  A pattern is one connected node component
+    or bare strands (:meth:`Pattern.check`), so each embedding comes once.
     """
-    comp_choices = []
-    for comp in pat.node_components:
-        found = list(_match_component(d, pat, comp))
-        if not found:
-            return
-        comp_choices.append(found)
-    leg_of_edge = {e: k for k, e in enumerate(pat.legs, start=1)}
-    for picks in itertools.product(*comp_choices):
-        amap: dict[str, tuple[str, int]] = {}
-        int_img: dict[str, str] = {}
-        claims: dict[str, tuple] = {}
-        ok = True
-        for am, ii, cl in picks:
-            if any(v[0] in {w[0] for w in amap.values()} for v in am.values()):
-                ok = False
-                break
-            if set(ii.values()) & (set(int_img.values()) | {c[0] for c in claims.values()}):
-                ok = False
-                break
-            if any(c[0] in set(int_img.values()) or c in claims.values()
-                   for c in cl.values()):
-                ok = False
-                break
-            amap.update(am)
-            int_img.update(ii)
-            claims.update(cl)
-        if not ok:
+    if pat.nodes:
+        leg_of_edge = {e: k for k, e in enumerate(pat.legs, start=1)}
+        for amap, claims in _match_component(d, pat):
+            yield amap, {leg_of_edge[e]: ("edge", he, 0 if d.edge_ends[he][0] == end else 1)
+                         for e, (he, end) in claims.items()}
+        return
+    # bare strands: each runs along a distinct host edge or loop, either way
+    opts = [("edge", he) for he in d.edges] + [("loop", l) for l in d.loops]
+    legs = [sorted(pat.leg_of_hub_dart(x) for x in pat.edge_ends[e]) for e in pat.through_edges]
+    for combo in itertools.product([(o, flip) for o in opts for flip in (0, 1)],
+                                   repeat=len(legs)):
+        used = [o[1] for o, _ in combo]
+        if len(set(used)) != len(used):
             continue
-        interior_imgs = set(int_img.values())
-        targets: dict[int, LegTarget] = {}
-        for e, (he, end_dart) in claims.items():
-            which = 0 if d.edge_ends[he][0] == end_dart else 1
-            targets[leg_of_edge[e]] = ("edge", he, which)
-        # through-strands: try host edges (both end orders) and loops
-        th = pat.through_edges
-        th_opts = []
-        for e in th:
-            opts = []
-            for he in d.edges:
-                if he in interior_imgs or any(t[1] == he for t in targets.values()):
-                    continue
-                opts.append(("edge", he))
-            for l in d.loops:
-                opts.append(("loop", l))
-            th_opts.append([(o, flip) for o in opts for flip in (0, 1)])
-        for combo in itertools.product(*th_opts):
-            used = [o[1] for o, _ in combo]
-            if len(set(used)) != len(used):
-                continue
-            full = dict(targets)
-            for e, ((kind, ident), flip) in zip(th, combo):
-                k1, k2 = sorted(pat.leg_of_hub_dart(x) for x in pat.edge_ends[e])
-                full[k1] = (kind, ident, flip)
-                full[k2] = (kind, ident, 1 - flip)
-            yield dict(amap), full, dict(int_img)
+        targets = {}
+        for (k1, k2), ((kind, ident), flip) in zip(legs, combo):
+            targets[k1] = (kind, ident, flip)
+            targets[k2] = (kind, ident, 1 - flip)
+        yield {}, targets
 
 
 def _host_dart_beyond(d: Diagram, pat: Pattern, dart, amap, targets):
@@ -470,47 +425,27 @@ def _orientation_ok(od: OrientedDiagram, d: Diagram, pat: Pattern, amap, targets
     return True
 
 
-def find_sites(d, move: MoveSpec, direction: str = FORWARD,
-               validated: bool = True) -> list[Site]:
-    """Complete, duplicate-free list of embeddings of the chosen side.
-
-    By default, embeddings whose rewrite would break the sphere-map
-    invariants are dropped, so every returned site is applicable; searches
-    that apply sites immediately anyway can pass ``validated=False`` and
-    catch :class:`StaleSiteError` themselves."""
+def find_sites(d, move: MoveSpec, direction: str = FORWARD) -> list[Site]:
+    """Complete, duplicate-free list of embeddings of the chosen side that
+    meet the face and orientation conditions; :func:`apply_move` applies
+    each of them."""
     od = d if isinstance(d, OrientedDiagram) else None
     base = d.base if od is not None else d
+    if move.oriented and od is None:
+        raise ValueError(f"move {move.id} requires an oriented diagram")
     faces = base.faces()
-    out, seen = [], set()
+    out = []
     for variant in range(len(move.variants)):
         pat = move.side(variant, direction)
-        if move.oriented and od is None:
-            raise ValueError(f"move {move.id} requires an oriented diagram")
-        for amap, targets, _ in _iter_embeddings(base, pat):
+        for amap, targets in _iter_embeddings(base, pat):
             if not _face_conditions(base, faces, pat, amap, targets):
                 continue
             if od is not None and pat.heads and not _orientation_ok(od, base, pat, amap, targets):
                 continue
-            site = Site(move.id, variant, direction,
-                        tuple(sorted(amap.items())),
-                        tuple(targets[k] for k in sorted(targets)))
-            key = (variant, site.node_images, site.leg_targets)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(site)
-    return [site for site, _ in _applied(d, move, out)] if validated else out
-
-
-def _applied(d, move: MoveSpec, sites: Iterable[Site], return_info: bool = False):
-    """``(site, apply_move(d, move, site, return_info))`` for each of
-    ``sites`` in turn that is not stale."""
-    for site in sites:
-        try:
-            out = apply_move(d, move, site, return_info)
-        except StaleSiteError:
-            continue
-        yield site, out
+            out.append(Site(move.id, variant, direction,
+                            tuple(sorted(amap.items())),
+                            tuple(targets[k] for k in sorted(targets))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -700,16 +635,28 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     cut_loops = {t[1] for t in targets.values() if t[0] == "loop"}
     final_loops = tuple(l for l in base.loops if l not in cut_loops) + tuple(new_loops)
 
-    anchors = []
+    # A place follows its component: a loop by its id, a graph piece by its
+    # surviving nodes, since its id (its smallest node) may be consumed or
+    # undercut by a new node.  A place that now points into the component
+    # itself is dropped, so a joined piece keeps the place of the piece
+    # that held the other.
     surviving_ids = {nd.id for nd in final_nodes}
+    piece_of: dict[str, str] = {}
+    if any(pid in base.node_map for pid, _ in base.anchors):
+        for piece in Diagram(base.name, tuple(final_nodes)).graph_pieces:
+            piece_of.update(dict.fromkeys(piece, min(piece)))
+    places: dict[str, Optional[tuple[str, int]]] = {}
     for pid, anchor in base.anchors:
-        if pid in cut_loops:
-            continue
-        if pid not in surviving_ids and pid not in final_loops:
-            continue
         if anchor is not None and anchor[0] not in surviving_ids:
             anchor = None
-        anchors.append((pid, anchor))
+        if pid in base.node_map:
+            piece = next(p for p in base.graph_pieces if min(p) == pid)
+            now = {piece_of[n] for n in piece if n in piece_of}
+        else:
+            now = {pid} if pid in final_loops else set()
+        for new_pid in sorted(now):
+            if anchor is None or piece_of.get(anchor[0]) != new_pid:
+                places.setdefault(new_pid, anchor)
     if new_loops and site_face is not None:
         re_anchor = None
         for nd in final_nodes:
@@ -723,9 +670,9 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
                 break
         if re_anchor is not None:
             for l in new_loops:
-                anchors.append((l, re_anchor))
+                places[l] = re_anchor
 
-    result = Diagram(base.name, tuple(final_nodes), final_loops, tuple(anchors))
+    result = Diagram(base.name, tuple(final_nodes), final_loops, tuple(places.items()))
     report = result.validate()
     if not report.ok:
         raise StaleSiteError(f"rewrite produced invalid diagram: {report}")
@@ -750,30 +697,6 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
         h = out.head_map.get(e)
         if h is not None and h[0] != "leg":
             fixed[int_eids[e]] = (node_ids[h[0]], h[1])
-    if out.heads:
-        # propagate the replacement side's declared flow along each chain
-        leg_edge_for = {}
-        for eid, t1, t2 in new_edges:
-            for k in inner:
-                if inner[k][0] == "port" and ("port", inner[k][1], inner[k][2]) in (t1, t2):
-                    leg_edge_for.setdefault(eid, (k, t1, t2))
-        for eid, (k, t1, t2) in leg_edge_for.items():
-            e = out.legs[k - 1]
-            h = out.head_map.get(e)
-            if h is None:
-                continue
-            flows_out = h == ("leg", k)
-            inner_term = ("port", inner[k][1], inner[k][2])
-            head_term = None
-            if flows_out:
-                head_term = t2 if t1 == inner_term else t1
-            else:
-                head_term = inner_term
-            if head_term[0] == "port":
-                fixed.setdefault(eid, (head_term[1], head_term[2]))
-            else:
-                fixed.setdefault(eid, tuple(head_term[1]))
-
     # the first orientation of the result, in enumeration order, that keeps
     # the pinned heads and every surviving edge's head
     sp = StrandParity(result.edge_ends, result.nodes)
@@ -838,9 +761,9 @@ def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
         if step.move_id not in catalog:
             raise SMGSemanticError(f"step {i}: unknown move id {step.move_id!r}")
         move = catalog[step.move_id]
-        sites = (s for s in find_sites(cur, move, step.direction, validated=False)
+        sites = (s for s in find_sites(cur, move, step.direction)
                  if s.variant == step.variant)
-        cur = next((nxt for _, nxt in _applied(cur, move, sites)
+        cur = next((nxt for nxt in (apply_move(cur, move, s) for s in sites)
                     if code_digest(nxt) == step.fingerprint), None)
         if cur is None:
             raise StaleSiteError(f"stale step {i}: {step.move_id} -> {step.fingerprint}")
@@ -901,8 +824,8 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
             path = this_side[d.canonical_code()][1]
             for move in moves:
                 for direction in (FORWARD, REVERSE):
-                    sites = find_sites(d, move, direction, validated=False)
-                    for site, nxt in _applied(d, move, sites):
+                    for site in find_sites(d, move, direction):
+                        nxt = apply_move(d, move, site)
                         code = nxt.canonical_code()
                         if code in this_side:
                             continue

@@ -100,6 +100,8 @@ def quandle_from_rows(rows: Iterable[Iterable[int]]) -> QuandleTable:
 def parse_quandle(text: str) -> QuandleTable:
     """Quandle file: first line n, then n rows of n 1-indexed entries."""
     toks = text.split()
+    if not toks:
+        raise ValueError("empty quandle table")
     n = int(toks[0])
     vals = [int(t) for t in toks[1:]]
     if len(vals) != n * n:

@@ -34,7 +34,7 @@ from .moves import (
     REVERSE,
     MoveSequence,
     MoveStep,
-    _applied,
+    apply_move,
     code_digest,
     find_sites,
 )
@@ -90,9 +90,6 @@ class Resolution:
 
     def component_count(self) -> int:
         return len(self.components)
-
-    def component_of_original(self, orig_edge: str) -> int:
-        return self.component_of[self.edge_of[orig_edge]]
 
 
 def _require_classical(c: Diagram, what: str) -> None:
@@ -302,7 +299,8 @@ def _greedy_reduce(c: Diagram, moves) -> tuple[Diagram, tuple]:
     while improved and cur.counts[0] > 0:
         improved = False
         for m in moves:
-            for site, nxt in _applied(cur, m, find_sites(cur, m, REVERSE, validated=False)):
+            for site in find_sites(cur, m, REVERSE):
+                nxt = apply_move(cur, m, site)
                 if nxt.counts[0] < cur.counts[0]:
                     steps += (MoveStep(m.id, site.variant, REVERSE, code_digest(nxt)),)
                     cur = nxt
@@ -332,7 +330,8 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
         x, _, d, steps = heapq.heappop(heap)
         for m in moves:
             for direction in (REVERSE, FORWARD):
-                for site, nxt in _applied(d, m, find_sites(d, m, direction, validated=False)):
+                for site in find_sites(d, m, direction):
+                    nxt = apply_move(d, m, site)
                     if nxt.counts[0] > ceiling:
                         continue
                     code = nxt.canonical_code()

@@ -21,7 +21,7 @@ from typing import Optional
 from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, Node, _first_orientation, _strand,
                       enumerate_orientations)
 from .groups import Presentation, cyclic_reduce
-from .moves import FORWARD, MoveSpec, Pattern, _applied, find_sites, parse_pattern
+from .moves import FORWARD, MoveSpec, Pattern, apply_move, find_sites, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
 from .resolution import _require_classical, classical_components, crossing_sign, linking_matrix
 
@@ -78,12 +78,11 @@ def _replace_all(d: Diagram, rules: dict[str, str], track_framed: bool = False):
         if target is None:
             break
         move = _replacement_move(target.kind, rules[target.kind])
-        at = (s for s in find_sites(cur, move, FORWARD, validated=False)
-              if s.node_image_map["v"][0] == target.id)
-        applied = next(_applied(cur, move, at, return_info=True), None)
-        if applied is None:
+        site = next((s for s in find_sites(cur, move, FORWARD)
+                     if s.node_image_map["v"][0] == target.id), None)
+        if site is None:
             raise ValueError(f"no replacement site at {target.id}")
-        nxt, info = applied[1]
+        nxt, info = apply_move(cur, move, site, return_info=True)
         if track_framed:
             _, fr = _tangles()[rules[target.kind]]
             framed_edges |= {info["int_eids"][e] for e in fr}

@@ -36,6 +36,28 @@ def test_color_list_json_is_pinned(files, capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "1f1377ff80b161a1"
 
 
+def test_color_count_json_is_pinned(files, capsys):
+    """Without ``--list`` only the count is printed, byte for byte."""
+    rc = main(["--json", "color", files["fr"], files["q"]])
+    out = capsys.readouterr().out
+    assert rc == 0 and json.loads(out) == {"colorings": None, "count": 16}
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "cba2e1ddb928ce15"
+
+
+@pytest.mark.parametrize("argv", [
+    ["homs", "fixture:fr", "--table", "EMPTY"],
+    ["color", "fixture:fr", "EMPTY"],
+    ["quandle", "check", "EMPTY"],
+    ["quandle", "involutory", "EMPTY"],
+])
+def test_empty_table_is_an_input_error(files, capsys, argv):
+    empty = files["dir"] / "empty.txt"
+    empty.write_text("")
+    rc = main([str(empty) if a == "EMPTY" else a for a in argv])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("input error: empty")
+
+
 def test_admissible_circle_yes(files, capsys):
     rc = main(["admissible", files["circle"]])
     assert rc == 0

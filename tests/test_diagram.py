@@ -95,6 +95,12 @@ def test_validate_port_collision():
     assert "port collision" in codes
 
 
+def test_validate_rejects_a_piece_placed_twice():
+    d = parse_smg("diagram t\nnode k X b a a b\nloop c0\nplace c0 in k.1\nplace c0 in k.2\n"
+                  "end\n", allow_invalid=True)
+    assert [str(i) for i in d.validate().issues] == ["bad placement: piece c0 placed twice"]
+
+
 def test_validate_non_spherical_embedding():
     # interleaved petals force genus one
     d = Diagram("t", (Node("a", "X", None, ("e", "f", "e", "f")),))
@@ -424,6 +430,79 @@ def anchored_hosts() -> list[Diagram]:
               kinks + "loop c0\nplace j in k.1\nplace c0 in j.3\n",
               kinks + "place k in j.1\n"]
     return [parse_smg(f"diagram t\n{body}end\n") for body in bodies]
+
+
+#: targets a search reached from two_loops and circle but could not replay
+REPLAY_TARGETS = ["node q0 X t1 t0 t0 t1\nloop c0\nplace c0 in q0.3\n",
+                  "node q0 X t4 t6 t5 t3\nnode q1 X t4 t3 t2 t2\nnode q2 X t6 t1 t1 t5\n"]
+
+
+def test_every_site_found_applies():
+    """find_sites is the only validation: every site it returns applies,
+    under both catalogs, on the fixtures, on hosts with components placed
+    in faces, and on those of their one-move rewrites (one per canonical
+    code) that still place a graph piece, where a rewrite has to carry the
+    place."""
+    from smg.catalog import move_catalog
+    from smg.diagram import _first_orientation
+    from smg.moves import FORWARD, REVERSE, apply_move, find_sites
+
+    unoriented, oriented = move_catalog("unoriented"), move_catalog("oriented")
+
+    def rewrites(d, catalog):
+        return [apply_move(d, m, s) for m in catalog for direction in (FORWARD, REVERSE)
+                for s in find_sites(d, m, direction)]
+
+    hosts = anchored_hosts() + [parse_smg(f"diagram t\n{body}end\n") for body in REPLAY_TARGETS]
+    placed = {r.canonical_code(): r for d in hosts for r in rewrites(d, unoriented)
+              if any(a is not None and pid in r.node_map for pid, a in r.anchors)}
+    assert len(placed) > 50
+    applied = 0
+    for d in [fixture(name) for name in fixture_names()] + hosts + list(placed.values()):
+        applied += len(rewrites(d, unoriented))
+        od = _first_orientation(d)
+        if od is not None:
+            applied += len(rewrites(od, oriented))
+    assert applied > 20000
+
+
+def test_joined_piece_keeps_its_host_place():
+    """O2 between a piece placed in a face and the piece it sits in joins
+    them; the joined piece keeps the place of the outer one."""
+    from smg.catalog import catalog_map
+    from smg.moves import FORWARD, apply_move, find_sites
+
+    o2 = catalog_map()["O2"]
+    assert [len(find_sites(d, o2, FORWARD)) for d in anchored_hosts()] == [20, 28, 12]
+    # k holds j, j holds i; joining i and j leaves the joined piece in k
+    host = parse_smg("diagram t\nnode k X b a a b\nnode j X d c c d\nnode i X f e e f\n"
+                     "place j in k.1\nplace i in j.1\nend\n")
+    joined = [apply_move(host, o2, s) for s in find_sites(host, o2, FORWARD)
+              if {t[1] for t in s.leg_targets} == {"c", "f"}]
+    body = ("node k X b a a b\nnode j X d y x d\nnode i X w e e v\n"
+            "node p X u x v z\nnode q X u z w y\n")
+    want = parse_smg(f"diagram t\n{body}place i in k.1\nend\n")
+    assert parse_smg(f"diagram t\n{body}end\n").canonical_code() != want.canonical_code()
+    assert joined and all(d.canonical_code() == want.canonical_code() for d in joined)
+
+
+def test_place_follows_the_surviving_nodes_of_its_piece():
+    """Undoing the kink at a placed piece's smallest node keeps the place."""
+    from smg.catalog import catalog_map
+    from smg.moves import REVERSE, apply_move, find_sites
+
+    o1 = catalog_map()["O1"]
+    for corner in (0, 1, 2):    # the corners of k not in the outer face
+        host = parse_smg("diagram t\nnode k X b a a b\nnode m X y x x z\nnode n X z w w y\n"
+                         f"place m in k.{corner}\nend\n")
+        want = parse_smg(f"diagram t\nnode k X b a a b\nnode n X z w w z\n"
+                         f"place n in k.{corner}\nend\n")
+        sites = [s for s in find_sites(host, o1, REVERSE) if s.node_image_map["k"][0] == "m"]
+        assert sites
+        for s in sites:
+            out = apply_move(host, o1, s)
+            assert out.anchor_map == {"n": ("k", corner)}
+            assert out.canonical_code() == want.canonical_code()
 
 
 def test_bounded_canonicalisation_matches_unbounded_reference():

@@ -37,6 +37,19 @@ def test_catalog_boundary_arities_match():
                     assert lhs.boundary_profile() == rhs.boundary_profile(), m.id
 
 
+@pytest.mark.parametrize("text, why", [
+    ("node a X p q r s\nnode b X t u v w\n" + "".join(
+        f"leg {k} {e}\n" for k, e in enumerate("pqrstuvw", start=1)), "more than one node"),
+    ("node a X p q r s\nleg 1 p\nleg 2 q\nleg 3 r\nleg 4 s\nleg 5 x\nleg 6 x\n",
+     "mixes nodes with a bare strand"),
+], ids=["two_components", "nodes_and_a_strand"])
+def test_pattern_is_one_node_component_or_bare_strands(text, why):
+    from smg.moves import parse_pattern
+
+    with pytest.raises(ValueError, match=why):
+        parse_pattern(text)
+
+
 def test_o1_sites_on_circle():
     sites = find_sites(fixture("circle"), CAT["O1"], FORWARD)
     assert len(sites) >= 2
@@ -135,10 +148,9 @@ def test_replay_applies_no_site_after_the_matching_one(monkeypatch):
     sites = find_sites(d, move, FORWARD)
     want = code_digest(apply_move(d, move, sites[len(sites) // 2]))
     variant = sites[len(sites) // 2].variant
-    candidates = [s for s in find_sites(d, move, FORWARD, validated=False)
-                  if s.variant == variant]
+    candidates = [s for s in sites if s.variant == variant]
     match = next(i for i, s in enumerate(candidates)
-                 if s in sites and code_digest(apply_move(d, move, s)) == want)
+                 if code_digest(apply_move(d, move, s)) == want)
     applied = []
     real = moves.apply_move
     monkeypatch.setattr(moves, "apply_move",

@@ -23,16 +23,16 @@ def test_semi_transform_identity_on_classical():
 
 
 def test_semi_transform_applies_each_replacement_once(monkeypatch):
-    """Each vertex is replaced by the first site at it that applies, and no
-    site is applied only to check that it would."""
-    import smg.moves
+    """Each vertex is replaced at the first site found at it, and no site is
+    applied only to check that it would."""
+    import smg.transforms
 
     n = 16
     chain = parse_smg("diagram chain\n" + "".join(
         f"node v{i:02d} M 0 s{(i - 1) % n} k{i} k{i} s{i}\n" for i in range(n)) + "end\n")
     applied = []
-    real = smg.moves.apply_move
-    monkeypatch.setattr(smg.moves, "apply_move",
+    real = smg.transforms.apply_move
+    monkeypatch.setattr(smg.transforms, "apply_move",
                         lambda *args, **kw: applied.append(args[2]) or real(*args, **kw))
     for kind in ("M5", "M6"):
         applied.clear()
