@@ -310,14 +310,19 @@ class Diagram:
     def _canonical_code(self) -> bytes:
         faces = self.faces()
         piece_sigs = sorted((sig, pid) for pid, (sig, _) in self._piece_canon.items())
-        # Anchors are resolved into piece-signature-relative face names.
+        # Anchors are resolved into piece-signature-relative face names.  A
+        # corner on the host's outward orbit lies in the face the host sits
+        # in, so it is named by the host's own place.
         def resolve(pid: str):
-            anchor = self.anchor_map.get(pid)
-            if anchor is None:
-                return "outer"
-            host = faces.piece_of_corner(anchor)
-            return (self._piece_canon[host][0],
-                    self._canonical_face_name(host, faces.orbit_of_corner(anchor)))
+            anchor, seen = self.anchor_map.get(pid), {pid}
+            while anchor is not None:
+                host = faces.piece_of_corner(anchor)
+                if host in seen or faces.orbit_of_corner_index(anchor) != faces.outward[host]:
+                    return (self._piece_canon[host][0],
+                            self._canonical_face_name(host, faces.orbit_of_corner(anchor)))
+                seen.add(host)
+                anchor = self.anchor_map.get(host)
+            return "outer"
 
         # "outer" sorts before every face name, so the two never meet in a
         # comparison; unmixed lists sort as plain values.
@@ -339,6 +344,16 @@ class Diagram:
     @cached_property
     def _faces(self) -> "Faces":
         return Faces(self)
+
+    # -- colourings ---------------------------------------------------------
+
+    @cached_property
+    def _colouring(self):
+        """Colour classes and counting plan (``quandles._Colouring``),
+        shared by every quandle and orientation."""
+        from .quandles import _build_colouring
+
+        return _build_colouring(self)
 
     # -- rebuilding ---------------------------------------------------------
 
@@ -525,8 +540,10 @@ class Faces:
         # face is named by the root of its class.
         uf = UnionFind(range(-1, len(self.orbits)))
         anchor_map = d.anchor_map
-        for pid, (_, roots) in d._piece_canon.items():
-            outward = min(self.orbit_of_dart(r) for r in roots)
+        #: piece id -> its outward orbit, the one merged into its place
+        self.outward = {pid: min(self.orbit_of_dart(r) for r in roots)
+                        for pid, (_, roots) in d._piece_canon.items()}
+        for pid, outward in self.outward.items():
             uf.union(outward, self._anchor_face(anchor_map.get(pid)))
         # the outer sentinel's face last, so that index -1 reads it
         self._face = [uf.find(i) for i in range(len(self.orbits))] + [uf.find(-1)]

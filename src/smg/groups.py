@@ -35,6 +35,17 @@ class Presentation:
 
         return "⟨ " + ",".join(names) + " | " + ", ".join(show(w) for w in self.relators) + " ⟩"
 
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The counting plan of :func:`hom_count`: a constraint per nonempty
+        relator, solving each generator that occurs in it once."""
+        shapes = []
+        for w in self.relators:
+            if w:
+                gens = [abs(l) - 1 for l in w]
+                shapes.append((tuple(gens), tuple(x for x in gens if gens.count(x) == 1)))
+        return _build_plan(self.ngens, shapes)
+
 
 def free_reduce(w: Word) -> Word:
     out: list[int] = []
@@ -351,6 +362,11 @@ class GroupTable:
             out.append(next(y for y in range(self.n) if self.mult[x][y] == 0))
         return tuple(out)
 
+    @cached_property
+    def by_inverse(self) -> tuple[tuple[int, ...], ...]:
+        """``by_inverse[v][x] = v * x^-1``, as ``mult[v][x] = v * x``."""
+        return tuple(tuple(row[y] for y in self.inv) for row in self.mult)
+
     def check(self) -> None:
         """Raise ValueError unless 0 is an identity and the table is
         associative; the O(n^3) scan runs once per table object."""
@@ -467,84 +483,102 @@ def groups_up_to_order(n: int) -> tuple[tuple[str, GroupTable], ...]:
     return tuple(out)
 
 
-class _Constraint(NamedTuple):
-    """A check on some variables, and for each variable the check
-    determines once the others are set, the function that solves for it."""
+class _Plan(NamedTuple):
+    """The shape of a counting problem, independent of the table it is
+    counted in: the assignment order as ``(variable, index of the
+    constraint that solves it, or -1)``, per position the indices of the
+    constraints whose last variable is set there, and the first position
+    of each connected component."""
 
-    vars: tuple[int, ...]
-    check: Callable[[list[int]], bool]
-    solve: dict[int, Callable[[list[int]], int]]
+    order: tuple[tuple[int, int], ...]
+    waiting: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
 
 
-def _order(nvars: int, constraints: list[_Constraint]
-           ) -> tuple[list[tuple[int, Optional[Callable]]], list[list[Callable]]]:
-    """The assignment order as ``(variable, solve or None)``, and per
-    position the checks whose last variable is set there.
+def _build_plan(nvars: int, shapes: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> _Plan:
+    """The plan of constraints given as ``(variables, the variables it
+    solves once the others are set)``.
 
     Next comes a variable some constraint solves from assigned ones;
     otherwise a free variable sharing a constraint with an assigned one,
-    else the least unassigned one.  The order follows the constraints, not
-    the numbering, and is built in one pass over them."""
-    distinct = [tuple(dict.fromkeys(c.vars)) for c in constraints]
+    else the least unassigned one, which starts a new component.  The order
+    follows the constraints, not the numbering, and is built in one pass
+    over them."""
+    distinct = [tuple(dict.fromkeys(vs)) for vs, _ in shapes]
     of_var: list[list[int]] = [[] for _ in range(nvars)]
     for ci, vs in enumerate(distinct):
         for v in vs:
             of_var[v].append(ci)
     unset = [len(vs) for vs in distinct]
     position = [-1] * nvars
-    order: list[tuple[int, Optional[Callable]]] = []
+    order: list[tuple[int, int]] = []
+    starts: list[int] = []
     forced: deque = deque()
     near: deque = deque()
     least = 0
     while len(order) < nvars:
         if forced:
-            v, solve = forced.popleft()
+            v, ci = forced.popleft()
         elif near:
-            v, solve = near.popleft(), None
+            v, ci = near.popleft(), -1
         else:
             while position[least] >= 0:
                 least += 1
-            v, solve = least, None
+            v, ci = least, -1
+            starts.append(len(order))
         if position[v] >= 0:
             continue
         position[v] = len(order)
-        order.append((v, solve))
-        for ci in of_var[v]:
-            vs = distinct[ci]
-            if unset[ci] == len(vs):
+        order.append((v, ci))
+        for cj in of_var[v]:
+            vs = distinct[cj]
+            if unset[cj] == len(vs):
                 near.extend(vs)
-            unset[ci] -= 1
-            if unset[ci] == 1:
+            unset[cj] -= 1
+            if unset[cj] == 1:
                 last = next(u for u in vs if position[u] < 0)
-                if last in constraints[ci].solve:
-                    forced.append((last, constraints[ci].solve[last]))
-    waiting: list[list[Callable]] = [[] for _ in range(nvars)]
-    for c, vs in zip(constraints, distinct):
-        waiting[max(position[v] for v in vs)].append(c.check)
-    return order, waiting
+                if last in shapes[cj][1]:
+                    forced.append((last, cj))
+    waiting: list[list[int]] = [[] for _ in range(nvars)]
+    for ci, vs in enumerate(distinct):
+        waiting[max(position[v] for v in vs)].append(ci)
+    return _Plan(tuple(order), tuple(map(tuple, waiting)), tuple(starts))
 
 
-def _assignments(nvars: int, size: int, constraints: list[_Constraint]) -> Iterator[list[int]]:
-    """Every assignment of ``0..size-1`` to variables ``0..nvars-1`` that
-    passes every check, in no particular order.  Variables are set in
-    :func:`_order`'s order: a solved one takes its one value, a free one
+_Step = tuple[int, Optional[Callable[[list[int]], int]], list[Callable[[list[int]], bool]]]
+
+
+def _steps(plan: _Plan, checks: list[Callable[[list[int]], bool]],
+           solve: Callable[[int, int], Callable[[list[int]], int]]) -> list[_Step]:
+    """The plan bound to one table: per position ``(variable, solve or
+    None, checks)``, with ``checks[ci]`` the check of constraint ``ci`` and
+    ``solve(ci, v)`` the function that solves ``v`` from it."""
+    return [(v, None if ci < 0 else solve(ci, v), [checks[k] for k in ks])
+            for (v, ci), ks in zip(plan.order, plan.waiting)]
+
+
+def _assignments(steps: list[_Step], size: int, start: int, stop: int) -> Iterator[list[int]]:
+    """Every assignment of ``0..size-1`` to the variables at positions
+    ``start..stop-1`` of :func:`_steps` that passes their checks, in no
+    particular order: a solved variable takes its one value, a free one
     tries ``0..size-1``, and each check runs once its last variable is set.
-    One list is yielded each time, updated in place; a variable reads -1
-    while it is unset."""
-    order, waiting = _order(nvars, constraints)
-    values = [-1] * nvars
-    i = 0
-    while i >= 0:
-        if i == nvars:
+    One list over all variables is yielded each time, updated in place; a
+    variable reads -1 while it is unset."""
+    values = [-1] * len(steps)
+    i = start
+    while i >= start:
+        if i == stop:
             yield values
             i -= 1
             continue
-        v, solve = order[i]
-        checks = waiting[i]
+        v, solve, checks = steps[i]
         if solve is None:
             for x in range(values[v] + 1, size):
                 values[v] = x
-                if all(ok(values) for ok in checks):
+                for ok in checks:
+                    if not ok(values):
+                        break
+                else:
                     i += 1
                     break
             else:
@@ -552,11 +586,29 @@ def _assignments(nvars: int, size: int, constraints: list[_Constraint]) -> Itera
                 i -= 1
         elif values[v] < 0:
             values[v] = solve(values)
-            if all(ok(values) for ok in checks):
+            for ok in checks:
+                if not ok(values):
+                    break
+            else:
                 i += 1
         else:
             values[v] = -1
             i -= 1
+
+
+def _count(plan: _Plan, steps: list[_Step], size: int) -> int:
+    """Number of assignments: the product of the counts of the connected
+    components, as no check spans two of them.  A component that no
+    constraint touches is one free variable and counts ``size``."""
+    total = 1
+    for start, stop in zip(plan.starts, plan.starts[1:] + (len(steps),)):
+        if stop == start + 1 and not steps[start][2]:
+            total *= size
+        else:
+            total *= sum(1 for _ in _assignments(steps, size, start, stop))
+        if not total:
+            break
+    return total
 
 
 def hom_count(p: Presentation, g: GroupTable) -> int:
@@ -564,30 +616,29 @@ def hom_count(p: Presentation, g: GroupTable) -> int:
     occurs once in a relator ``u x^e v`` is solved as ``x^e = (v u)^-1``
     once the others have images."""
     g.check()
-    # by_inverse[v][x] = v * x^-1, as g.mult[v][x] = v * x
-    by_inverse = tuple(tuple(row[y] for y in g.inv) for row in g.mult)
+    relators = [w for w in p.relators if w]
+    letters = [[(abs(l) - 1, g.mult if l > 0 else g.by_inverse) for l in w]
+               for w in relators]
 
-    def product(letters: list[tuple[int, tuple]]) -> Callable[[list[int]], int]:
+    def product(word: list[tuple[int, tuple]]) -> Callable[[list[int]], int]:
         def value(images: list[int]) -> int:
             v = 0
-            for i, table in letters:
+            for i, table in word:
                 v = table[v][images[i]]
             return v
 
         return value
 
-    def relator_constraint(w: Word) -> _Constraint:
-        letters = [(abs(l) - 1, g.mult if l > 0 else by_inverse) for l in w]
-        whole = product(letters)
-        solve = {}
-        for k, l in enumerate(w):
-            x = abs(l) - 1
-            if sum(abs(m) - 1 == x for m in w) == 1:
-                rest = product(letters[k + 1:] + letters[:k])     # v u
-                solve[x] = rest if l < 0 else \
-                    (lambda images, rest=rest: g.inv[rest(images)])
-        return _Constraint(tuple(abs(l) - 1 for l in w),
-                           lambda images: whole(images) == 0, solve)
+    def check(word: list[tuple[int, tuple]]) -> Callable[[list[int]], bool]:
+        whole = product(word)
+        return lambda images: whole(images) == 0
 
-    constraints = [relator_constraint(w) for w in p.relators if w]
-    return sum(1 for _ in _assignments(p.ngens, g.n, constraints))
+    def solve(ci: int, x: int) -> Callable[[list[int]], int]:
+        w, word = relators[ci], letters[ci]
+        k = next(k for k, l in enumerate(w) if abs(l) - 1 == x)
+        rest = product(word[k + 1:] + word[:k])     # v u
+        inv = g.inv
+        return rest if w[k] < 0 else (lambda images: inv[rest(images)])
+
+    plan = p._plan
+    return _count(plan, _steps(plan, [check(word) for word in letters], solve), g.n)

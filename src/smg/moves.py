@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .diagram import (
     CROSSING,
@@ -429,12 +429,17 @@ def find_sites(d, move: MoveSpec, direction: str = FORWARD) -> list[Site]:
     """Complete, duplicate-free list of embeddings of the chosen side that
     meet the face and orientation conditions; :func:`apply_move` applies
     each of them."""
+    return list(_sites(d, move, direction))
+
+
+def _sites(d, move: MoveSpec, direction: str) -> Iterator[Site]:
+    """The sites of :func:`find_sites`, in its order, found one at a time
+    for callers that stop at the first one they use."""
     od = d if isinstance(d, OrientedDiagram) else None
     base = d.base if od is not None else d
     if move.oriented and od is None:
         raise ValueError(f"move {move.id} requires an oriented diagram")
     faces = base.faces()
-    out = []
     for variant in range(len(move.variants)):
         pat = move.side(variant, direction)
         for amap, targets in _iter_embeddings(base, pat):
@@ -442,10 +447,9 @@ def find_sites(d, move: MoveSpec, direction: str = FORWARD) -> list[Site]:
                 continue
             if od is not None and pat.heads and not _orientation_ok(od, base, pat, amap, targets):
                 continue
-            out.append(Site(move.id, variant, direction,
-                            tuple(sorted(amap.items())),
-                            tuple(targets[k] for k in sorted(targets))))
-    return out
+            yield Site(move.id, variant, direction,
+                       tuple(sorted(amap.items())),
+                       tuple(targets[k] for k in sorted(targets)))
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +765,7 @@ def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
         if step.move_id not in catalog:
             raise SMGSemanticError(f"step {i}: unknown move id {step.move_id!r}")
         move = catalog[step.move_id]
-        sites = (s for s in find_sites(cur, move, step.direction)
+        sites = (s for s in _sites(cur, move, step.direction)
                  if s.variant == step.variant)
         cur = next((nxt for nxt in (apply_move(cur, move, s) for s in sites)
                     if code_digest(nxt) == step.fingerprint), None)

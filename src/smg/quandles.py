@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .diagram import (
     CROSSING,
@@ -21,10 +21,11 @@ from .diagram import (
     SINGULAR,
     Diagram,
     OrientedDiagram,
+    SMGSemanticError,
     UnionFind,
     _crossing_flow,
 )
-from .groups import _assignments, _Constraint
+from .groups import _assignments, _build_plan, _count, _Plan, _Step, _steps
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,16 @@ class QuandleTable:
 
     def op_inv(self, x: int, y: int) -> int:
         return self.inv[x - 1][y - 1]
+
+    @cached_property
+    def _op(self) -> tuple[tuple[int, ...], ...]:
+        """``table`` on 0-indexed elements."""
+        return tuple(tuple(z - 1 for z in row) for row in self.table)
+
+    @cached_property
+    def _op_inv(self) -> tuple[tuple[int, ...], ...]:
+        """``inv`` on 0-indexed elements."""
+        return tuple(tuple(z - 1 for z in row) for row in self.inv)
 
     def is_involutory(self) -> bool:
         return self._involutory
@@ -117,6 +128,7 @@ def serialize_quandle(q: QuandleTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=None)
 def dihedral_quandle(n: int) -> QuandleTable:
     """x * y = 2y - x mod n (1-indexed table)."""
     rows = [[((2 * y - x) % n) + 1 for y in range(n)] for x in range(n)]
@@ -183,15 +195,23 @@ def small_quandles(max_order: int = 4) -> tuple[QuandleTable, ...]:
 # colorings
 
 
-def _coloring_problem(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]
-                      ) -> tuple[list[str], dict[str, int], int, list[_Constraint]]:
-    """(edges and loops, class index of each, number of classes,
-    constraints on the classes) for :func:`_assignments`: colour ``k`` of a
-    class is quandle element ``k+1``.  Classes are ordered by their
-    union-find root."""
-    if orientation is None and not q.is_involutory():
-        raise ValueError("a non-involutory quandle needs an orientation")
+class _Colouring(NamedTuple):
+    """A diagram's colouring problem, the same for every quandle and
+    orientation: the edges and loops, the colour class of each (classes
+    are ordered by their union-find root), per crossing and double point
+    its node id, kind and port classes, and the counting plan with one
+    constraint per such node."""
 
+    items: list[str]
+    cls: dict[str, int]
+    nodes: list[tuple[str, str, tuple[int, ...]]]
+    plan: _Plan
+
+
+def _build_colouring(d: Diagram) -> _Colouring:
+    """Built once per diagram, as ``Diagram._colouring``.  The plan holds
+    for every orientation: reversing the under-strand swaps the roles of
+    its two classes, not which of them a crossing can solve."""
     items = list(d.edges) + list(d.loops)
     uf = UnionFind(items)
     # forced equalities
@@ -208,36 +228,58 @@ def _coloring_problem(d: Diagram, q: QuandleTable, orientation: Optional[Oriente
     index = {r: i for i, r in enumerate(roots)}
     cls = {v: index[uf.find(v)] for v in items}
 
-    op = tuple(tuple(z - 1 for z in row) for row in q.table)
-    op_inv = tuple(tuple(z - 1 for z in row) for row in q.inv)
-
-    def conj(out: int, inn: int, over: int, table, inverse) -> _Constraint:
-        """``out = inn * over`` by ``table``; ``inverse`` is its column
-        inverse, so ``inn = out * over`` by ``inverse``."""
-        solve = {}
-        if out not in (inn, over):
-            solve[out] = lambda c: table[c[inn]][c[over]]
-        if inn not in (out, over):
-            solve[inn] = lambda c: inverse[c[out]][c[over]]
-        return _Constraint((out, inn, over),
-                           lambda c: c[out] == table[c[inn]][c[over]], solve)
-
-    def fix(x: int, y: int) -> _Constraint:
-        return _Constraint(
-            (x, y), lambda c: op[c[x]][c[y]] == c[x] and op[c[y]][c[x]] == c[y], {})
-
-    constraints = []
+    nodes, shapes = [], []
     for nd in d.nodes:
-        ports = nd.ports
+        c = tuple(cls[e] for e in nd.ports)
         if nd.kind == CROSSING:
-            pu, sign = 0, 1
-            if orientation is not None:
-                pu, _, sign = _crossing_flow(nd.id, orientation.flows_in)
-            vs = (cls[ports[(pu + 2) % 4]], cls[ports[pu]], cls[ports[1]])
-            constraints.append(conj(*vs, *((op, op_inv) if sign > 0 else (op_inv, op))))
+            # the two under-strand classes solve from the other two unless
+            # they repeat one of them
+            out, inn, over = c[2], c[0], c[1]
+            shapes.append(((out, inn, over),
+                           tuple(x for x, others in ((out, (inn, over)), (inn, (out, over)))
+                                 if x not in others)))
         elif nd.kind == SINGULAR:
-            constraints.append(fix(cls[ports[0]], cls[ports[1]]))
-    return items, cls, len(roots), constraints
+            shapes.append(((c[0], c[1]), ()))
+        else:
+            continue
+        nodes.append((nd.id, nd.kind, c))
+    return _Colouring(items, cls, nodes, _build_plan(len(roots), shapes))
+
+
+def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]
+                     ) -> tuple[_Colouring, list[_Step]]:
+    """The diagram's colouring problem and its plan bound to ``q`` and the
+    orientation, for :func:`_assignments`: colour ``k`` of a class is
+    quandle element ``k+1``."""
+    if orientation is None and not q.is_involutory():
+        raise SMGSemanticError("a non-involutory quandle needs an orientation")
+    problem = d._colouring
+    op, op_inv = q._op, q._op_inv
+    checks, roles = [], []
+    for nid, kind, c in problem.nodes:
+        if kind == SINGULAR:
+            x, y = c[0], c[1]
+            checks.append(lambda v, x=x, y=y: op[v[x]][v[y]] == v[x] and op[v[y]][v[x]] == v[y])
+            roles.append(None)
+            continue
+        pu, sign = 0, 1
+        if orientation is not None:
+            pu, _, sign = _crossing_flow(nid, orientation.flows_in)
+        # ``out = inn * over`` by ``table``; ``inverse`` is its column
+        # inverse, so ``inn = out * over`` by ``inverse``
+        out, inn, over = c[(pu + 2) % 4], c[pu], c[1]
+        table, inverse = (op, op_inv) if sign > 0 else (op_inv, op)
+        checks.append(lambda v, out=out, inn=inn, over=over, table=table:
+                      v[out] == table[v[inn]][v[over]])
+        roles.append((out, inn, over, table, inverse))
+
+    def solve(ci: int, x: int):
+        out, inn, over, table, inverse = roles[ci]
+        if x == out:
+            return lambda v: table[v[inn]][v[over]]
+        return lambda v: inverse[v[out]][v[over]]
+
+    return problem, _steps(problem.plan, checks, solve)
 
 
 def colorings(d: Diagram, q: QuandleTable,
@@ -248,12 +290,12 @@ def colorings(d: Diagram, q: QuandleTable,
     Orientation is required unless the quandle is involutory; with an
     involutory quandle the under-strand relation is direction-free.
     """
-    items, cls, nclasses, constraints = _coloring_problem(d, q, orientation)
-    found = sorted(tuple(c) for c in _assignments(nclasses, q.n, constraints))
-    return [{v: c[cls[v]] + 1 for v in items} for c in found]
+    problem, steps = _colouring_steps(d, q, orientation)
+    found = sorted(tuple(c) for c in _assignments(steps, q.n, 0, len(steps)))
+    return [{v: c[problem.cls[v]] + 1 for v in problem.items} for c in found]
 
 
 def coloring_count(d: Diagram, q: QuandleTable,
                    orientation: Optional[OrientedDiagram] = None) -> int:
-    _, _, nclasses, constraints = _coloring_problem(d, q, orientation)
-    return sum(1 for _ in _assignments(nclasses, q.n, constraints))
+    problem, steps = _colouring_steps(d, q, orientation)
+    return _count(problem.plan, steps, q.n)

@@ -33,7 +33,9 @@ from .moves import (
     FORWARD,
     REVERSE,
     MoveSequence,
+    MoveSpec,
     MoveStep,
+    _sites,
     apply_move,
     code_digest,
     find_sites,
@@ -291,23 +293,30 @@ def _rmoves():
     return [cat["O1"], cat["O2"], cat["O3"]]
 
 
+def _removes_crossings(m: MoveSpec) -> bool:
+    """True when every variant of ``m``, applied in reverse, puts in fewer
+    crossings than it takes out, so that every reverse site removes some."""
+    def crossings(pat) -> int:
+        return sum(nd.kind == CROSSING for nd in pat.nodes)
+
+    return all(crossings(m.other_side(v, REVERSE)) < crossings(m.side(v, REVERSE))
+               for v in range(len(m.variants)))
+
+
 def _greedy_reduce(c: Diagram, moves) -> tuple[Diagram, tuple]:
-    """Apply crossing-decreasing moves until none applies."""
+    """Apply the first reverse site of the first crossing-removing move
+    until none has one."""
     steps: tuple = ()
     cur = c
-    improved = True
-    while improved and cur.counts[0] > 0:
-        improved = False
+    while cur.counts[0] > 0:
         for m in moves:
-            for site in find_sites(cur, m, REVERSE):
-                nxt = apply_move(cur, m, site)
-                if nxt.counts[0] < cur.counts[0]:
-                    steps += (MoveStep(m.id, site.variant, REVERSE, code_digest(nxt)),)
-                    cur = nxt
-                    improved = True
-                    break
-            if improved:
+            site = next(_sites(cur, m, REVERSE), None)
+            if site is not None:
+                cur = apply_move(cur, m, site)
+                steps += (MoveStep(m.id, site.variant, REVERSE, code_digest(cur)),)
                 break
+        else:
+            break
     return cur, steps
 
 
@@ -317,7 +326,8 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
     budget = budget or Budget()
     _require_classical(c, "reidemeister_simplify")
     moves = _rmoves()
-    start, presteps = _greedy_reduce(c, moves)
+    greedy = [m for m in moves if _removes_crossings(m)]
+    start, presteps = _greedy_reduce(c, greedy)
     if start.counts[0] == 0:
         return start, MoveSequence(presteps)
     ceiling = c.counts[0] + budget.extra_crossings
@@ -340,7 +350,7 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
                     seen.add(code)
                     states += 1
                     # finish greedily from every new state
-                    tail, tailsteps = _greedy_reduce(nxt, moves)
+                    tail, tailsteps = _greedy_reduce(nxt, greedy)
                     step = MoveStep(m.id, site.variant, direction, code_digest(nxt))
                     nsteps = steps + (step,)
                     full = nsteps + tailsteps

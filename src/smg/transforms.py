@@ -21,7 +21,7 @@ from typing import Optional
 from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, Node, _first_orientation, _strand,
                       enumerate_orientations)
 from .groups import Presentation, cyclic_reduce
-from .moves import FORWARD, MoveSpec, Pattern, apply_move, find_sites, parse_pattern
+from .moves import FORWARD, MoveSpec, Pattern, _sites, apply_move, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
 from .resolution import _require_classical, classical_components, crossing_sign, linking_matrix
 
@@ -78,7 +78,7 @@ def _replace_all(d: Diagram, rules: dict[str, str], track_framed: bool = False):
         if target is None:
             break
         move = _replacement_move(target.kind, rules[target.kind])
-        site = next((s for s in find_sites(cur, move, FORWARD)
+        site = next((s for s in _sites(cur, move, FORWARD)
                      if s.node_image_map["v"][0] == target.id), None)
         if site is None:
             raise ValueError(f"no replacement site at {target.id}")

@@ -332,6 +332,28 @@ def test_outer_and_face_anchors_sort_together():
     assert code(two + "place j in k.1\n") != code(two)
 
 
+def test_a_place_on_the_hosts_outward_face_is_the_hosts_place():
+    """Corner 3 of the kink lies on its outward face, the one merged into
+    the face the kink sits in, so a piece placed there sits where the kink
+    does: in the outer face, or in the face of a third piece."""
+    def parsed(body):
+        return parse_smg(f"diagram t\nnode k X b a a b\nnode n X z w w z\n{body}end\n")
+
+    def corner_faces(d):
+        f = d.faces()
+        return [f.face_of_corner((nid, i)) for nid in sorted(d.node_map) for i in range(4)]
+
+    placed, plain = parsed("place n in k.3\n"), parsed("")
+    assert corner_faces(placed) == corner_faces(plain)
+    assert placed.canonical_code() == plain.canonical_code()
+    # followed through a chain of such places
+    nested = parsed("node m X d c c d\nplace m in k.1\nplace n in m.3\n")
+    beside = parsed("node m X d c c d\nplace m in k.1\nplace n in k.1\n")
+    assert corner_faces(nested) == corner_faces(beside)
+    assert nested.canonical_code() == beside.canonical_code()
+    assert nested.canonical_code() != parsed("node m X d c c d\nplace m in k.1\n").canonical_code()
+
+
 def reference_signature(d: Diagram, root) -> tuple:
     """The full breadth-first signature from ``root``, read with string
     darts; the same rows the canonical code is built from.  Returns it with

@@ -1,12 +1,19 @@
 import hashlib
 import itertools
+import math
 import random
 from functools import lru_cache
 
 import pytest
 
 from smg.catalog import move_catalog
-from smg.diagram import enumerate_orientations, parse_smg
+from smg.diagram import (
+    Diagram,
+    OrientedDiagram,
+    SMGSemanticError,
+    enumerate_orientations,
+    parse_smg,
+)
 from smg.fixtures import fixture, fixture_names
 from smg.groups import (
     cyclic_group,
@@ -116,6 +123,13 @@ def test_non_involutory_needs_orientation():
         colorings(fixture("trefoil"), q)
     od = enumerate_orientations(fixture("trefoil"))[0]
     colorings(fixture("trefoil"), q, od)  # no raise
+
+
+def test_non_involutory_quandle_without_orientation_is_a_semantic_error():
+    q = next(q for q in small_quandles(4) if not q.is_involutory())
+    for f in (coloring_count, colorings):
+        with pytest.raises(SMGSemanticError, match="needs an orientation"):
+            f(fixture("trefoil"), q)
 
 
 def test_constant_colorings_lower_bound():
@@ -328,3 +342,51 @@ def test_counts_do_not_depend_on_naming():
         for x in (d, shuffled):
             assert coloring_count(x, d3) == (9 if n % 3 == 0 else 3), n
             assert hom_count(wirtinger_presentation(x), z2) == (2 if n % 2 else 4), n
+
+
+def split_union(names: list[str]) -> list[Diagram]:
+    """The disjoint union of fixtures placed in the outer face, then each
+    part alone; the ids of part ``i`` start with ``p<i>.``."""
+    parts = []
+    for i, name in enumerate(names):
+        d = fixture(name)
+        nm = {nd.id: f"p{i}.{nd.id}" for nd in d.nodes}
+        em = {e: f"p{i}.{e}" for e in d.edges}
+        parts.append(d.relabeled(nm, em, {l: f"p{i}.{l}" for l in d.loops}))
+    union = Diagram("split", sum((p.nodes for p in parts), ()), sum((p.loops for p in parts), ()))
+    return [union] + parts
+
+
+def test_counts_of_twenty_split_components():
+    """Counted by components, not by enumerating up to 3**20 solutions:
+    an unlink of 20 loops, and ten Hopf links (3 colourings each, and 9
+    homomorphisms of Z^2 onto Z/3)."""
+    d3, z3 = dihedral_quandle(3), cyclic_group(3)
+    unlink = parse_smg("diagram u\n" + "".join(f"loop c{i}\n" for i in range(20)) + "end\n")
+    hopfs = split_union(["hopf"] * 10)[0]
+    for d, colours, homs in ((unlink, 3 ** 20, 3 ** 20), (hopfs, 3 ** 10, 9 ** 10)):
+        assert coloring_count(d, d3) == colours
+        assert hom_count(wirtinger_presentation(d), z3) == homs
+
+
+def test_split_counts_are_products_of_the_parts():
+    """Trefoil, Hopf link and three loops side by side: every count is the
+    product of the parts' counts, under every orientation, restricted to
+    each part."""
+    union, *parts = split_union(["trefoil", "hopf", "three_loops"])
+    for q in small_quandles(3) + (FOUR_QUANDLE,):
+        if q.is_involutory():
+            assert coloring_count(union, q) == \
+                math.prod(coloring_count(p, q) for p in parts)
+        for od in enumerate_orientations(union):
+            want = 1
+            for i, p in enumerate(parts):
+                mine = lambda x: x.startswith(f"p{i}.")
+                want *= coloring_count(p, q, OrientedDiagram(
+                    p, tuple(h for h in od.heads if mine(h[0])),
+                    tuple(l for l in od.loop_dirs if mine(l[0]))))
+            assert coloring_count(union, q, od) == want
+    for name, g in groups_up_to_order(6):
+        assert hom_count(wirtinger_presentation(union), g) == \
+            math.prod(hom_count(wirtinger_presentation(p), g) for p in parts), name
+

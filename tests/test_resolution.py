@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,8 +7,8 @@ import pytest
 
 import smg
 from smg.diagram import SMGSemanticError, enumerate_orientations, parse_smg
-from smg.fixtures import fixture
-from smg.moves import verify_sequence
+from smg.fixtures import fixture, fixture_names
+from smg.moves import REVERSE, find_sites, verify_sequence
 from smg.catalog import catalog_map
 from smg.resolution import (
     NEGATIVE,
@@ -180,6 +181,54 @@ def test_admissibility_certificates_replay():
         start = resolve(d, sign).diagram
         final = verify_sequence(start, cert.trace, cat)
         assert final.counts[0] == 0
+
+
+#: five crossings: one kink, and once it is gone a dead end of four
+#: crossings with reverse R3 sites, none of which removes a crossing
+KINKED_DEAD_END = """\
+diagram dead_end
+node q0 X t16 t5 t6 t12
+node q2 X t14 t14 t11 t9
+node q3 X t13 t9 t10 t12
+node q4 X t11 t15 t16 t10
+node t1 X t13 t6 t5 t15
+end
+"""
+
+
+def test_greedy_applies_once_per_trace_step(monkeypatch):
+    """With one state allowed the simplification is the greedy pass alone,
+    and it applies only the site it keeps: the first reverse site of the
+    first move that removes crossings."""
+    import smg.resolution as resolution
+
+    applied = []
+    real = resolution.apply_move
+    monkeypatch.setattr(resolution, "apply_move",
+                        lambda *args, **kw: applied.append(args[1].id) or real(*args, **kw))
+    dead_end = parse_smg(KINKED_DEAD_END)
+    simp, trace = reidemeister_simplify(dead_end, Budget(max_states=1))
+    assert (simp.counts[0], applied) == (4, ["O1"])
+    assert find_sites(simp, catalog_map("unoriented")["O3"], REVERSE)
+    for name in fixture_names():
+        for sign in (POSITIVE, NEGATIVE):
+            applied.clear()
+            _, trace = reidemeister_simplify(resolve(fixture(name), sign).diagram,
+                                             Budget(max_states=1))
+            assert applied == [s.move_id for s in trace.steps], (name, sign)
+
+
+def test_admissibility_certificates_are_pinned():
+    """Both certificates of every fixture and of its one-move rewrites, byte
+    for byte: verdicts, obstructions and simplification traces."""
+    from test_quandles import fixtures_and_rewrites
+
+    h = hashlib.sha256()
+    for d in fixtures_and_rewrites():
+        res = is_admissible(d)
+        for sign in (POSITIVE, NEGATIVE):
+            h.update(res[sign].serialize().encode() + b"\n")
+    assert h.hexdigest()[:16] == "e48e3602040d5d94"
 
 
 NON_CLASSICAL_CHECK = """
