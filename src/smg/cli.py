@@ -31,6 +31,7 @@ from .moves import (
 )
 from .quandles import (
     QuandleTable,
+    _quandle_rows,
     check_quandle,
     coloring_count,
     colorings,
@@ -87,9 +88,13 @@ def _load_group(path: str) -> GroupTable:
         if not toks:
             raise ValueError("empty group table")
         n = int(toks[0])
+        if n < 1:
+            raise ValueError(f"group order {n} is below 1")
         vals = [int(t) - 1 for t in toks[1:]]
         if len(vals) != n * n:
             raise ValueError(f"expected {n * n} entries")
+        if not all(0 <= v < n for v in vals):
+            raise ValueError(f"entries must lie in 1..{n}")
         mult = [vals[i * n:(i + 1) * n] for i in range(n)]
         ident = next(e for e in range(n)
                      if all(mult[e][x] == x and mult[x][e] == x for x in range(n)))
@@ -299,28 +304,18 @@ def _main(argv=None) -> int:
         return 0
 
     if args.cmd == "quandle":
+        if args.action == "involutory":
+            inv = _load_quandle(args.table).is_involutory()
+            _emit(args, "involutory" if inv else "not involutory", {"involutory": inv})
+            return 0 if inv else 1
         try:
             with open(args.table) as fh:
-                toks = fh.read().split()
-            if not toks:
-                raise ValueError("empty quandle table")
-            n = int(toks[0])
-            rows = [[int(t) for t in toks[1 + i * n:1 + (i + 1) * n]] for i in range(n)]
+                issues = check_quandle(_quandle_rows(fh.read()))
         except (OSError, ValueError) as e:
             print(f"input error: {e}", file=sys.stderr)
             return INPUT_ERROR
-        if args.action == "check":
-            try:
-                issues = check_quandle(rows)
-            except ValueError as e:
-                print(f"input error: {e}", file=sys.stderr)
-                return INPUT_ERROR
-            _emit(args, "ok" if not issues else "; ".join(issues), {"issues": issues})
-            return 0 if not issues else 1
-        q = _load_quandle(args.table)
-        inv = q.is_involutory()
-        _emit(args, "involutory" if inv else "not involutory", {"involutory": inv})
-        return 0 if inv else 1
+        _emit(args, "ok" if not issues else "; ".join(issues), {"issues": issues})
+        return 0 if not issues else 1
 
     if args.cmd == "color":
         d = _load_diagram(args.diagram)

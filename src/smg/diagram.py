@@ -548,12 +548,8 @@ class Faces:
         # the outer sentinel's face last, so that index -1 reads it
         self._face = [uf.find(i) for i in range(len(self.orbits))] + [uf.find(-1)]
         self._merged = Counter(self._face[:-1])     # face -> number of its orbits
-        self._loop_face: dict[str, int] = {}
-        self._loops: dict[int, list[str]] = {}
-        for l in d.loops:
-            f = self._face[self._anchor_face(anchor_map.get(l))]
-            self._loop_face[l] = f
-            self._loops.setdefault(f, []).append(l)
+        self._loop_face = {l: self._face[self._anchor_face(anchor_map.get(l))] for l in d.loops}
+        self._loop_faces = set(self._loop_face.values())
 
     def _anchor_face(self, anchor: Optional[tuple[str, int]]) -> int:
         if anchor is None:
@@ -585,9 +581,6 @@ class Faces:
     def face_of_loop(self, loop: str) -> int:
         return self._loop_face[loop]
 
-    def loops_in_face(self, face: int) -> list[str]:
-        return list(self._loops.get(self._face[face], ()))
-
     def orbit_degree(self, orbit_index: int) -> int:
         return len(self.orbits[orbit_index])
 
@@ -596,22 +589,35 @@ class Faces:
         piece's face was merged into it and no loop sits inside.  The outer
         sentinel alone is an empty alias and does not count."""
         face = self._face[orbit_index]
-        return self._merged[face] == 1 and face not in self._loops
+        return self._merged[face] == 1 and face not in self._loop_faces
 
 
 # ---------------------------------------------------------------------------
 # orientations
 
 
+def _ties(node: Node, abstract: bool) -> tuple[tuple[int, int], ...]:
+    """The port pairs at ``node`` that flow one in and one out: straight
+    through crossings and singular vertices; around a marker, alternating,
+    or, in an abstract orientation, along the negative smoothing."""
+    if node.kind != MARKER:
+        return ((0, 2), (1, 3))
+    if abstract:
+        from .resolution import NEGATIVE, smoothing_pairs
+
+        return smoothing_pairs(node.attr, NEGATIVE)
+    return ((0, 1), (1, 2), (2, 3))
+
+
 @dataclass(frozen=True)
 class OrientedDiagram:
     """Diagram plus a direction on every edge and loop.
 
-    ``heads`` lists, per edge, the endpoint the edge flows into.  In strict
-    mode orientations pass straight through crossings and singular vertices
-    and alternate in/out around markers.  ``abstract`` marks an orientation
-    induced from the negative resolution, where the marker alternation rule
-    is waived.
+    ``heads`` lists, per edge, the endpoint the edge flows into.  Flow
+    passes straight through crossings and singular vertices.  Around
+    markers it alternates in/out, unless ``abstract``: an abstract
+    orientation is one of the negative resolution, so at a marker it
+    follows the negative smoothing.
     """
 
     base: Diagram
@@ -639,13 +645,16 @@ class OrientedDiagram:
         if dict(self.loop_dirs).keys() != set(self.base.loops):
             issues.append(Issue("bad orientation", "orientation misses loops"))
         for nd in self.base.nodes:
-            flags = [self.flows_in((nd.id, p)) for p in range(4)]
-            if nd.kind in (CROSSING, SINGULAR):
-                if flags[0] == flags[2] or flags[1] == flags[3]:
-                    issues.append(Issue("bad orientation", f"no through-flow at {nd.id}"))
-            elif not self.abstract:
-                if any(flags[p] == flags[(p + 1) % 4] for p in range(4)):
-                    issues.append(Issue("bad orientation", f"marker {nd.id} not alternating"))
+            if all(self.flows_in((nd.id, p)) != self.flows_in((nd.id, q))
+                   for p, q in _ties(nd, self.abstract)):
+                continue
+            if nd.kind != MARKER:
+                msg = f"no through-flow at {nd.id}"
+            elif self.abstract:
+                msg = f"marker {nd.id} not along its negative smoothing"
+            else:
+                msg = f"marker {nd.id} not alternating"
+            issues.append(Issue("bad orientation", msg))
         return ValidationReport(issues)
 
 
@@ -653,25 +662,23 @@ class StrandParity:
     """Strand orientations of a 4-valent map as parity classes of darts.
 
     A dart's inflow flag says whether its edge flows into the node there.
-    The two ends of an edge have opposite flags, flow passes straight
-    through crossings and singular vertices, and it alternates in/out
-    around markers.  These ties split the darts into classes in which one
-    bit fixes every flag: ``flag = bits[root] ^ parity``.  ``classes`` lists
-    the class roots in sorted order, or is None when the ties contradict
-    each other.  ``edge_ends`` maps each edge to its two end darts; every
-    dart is the end of one edge.
+    The two ends of an edge have opposite flags, and so do the port pairs
+    that :func:`_ties` gives at each node, strict or ``abstract``.  These
+    ties split the darts into classes in which one bit fixes every flag:
+    ``flag = bits[root] ^ parity``.  ``classes`` lists the class roots in
+    sorted order, or is None when the ties contradict each other.
+    ``edge_ends`` maps each edge to its two end darts; every dart is the end
+    of one edge.
     """
 
-    def __init__(self, edge_ends: dict[str, tuple], nodes: Iterable[Node]):
+    def __init__(self, edge_ends: dict[str, tuple], nodes: Iterable[Node],
+                 abstract: bool = False):
         self.edge_ends = edge_ends
         self.edges = sorted(edge_ends)
         darts = [x for ends in edge_ends.values() for x in ends]
         ties = list(edge_ends.values())
         for nd in nodes:
-            if nd.kind in (CROSSING, SINGULAR):
-                ties += [((nd.id, 0), (nd.id, 2)), ((nd.id, 1), (nd.id, 3))]
-            else:
-                ties += [((nd.id, p), (nd.id, p + 1)) for p in range(3)]
+            ties += [((nd.id, p), (nd.id, q)) for p, q in _ties(nd, abstract)]
         self.uf = uf = UnionFind(darts)
         ok = all(uf.union(a, b, 1) for a, b in ties)
         self.classes = sorted({uf.find(x) for x in darts}) if ok else None
@@ -751,13 +758,12 @@ def _strand(d: Diagram, start: str, head: Dart) -> Iterator[tuple[str, Dart]]:
         head = b if a == out else a
 
 
-def _crossing_flow(node_id: str, flows_in: Callable[[Dart], bool]) -> tuple[int, int, int]:
+def _crossing_flow(od: OrientedDiagram, node_id: str) -> tuple[int, int, int]:
     """(incoming under port, incoming over port, sign) of a classical
-    crossing, where ``flows_in(dart)`` says whether the edge at ``dart``
-    flows into the node there.  The sign is +1 when the over-strand comes in
-    one port counterclockwise after the under-strand."""
-    pu = next(p for p in (0, 2) if flows_in((node_id, p)))
-    po = next(p for p in (1, 3) if flows_in((node_id, p)))
+    crossing under ``od``.  The sign is +1 when the over-strand comes in one
+    port counterclockwise after the under-strand."""
+    pu = next(p for p in (0, 2) if od.flows_in((node_id, p)))
+    po = next(p for p in (1, 3) if od.flows_in((node_id, p)))
     return pu, po, 1 if po == (pu + 1) % 4 else -1
 
 

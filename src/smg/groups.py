@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .diagram import CROSSING, MARKER, SINGULAR, Diagram, UnionFind, _crossing_flow, _strand
-from .resolution import NEGATIVE, POSITIVE, Resolution, resolve, smoothing_pairs
+from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, OrientedDiagram, StrandParity, UnionFind,
+                      _crossing_flow)
+from .resolution import NEGATIVE, POSITIVE, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
 
@@ -68,62 +69,23 @@ def cyclic_reduce(w: Word) -> Word:
 # abstract orientation
 
 
-@dataclass
-class AbstractOrientation:
-    """Orientation data pulled back from an oriented negative resolution.
+def abstract_orientation(d: Diagram) -> OrientedDiagram:
+    """An orientation of the negative resolution, read on ``d``.
 
-    ``head`` maps each original edge to the endpoint it flows into; loops
-    get a direction bit.  ``resolution`` is the underlying negative
-    resolution with provenance.
-    """
-
-    diagram: Diagram
-    resolution: Resolution
-    head: dict[str, tuple]
-    loop_dir: dict[str, int]
-
-    def flows_in(self, dart) -> bool:
-        nid, p = dart
-        e = self.diagram.node(nid).ports[p]
-        return self.head[e] == dart
-
-
-def abstract_orientation(d: Diagram) -> AbstractOrientation:
-    """Fix an orientation of the negative resolution and pull it back."""
+    Each strand of the resolution flows into the second end of its least
+    edge there; a strand through markers only, which resolves to a loop,
+    flows into the second end of its least edge of ``d``."""
     res = resolve(d, NEGATIVE)
     c = res.diagram
-
-    # orient each strand circuit of the classical resolution: leave the
-    # start edge through its second endpoint
-    head: dict[str, tuple] = {}
-    for start in c.edges:
-        if start not in head:
-            head.update(_strand(c, start, c.edge_ends[start][1]))
-
-    # pull back along the provenance chains
-    orig_head: dict[str, tuple] = {}
-    loop_dir: dict[str, int] = {l: 0 for l in d.loops}
-    for rid, chain in res.members.items():
-        if rid in d.loops:
-            continue
-        # resolved loops keep the recorded chain direction; resolved edges
-        # align with the circuit direction chosen above (the chain end is
-        # recorded in original port coordinates, so undo the rotation that
-        # resolving a singular vertex may have applied)
-        if rid in c.edges:
-            nid, p = chain[-1][1]
-            rot = res.snode_rot.get(nid, 0)
-            forward = head[rid] == (nid, (p + rot) % 4)
-        else:
-            forward = True
-        for eid, h in chain:
-            if forward:
-                orig_head[eid] = h
-            else:
-                a, b = d.edge_ends[eid]
-                orig_head[eid] = a if h == b else b
-
-    return AbstractOrientation(d, res, orig_head, loop_dir)
+    sp = StrandParity(d.edge_ends, d.nodes, abstract=True)
+    ends = [(n, (p - res.snode_rot.get(n, 0)) % 4)
+            for n, p in (c.edge_ends[e][1] for e in c.edges)]
+    ends += [d.edge_ends[e][1] for e in d.edges]
+    pins: dict = {}
+    for dart in ends:
+        pins.setdefault(sp.uf.find(dart), dart)
+    bits = sp.pinned((dart, 1) for dart in pins.values())
+    return OrientedDiagram(d, sp.heads(bits), tuple((l, 0) for l in d.loops), abstract=True)
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +115,19 @@ def negative_arcs(d: Diagram) -> dict[str, int]:
     return {x: index[uf.find(x)] for x in items}
 
 
-def wirtinger_presentation(d: Diagram,
-                           ao: Optional[AbstractOrientation] = None) -> Presentation:
+def wirtinger_presentation(d: Diagram) -> Presentation:
     """One generator per connected component (arc) of the drawn negative
     resolution; a conjugation relation at every classical crossing, an
     (anti-)equality across every positive marker smoothing, and a
     commutation relation at every double point."""
-    ao = ao or abstract_orientation(d)
+    ao = abstract_orientation(d)
     arc = negative_arcs(d)
     n = len(set(arc.values()))
     rels: list[Word] = []
     for nd in d.nodes:
         ports = nd.ports
         if nd.kind == CROSSING:
-            pu, po, sign = _crossing_flow(nd.id, ao.flows_in)
+            pu, po, sign = _crossing_flow(ao, nd.id)
             a = arc[ports[pu]] + 1             # incoming under-arc
             cgen = arc[ports[(pu + 2) % 4]] + 1    # outgoing under-arc
             y = arc[ports[po]] + 1             # over-arc

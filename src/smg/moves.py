@@ -703,7 +703,7 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
             fixed[int_eids[e]] = (node_ids[h[0]], h[1])
     # the first orientation of the result, in enumeration order, that keeps
     # the pinned heads and every surviving edge's head
-    sp = StrandParity(result.edge_ends, result.nodes)
+    sp = StrandParity(result.edge_ends, result.nodes, od.abstract)
     pins = [(v, 1) for v in fixed.values()] + [(v, 0) for v in banned.values()]
     pins += [(h, 1) for e, h in od.heads if e in result.edge_ends]
     bits = sp.pinned(pins)
@@ -753,9 +753,13 @@ class MoveSequence:
         return MoveSequence(tuple(steps))
 
 
+def _digest(code: bytes) -> str:
+    return hashlib.sha256(code).hexdigest()[:16]
+
+
 def code_digest(d) -> str:
     base = d.base if isinstance(d, OrientedDiagram) else d
-    return hashlib.sha256(base.canonical_code()).hexdigest()[:16]
+    return _digest(base.canonical_code())
 
 
 def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
@@ -808,9 +812,6 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     states = 2
     total_depth = 0
 
-    def digest(code: bytes) -> str:
-        return hashlib.sha256(code).hexdigest()[:16]
-
     def join(code: bytes) -> MoveSequence:
         steps = [s for s, _ in fwd[code][1]]
         path_b = bwd[code][1]
@@ -818,7 +819,7 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         for i in range(len(path_b) - 1, -1, -1):
             s, _ = path_b[i]
             inv = REVERSE if s.direction == FORWARD else FORWARD
-            steps.append(MoveStep(s.move_id, s.variant, inv, digest(codes[i])))
+            steps.append(MoveStep(s.move_id, s.variant, inv, _digest(codes[i])))
         return MoveSequence(tuple(steps))
 
     def expand(frontier, this_side, other_side):
@@ -833,7 +834,7 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
                         code = nxt.canonical_code()
                         if code in this_side:
                             continue
-                        step = MoveStep(move.id, site.variant, direction, digest(code))
+                        step = MoveStep(move.id, site.variant, direction, _digest(code))
                         this_side[code] = (nxt, path + [(step, code)])
                         new_frontier.append(nxt)
                         states += 1

@@ -108,17 +108,24 @@ def quandle_from_rows(rows: Iterable[Iterable[int]]) -> QuandleTable:
     return QuandleTable(tuple(tuple(r) for r in rows))
 
 
-def parse_quandle(text: str) -> QuandleTable:
-    """Quandle file: first line n, then n rows of n 1-indexed entries."""
+def _quandle_rows(text: str) -> list[list[int]]:
+    """The rows of a quandle file: first line n >= 1, then n rows of n
+    1-indexed entries."""
     toks = text.split()
     if not toks:
         raise ValueError("empty quandle table")
     n = int(toks[0])
+    if n < 1:
+        raise ValueError(f"quandle order {n} is below 1")
     vals = [int(t) for t in toks[1:]]
     if len(vals) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(vals)}")
-    rows = [vals[i * n:(i + 1) * n] for i in range(n)]
-    return quandle_from_rows(rows)
+    return [vals[i * n:(i + 1) * n] for i in range(n)]
+
+
+def parse_quandle(text: str) -> QuandleTable:
+    """Quandle file: first line n, then n rows of n 1-indexed entries."""
+    return quandle_from_rows(_quandle_rows(text))
 
 
 def serialize_quandle(q: QuandleTable) -> str:
@@ -264,7 +271,7 @@ def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[Oriented
             continue
         pu, sign = 0, 1
         if orientation is not None:
-            pu, _, sign = _crossing_flow(nid, orientation.flows_in)
+            pu, _, sign = _crossing_flow(orientation, nid)
         # ``out = inn * over`` by ``table``; ``inverse`` is its column
         # inverse, so ``inn = out * over`` by ``inverse``
         out, inn, over = c[(pu + 2) % 4], c[pu], c[1]

@@ -65,17 +65,12 @@ def _singular_rotation(side: int, sign: str) -> int:
 
 @dataclass
 class Resolution:
-    """A classical resolution together with provenance data.
-
-    ``members`` lists, per resolved edge or loop, the traversed original
-    edges as ``(edge id, head dart)`` pairs, head being the endpoint the
-    traversal leaves the edge through (None for original loops).
-    """
+    """A classical resolution; ``snode_rot`` gives, per singular vertex, the
+    rotation that turned it into a crossing (port ``p`` of the vertex is
+    port ``p + rot`` of the crossing)."""
 
     diagram: Diagram
     sign: str
-    edge_of: dict[str, str]
-    members: dict[str, tuple]
     snode_rot: dict[str, int]
 
     @cached_property
@@ -84,11 +79,7 @@ class Resolution:
 
     @cached_property
     def component_of(self) -> dict[str, int]:
-        out = {}
-        for i, comp in enumerate(self.components):
-            for e in comp:
-                out[e] = i
-        return out
+        return _component_index(self.components)
 
     def component_count(self) -> int:
         return len(self.components)
@@ -114,6 +105,11 @@ def classical_components(c: Diagram) -> list[frozenset]:
     comps = [frozenset(v) for v in groups.values()]
     comps += [frozenset([l]) for l in c.loops]
     return sorted(comps, key=min)
+
+
+def _component_index(comps: list[frozenset]) -> dict[str, int]:
+    """Each edge and loop of ``comps`` mapped to its component's index."""
+    return {e: i for i, comp in enumerate(comps) for e in comp}
 
 
 def resolve(d: Diagram, sign: str) -> Resolution:
@@ -143,8 +139,6 @@ def resolve(d: Diagram, sign: str) -> Resolution:
     def is_terminal(dart) -> bool:
         return dart[0] not in marker_ids
 
-    edge_of: dict[str, str] = {}
-    members: dict[str, tuple] = {}
     visited: set[str] = set()
     fresh = _fresh_ids(set(d.edges) | set(d.loops) | {nd.id for nd in d.nodes})
 
@@ -153,51 +147,34 @@ def resolve(d: Diagram, sign: str) -> Resolution:
 
     # open chains, one per pair of terminal ends
     port_sub: dict[tuple, str] = {}
-    for e in sorted(d.edges):
+    for e in d.edges:
         if e in visited:
             continue
         d0, d1 = d.edge_ends[e]
         if not (is_terminal(d0) or is_terminal(d1)):
             continue
         start = d0 if is_terminal(d0) else d1
-        chain = []
         dart = start
         while True:
-            e_cur = segment_at(dart)
-            other = d.alpha(dart)
-            chain.append((e_cur, other))
-            visited.add(e_cur)
-            if is_terminal(other):
-                end = other
+            visited.add(segment_at(dart))
+            end = d.alpha(dart)
+            if is_terminal(end):
                 break
-            dart = succ[other]
+            dart = succ[end]
         eid = fresh("r")
         port_sub[start] = eid
         port_sub[end] = eid
-        for oe, _ in chain:
-            edge_of[oe] = eid
-        members[eid] = tuple(chain)
 
     # closed chains entirely through markers become loops
     new_loops: list[str] = []
-    for e in sorted(d.edges):
+    for e in d.edges:
         if e in visited:
             continue
-        chain = []
         dart = d.edge_ends[e][0]
-        while True:
-            e_cur = segment_at(dart)
-            if e_cur in visited:
-                break
-            other = d.alpha(dart)
-            chain.append((e_cur, other))
-            visited.add(e_cur)
-            dart = succ[other]
-        lid = fresh("c")
-        new_loops.append(lid)
-        for oe, _ in chain:
-            edge_of[oe] = lid
-        members[lid] = tuple(chain)
+        while (seg := segment_at(dart)) not in visited:
+            visited.add(seg)
+            dart = succ[d.alpha(dart)]
+        new_loops.append(fresh("c"))
 
     final_nodes = []
     for nd in keep_nodes:
@@ -207,15 +184,11 @@ def resolve(d: Diagram, sign: str) -> Resolution:
         final_nodes.append(Node(nd.id, CROSSING, None, ports))
 
     loops = tuple(d.loops) + tuple(new_loops)
-    for l in d.loops:
-        edge_of[l] = l
-        members[l] = ((l, None),)
-
     out = Diagram(d.name, tuple(final_nodes), loops, ())
     rep = out.validate()
     if not rep.ok:
         raise ValueError(f"resolution produced invalid diagram: {rep}")
-    return Resolution(out, sign, edge_of, members, snode_rot)
+    return Resolution(out, sign, snode_rot)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +200,7 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
     inter-component crossings."""
     c = od.base
     comps = classical_components(c)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for e in comp:
-            comp_of[e] = i
+    comp_of = _component_index(comps)
     n = len(comps)
     twice = [[0] * n for _ in range(n)]
     for nd in c.nodes:
@@ -238,7 +208,7 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
         j = comp_of[nd.ports[1]]
         if i == j:
             continue
-        sign = _crossing_flow(nd.id, od.flows_in)[2]
+        sign = _crossing_flow(od, nd.id)[2]
         twice[i][j] += sign
         twice[j][i] += sign
     if any(v % 2 for row in twice for v in row):
@@ -248,7 +218,7 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
 
 def crossing_sign(od: OrientedDiagram, node_id: str) -> int:
     """+1 or -1, the sign of crossing ``node_id`` under ``od``."""
-    return _crossing_flow(node_id, od.flows_in)[2]
+    return _crossing_flow(od, node_id)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, Node, _first_orientat
 from .groups import Presentation, cyclic_reduce
 from .moves import FORWARD, MoveSpec, Pattern, _sites, apply_move, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
-from .resolution import _require_classical, classical_components, crossing_sign, linking_matrix
+from .resolution import (_component_index, _require_classical, classical_components, crossing_sign,
+                         linking_matrix)
 
 M5 = "M5"
 M6 = "M6"
@@ -200,10 +201,7 @@ def kirby_group(k: KirbyDiagram) -> Presentation:
     if od is None:
         raise ValueError("degenerate embedding: diagram is not orientable")
     comps = classical_components(c)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for e in comp:
-            comp_of[e] = i
+    comp_of = _component_index(comps)
     dotted_index: dict[int, int] = {}
     for gi, comp in enumerate(k.dotted):
         dotted_index[comps.index(comp)] = gi

@@ -58,6 +58,27 @@ def test_empty_table_is_an_input_error(files, capsys, argv):
     assert capsys.readouterr().err.startswith("input error: empty")
 
 
+def test_group_entry_out_of_range_is_an_input_error(files, capsys):
+    table = files["dir"] / "bad.g"
+    table.write_text("2\n1 2\n2 3\n")
+    assert main(["homs", "fixture:trefoil", "--table", str(table)]) == 3
+    assert capsys.readouterr().err == "input error: entries must lie in 1..2\n"
+
+
+@pytest.mark.parametrize("text", ["-1 5", "0"])
+@pytest.mark.parametrize("argv", [
+    ["quandle", "check", "TABLE"],
+    ["quandle", "involutory", "TABLE"],
+    ["color", "fixture:trefoil", "TABLE"],
+])
+def test_quandle_order_below_one_is_an_input_error(files, capsys, text, argv):
+    table = files["dir"] / "bad.q"
+    table.write_text(text + "\n")
+    assert main([str(table) if a == "TABLE" else a for a in argv]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("input error: quandle order")
+
+
 def test_admissible_circle_yes(files, capsys):
     rc = main(["admissible", files["circle"]])
     assert rc == 0

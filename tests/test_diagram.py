@@ -266,6 +266,22 @@ def test_oriented_round_trip():
     assert serialize(od2) == text
 
 
+@pytest.mark.parametrize("text, issues", [
+    ("diagram trefoil\n"
+     "node t1 X cr cl m1l m1r\nnode t2 X m1r m1l m2l m2r\nnode t3 X m2r m2l cl cr\n"
+     "orient cl t1.1 -> t3.2\norient cr t1.0 -> t3.3\norient m1l t1.2 -> t2.1\n"
+     "orient m1r t2.0 -> t1.3\norient m2l t3.1 -> t2.2\norient m2r t3.0 -> t2.3\nend\n",
+     "bad orientation: no through-flow at t1; bad orientation: no through-flow at t2"),
+    ("diagram saddle_sphere\nnode v M 1 a a b b\n"
+     "orient a v.0 -> v.1\norient b v.3 -> v.2\nend\n",
+     "bad orientation: marker v not alternating"),
+], ids=["crossing", "marker"])
+def test_strict_orientation_issues_are_pinned(text, issues):
+    assert str(parse_smg(text, allow_invalid=True).validate()) == issues
+    with pytest.raises(SMGSemanticError, match=issues):
+        parse_smg(text)
+
+
 def test_place_line_round_trip():
     text = ("diagram t\n"
             "node k X b a a b\n"

@@ -1,10 +1,15 @@
+import hashlib
+from functools import lru_cache
+
 import pytest
 
-from smg.diagram import MARKER
-from smg.fixtures import fixture
+from smg.catalog import move_catalog
+from smg.diagram import MARKER, OrientedDiagram
+from smg.fixtures import fixture, fixture_names
 from smg.groups import (
     Presentation,
     abelianization,
+    abstract_orientation,
     cyclic_group,
     groups_up_to_order,
     hom_count,
@@ -12,7 +17,24 @@ from smg.groups import (
     tietze_simplify,
     wirtinger_presentation,
 )
+from smg.moves import FORWARD, REVERSE, apply_move, find_sites
 from smg.resolution import NEGATIVE, resolve
+
+
+@lru_cache(maxsize=None)
+def fixtures_and_first_rewrites() -> tuple:
+    """Every fixture, each followed by its rewrite at the first site of
+    every move and direction that has one."""
+    out = []
+    for name in fixture_names():
+        d = fixture(name)
+        out.append(d)
+        for m in move_catalog("unoriented"):
+            for direction in (FORWARD, REVERSE):
+                site = next(iter(find_sites(d, m, direction)), None)
+                if site is not None:
+                    out.append(apply_move(d, m, site))
+    return tuple(out)
 
 
 def surface_component_count(d):
@@ -141,3 +163,33 @@ def test_group_tables_are_groups():
 def test_presentation_printing():
     p = Presentation(2, ((1, -2),))
     assert "g1" in str(p) and "g2^-1" in str(p)
+
+
+def test_presentations_are_pinned():
+    """Wirtinger presentations and their Tietze simplifications of every
+    fixture and of its first rewrites, byte for byte."""
+    h = hashlib.sha256()
+    for d in fixtures_and_first_rewrites():
+        p = wirtinger_presentation(d)
+        h.update(f"{p}\n{tietze_simplify(p)}\n".encode())
+    assert h.hexdigest()[:16] == "c474d39a2bb9ad05"
+
+
+def test_abstract_orientation_is_a_valid_abstract_orientation():
+    for d in fixtures_and_first_rewrites():
+        ao = abstract_orientation(d)
+        assert isinstance(ao, OrientedDiagram) and ao.abstract and ao.base is d
+        assert ao.validate().ok, (d.name, str(ao.validate()))
+
+
+@pytest.mark.parametrize("name", ["d2m5", "d2m6"])
+def test_abstract_orientation_follows_the_negative_smoothing(name):
+    """Reversing the edge at port 2 of marker ``m`` breaks its negative
+    smoothing pair, and the marker is reported."""
+    d = fixture(name)
+    ao = abstract_orientation(d)
+    e = d.node("m").ports[2]
+    a, b = d.edge_ends[e]
+    heads = tuple((x, (a if h == b else b) if x == e else h) for x, h in ao.heads)
+    issues = [str(i) for i in OrientedDiagram(d, heads, ao.loop_dirs, True).validate()]
+    assert "bad orientation: marker m not along its negative smoothing" in issues

@@ -97,6 +97,12 @@ def test_quandle_file_round_trip():
     assert parse_quandle(text).table == FOUR_QUANDLE.table
 
 
+@pytest.mark.parametrize("text", ["-1 5", "0"])
+def test_quandle_file_of_order_below_one_is_rejected(text):
+    with pytest.raises(ValueError, match="quandle order -?[01] is below 1"):
+        parse_quandle(text)
+
+
 def test_small_quandle_census():
     counts = {}
     for q in small_quandles(4):
