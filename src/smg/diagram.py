@@ -549,7 +549,6 @@ class Faces:
         self._face = [uf.find(i) for i in range(len(self.orbits))] + [uf.find(-1)]
         self._merged = Counter(self._face[:-1])     # face -> number of its orbits
         self._loop_face = {l: self._face[self._anchor_face(anchor_map.get(l))] for l in d.loops}
-        self._loop_faces = set(self._loop_face.values())
 
     def _anchor_face(self, anchor: Optional[tuple[str, int]]) -> int:
         if anchor is None:
@@ -589,7 +588,7 @@ class Faces:
         piece's face was merged into it and no loop sits inside.  The outer
         sentinel alone is an empty alias and does not count."""
         face = self._face[orbit_index]
-        return self._merged[face] == 1 and face not in self._loop_faces
+        return self._merged[face] == 1 and face not in self._loop_face.values()
 
 
 # ---------------------------------------------------------------------------

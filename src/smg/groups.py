@@ -81,10 +81,10 @@ def abstract_orientation(d: Diagram) -> OrientedDiagram:
     ends = [(n, (p - res.snode_rot.get(n, 0)) % 4)
             for n, p in (c.edge_ends[e][1] for e in c.edges)]
     ends += [d.edge_ends[e][1] for e in d.edges]
-    pins: dict = {}
+    # the first end of each class flows in
+    bits: dict = {}
     for dart in ends:
-        pins.setdefault(sp.uf.find(dart), dart)
-    bits = sp.pinned((dart, 1) for dart in pins.values())
+        bits.setdefault(sp.uf.find(dart), 1 ^ sp.uf.parity(dart))
     return OrientedDiagram(d, sp.heads(bits), tuple((l, 0) for l in d.loops), abstract=True)
 
 
