@@ -78,10 +78,16 @@ def edit(text: str, rng: random.Random) -> str:
     return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
-def run(argv, paths, capsys):
-    rc = main([paths.get(a, a) for a in argv])
+def run(argv, paths, capsys, key, text):
+    """Write ``text`` to the file ``key`` names and run ``argv`` on it."""
+    with open(paths[key], "w") as fh:
+        fh.write(text)
+    try:
+        rc = main([paths.get(a, a) for a in argv])
+    except Exception as e:
+        pytest.fail(f"{argv} raised {e!r} on:\n{text}")
     capsys.readouterr()
-    assert rc in EXIT_CODES, argv
+    assert rc in EXIT_CODES, (argv, text)
 
 
 @pytest.fixture
@@ -96,9 +102,7 @@ def paths(tmp_path):
 def test_edited_diagrams_never_crash(argv, paths, capsys):
     rng = random.Random(" ".join(argv))
     for text in diagram_texts():
-        with open(paths["D"], "w") as fh:
-            fh.write(edit(text, rng))
-        run(argv, paths, capsys)
+        run(argv, paths, capsys, "D", edit(text, rng))
 
 
 @pytest.mark.parametrize("argv", TABLE_VERBS, ids=" ".join)
@@ -107,6 +111,4 @@ def test_edited_tables_never_crash(argv, paths, capsys):
     key = "Q" if "Q" in argv else "G"
     text = serialize_quandle(FOUR_QUANDLE) if key == "Q" else Z3
     for _ in range(40):
-        with open(paths[key], "w") as fh:
-            fh.write(edit(text, rng))
-        run(argv, paths, capsys)
+        run(argv, paths, capsys, key, edit(text, rng))
