@@ -30,12 +30,14 @@ from .moves import (
     search_equivalence,
 )
 from .quandles import (
+    FOUR_QUANDLE,
     QuandleTable,
     _quandle_rows,
     check_quandle,
     coloring_count,
     colorings,
     parse_quandle,
+    serialize_quandle,
 )
 from .resolution import (
     NEGATIVE,
@@ -68,14 +70,17 @@ def _base(d):
     return d.base if isinstance(d, OrientedDiagram) else d
 
 
+def _quandle_text(path: str) -> str:
+    """The quandle file at ``path``, or the built-in table ``fixture:four``."""
+    if path == "fixture:four":
+        return serialize_quandle(FOUR_QUANDLE)
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load_quandle(path: str) -> QuandleTable:
     try:
-        if path == "fixture:four":
-            from .quandles import FOUR_QUANDLE
-
-            return FOUR_QUANDLE
-        with open(path) as fh:
-            return parse_quandle(fh.read())
+        return parse_quandle(_quandle_text(path))
     except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         raise SystemExit(INPUT_ERROR)
@@ -309,8 +314,7 @@ def _main(argv=None) -> int:
             _emit(args, "involutory" if inv else "not involutory", {"involutory": inv})
             return 0 if inv else 1
         try:
-            with open(args.table) as fh:
-                issues = check_quandle(_quandle_rows(fh.read()))
+            issues = check_quandle(_quandle_rows(_quandle_text(args.table)))
         except (OSError, ValueError) as e:
             print(f"input error: {e}", file=sys.stderr)
             return INPUT_ERROR

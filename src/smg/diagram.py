@@ -258,21 +258,23 @@ class Diagram:
 
     # -- canonical form ---------------------------------------------------
 
+    #: piece id -> generators of the piece's automorphism group (see
+    #: :func:`_canonise`).  ``_piece_canon`` sets it on a diagram only when
+    #: some piece has an automorphism, so that the many asymmetric diagrams
+    #: a search holds store nothing for it.  Nothing mutates it.
+    _piece_gens = {}
+
     @cached_property
     def _piece_canon(self) -> dict[str, tuple]:
         """piece id -> (signature, tuple of minimizing root darts)."""
-        out = {}
+        out, gens = {}, {}
         for ids, alpha, _ in self._darts:
-            table = _canon_table(self.node_map, ids, alpha)
-            best, roots = None, []
-            for root in range(len(alpha)):
-                got = _signature(table, root, best)
-                if got is None:
-                    continue
-                if got[0] is not best:
-                    best, roots = got[0], []
-                roots.append((ids[root >> 2], root & 3))
-            out[ids[0]] = (best, tuple(roots))
+            best, roots, found = _canonise(_canon_table(self.node_map, ids, alpha))
+            out[ids[0]] = (best, tuple((ids[r >> 2], r & 3) for r in roots))
+            if found:
+                gens[ids[0]] = found
+        if gens:
+            self.__dict__["_piece_gens"] = gens
         return out
 
     def _canonical_face_name(self, pid: str, darts: tuple[int, ...]) -> tuple:
@@ -280,27 +282,25 @@ class Diagram:
         given by its integer darts: the least over the piece's minimizing
         roots of the darts renumbered as the root's signature numbers them.
 
-        A signature row lists every neighbour's number and port relative to
-        the port it is read from, so walking the rows from a root recovers
-        that numbering from ``alpha`` alone."""
-        ids, alpha, _ = next(t for t in self._darts if t[0][0] == pid)
-        sig, roots = self._piece_canon[pid]
-        index = {nid: i for i, nid in enumerate(ids)}
-        best = None
-        for n, p in roots:
-            v = index[n]
-            order, rots = [v], {v: p - (p & 1) if sig[0][0] == CROSSING else p}
-            for row, v in zip(sig, order):
-                for k, (m, q) in enumerate(row[2:]):
-                    if m == len(order):
-                        w = alpha[4 * v + (rots[v] + k) % 4]
-                        order.append(w >> 2)
-                        rots[w >> 2] = (w - q) % 4
-            labels = {v: i for i, v in enumerate(order)}
-            name = tuple(sorted((labels[x >> 2], (x - rots[x >> 2]) % 4) for x in darts))
-            if best is None or name < best:
-                best = name
-        return best
+        Every minimizing root numbers the nodes as the first one does after
+        an automorphism of the piece, so this is the least name the first
+        root gives the face's images under the automorphisms; the
+        generators ``_canonise`` found reach every image."""
+        ids, alpha, orbit = next(t for t in self._darts if t[0][0] == pid)
+        n, p = self._piece_canon[pid][1][0]
+        _, labels, rots = _signature(_canon_table(self.node_map, ids, alpha),
+                                     4 * ids.index(n) + p)
+        members, gens = self.faces().orbits, self._piece_gens.get(pid, ())
+        images, seen = [darts], {orbit[darts[0]]}
+        for face in images:
+            x = face[0]
+            for img, shift in gens:
+                o = orbit[4 * img[x >> 2] + (x + shift[x >> 2]) % 4]
+                if o not in seen:
+                    seen.add(o)
+                    images.append(members[o])
+        return min(tuple(sorted((labels[x >> 2], (x - rots[x >> 2]) % 4) for x in face))
+                   for face in images)
 
     def canonical_code(self) -> bytes:
         """Byte string equal exactly for isomorphic decorated sphere maps."""
@@ -441,6 +441,54 @@ def _signature(table: tuple, root: int, best: Optional[tuple] = None):
                 tight = False
         sig.append(row)
     return (best if tight else tuple(sig)), labels, rots
+
+
+def _canonise(table: tuple) -> tuple:
+    """``(signature, roots, generators)`` of a piece: its least signature,
+    every integer root dart that reaches it in order, and automorphisms
+    ``(img, shift)`` that generate the piece's automorphism group.
+
+    A root's signature depends only on its state ``4*v + enter[root]``.  A
+    root that ties the best one numbers the nodes as the best one does
+    after an automorphism: node ``v`` goes to ``img[v]``, the node the tying
+    root gives the best root's number of ``v``, turned by ``shift[v]`` ports,
+    and state ``(v, e)`` to ``(img[v], (e + shift[v]) % 4)``.  Every state in
+    the orbit of the best state under the generators found so far ties, so
+    its roots join without a signature.  Only the identity fixes a state,
+    because a numbering is fixed by its root; so each new generator at
+    least doubles the orbit, there are at most log2(4n) of them, and the
+    orbit ends as exactly the tying states."""
+    alpha, enter, _ = table
+    best, roots, gens, orbit = None, [], [], []
+    tied = bytearray(len(alpha))
+    for root in range(len(alpha)):
+        state = root - (root & 3) + enter[root]
+        if not tied[state]:
+            got = _signature(table, root, best)
+            if got is None:
+                continue
+            sig, labels, rots = got
+            if sig is not best:
+                for s in orbit:
+                    tied[s] = 0
+                best, roots, gens, orbit = sig, [], [], [state]
+                tied[state] = 1
+                best_labels, best_rots = labels, rots
+            else:
+                order = [0] * len(labels)
+                for v, i in enumerate(labels):
+                    order[i] = v
+                img = [order[i] for i in best_labels]
+                gens.append((img, [(rots[w] - r) % 4 for w, r in zip(img, best_rots)]))
+                for s in orbit:     # grows as it is read: closes it under gens
+                    v, e = s >> 2, s & 3
+                    for to, turn in gens:
+                        t = 4 * to[v] + (e + turn[v]) % 4
+                        if not tied[t]:
+                            tied[t] = 1
+                            orbit.append(t)
+        roots.append(root)
+    return best, roots, gens
 
 
 def _fresh_ids(taken: set[str]) -> Callable[[str], str]:

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import smg
 from smg.cli import main
 from smg.fixtures import CIRCLE, FR, HOPF
 from smg.quandles import FOUR_QUANDLE, serialize_quandle
@@ -170,6 +174,22 @@ def test_homs_cli(files, tmp_path, capsys):
 def test_quandle_cli(files, capsys):
     assert main(["quandle", "check", files["q"]]) == 0
     assert main(["quandle", "involutory", files["q"]]) == 0
+
+
+def test_every_quandle_verb_reads_the_built_in_table(capsys):
+    assert main(["quandle", "check", "fixture:four"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["quandle", "involutory", "fixture:four"]) == 0
+    assert main(["color", "fixture:fr", "fixture:four"]) == 0
+    assert capsys.readouterr().out == "involutory\n16\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "smg", "validate", "fixture:fr"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "ok\n")
 
 
 def test_semiinv_profile_export(files, capsys):

@@ -191,6 +191,55 @@ def t2_text(n: int) -> str:
     return "\n".join(lines + ["end"]) + "\n"
 
 
+def kink_chain_text(kinds: str) -> str:
+    """A cycle of nodes of the given kinds (``X``, ``M`` with axis 0 or ``S``
+    with side 1), each carrying a monogon on its ports 1 and 2: n kinks in a
+    row for ``"X" * n``."""
+    n = len(kinds)
+    lines = [f"diagram chain_{kinds}"]
+    for i, kind in enumerate(kinds):
+        attr = {"X": "", "M": " 0", "S": " 1"}[kind]
+        lines.append(f"node v{i:05d} {kind}{attr} s{(i - 1) % n:05d} k{i:05d} k{i:05d} s{i:05d}")
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+def with_loop_at(text: str, corner: int) -> str:
+    """``text`` with a loop placed at ``corner`` of its first node."""
+    return text.replace("end\n", f"loop c0\nplace c0 in v00000.{corner}\nend\n")
+
+
+def shuffled_naming(d: Diagram, rng: random.Random) -> Diagram:
+    """``d`` under seeded node and edge ids that do not keep its order."""
+    ids = sorted(nd.id for nd in d.nodes)
+    nm = dict(zip(ids, (f"n{k}" for k in rng.sample(range(10 * len(ids)), len(ids)))))
+    em = {e: f"e{k}" for k, e in enumerate(rng.sample(sorted(d.edges), len(d.edges)))}
+    return d.relabeled(nm, em)
+
+
+def test_symmetric_pieces_take_a_signature_per_generator(monkeypatch):
+    """Every root of T(2,n) ties; the roots an automorphism found so far
+    reaches join without a breadth-first signature of their own."""
+    import smg.diagram as diagram
+
+    calls = 0
+    signature = diagram._signature
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return signature(*args)
+
+    monkeypatch.setattr(diagram, "_signature", counted)
+    rng = random.Random(29)
+    for n in (300, 1000):
+        kept = parse_smg(t2_text(n))
+        for d in (kept, shuffled_naming(kept, rng)):
+            calls = 0
+            assert len(d.faces().orbits) == n + 2
+            assert calls <= 2 + (4 * n).bit_length()
+    assert d.canonical_code() == kept.canonical_code()
+
+
 def test_enumerate_orientations_on_a_thousand_crossings():
     from smg.groups import cyclic_group, hom_count, wirtinger_presentation
     from smg.quandles import coloring_count, dihedral_quandle
@@ -555,11 +604,17 @@ def test_bounded_canonicalisation_matches_unbounded_reference():
                 cases += [apply_move(d, m, s) for s in find_sites(d, m, direction)]
     rng = random.Random(23)
     for n in (2, 3, 7, 16, 40):
-        d = parse_smg(t2_text(n))
-        ids = sorted(nd.id for nd in d.nodes)
-        nm = dict(zip(ids, (f"n{k}" for k in rng.sample(range(10 * n), n))))
-        em = {e: f"e{k}" for k, e in enumerate(rng.sample(sorted(d.edges), len(d.edges)))}
-        cases.append(d.relabeled(nm, em))
+        cases.append(shuffled_naming(parse_smg(t2_text(n)), rng))
+    # partly symmetric pieces: automorphisms that reach some roots, not all
+    for n in (1, 2, 3, 6):
+        t2 = t2_text(n)
+        texts = [kink_chain_text(kind * n) for kind in ("X", "M", "S", "XM", "XXS")]
+        texts.append(t2.replace("node v00000 X", "node v00000 M 0", 1))
+        texts += [with_loop_at(text, k) for text in (t2, kink_chain_text("M" * n))
+                  for k in range(4)]
+        for text in texts:
+            d = parse_smg(text)
+            cases += [d, shuffled_naming(d, rng)]
     assert len(cases) > 1600
     for d in cases:
         assert d._piece_canon == reference_piece_canon(d), serialize(d)
