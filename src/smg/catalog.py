@@ -92,6 +92,12 @@ def _parse_catalog(text: str):
 
 
 def _with_mirrors(variants):
+    """The variants followed by each mirror that is not a syntactic copy.
+
+    Some mirrors kept here are isomorphic copies or leg turns of an earlier
+    variant (``moves._covers``).  They stay, because traces name variants by
+    index and :func:`find_sites` returns every variant's sites; the search
+    and the simplifier expand only ``MoveSpec._kept``."""
     out = list(variants)
     seen = {(v[0].nodes, v[0].legs, v[1].nodes, v[1].legs) for v in out}
     for lhs, rhs in variants:

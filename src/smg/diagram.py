@@ -457,15 +457,20 @@ def _canonise(table: tuple) -> tuple:
     its roots join without a signature.  Only the identity fixes a state,
     because a numbering is fixed by its root; so each new generator at
     least doubles the orbit, there are at most log2(4n) of them, and the
-    orbit ends as exactly the tying states."""
+    orbit ends as exactly the tying states.  A state that lost also loses
+    against every later best, which is only smaller, so it is marked lost
+    and a later root in the same state skips the signature."""
     alpha, enter, _ = table
     best, roots, gens, orbit = None, [], [], []
-    tied = bytearray(len(alpha))
+    tied = bytearray(len(alpha))    # 1: ties the best, 2: lost
     for root in range(len(alpha)):
         state = root - (root & 3) + enter[root]
+        if tied[state] == 2:
+            continue
         if not tied[state]:
             got = _signature(table, root, best)
             if got is None:
+                tied[state] = 2
                 continue
             sig, labels, rots = got
             if sig is not best:

@@ -228,6 +228,68 @@ class MoveSpec:
         lhs, rhs = self.variants[variant]
         return rhs if direction == FORWARD else lhs
 
+    @cached_property
+    def _kept(self) -> dict[str, tuple[int, ...]]:
+        """Per direction, the variants a search expands: all but those
+        covered by an earlier one with the same results.  A cover with
+        ``s = 0`` is an isomorphic copy; one with ``s != 0`` gives the same
+        results only when the replacement side has a node, since new loops
+        are placed from leg 1 and only bare strands can close one."""
+        covers = _covers(self.variants)
+        kept = {}
+        for direction in (FORWARD, REVERSE):
+            skip = {b for _, b, s in covers if s == 0 or self.other_side(b, direction).nodes}
+            kept[direction] = tuple(v for v in range(len(self.variants)) if v not in skip)
+        return kept
+
+
+def _leg_shifts(a: Pattern, b: Pattern) -> list[int]:
+    """Every ``s`` for which ``b`` is ``a`` with leg ``k`` renumbered
+    ``k+s`` mod K: a bijection of the closed fragments' darts that commutes
+    with ``alpha`` and ``phi``, turns the hub, and keeps node kinds,
+    decorations and edge heads.  Every dart is reached from the hub, so the
+    image of ``(HUB, 0)`` fixes the bijection."""
+    K = a.K
+    if not K or b.K != K or len(a.nodes) != len(b.nodes):
+        return []
+
+    def head_darts(pat: Pattern) -> set:
+        return {pat.hub_dart_of_leg(h[1]) if h[0] == "leg" else h for _, h in pat.heads}
+
+    shifts = []
+    for t in range(K):
+        img = {(HUB, 0): (HUB, t)}
+        stack = [(HUB, 0)]
+        while stack and img is not None:
+            x = stack.pop()
+            for fx, fy in ((a.alpha(x), b.alpha(img[x])), (a.phi(x), b.phi(img[x]))):
+                if fx not in img:
+                    img[fx] = fy
+                    stack.append(fx)
+                elif img[fx] != fy:
+                    img = None
+                    break
+        if img is None or len(set(img.values())) != len(img):
+            continue
+        turned = [(nd, b.node_map[img[(nd.id, 0)][0]], img[(nd.id, 0)][1]) for nd in a.nodes]
+        if all(m.kind == nd.kind and not (nd.kind == CROSSING and q % 2)
+               and (nd.attr is None or m.attr == (nd.attr + q) % 2) for nd, m, q in turned) \
+                and {img[x] for x in head_darts(a)} == head_darts(b):
+            shifts.append(-t % K)
+    return shifts
+
+
+def _covers(variants) -> list[tuple[int, int, int]]:
+    """``(a, b, s)`` with ``a < b`` when variant ``b``'s pair is variant
+    ``a``'s with leg ``k`` renumbered ``k+s`` mod K on both sides: each
+    site of ``b`` is then a site of ``a`` with its legs turned."""
+    out = []
+    for b, (lb, rb) in enumerate(variants):
+        for a, (la, ra) in enumerate(variants[:b]):
+            right = _leg_shifts(ra, rb)
+            out += [(a, b, s) for s in _leg_shifts(la, lb) if s in right]
+    return out
+
 
 # ---------------------------------------------------------------------------
 # matching
@@ -432,15 +494,17 @@ def find_sites(d, move: MoveSpec, direction: str = FORWARD) -> list[Site]:
     return list(_sites(d, move, direction))
 
 
-def _sites(d, move: MoveSpec, direction: str) -> Iterator[Site]:
+def _sites(d, move: MoveSpec, direction: str, kept: bool = False) -> Iterator[Site]:
     """The sites of :func:`find_sites`, in its order, found one at a time
-    for callers that stop at the first one they use."""
+    for callers that stop at the first one they use.  With ``kept``, only
+    the sites of the variants in ``move._kept``: a search then skips sites
+    whose results an earlier variant's sites already gave."""
     od = d if isinstance(d, OrientedDiagram) else None
     base = d.base if od is not None else d
     if move.oriented and od is None:
         raise ValueError(f"move {move.id} requires an oriented diagram")
     faces = base.faces()
-    for variant in range(len(move.variants)):
+    for variant in move._kept[direction] if kept else range(len(move.variants)):
         pat = move.side(variant, direction)
         for amap, targets in _iter_embeddings(base, pat):
             if not _face_conditions(base, faces, pat, amap, targets):
@@ -829,7 +893,7 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
             path = this_side[d.canonical_code()][1]
             for move in moves:
                 for direction in (FORWARD, REVERSE):
-                    for site in find_sites(d, move, direction):
+                    for site in _sites(d, move, direction, kept=True):
                         nxt = apply_move(d, move, site)
                         code = nxt.canonical_code()
                         if code in this_side:

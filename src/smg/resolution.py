@@ -38,7 +38,6 @@ from .moves import (
     _sites,
     apply_move,
     code_digest,
-    find_sites,
 )
 
 POSITIVE = "positive"
@@ -280,7 +279,7 @@ def _greedy_reduce(c: Diagram, moves) -> tuple[Diagram, tuple]:
     cur = c
     while cur.counts[0] > 0:
         for m in moves:
-            site = next(_sites(cur, m, REVERSE), None)
+            site = next(_sites(cur, m, REVERSE, kept=True), None)
             if site is not None:
                 cur = apply_move(cur, m, site)
                 steps += (MoveStep(m.id, site.variant, REVERSE, code_digest(cur)),)
@@ -310,7 +309,7 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
         x, _, d, steps = heapq.heappop(heap)
         for m in moves:
             for direction in (REVERSE, FORWARD):
-                for site in find_sites(d, m, direction):
+                for site in _sites(d, m, direction, kept=True):
                     nxt = apply_move(d, m, site)
                     if nxt.counts[0] > ceiling:
                         continue

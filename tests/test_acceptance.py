@@ -1,5 +1,6 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
+import hashlib
 import time
 
 from smg.catalog import catalog_map, move_catalog
@@ -212,9 +213,12 @@ def test_criterion_7_derived_move_realizability():
     cat = catalog_map("unoriented")
     lengths = {}
     t_all = 0.0
-    for host, primed, allowed in [
-        ("d2m5", "O11p", ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O11"]),
-        ("d2m6", "O12p", ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O12"]),
+    # answer: sha256 of the found sequence's serialize(), 16 hex digits
+    for host, primed, allowed, answer in [
+        ("d2m5", "O11p", ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O11"],
+         "7fd9ee99f3cdd0b9"),
+        ("d2m6", "O12p", ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O12"],
+         "aa451f4c33f9b1aa"),
     ]:
         d = fixture(host)
         site = find_sites(d, cat[primed], FORWARD)[0]
@@ -231,6 +235,9 @@ def test_criterion_7_derived_move_realizability():
             lengths[primed] = len(seq)
         if not ok:
             report(7, False, f"{primed} realization failed", dt)
+        got = hashlib.sha256(seq.serialize().encode()).hexdigest()[:16]
+        if got != answer:
+            report(7, False, f"{primed} answer {got} is not the pinned {answer}", dt)
     report(7, True,
            f"realized lengths (derived values): {lengths}", t_all)
 

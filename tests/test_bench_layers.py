@@ -38,3 +38,25 @@ def test_per_layer_metrics_name_public_functions():
         if function.startswith("_") or not inspect.isfunction(fn):
             missing.append(f"{module}.{function}")
     assert not missing, f"BENCHMARK.json names missing layers: {missing}"
+
+
+#: what the recorder wraps in ``smg.moves`` and ``smg.catalog``: each
+#: public function, its own or imported from another ``smg`` module.  A
+#: helper called per site or per variant costs a span on every call, so a
+#: new public name here is a change to the benchmark's trace and must be
+#: deliberate; helpers stay private.
+PUBLIC_FUNCTIONS = {
+    "moves": ["apply_move", "code_digest", "find_sites", "parse_pattern",
+              "search_equivalence", "verify_sequence"],
+    "catalog": ["catalog_map", "mirror_pattern", "move_catalog", "orient_pattern",
+                "parse_pattern"],
+}
+
+
+def test_public_functions_of_moves_and_catalog_are_pinned():
+    for module, names in PUBLIC_FUNCTIONS.items():
+        mod = importlib.import_module(f"smg.{module}")
+        public = sorted(attr for attr, fn in vars(mod).items()
+                        if not attr.startswith("_") and inspect.isfunction(fn)
+                        and fn.__module__.startswith("smg."))
+        assert public == names, module

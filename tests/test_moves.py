@@ -1,8 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from smg.catalog import catalog_map, move_catalog
-from smg.diagram import enumerate_orientations
-from smg.fixtures import fixture
+from smg.diagram import enumerate_orientations, parse_smg
+from smg.fixtures import fixture, fixture_names
 from smg.moves import (
     FORWARD,
     REVERSE,
@@ -293,3 +296,82 @@ def test_oriented_matching_respects_direction():
         assert sites  # a kink can always be created on a loop
         out = apply_move(od, ocat["G1"], sites[0])
         assert out.validate().ok
+
+
+#: ``(a, b, s)``: variant ``b`` of the move is variant ``a`` with leg ``k``
+#: renumbered ``k+s`` mod K on both sides.  With ``s = 0`` the mirror the
+#: catalog adds is an isomorphic copy.  The oriented catalog has none.
+COVERS = {
+    "O1": [(1, 2, 1), (0, 3, 1)],
+    "O2": [(0, 1, 0)],
+    "O3": [(1, 2, 2), (0, 3, 2)],
+    "O4": [(0, 1, 4)], "O4p": [(0, 1, 4)],
+    "O6": [(0, 1, 0)], "O6p": [(0, 1, 0)], "O8": [(0, 1, 0)],
+    "D_O9pp": [(0, 1, 5)], "D_O9ppp": [(0, 1, 5)],
+}
+
+
+def test_covers_are_pinned():
+    from smg.moves import _covers
+
+    for mode, want in (("unoriented", COVERS), ("oriented", {})):
+        got = {m.id: _covers(m.variants) for m in move_catalog(mode)}
+        assert {mid: c for mid, c in got.items() if c} == want, mode
+    # a covered variant is expanded only where the legs it turns can matter:
+    # O1 reverse sews in a bare strand, which can close a loop placed from leg 1
+    for m in move_catalog("unoriented"):
+        for direction in (FORWARD, REVERSE):
+            dropped = set(range(len(m.variants))) - set(m._kept[direction])
+            covered = {b for _, b, _ in COVERS.get(m.id, [])}
+            assert dropped == (set() if (m.id, direction) == ("O1", REVERSE) else covered)
+
+
+#: the two targets three WALK_MOVES from ``two_loops`` and ``circle`` on
+#: which the search's answer does not replay (ROADMAP item 1)
+DEFECT_TARGETS = [
+    "diagram two_loops\nnode q0 X t1 t0 t0 t1\nloop c0\nplace c0 in q0.3\nend\n",
+    "diagram circle\nnode q0 X t4 t6 t5 t3\nnode q1 X t4 t3 t2 t2\n"
+    "node q2 X t6 t1 t1 t5\nend\n",
+]
+
+
+def test_covered_variants_give_their_covers_codes():
+    rng = random.Random(11)
+    hosts = [fixture(n) for n in fixture_names()] + [parse_smg(t) for t in DEFECT_TARGETS]
+    for d in list(hosts):   # four one-move rewrites of each
+        rewrites = [(m, s) for m in CAT.values() for direction in (FORWARD, REVERSE)
+                    for s in find_sites(d, m, direction)]
+        hosts += [apply_move(d, *r) for r in rng.sample(rewrites, 4)]
+    for d in hosts:
+        for mid, covers in COVERS.items():
+            move = CAT[mid]
+            for direction in (FORWARD, REVERSE):
+                codes = [set() for _ in move.variants]
+                for s in find_sites(d, move, direction):
+                    codes[s.variant].add(apply_move(d, move, s).canonical_code())
+                for a, b, _ in covers:
+                    assert codes[a] == codes[b], (d.name, mid, direction, a, b)
+
+
+WALK_MOVES = ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10"]
+#: sha256 of ``serialize()`` of the search's answer, 16 hex digits, per host
+#: of a seeded walk of two WALK_MOVES: the sequence found, its variants and
+#: fingerprints are part of what the search promises to keep
+WALK_ANSWERS = {
+    "saddle_sphere": "168674f6370a0c1a", "sing_sphere": "f8fe919ba0c8d971",
+    "hopf": "abbdff680d132d74", "trefoil": "21a24800c0ffbfea",
+    "d2m5": "f33085312db2c20b", "d2m6": "fd5ab8c8fc3809c8",
+}
+
+
+@pytest.mark.parametrize("host", sorted(WALK_ANSWERS))
+def test_search_answers_on_two_move_walks_are_pinned(host):
+    rng = random.Random(host)
+    d = target = fixture(host)
+    for _ in range(2):
+        options = [(CAT[m], s) for m in WALK_MOVES for direction in (FORWARD, REVERSE)
+                   for s in find_sites(target, CAT[m], direction)]
+        target = apply_move(target, *rng.choice(options))
+    seq = search_equivalence(d, target, CAT, WALK_MOVES, SearchBudget(2, 100_000))
+    assert verify_sequence(d, seq, CAT).canonical_code() == target.canonical_code()
+    assert hashlib.sha256(seq.serialize().encode()).hexdigest()[:16] == WALK_ANSWERS[host]
