@@ -229,18 +229,11 @@ class MoveSpec:
         return rhs if direction == FORWARD else lhs
 
     @cached_property
-    def _kept(self) -> dict[str, tuple[int, ...]]:
-        """Per direction, the variants a search expands: all but those
-        covered by an earlier one with the same results.  A cover with
-        ``s = 0`` is an isomorphic copy; one with ``s != 0`` gives the same
-        results only when the replacement side has a node, since new loops
-        are placed from leg 1 and only bare strands can close one."""
-        covers = _covers(self.variants)
-        kept = {}
-        for direction in (FORWARD, REVERSE):
-            skip = {b for _, b, s in covers if s == 0 or self.other_side(b, direction).nodes}
-            kept[direction] = tuple(v for v in range(len(self.variants)) if v not in skip)
-        return kept
+    def _kept(self) -> tuple[int, ...]:
+        """The variants a search expands: all but those covered by an
+        earlier one (:func:`_covers`), whose sites give the same results."""
+        skip = {b for _, b, _ in _covers(self.variants)}
+        return tuple(v for v in range(len(self.variants)) if v not in skip)
 
 
 def _leg_shifts(a: Pattern, b: Pattern) -> list[int]:
@@ -497,14 +490,15 @@ def find_sites(d, move: MoveSpec, direction: str = FORWARD) -> list[Site]:
 def _sites(d, move: MoveSpec, direction: str, kept: bool = False) -> Iterator[Site]:
     """The sites of :func:`find_sites`, in its order, found one at a time
     for callers that stop at the first one they use.  With ``kept``, only
-    the sites of the variants in ``move._kept``: a search then skips sites
-    whose results an earlier variant's sites already gave."""
+    the sites of the variants in ``move._kept``: a caller that stops at the
+    first site then skips matching the variants whose sites repeat an
+    earlier variant's."""
     od = d if isinstance(d, OrientedDiagram) else None
     base = d.base if od is not None else d
     if move.oriented and od is None:
         raise ValueError(f"move {move.id} requires an oriented diagram")
     faces = base.faces()
-    for variant in move._kept[direction] if kept else range(len(move.variants)):
+    for variant in move._kept if kept else range(len(move.variants)):
         pat = move.side(variant, direction)
         for amap, targets in _iter_embeddings(base, pat):
             if not _face_conditions(base, faces, pat, amap, targets):
@@ -893,7 +887,9 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
             path = this_side[d.canonical_code()][1]
             for move in moves:
                 for direction in (FORWARD, REVERSE):
-                    for site in _sites(d, move, direction, kept=True):
+                    for site in find_sites(d, move, direction):
+                        if site.variant not in move._kept:
+                            continue
                         nxt = apply_move(d, move, site)
                         code = nxt.canonical_code()
                         if code in this_side:

@@ -38,6 +38,7 @@ from .moves import (
     _sites,
     apply_move,
     code_digest,
+    find_sites,
 )
 
 POSITIVE = "positive"
@@ -309,7 +310,9 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
         x, _, d, steps = heapq.heappop(heap)
         for m in moves:
             for direction in (REVERSE, FORWARD):
-                for site in _sites(d, m, direction, kept=True):
+                for site in find_sites(d, m, direction):
+                    if site.variant not in m._kept:
+                        continue
                     nxt = apply_move(d, m, site)
                     if nxt.counts[0] > ceiling:
                         continue

@@ -317,13 +317,9 @@ def test_covers_are_pinned():
     for mode, want in (("unoriented", COVERS), ("oriented", {})):
         got = {m.id: _covers(m.variants) for m in move_catalog(mode)}
         assert {mid: c for mid, c in got.items() if c} == want, mode
-    # a covered variant is expanded only where the legs it turns can matter:
-    # O1 reverse sews in a bare strand, which can close a loop placed from leg 1
     for m in move_catalog("unoriented"):
-        for direction in (FORWARD, REVERSE):
-            dropped = set(range(len(m.variants))) - set(m._kept[direction])
-            covered = {b for _, b, _ in COVERS.get(m.id, [])}
-            assert dropped == (set() if (m.id, direction) == ("O1", REVERSE) else covered)
+        dropped = set(range(len(m.variants))) - set(m._kept)
+        assert dropped == {b for _, b, _ in COVERS.get(m.id, [])}, m.id
 
 
 #: the two targets three WALK_MOVES from ``two_loops`` and ``circle`` on
