@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .diagram import MARKER, Node, StrandParity
+from .diagram import CROSSING, MARKER, Node, StrandParity
 from .moves import HUB, MoveSpec, Pattern, parse_pattern
 
 #: order of the 17 core unoriented moves plus the 3 flagged-derived ones
@@ -95,7 +95,7 @@ def _with_mirrors(variants):
     """The variants followed by each mirror that is not a syntactic copy.
 
     Some mirrors kept here are isomorphic copies or leg turns of an earlier
-    variant (``moves._covers``).  They stay, because traces name variants by
+    variant (:func:`_covers`).  They stay, because traces name variants by
     index and :func:`find_sites` returns every variant's sites; the search
     and the simplifier expand only ``MoveSpec._kept``."""
     out = list(variants)
@@ -107,6 +107,54 @@ def _with_mirrors(variants):
             seen.add(key)
             out.append((ml, mr))
     return tuple(out)
+
+
+def _leg_shifts(a: Pattern, b: Pattern) -> list[int]:
+    """Every ``s`` for which ``b`` is ``a`` with leg ``k`` renumbered
+    ``k+s`` mod K: a bijection of the closed fragments' darts that commutes
+    with ``alpha`` and ``phi``, turns the hub, and keeps node kinds,
+    decorations and edge heads.  Every dart is reached from the hub, so the
+    image of ``(HUB, 0)`` fixes the bijection."""
+    K = a.K
+    if not K or b.K != K or len(a.nodes) != len(b.nodes):
+        return []
+
+    def head_darts(pat: Pattern) -> set:
+        return {pat.hub_dart_of_leg(h[1]) if h[0] == "leg" else h for _, h in pat.heads}
+
+    shifts = []
+    for t in range(K):
+        img = {(HUB, 0): (HUB, t)}
+        stack = [(HUB, 0)]
+        while stack and img is not None:
+            x = stack.pop()
+            for fx, fy in ((a.alpha(x), b.alpha(img[x])), (a.phi(x), b.phi(img[x]))):
+                if fx not in img:
+                    img[fx] = fy
+                    stack.append(fx)
+                elif img[fx] != fy:
+                    img = None
+                    break
+        if img is None or len(set(img.values())) != len(img):
+            continue
+        turned = [(nd, b.node_map[img[(nd.id, 0)][0]], img[(nd.id, 0)][1]) for nd in a.nodes]
+        if all(m.kind == nd.kind and not (nd.kind == CROSSING and q % 2)
+               and (nd.attr is None or m.attr == (nd.attr + q) % 2) for nd, m, q in turned) \
+                and {img[x] for x in head_darts(a)} == head_darts(b):
+            shifts.append(-t % K)
+    return shifts
+
+
+def _covers(variants) -> list[tuple[int, int, int]]:
+    """``(a, b, s)`` with ``a < b`` when variant ``b``'s pair is variant
+    ``a``'s with leg ``k`` renumbered ``k+s`` mod K on both sides: each
+    site of ``b`` is then a site of ``a`` with its legs turned."""
+    out = []
+    for b, (lb, rb) in enumerate(variants):
+        for a, (la, ra) in enumerate(variants[:b]):
+            right = _leg_shifts(ra, rb)
+            out += [(a, b, s) for s in _leg_shifts(la, lb) if s in right]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -312,7 +312,7 @@ COVERS = {
 
 
 def test_covers_are_pinned():
-    from smg.moves import _covers
+    from smg.catalog import _covers
 
     for mode, want in (("unoriented", COVERS), ("oriented", {})):
         got = {m.id: _covers(m.variants) for m in move_catalog(mode)}
