@@ -2,23 +2,26 @@
 
 The positive/negative resolution smooths every marker and resolves every
 singular vertex into a classical crossing; what remains is a classical link
-diagram.  Triviality of classical diagrams is semi-decided: cheap
-obstructions (linking numbers, Fox 3-colorings) give certified NO answers,
-a bounded search over the classical Reidemeister moves gives certified YES
-answers, and budget exhaustion reports UNKNOWN.
+diagram.  It is one pass of the vertex substitution that the semi-invariant
+transforms and the Kirby export share (``_substitute``).  Triviality of
+classical diagrams is semi-decided: cheap obstructions (linking numbers,
+Fox 3-colorings) give certified NO answers, a bounded search over the
+classical Reidemeister moves gives certified YES answers, and budget
+exhaustion reports UNKNOWN.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .diagram import (
     CROSSING,
     MARKER,
     SINGULAR,
+    Dart,
     Diagram,
     Node,
     OrientedDiagram,
@@ -31,10 +34,12 @@ from .diagram import (
 )
 from .moves import (
     FORWARD,
+    HUB,
     REVERSE,
     MoveSequence,
     MoveSpec,
     MoveStep,
+    Pattern,
     _sites,
     apply_move,
     code_digest,
@@ -112,83 +117,163 @@ def _component_index(comps: list[frozenset]) -> dict[str, int]:
     return {e: i for i, comp in enumerate(comps) for e in comp}
 
 
+#: the positive smoothing of a marker as a tangle: at rotation ``a``, the
+#: marker's axis, it joins ports ``(a, a+1)`` and ``(a+2, a+3)``; turned by
+#: one port either way it is the negative smoothing (see :func:`smoothing_pairs`)
+_SMOOTHING = Pattern((), ("p", "p", "q", "q"))
+
+
 def resolve(d: Diagram, sign: str) -> Resolution:
     """Smooth every marker and resolve every singular vertex."""
     if sign not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"bad sign {sign!r}")
-    keep_nodes: list[Node] = []
-    snode_rot: dict[str, int] = {}
+        raise SMGSemanticError(f"bad sign {sign!r}")
+    snode_rot, subs = {}, {}
     for nd in d.nodes:
-        if nd.kind == CROSSING:
-            keep_nodes.append(nd)
-        elif nd.kind == SINGULAR:
+        if nd.kind == SINGULAR:
             snode_rot[nd.id] = _singular_rotation(nd.attr, sign)
-            keep_nodes.append(nd)
+        elif nd.kind == MARKER:
+            subs[nd.id] = (_SMOOTHING, nd.attr + (sign == NEGATIVE))
+    return Resolution(_substitute(d, subs, d.name, snode_rot)[0], sign, snode_rot)
 
-    # chain original edges through the marker smoothings
-    succ: dict[tuple, tuple] = {}   # (node, port) joined to (node, port)
+
+@lru_cache(maxsize=None)
+def _leg_ends(pat: Pattern, rot: int) -> tuple:
+    """``(p, n, q)`` per leg of ``pat`` turned by ``rot``: the leg sits on
+    port ``p`` of the vertex, and its edge ends at port ``q`` of tangle node
+    ``n`` or, when ``n`` is HUB, at the vertex's port ``q``."""
+    ends = [pat.alpha(pat.hub_dart_of_leg(k)) for k in range(1, 5)]
+    return tuple(((k + rot) % 4, n, (3 - q + rot) % 4 if n == HUB else q)
+                 for k, (n, q) in enumerate(ends))
+
+
+def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
+                turned: Optional[dict[str, int]] = None, places: bool = False):
+    """Replace each node ``v`` of ``subs`` by its tangle in one pass, with leg
+    ``k`` on port ``(k - 1 + rot) % 4`` of ``v`` for ``subs[v] = (tangle, rot)``.
+
+    Tangle nodes and interior edges get fresh ids.  Each strand through the
+    tangles' bare strands becomes one new edge, named in ``d.edges`` order,
+    or a new loop when it closes.  A node of ``turned`` becomes a crossing
+    whose port ``p + turned[v]`` was its port ``p``.  Places are dropped
+    unless ``places``.  Returns the validated result and, per replaced
+    node, its tangle's interior edges mapped to their new ids."""
+    turned = turned or {}
+    node_map, edge_ends = d.node_map, d.edge_ends
+    fresh = _fresh_ids(set(edge_ends) | set(d.loops) | set(node_map))
+    succ: dict[Dart, Dart] = {}     # host end of a bare strand -> its other end
+    stop: dict[Dart, Dart] = {}     # host end -> result node port, where they differ
+    edge_at: dict[Dart, str] = {}   # result node port -> its edge
+    ids, interior = {}, {}
+    for v, r in turned.items():
+        stop.update({(v, p): (v, (p + r) % 4) for p in range(4)})
+    for v, (pat, rot) in subs.items():
+        new = ids[v] = {nd.id: fresh("q") for nd in pat.nodes}
+        inner = interior[v] = {e: fresh("t") for e in pat.interior_edges}
+        edge_at.update({(new[t.id], q): inner[e]
+                        for t in pat.nodes for q, e in enumerate(t.ports) if e in inner})
+        for p, n, q in _leg_ends(pat, rot):
+            if n == HUB:
+                succ[(v, p)] = (v, q)
+            else:
+                stop[(v, p)] = (new[n], q)
+
+    seen: set[str] = set()
+
+    def cross(dart: Dart) -> Dart:
+        e = node_map[dart[0]].ports[dart[1]]
+        seen.add(e)
+        a, b = edge_ends[e]
+        return b if a == dart else a
+
+    for e in d.edges:
+        if e in seen:
+            continue
+        start, end = edge_ends[e]
+        if start in succ:
+            if end in succ:
+                continue    # an edge inside a strand
+            start = end
+        end = cross(start)
+        while end in succ:
+            end = cross(succ[end])
+        edge_at[stop.get(start, start)] = edge_at[stop.get(end, end)] = fresh("r")
+    closed = []     # per new loop, the host end its walk leaves each edge from
+    for e in d.edges:
+        if e not in seen:
+            dart, darts = edge_ends[e][0], []
+            while node_map[dart[0]].ports[dart[1]] not in seen:
+                darts.append(dart)
+                dart = succ[cross(dart)]
+            closed.append(darts)
+    new_loops = tuple([fresh("c") for _ in closed])
+
+    heads = []      # (id, kind, attr) of the result's nodes
     for nd in d.nodes:
-        if nd.kind != MARKER:
-            continue
-        for p, q in smoothing_pairs(nd.attr, sign):
-            succ[(nd.id, p)] = (nd.id, q)
-            succ[(nd.id, q)] = (nd.id, p)
-
-    marker_ids = {nd.id for nd in d.nodes if nd.kind == MARKER}
-
-    def is_terminal(dart) -> bool:
-        return dart[0] not in marker_ids
-
-    visited: set[str] = set()
-    fresh = _fresh_ids(set(d.edges) | set(d.loops) | {nd.id for nd in d.nodes})
-
-    def segment_at(dart):
-        return d.node(dart[0]).ports[dart[1]]
-
-    # open chains, one per pair of terminal ends
-    port_sub: dict[tuple, str] = {}
-    for e in d.edges:
-        if e in visited:
-            continue
-        d0, d1 = d.edge_ends[e]
-        if not (is_terminal(d0) or is_terminal(d1)):
-            continue
-        start = d0 if is_terminal(d0) else d1
-        dart = start
-        while True:
-            visited.add(segment_at(dart))
-            end = d.alpha(dart)
-            if is_terminal(end):
-                break
-            dart = succ[end]
-        eid = fresh("r")
-        port_sub[start] = eid
-        port_sub[end] = eid
-
-    # closed chains entirely through markers become loops
-    new_loops: list[str] = []
-    for e in d.edges:
-        if e in visited:
-            continue
-        dart = d.edge_ends[e][0]
-        while (seg := segment_at(dart)) not in visited:
-            visited.add(seg)
-            dart = succ[d.alpha(dart)]
-        new_loops.append(fresh("c"))
-
-    final_nodes = []
-    for nd in keep_nodes:
-        r = snode_rot.get(nd.id, 0)
-        # rotating by one puts the old (0,2)-strand on top at ports (1,3)
-        ports = tuple(port_sub[(nd.id, (p - r) % 4)] for p in range(4))
-        final_nodes.append(Node(nd.id, CROSSING, None, ports))
-
-    loops = tuple(d.loops) + tuple(new_loops)
-    out = Diagram(d.name, tuple(final_nodes), loops, ())
+        if nd.id in subs:
+            heads += [(ids[nd.id][t.id], t.kind, t.attr) for t in subs[nd.id][0].nodes]
+        else:
+            heads.append((nd.id, CROSSING, None) if nd.id in turned else (nd.id, nd.kind, nd.attr))
+    nodes = tuple([Node(n, kind, attr, (edge_at[(n, 0)], edge_at[(n, 1)], edge_at[(n, 2)],
+                                        edge_at[(n, 3)])) for n, kind, attr in heads])
+    anchors = ()
+    if places and (d.anchors or new_loops):
+        anchors = _carry_places(d, subs, ids, nodes, closed, new_loops)
+    out = Diagram(name, nodes, d.loops + new_loops, anchors)
     rep = out.validate()
     if not rep.ok:
-        raise ValueError(f"resolution produced invalid diagram: {rep}")
-    return Resolution(out, sign, snode_rot)
+        raise SMGError(f"substitution produced an invalid diagram: {rep}")
+    return out, interior
+
+
+def _carry_places(d: Diagram, subs, ids, nodes, closed, new_loops) -> tuple:
+    """Places for :func:`_substitute`'s result.  Faces of ``d`` that one face
+    of a tangle touches, or that lie either side of a new loop (loops are
+    transparent), become one face.  A place at a replaced corner moves to
+    the first result corner in its face that is not on the component itself,
+    and so does each new loop; with none it goes to the outer face.  A
+    component follows its surviving and tangle nodes, and a piece that
+    splits gives its place to every part."""
+    faces = d.faces()
+    uf = UnionFind(range(-1, len(faces.orbits)))
+    host_corner = {}    # tangle node corner -> a corner of ``d`` in its face
+    for v, (pat, rot) in subs.items():
+        for face in pat.faces:
+            # the gap after leg k = 4 - t, at hub dart (HUB, t), is a corner of v
+            gaps = [(v, (3 - t + rot) % 4) for n, t in face if n == HUB]
+            for g in gaps[1:]:
+                uf.union(faces.face_of_corner(g), faces.face_of_corner(gaps[0]))
+            if gaps:    # dart (n, p) lies in the face of corner (n, p - 1)
+                host_corner.update({(ids[v][n], (p - 1) % 4): gaps[0] for n, p in face if n != HUB})
+    for darts in closed:
+        for x in darts:
+            uf.union(faces.face_of_dart(x), faces.face_of_dart(d.alpha(x)))
+    corners: dict[int, list] = {}   # face of the result -> its corners in order
+    for nd in nodes:
+        for k in range(4):
+            c = (nd.id, k) if nd.id in d.node_map else host_corner.get((nd.id, k))
+            if c is not None:
+                corners.setdefault(uf.find(faces.face_of_corner(c)), []).append((nd.id, k))
+
+    def settle(face: int, own=()) -> Optional[tuple[str, int]]:
+        return next((c for c in corners.get(uf.find(face), ()) if c[0] not in own), None)
+
+    piece_of = {n: min(p) for p in Diagram(d.name, nodes).graph_pieces for n in p}
+    places = {}
+    for pid, anchor in d.anchors:
+        own, parts = (), [pid]
+        if pid in d.node_map:
+            piece = next(p for p in d.graph_pieces if min(p) == pid)
+            own = {x for n in piece for x in (ids[n].values() if n in ids else (n,))}
+            parts = sorted({piece_of[x] for x in own})
+        if anchor is not None and anchor[0] in subs:
+            anchor = settle(faces.face_of_corner(anchor), own)
+        if anchor is not None:
+            places.update(dict.fromkeys(parts, anchor))
+    for loop, darts in zip(new_loops, closed):
+        anchor = settle(faces.face_of_dart(darts[0]))
+        if anchor is not None:
+            places[loop] = anchor
+    return tuple(places.items())
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, Node, _first_orientation, _strand,
+from .diagram import (MARKER, SINGULAR, Diagram, SMGSemanticError, _first_orientation, _strand,
                       enumerate_orientations)
 from .groups import Presentation, cyclic_reduce
-from .moves import FORWARD, MoveSpec, Pattern, _sites, apply_move, parse_pattern
+from .moves import Pattern, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
-from .resolution import (_component_index, _require_classical, classical_components, crossing_sign,
-                         linking_matrix)
+from .resolution import (_SMOOTHING, _component_index, _require_classical, _substitute,
+                         classical_components, crossing_sign, linking_matrix)
 
 M5 = "M5"
 M6 = "M6"
@@ -57,49 +57,24 @@ def _tangles() -> dict[str, tuple[Pattern, tuple[str, ...]]]:
     return _parse_tangles(text)
 
 
-def _bare_vertex(kind: str) -> Pattern:
-    nd = Node("v", kind, 0 if kind != CROSSING else None,
-              ("l1", "l2", "l3", "l4"))
-    return Pattern((nd,), ("l1", "l2", "l3", "l4"))
-
-
-@lru_cache(maxsize=None)
-def _replacement_move(kind: str, tangle_name: str) -> MoveSpec:
-    tangle, _ = _tangles()[tangle_name]
-    return MoveSpec(f"replace_{tangle_name}", ((_bare_vertex(kind), tangle),))
-
-
-def _replace_all(d: Diagram, rules: dict[str, str], track_framed: bool = False):
-    """Replace every marker/singular vertex by its tangle; returns the
-    classical diagram and, if tracked, the set of framed edge ids."""
-    framed_edges: set[str] = set()
-    cur = d
-    while True:
-        target = next((nd for nd in cur.nodes if nd.kind in rules), None)
-        if target is None:
-            break
-        move = _replacement_move(target.kind, rules[target.kind])
-        site = next((s for s in _sites(cur, move, FORWARD)
-                     if s.node_image_map["v"][0] == target.id), None)
-        if site is None:
-            raise ValueError(f"no replacement site at {target.id}")
-        nxt, info = apply_move(cur, move, site, return_info=True)
-        if track_framed:
-            _, fr = _tangles()[rules[target.kind]]
-            framed_edges |= {info["int_eids"][e] for e in fr}
-        cur = nxt
-    return cur, framed_edges
+def _replace_all(d: Diagram, tangles: dict[str, tuple[Pattern, tuple[str, ...]]], suffix: str,
+                 turn: int = 0) -> tuple[Diagram, set[str]]:
+    """Substitute every marker/singular vertex by the tangle of its kind,
+    turned by its attribute plus ``turn`` ports; returns the classical
+    diagram and the ids of the tangles' framed edges."""
+    subs = {nd.id: (tangles[nd.kind][0], nd.attr + turn) for nd in d.nodes if nd.kind in tangles}
+    out, interior = _substitute(d, subs, f"{d.name}_{suffix}", places=True)
+    return out, {interior[v][e] for v in subs for e in tangles[d.node(v).kind][1]}
 
 
 def semi_transform(d: Diagram, kind: str) -> Diagram:
-    """The marker/singular replacement underlying the two semi-invariants."""
+    """The marker/singular replacement underlying the two semi-invariants.
+    f^M6 is f^M5 with every tangle turned back by one port, so that a marker
+    takes its negative smoothing instead of its positive one."""
     if kind not in (M5, M6):
-        raise ValueError(f"kind must be M5 or M6, got {kind!r}")
-    rules = {MARKER: "f5_marker", SINGULAR: "f5_singular"} if kind == M5 else \
-        {MARKER: "f6_marker", SINGULAR: "f6_singular"}
-    out, _ = _replace_all(d, rules)
-    out = Diagram(f"{d.name}_{kind.lower()}", out.nodes, out.loops, out.anchors)
-    return out
+        raise SMGSemanticError(f"kind must be M5 or M6, got {kind!r}")
+    tangles = {MARKER: (_SMOOTHING, ()), SINGULAR: _tangles()["clasp"]}
+    return _replace_all(d, tangles, kind.lower(), 0 if kind == M5 else 3)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +159,9 @@ def export_exterior(d: Diagram) -> KirbyDiagram:
     """Handle diagram of the complement: dot every negative-resolution
     component, add one 0-framed circle per band and a commutator circle per
     double point."""
-    rules = {MARKER: "ext_marker", SINGULAR: "ext_singular"}
-    out, framed_edges = _replace_all(d, rules, track_framed=True)
-    out = Diagram(f"{d.name}_ext", out.nodes, out.loops, out.anchors)
+    tangles = _tangles()
+    out, framed_edges = _replace_all(
+        d, {MARKER: tangles["ext_marker"], SINGULAR: tangles["ext_singular"]}, "ext")
     comps = classical_components(out)
     framed = tuple(c for c in comps if c & framed_edges)
     dotted = tuple(c for c in comps if not (c & framed_edges))
@@ -199,7 +174,7 @@ def kirby_group(k: KirbyDiagram) -> Presentation:
     c = k.diagram
     od = _first_orientation(c)
     if od is None:
-        raise ValueError("degenerate embedding: diagram is not orientable")
+        raise SMGSemanticError("degenerate embedding: diagram is not orientable")
     comps = classical_components(c)
     comp_of = _component_index(comps)
     dotted_index: dict[int, int] = {}

@@ -40,16 +40,23 @@ def test_per_layer_metrics_name_public_functions():
     assert not missing, f"BENCHMARK.json names missing layers: {missing}"
 
 
-#: what the recorder wraps in ``smg.moves`` and ``smg.catalog``: each
-#: public function, its own or imported from another ``smg`` module.  A
-#: helper called per site or per variant costs a span on every call, so a
-#: new public name here is a change to the benchmark's trace and must be
-#: deliberate; helpers stay private.
+#: what the recorder wraps in ``smg.moves``, ``smg.catalog``,
+#: ``smg.resolution`` and ``smg.transforms``: each public function, its own
+#: or imported from another ``smg`` module.  A helper called per site, per
+#: variant or per vertex costs a span on every call, so a new public name
+#: here is a change to the benchmark's trace and must be deliberate;
+#: helpers stay private.
 PUBLIC_FUNCTIONS = {
     "moves": ["apply_move", "code_digest", "find_sites", "parse_pattern",
               "search_equivalence", "verify_sequence"],
     "catalog": ["catalog_map", "mirror_pattern", "move_catalog", "orient_pattern",
                 "parse_pattern"],
+    "resolution": ["apply_move", "classical_components", "code_digest", "crossing_sign",
+                   "find_sites", "is_admissible", "is_trivial_unlink", "linking_matrix",
+                   "reidemeister_simplify", "resolve", "smoothing_pairs"],
+    "transforms": ["classical_components", "coloring_count", "crossing_sign", "cyclic_reduce",
+                   "enumerate_orientations", "export_exterior", "kirby_group", "linking_matrix",
+                   "parse_pattern", "profile", "semi_transform"],
 }
 
 

@@ -53,6 +53,19 @@ def test_resolve_keeps_crossings_verbatim():
     assert r.diagram.canonical_code() == d.canonical_code()
 
 
+def test_substitution_checks_its_result():
+    """A tangle whose strands cross without a node makes a map that is not
+    spherical; the substitution says so with a typed error."""
+    from smg.diagram import SMGError
+    from smg.moves import Pattern
+    from smg.resolution import _substitute
+
+    d = parse_smg("diagram h\nnode m M 0 bo ao bl al\nnode x X al bl ao bo\nend\n")
+    crossed = Pattern((), ("p", "q", "p", "q"))
+    with pytest.raises(SMGError, match="non-spherical embedding"):
+        _substitute(d, {"m": (crossed, 0)}, "h")
+
+
 def test_simplify_kink_single_step():
     simp, trace = reidemeister_simplify(fixture("kink"))
     assert simp.counts[0] == 0

@@ -1,8 +1,14 @@
-from smg.diagram import enumerate_orientations, parse_smg
+from collections import Counter
+
+import pytest
+
+from smg.diagram import (Diagram, Node, SMGSemanticError, enumerate_orientations, parse_smg,
+                         serialize)
 from smg.fixtures import fixture
 from smg.groups import abelianization, hom_count, groups_up_to_order, wirtinger_presentation
 from smg.resolution import NEGATIVE, resolve
 from smg.transforms import (
+    KirbyDiagram,
     export_exterior,
     kirby_group,
     profile,
@@ -22,22 +28,108 @@ def test_semi_transform_identity_on_classical():
             assert out.canonical_code() == d.canonical_code()
 
 
-def test_semi_transform_applies_each_replacement_once(monkeypatch):
-    """Each vertex is replaced at the first site found at it, and no site is
-    applied only to check that it would."""
-    import smg.transforms
+def chain(kind: str, n: int):
+    """n vertices in a row, each with a monogon (``perfbench.families.chain``)."""
+    attr = 0 if kind == "M" else 1
+    return parse_smg(f"diagram chain_{kind}\n" + "".join(
+        f"node v{i} {kind} {attr} s{(i - 1) % n} k{i} k{i} s{i}\n" for i in range(n)) + "end\n")
 
-    n = 16
-    chain = parse_smg("diagram chain\n" + "".join(
-        f"node v{i:02d} M 0 s{(i - 1) % n} k{i} k{i} s{i}\n" for i in range(n)) + "end\n")
-    applied = []
-    real = smg.transforms.apply_move
-    monkeypatch.setattr(smg.transforms, "apply_move",
-                        lambda *args, **kw: applied.append(args[2]) or real(*args, **kw))
-    for kind in ("M5", "M6"):
-        applied.clear()
-        assert semi_transform(chain, kind).is_classical()
-        assert 0 < len(applied) <= 2 * n, kind
+
+def test_semi_transform_applies_each_replacement_once(monkeypatch):
+    """Every vertex is replaced in one pass: the result is validated once,
+    and the move engine finds and applies no site."""
+    import smg
+
+    calls = Counter()
+    real_validate = Diagram.validate
+
+    def validate(self):
+        calls["validate"] += 1
+        return real_validate(self)
+
+    monkeypatch.setattr(Diagram, "validate", validate)
+    for name in ("find_sites", "_sites", "apply_move"):
+        for module in (smg.moves, smg.resolution, smg.transforms, smg):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **kw:
+                                    calls.update([name]) or real(*a, **kw))
+    for kind in ("M", "S"):
+        d = chain(kind, 64)
+        for f in (lambda d: semi_transform(d, "M5"), lambda d: semi_transform(d, "M6"),
+                  export_exterior):
+            calls.clear()
+            f(d)
+            assert calls == {"validate": 1}, kind
+
+
+def test_thousand_vertex_chains():
+    """Chains of 10^3 markers or double points: one circle per smoothing
+    arc, one dotted circle per negative-resolution circle and one framed
+    circle per vertex."""
+    n = 1000
+    for kind, loops, counts in (("M", (1, n + 1), (n + 1, n)), ("S", (0, 0), (1, n))):
+        d = chain(kind, n)
+        m5, m6 = semi_transform(d, "M5"), semi_transform(d, "M6")
+        assert (len(m5.loops), len(m6.loops)) == loops, kind
+        assert m5.is_classical() and m6.is_classical()
+        assert export_exterior(d).counts() == counts, kind
+
+
+def test_bad_arguments_raise_typed_errors():
+    d = fixture("saddle_sphere")
+    with pytest.raises(SMGSemanticError, match="bad sign"):
+        resolve(d, "sideways")
+    with pytest.raises(SMGSemanticError, match="M5 or M6"):
+        semi_transform(d, "M7")
+    # no orientation fits: around a marker the flow alternates in and out
+    d = parse_smg("diagram t\nnode m M 0 e0 e1 e2 e3\nnode x X e0 e3 e2 e1\nend\n")
+    with pytest.raises(SMGSemanticError, match="not orientable"):
+        kirby_group(KirbyDiagram(d, (), ()))
+
+
+#: small hosts with markers and double points, one with a placed piece
+PLACED_HOSTS = [
+    "node m M 0 bo ao bl al\nnode x X al bl ao bo\n",
+    "node m S 0 bo ao bl al\nnode x X al bl ao bo\n",
+    "node v M 1 a a b b\n",
+    "node v S 0 a a b b\n",
+    "node m M 0 a a b c\nnode s S 0 b c w w\n",
+    "node v M 1 a a b b\nnode k X d c c d\nplace k in v.0\n",
+    "node c1 X e3 aN e2 aW\nnode c2 X aN e3 aE tipE\nnode c3 X aE e5 aS tipE\n"
+    "node c4 X e5 aW e6 aS\nnode s1 S 0 e2 mt mb e6\nnode s2 S 1 mt h h mb\n",
+    "node m M 1 bo ao bl al\nnode n S 0 al bl ao bo\n",
+    "node t1 M 0 cr cl m1l m1r\nnode t2 X m1r m1l m2l m2r\nnode t3 S 1 m2r m2l cl cr\n",
+    "node v0 M 0 s2 k0 k0 s0\nnode v1 M 1 s0 k1 k1 s1\nnode v2 S 0 s1 k2 k2 s2\n",
+]
+
+
+def test_transforms_see_faces_not_corners():
+    """A loop, or a piece with a marker, placed at any corner of one face of
+    the host gives the same transforms: a place at a replaced vertex's
+    corner lands in the face that the corner's face becomes."""
+    from tests.test_diagram import anchored_hosts
+
+    mover = Node("zv", "M", 1, ("za", "za", "zb", "zb"))
+    hosts = [parse_smg(f"diagram h\n{body}end\n") for body in PLACED_HOSTS] + anchored_hosts()
+    pairs = 0
+    for host in hosts:
+        faces = host.faces()
+        by_face = {}
+        for nd in host.nodes:
+            for k in range(4):
+                placed = (Diagram(host.name, host.nodes, host.loops + ("z",),
+                                  host.anchors + (("z", (nd.id, k)),)),
+                          Diagram(host.name, host.nodes + (mover,), host.loops,
+                                  host.anchors + (("zv", (nd.id, k)),)))
+                codes = [(semi_transform(d, "M5").canonical_code(),
+                          semi_transform(d, "M6").canonical_code(),
+                          export_exterior(d).diagram.canonical_code()) for d in placed]
+                by_face.setdefault(faces.face_of_corner((nd.id, k)), []).append(codes)
+        for codes in by_face.values():
+            assert codes == codes[:1] * len(codes), serialize(host)
+            pairs += len(codes) * (len(codes) - 1) // 2
+    assert pairs == 98
 
 
 def test_semi_transform_output_is_classical():
