@@ -308,7 +308,9 @@ class Diagram:
 
     @cached_property
     def _canonical_code(self) -> bytes:
-        faces = self.faces()
+        # faces only name the places of anchored components: a search codes
+        # many more diagrams than it expands, so the rest skip them
+        faces = self.faces() if any(a is not None for _, a in self.anchors) else None
         piece_sigs = sorted((sig, pid) for pid, (sig, _) in self._piece_canon.items())
         # Anchors are resolved into piece-signature-relative face names.  A
         # corner on the host's outward orbit lies in the face the host sits
@@ -409,9 +411,6 @@ def _signature(table: tuple, root: int, best: Optional[tuple] = None):
     one row per node, so the first unequal row decides between them.
     """
     alpha, enter, head = table
-    # the first row starts with head[root]: most roots lose right there
-    if best is not None and head[root] > best[0][:2]:
-        return None
     n = len(alpha) >> 2
     labels = [-1] * n
     rots = [0] * n
@@ -459,13 +458,18 @@ def _canonise(table: tuple) -> tuple:
     least doubles the orbit, there are at most log2(4n) of them, and the
     orbit ends as exactly the tying states.  A state that lost also loses
     against every later best, which is only smaller, so it is marked lost
-    and a later root in the same state skips the signature."""
-    alpha, enter, _ = table
+    and a later root in the same state skips the signature.
+
+    A signature's first row starts with its root's ``head``, so only roots
+    with the least ``head`` of the piece can reach the least signature;
+    automorphisms keep ``head``, so the others are never tried."""
+    alpha, enter, head = table
+    least = min(head)
     best, roots, gens, orbit = None, [], [], []
     tied = bytearray(len(alpha))    # 1: ties the best, 2: lost
     for root in range(len(alpha)):
         state = root - (root & 3) + enter[root]
-        if tied[state] == 2:
+        if head[root] != least or tied[state] == 2:
             continue
         if not tied[state]:
             got = _signature(table, root, best)

@@ -11,7 +11,6 @@ cuts the matched disk out and sews the other side in along the same legs.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -221,12 +220,12 @@ class MoveSpec:
     deltas: tuple[int, int, int, int] = (0, 0, 0, 0)  # markers, singular, c(L-), c(L+)
 
     def side(self, variant: int, direction: str) -> Pattern:
-        lhs, rhs = self.variants[variant]
-        return lhs if direction == FORWARD else rhs
+        if direction not in (FORWARD, REVERSE):
+            raise SMGSemanticError(f"direction {direction!r} is neither {FORWARD} nor {REVERSE}")
+        return self.variants[variant][direction == REVERSE]
 
     def other_side(self, variant: int, direction: str) -> Pattern:
-        lhs, rhs = self.variants[variant]
-        return rhs if direction == FORWARD else lhs
+        return self.variants[variant][direction == FORWARD]
 
     @cached_property
     def _kept(self) -> tuple[int, ...]:
@@ -341,30 +340,56 @@ def _match_component(d: Diagram, pat: Pattern):
                 yield amap, claims
 
 
-def _iter_embeddings(d: Diagram, pat: Pattern):
-    """All injective combinatorial embeddings before face filtering, as
-    (node map, {leg k: target}).  A pattern is one connected node component
-    or bare strands (:meth:`Pattern.check`), so each embedding comes once.
+def _iter_embeddings(d: Diagram, faces: Faces, pat: Pattern):
+    """All injective combinatorial embeddings that meet the face
+    conditions, as (node map, {leg k: target}).  A pattern is one connected
+    node component or bare strands (:meth:`Pattern.check`), so each
+    embedding comes once.
+
+    Bare strands run along distinct host edges or loops, either way, and
+    come in the order of the product over the strands of the candidates
+    ``(edge or loop, flip)``.  Every face of such a pattern is a gap face,
+    so its face condition is that its legs see one host face beyond their
+    cuts: a strand tries only the candidates whose leg faces agree with
+    those the strands before it fixed.
     """
     if pat.nodes:
         leg_of_edge = {e: k for k, e in enumerate(pat.legs, start=1)}
         for amap, claims in _match_component(d, pat):
-            yield amap, {leg_of_edge[e]: ("edge", he, 0 if d.edge_ends[he][0] == end else 1)
-                         for e, (he, end) in claims.items()}
+            targets = {leg_of_edge[e]: ("edge", he, 0 if d.edge_ends[he][0] == end else 1)
+                       for e, (he, end) in claims.items()}
+            if _face_conditions(d, faces, pat, amap, targets):
+                yield amap, targets
         return
-    # bare strands: each runs along a distinct host edge or loop, either way
-    opts = [("edge", he) for he in d.edges] + [("loop", l) for l in d.loops]
-    legs = [sorted(pat.leg_of_hub_dart(x) for x in pat.edge_ends[e]) for e in pat.through_edges]
-    for combo in itertools.product([(o, flip) for o in opts for flip in (0, 1)],
-                                   repeat=len(legs)):
-        used = [o[1] for o, _ in combo]
-        if len(set(used)) != len(used):
-            continue
-        targets = {}
-        for (k1, k2), ((kind, ident), flip) in zip(legs, combo):
-            targets[k1] = (kind, ident, flip)
-            targets[k2] = (kind, ident, 1 - flip)
-        yield {}, targets
+    # a strand's candidates (kind, id, flip, (faces beyond its two legs)),
+    # and per (leg 0 or 1, face) the candidates that see that face there
+    cands, agree = [], {}
+    for kind, ident in [("edge", he) for he in d.edges] + [("loop", l) for l in d.loops]:
+        f = ([faces.face_of_dart(x) for x in d.edge_ends[ident]] if kind == "edge"
+             else [faces.face_of_loop(ident)] * 2)
+        for flip in (0, 1):
+            cands.append((kind, ident, flip, (f[flip], f[1 - flip])))
+            for end in (0, 1):
+                agree.setdefault((end, f[flip ^ end]), []).append(cands[-1])
+    face_of = {pat.leg_of_hub_dart(x): i for i, pf in enumerate(pat.faces) for x in pf}
+
+    def extend(partials, legs):
+        """Each partial embedding (picks, pattern face -> host face) with
+        every fitting candidate for the strand with ``legs``."""
+        for picks, seen in partials:
+            fixed = [(end, seen[face_of[k]]) for end, k in enumerate(legs) if face_of[k] in seen]
+            for c in agree.get(fixed[0], ()) if fixed else cands:
+                now = dict(seen)
+                if all(c[1] != p[1] for _, p in picks) and all(
+                        now.setdefault(face_of[k], f) == f for k, f in zip(legs, c[3])):
+                    yield picks + [(legs, c)], now
+
+    partials = iter([([], {})])
+    for e in pat.through_edges:
+        partials = extend(partials, sorted(pat.leg_of_hub_dart(x) for x in pat.edge_ends[e]))
+    for picks, _ in partials:
+        yield {}, {k: (kind, ident, flip ^ end) for legs, (kind, ident, flip, _) in picks
+                   for end, k in enumerate(legs)}
 
 
 def _host_dart_beyond(d: Diagram, pat: Pattern, dart, amap, targets):
@@ -383,31 +408,20 @@ def _host_dart_beyond(d: Diagram, pat: Pattern, dart, amap, targets):
     t = targets[k]
     if t[0] == "loop":
         return None
-    e = pat.legs[k - 1]
-    through = all(x[0] == HUB for x in pat.edge_ends[e])
-    return d.edge_ends[t[1]][t[2] if through else 1 - t[2]]
+    return d.edge_ends[t[1]][t[2] if pat.legs[k - 1] in pat.through_edges else 1 - t[2]]
 
 
 def _face_conditions(d: Diagram, faces: Faces, pat: Pattern, amap, targets) -> bool:
+    """The face conditions of a node pattern, whose legs all cut edges:
+    the darts of each pattern face see one host face, and an interior face
+    is exactly one host polygon with nothing else in it."""
     for pf in pat.faces:
-        gap = any(x[0] == HUB for x in pf)
-        ids = set()
-        first_orbit = None
-        for dart in pf:
-            hd = _host_dart_beyond(d, pat, dart, amap, targets)
-            if hd is None:
-                ids.add(faces.face_of_loop(targets[pat.leg_of_hub_dart(dart)][1]))
-            else:
-                ids.add(faces.face_of_dart(hd))
-                if first_orbit is None:
-                    first_orbit = faces.orbit_of_dart(hd)
-        if len(ids) > 1:
+        darts = [_host_dart_beyond(d, pat, x, amap, targets) for x in pf]
+        if len({faces.face_of_dart(x) for x in darts}) > 1:
             return False
-        if not gap:
-            # interior face: the host face must be exactly this polygon
-            if first_orbit is None or faces.orbit_degree(first_orbit) != len(pf):
-                return False
-            if not faces.face_is_plain_orbit(first_orbit):
+        if all(x[0] != HUB for x in pf):
+            orbit = faces.orbit_of_dart(darts[0])
+            if faces.orbit_degree(orbit) != len(pf) or not faces.face_is_plain_orbit(orbit):
                 return False
     return True
 
@@ -450,13 +464,11 @@ def _sites(d, move: MoveSpec, direction: str, kept: bool = False) -> Iterator[Si
     od = d if isinstance(d, OrientedDiagram) else None
     base = d.base if od is not None else d
     if move.oriented and od is None:
-        raise ValueError(f"move {move.id} requires an oriented diagram")
+        raise SMGSemanticError(f"move {move.id} requires an oriented diagram")
     faces = base.faces()
     for variant in move._kept if kept else range(len(move.variants)):
         pat = move.side(variant, direction)
-        for amap, targets in _iter_embeddings(base, pat):
-            if not _face_conditions(base, faces, pat, amap, targets):
-                continue
+        for amap, targets in _iter_embeddings(base, faces, pat):
             if od is not None and pat.heads and not _orientation_ok(od, base, pat, amap, targets):
                 continue
             yield Site(move.id, variant, direction,
@@ -482,6 +494,7 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     targets = {k + 1: t for k, t in enumerate(site.leg_targets)}
 
     # -- presence checks
+    edge_img: dict[str, str] = {}
     for n, (hid, r) in amap.items():
         if hid not in base.node_map:
             raise StaleSiteError(f"host node {hid} gone")
@@ -490,15 +503,14 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
             raise StaleSiteError("kind mismatch")
         if pnd.attr is not None and hnd.attr != (pnd.attr + r) % 2:
             raise StaleSiteError("attribute mismatch")
-    edge_img: dict[str, str] = {}
-    for n, (hid, r) in amap.items():
         for p in range(4):
-            e = pat.node_map[n].ports[p]
-            he = base.node(hid).ports[(p + r) % 4]
-            if edge_img.setdefault(e, he) != he:
+            he = hnd.ports[(p + r) % 4]
+            if edge_img.setdefault(pnd.ports[p], he) != he:
                 raise StaleSiteError("edge image inconsistent")
     consumed_nodes = {hid for hid, _ in amap.values()}
     consumed_edges = {edge_img[e] for e in pat.interior_edges}
+    # the host edges a survivor may no longer reference
+    cut_edges = consumed_edges | {t[1] for t in targets.values() if t[0] == "edge"}
     for k, t in targets.items():
         if t[0] == "edge":
             if t[1] not in base.edge_ends or t[1] in consumed_edges:
@@ -519,10 +531,6 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
                 site_face = faces.face_of_dart(far)
 
     # -- outer stubs per leg
-    def is_through(k: int) -> bool:
-        e = pat.legs[k - 1]
-        return all(x[0] == HUB for x in pat.edge_ends[e])
-
     stub: dict[int, tuple] = {}
     claims: dict[tuple[str, str], list[int]] = {}
     for k, t in targets.items():
@@ -533,9 +541,9 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
                 raise StaleSiteError("loop must be cut exactly twice")
             stub[ks[0]] = ("pair", ks[1])
             stub[ks[1]] = ("pair", ks[0])
-        elif any(is_through(k) for k in ks):
+        elif any(pat.legs[k - 1] in pat.through_edges for k in ks):
             # a through-strand covers the middle; both host ends survive
-            if len(ks) != 2 or not all(is_through(k) for k in ks):
+            if len(ks) != 2 or not all(pat.legs[k - 1] in pat.through_edges for k in ks):
                 raise StaleSiteError("inconsistent through-strand cut")
             for k in ks:
                 far = base.edge_ends[ident][targets[k][2]]
@@ -608,17 +616,10 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
         done_legs |= seen1 | seen2
         new_edges.append((fresh("t"), t1, t2))
 
-    # -- assemble
-    port_sub: dict[tuple, str] = {}
-    for eid, t1, t2 in new_edges:
-        for t in (t1, t2):
-            if t[0] == "dart":
-                port_sub[tuple(t[1])] = eid
-    port_sub_new: dict[tuple[str, int], str] = {}
-    for eid, t1, t2 in new_edges:
-        for t in (t1, t2):
-            if t[0] == "port":
-                port_sub_new[(t[1], t[2])] = eid
+    # -- assemble: the new edge at each host dart and replacement port it
+    # ends at (replacement ids are fresh, so the two kinds of key differ)
+    port_sub = {tuple(t[1]) if t[0] == "dart" else t[1:]: eid
+                for eid, t1, t2 in new_edges for t in (t1, t2)}
 
     final_nodes: list[Node] = []
     for nd in base.nodes:
@@ -630,8 +631,7 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
                 ports.append(port_sub[(nd.id, p)])
             else:
                 e = nd.ports[p]
-                if e in consumed_edges or any(
-                        t[0] == "edge" and t[1] == e for t in targets.values()):
+                if e in cut_edges:
                     raise StaleSiteError("survivor references consumed edge")
                 ports.append(e)
         final_nodes.append(Node(nd.id, nd.kind, nd.attr, tuple(ports)))
@@ -643,9 +643,9 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
                 ports.append(int_eids[e])
             else:
                 nid = node_ids[nd.id]
-                if (nid, p) not in port_sub_new:
+                if (nid, p) not in port_sub:
                     raise StaleSiteError("unresolved replacement port")
-                ports.append(port_sub_new[(nid, p)])
+                ports.append(port_sub[(nid, p)])
         final_nodes.append(Node(node_ids[nd.id], nd.kind, nd.attr, tuple(ports)))
 
     cut_loops = {t[1] for t in targets.values() if t[0] == "loop"}

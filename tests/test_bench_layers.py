@@ -40,13 +40,14 @@ def test_per_layer_metrics_name_public_functions():
     assert not missing, f"BENCHMARK.json names missing layers: {missing}"
 
 
-#: what the recorder wraps in ``smg.moves``, ``smg.catalog``,
-#: ``smg.resolution`` and ``smg.transforms``: each public function, its own
-#: or imported from another ``smg`` module.  A helper called per site, per
-#: variant or per vertex costs a span on every call, so a new public name
-#: here is a change to the benchmark's trace and must be deliberate;
-#: helpers stay private.
+#: what the recorder wraps in ``smg.diagram``, ``smg.moves``,
+#: ``smg.catalog``, ``smg.resolution`` and ``smg.transforms``: each public
+#: function, its own or imported from another ``smg`` module.  A helper
+#: called per site, per variant, per vertex or per code costs a span on
+#: every call, so a new public name here is a change to the benchmark's
+#: trace and must be deliberate; helpers stay private.
 PUBLIC_FUNCTIONS = {
+    "diagram": ["enumerate_orientations", "parse_smg", "serialize"],
     "moves": ["apply_move", "code_digest", "find_sites", "parse_pattern",
               "search_equivalence", "verify_sequence"],
     "catalog": ["catalog_map", "mirror_pattern", "move_catalog", "orient_pattern",

@@ -240,6 +240,31 @@ def test_symmetric_pieces_take_a_signature_per_generator(monkeypatch):
     assert d.canonical_code() == kept.canonical_code()
 
 
+def test_canonisation_tries_only_least_head_roots(monkeypatch):
+    """A signature's first row starts with its root's head, so a root whose
+    head exceeds the piece's least head never gets a signature."""
+    import smg.diagram as diagram
+
+    tried = []
+    signature = diagram._signature
+
+    def checked(table, root, *rest):
+        head = table[2]
+        tried.append(head[root] == min(head))
+        return signature(table, root, *rest)
+
+    monkeypatch.setattr(diagram, "_signature", checked)
+    cases = [fixture(name) for name in fixture_names()]
+    for n in (1, 2, 3, 7, 16):
+        t2 = t2_text(n).replace("node v00000 X", "node v00000 M 0", 1)
+        cases += [parse_smg(t2), parse_smg(with_loop_at(t2, 1))]
+    for d in cases:
+        d = Diagram(d.name, d.nodes, d.loops, d.anchors)     # uncached copy
+        d.canonical_code()
+        d.faces()
+    assert len(tried) > 30 and all(tried)
+
+
 def test_enumerate_orientations_on_a_thousand_crossings():
     from smg.groups import cyclic_group, hom_count, wirtinger_presentation
     from smg.quandles import coloring_count, dihedral_quandle

@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from smg.catalog import catalog_map, move_catalog
-from smg.diagram import enumerate_orientations, parse_smg
+from smg.diagram import enumerate_orientations, parse_smg, serialize
 from smg.fixtures import fixture, fixture_names
 from smg.moves import (
     FORWARD,
@@ -371,3 +372,153 @@ def test_search_answers_on_two_move_walks_are_pinned(host):
     seq = search_equivalence(d, target, CAT, WALK_MOVES, SearchBudget(2, 100_000))
     assert verify_sequence(d, seq, CAT).canonical_code() == target.canonical_code()
     assert hashlib.sha256(seq.serialize().encode()).hexdigest()[:16] == WALK_ANSWERS[host]
+
+
+def test_site_path_raises_semantic_errors():
+    """A direction other than forward or reverse is an error, not a silent
+    reverse, and so is an oriented move on an unoriented diagram."""
+    import dataclasses
+
+    from smg.diagram import SMGSemanticError
+    from smg.moves import MoveStep
+
+    d = fixture("kink")
+    site = find_sites(d, CAT["O1"], REVERSE)[0]
+    with pytest.raises(SMGSemanticError):
+        find_sites(d, CAT["O1"], "sideways")
+    with pytest.raises(SMGSemanticError):
+        apply_move(d, CAT["O1"], dataclasses.replace(site, direction="sideways"))
+    with pytest.raises(SMGSemanticError):
+        verify_sequence(d, MoveSequence((MoveStep("O1", 0, "sideways", "0" * 16),)), CAT)
+    with pytest.raises(SMGSemanticError):
+        find_sites(fixture("circle"), catalog_map("oriented")["G1"], FORWARD)
+
+
+def reference_strand_sites(d, move, direction) -> list[tuple]:
+    """``(variant, leg targets)`` of every site of a bare-strand side: the
+    product over its strands of every ``(host edge or loop, flip)``, the
+    strands on distinct ones, kept when the legs of each pattern face see
+    one host face beyond their cuts and, on an oriented host, each strand
+    runs along an edge that flows into the end beyond its head leg."""
+    from smg.diagram import OrientedDiagram
+    from smg.moves import HUB
+    from tests.test_diagram import reference_faces
+
+    od = d if isinstance(d, OrientedDiagram) else None
+    base = d.base if od is not None else d
+    corners, loop_face = reference_faces(base)
+
+    def beyond(target):
+        kind, ident, end = target
+        if kind == "loop":
+            return loop_face[ident]
+        n, p = base.edge_ends[ident][end]
+        return corners[(n, (p - 1) % 4)][2]
+
+    opts = [("edge", e, flip) for e in base.edges for flip in (0, 1)]
+    opts += [("loop", l, flip) for l in base.loops for flip in (0, 1)]
+    out = []
+    for variant in range(len(move.variants)):
+        pat = move.side(variant, direction)
+        # the pattern's faces by phi on its hub: cross the strand, turn one leg
+        face_of_leg = {}
+        for k in range(1, pat.K + 1):
+            cur = pat.hub_dart_of_leg(k)
+            while pat.leg_of_hub_dart(cur) not in face_of_leg:
+                face_of_leg[pat.leg_of_hub_dart(cur)] = k
+                _, t = pat.alpha(cur)
+                cur = (HUB, (t + 1) % pat.K)
+        strands = [[k for k in range(1, pat.K + 1) if pat.legs[k - 1] == e]
+                   for e in pat.through_edges]
+        for combo in itertools.product(opts, repeat=len(strands)):
+            if len({ident for _, ident, _ in combo}) < len(combo):
+                continue
+            targets = {}
+            for (k1, k2), (kind, ident, flip) in zip(strands, combo):
+                targets[k1], targets[k2] = (kind, ident, flip), (kind, ident, 1 - flip)
+            seen = {}
+            if any(seen.setdefault(face_of_leg[k], beyond(t)) != beyond(t)
+                   for k, t in targets.items()):
+                continue
+            if od is not None and pat.heads:
+                heads = [targets[pat.head_map[e][1]] for e in pat.through_edges]
+                if any(kind == "edge" and od.head_map[ident] != base.edge_ends[ident][end]
+                       for kind, ident, end in heads):
+                    continue
+            out.append((variant, tuple(targets[k] for k in sorted(targets))))
+    return out
+
+
+def test_strand_sites_match_the_product_reference():
+    """Every bare-strand side of both catalogs finds, in order, the sites
+    of the plain product over strand candidates filtered face by face."""
+    from smg.diagram import _first_orientation
+    from tests.test_diagram import anchored_hosts
+
+    catalogs = [move_catalog("unoriented"), move_catalog("oriented")]
+    sides = [(m, direction) for cat in catalogs for m in cat for direction in (FORWARD, REVERSE)
+             if not any(m.side(v, direction).nodes for v in range(len(m.variants)))]
+    assert sorted(m.id for m, direction in sides if direction == FORWARD) == sorted(
+        ["O1", "O2", "O6", "O6p", "O8", "G1", "G1p", "G2", "G6", "G6p", "G8"])
+    assert all(direction == FORWARD for _, direction in sides)
+
+    rng = random.Random(13)
+    hosts = [fixture(name) for name in fixture_names()] + anchored_hosts()
+    hosts += [parse_smg("diagram t\nnode k X b a a b\nloop c0\nloop c1\nloop c2\n"
+                        "place c1 in k.2\nend\n"),
+              parse_smg("diagram t\nloop c0\nloop c1\nend\n")]
+    for d in hosts[:12]:
+        rewrites = [apply_move(d, m, s) for m in CAT.values() for direction in (FORWARD, REVERSE)
+                    for s in find_sites(d, m, direction)]
+        hosts += rng.sample(rewrites, min(3, len(rewrites)))
+    checked = 0
+    for d in hosts:
+        oriented = enumerate_orientations(d)[:4]
+        for m, direction in sides:
+            for host in (oriented if m.oriented else [d]):
+                got = [(s.variant, s.leg_targets) for s in find_sites(host, m, direction)]
+                assert got == reference_strand_sites(host, m, direction), (m.id, serialize(d))
+                checked += len(got)
+    assert checked > 10000
+
+
+def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
+    """A search codes every rewrite but reads faces only where it looks for
+    sites; an unanchored diagram's code needs none."""
+    import smg.moves as moves
+    from smg.diagram import Diagram, Faces
+
+    built, expanded, applied = [], [], []
+    init, find, apply = Faces.__init__, moves.find_sites, moves.apply_move
+
+    def counted_init(self, d):
+        built.append(d)
+        init(self, d)
+
+    def recorded_find(d, move, direction=FORWARD):
+        if not any(x is d for x in expanded):
+            expanded.append(d)
+        return find(d, move, direction)
+
+    def recorded_apply(d, move, site):
+        applied.append(apply(d, move, site))
+        return applied[-1]
+
+    rng = random.Random("trefoil")
+    d = target = fixture("trefoil")
+    for _ in range(2):
+        options = [(CAT[m], s) for m in ("O1", "O2") for direction in (FORWARD, REVERSE)
+                   for s in find_sites(target, CAT[m], direction)]
+        target = apply_move(target, *rng.choice(options))
+    # uncached copies
+    d, target = (Diagram(x.name, x.nodes, x.loops, x.anchors) for x in (d, target))
+    monkeypatch.setattr(Faces, "__init__", counted_init)
+    monkeypatch.setattr(moves, "find_sites", recorded_find)
+    monkeypatch.setattr(moves, "apply_move", recorded_apply)
+    seq = search_equivalence(d, target, CAT, ["O1", "O2"], SearchBudget(3, 100_000))
+    monkeypatch.undo()
+    assert verify_sequence(d, seq, CAT).canonical_code() == target.canonical_code()
+    assert not any(r.anchors for r in applied)
+    assert len(applied) > 50 * len(expanded)
+    assert len(built) == len(expanded)
+    assert all(any(b is x for x in expanded) for b in built)
