@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .diagram import CROSSING, MARKER, Node, StrandParity
+from .diagram import CROSSING, MARKER, Node, SMGSemanticError, StrandParity
 from .moves import HUB, MoveSpec, Pattern, parse_pattern
 
 #: order of the 17 core unoriented moves plus the 3 flagged-derived ones
@@ -254,7 +254,7 @@ def move_catalog(mode: str = "unoriented") -> list[MoveSpec]:
         return list(_unoriented())
     if mode in ("oriented", "o"):
         return list(_oriented())
-    raise ValueError(f"unknown catalog mode {mode!r}")
+    raise SMGSemanticError(f"unknown catalog mode {mode!r}")
 
 
 def catalog_map(mode: str = "unoriented") -> dict[str, MoveSpec]:

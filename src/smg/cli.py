@@ -142,6 +142,17 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else USAGE_ERROR
 
 
+def _budget(text: str) -> int:
+    """argparse type of a budget: an integer, zero or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 def _main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="smg",
                                 description="singular marked graph diagrams")
@@ -157,7 +168,7 @@ def _main(argv=None) -> int:
 
     sp = sub.add_parser("admissible", help="are both resolutions trivial unlinks")
     sp.add_argument("diagram")
-    sp.add_argument("--budget", type=int, default=100_000)
+    sp.add_argument("--budget", type=_budget, default=100_000)
 
     sp = sub.add_parser("move", help="move catalog operations")
     sp.add_argument("action", choices=["list", "sites", "apply"])
@@ -170,8 +181,8 @@ def _main(argv=None) -> int:
     sp = sub.add_parser("search", help="bounded equivalence search")
     sp.add_argument("diagram")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--depth", type=int, default=8)
-    sp.add_argument("--states", type=int, default=100_000)
+    sp.add_argument("--depth", type=_budget, default=8)
+    sp.add_argument("--states", type=_budget, default=100_000)
     sp.add_argument("--allow", default=None, help="comma separated move ids")
 
     sp = sub.add_parser("group", help="complement group presentation")

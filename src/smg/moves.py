@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -808,6 +808,9 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     On success the returned sequence replays from ``d1`` to a diagram with
     ``d2``'s canonical code.  Failure within budget proves nothing.
     """
+    if not (isinstance(d1, Diagram) and isinstance(d2, Diagram)):
+        raise SMGSemanticError("search_equivalence compares unoriented diagrams, "
+                               f"not {type(d1).__name__} and {type(d2).__name__}")
     budget = budget or SearchBudget()
     allowed = list(allowed if allowed is not None else catalog)
     unknown = [m for m in allowed if m not in catalog]
@@ -818,27 +821,27 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     if c1 == c2:
         return MoveSequence(())
 
-    fwd: dict[bytes, tuple[Diagram, list]] = {c1: (d1, [])}
-    bwd: dict[bytes, tuple[Diagram, list]] = {c2: (d2, [])}
+    # code -> (parent code, move id, variant, direction), None at a root
+    fwd: dict[bytes, Optional[tuple]] = {c1: None}
+    bwd: dict[bytes, Optional[tuple]] = {c2: None}
     frontier_f, frontier_b = [d1], [d2]
-    states = 2
     total_depth = 0
 
+    def links(side, code):
+        while side[code] is not None:
+            yield code, side[code]
+            code = side[code][0]
+
     def join(code: bytes) -> MoveSequence:
-        steps = [s for s, _ in fwd[code][1]]
-        path_b = bwd[code][1]
-        codes = [c2] + [c for _, c in path_b]
-        for i in range(len(path_b) - 1, -1, -1):
-            s, _ = path_b[i]
-            inv = REVERSE if s.direction == FORWARD else FORWARD
-            steps.append(MoveStep(s.move_id, s.variant, inv, _digest(codes[i])))
-        return MoveSequence(tuple(steps))
+        there = [MoveStep(m, v, dr, _digest(c)) for c, (_, m, v, dr) in links(fwd, code)]
+        back = [MoveStep(m, v, REVERSE if dr == FORWARD else FORWARD, _digest(p))
+                for _, (p, m, v, dr) in links(bwd, code)]
+        return MoveSequence(tuple(there[::-1] + back))
 
     def expand(frontier, this_side, other_side):
-        nonlocal states
         new_frontier = []
         for d in frontier:
-            path = this_side[d.canonical_code()][1]
+            here = d.canonical_code()
             for move in moves:
                 for direction in (FORWARD, REVERSE):
                     for site in find_sites(d, move, direction):
@@ -848,13 +851,12 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
                         code = nxt.canonical_code()
                         if code in this_side:
                             continue
-                        step = MoveStep(move.id, site.variant, direction, _digest(code))
-                        this_side[code] = (nxt, path + [(step, code)])
-                        new_frontier.append(nxt)
-                        states += 1
+                        this_side[code] = (here, move.id, site.variant, direction)
+                        # without its caches: most rewrites are never expanded
+                        new_frontier.append(replace(nxt))
                         if code in other_side:
                             return new_frontier, code
-                        if states >= budget.max_states:
+                        if len(fwd) + len(bwd) >= budget.max_states:
                             return new_frontier, StopIteration
         return new_frontier, None
 

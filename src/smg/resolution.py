@@ -13,7 +13,7 @@ exhaustion reports UNKNOWN.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -417,7 +417,7 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
                     if nx == 0:
                         return tail, MoveSequence(full)
                     counter += 1
-                    heapq.heappush(heap, (nxt.counts[0], counter, nxt, nsteps))
+                    heapq.heappush(heap, (nxt.counts[0], counter, replace(nxt), nsteps))
                     if states >= budget.max_states:
                         break
     return best[1], best[2]

@@ -101,6 +101,20 @@ def test_search_zero_budget_unknown(files, capsys):
     assert "UNKNOWN" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "fixture:kink", "--target", "fixture:circle", "--depth", "-1"],
+    ["search", "fixture:kink", "--target", "fixture:circle", "--states", "-5"],
+    ["search", "fixture:kink", "--target", "fixture:circle", "--depth", "two"],
+    ["admissible", "fixture:circle", "--budget", "-3"],
+])
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    """Nothing is searched, so a negative budget is a usage error, not an
+    UNKNOWN answer with exit 4."""
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "expected an integer >= 0" in out.err
+
+
 def test_usage_error():
     assert main([]) == 2
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -194,6 +195,26 @@ def test_unknown_move_id_is_a_semantic_error():
         verify_sequence(d, seq, CAT)
     with pytest.raises(SMGSemanticError, match="O99"):
         search_equivalence(d, fixture("kink"), CAT, ["O1", "O99"])
+
+
+def test_search_of_an_oriented_diagram_is_a_semantic_error():
+    """The search compares unoriented codes, so either side oriented is an
+    error, not a stray AttributeError."""
+    from smg.diagram import SMGSemanticError
+
+    kink = enumerate_orientations(fixture("kink"))[0]
+    with pytest.raises(SMGSemanticError, match="OrientedDiagram"):
+        search_equivalence(kink, fixture("circle"), CAT, ["O1"])
+    with pytest.raises(SMGSemanticError, match="OrientedDiagram"):
+        search_equivalence(fixture("circle"), kink, CAT, ["O1"])
+
+
+@pytest.mark.parametrize("build", [move_catalog, catalog_map])
+def test_unknown_catalog_mode_is_a_semantic_error(build):
+    from smg.diagram import SMGSemanticError
+
+    with pytest.raises(SMGSemanticError, match="unknown catalog mode 'x'"):
+        build("x")
 
 
 # code_digest of the fixtures and of one rewrite each (the last site of the
@@ -522,3 +543,72 @@ def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
     assert len(applied) > 50 * len(expanded)
     assert len(built) == len(expanded)
     assert all(any(b is x for x in expanded) for b in built)
+
+
+def watch_states(monkeypatch, module, inputs):
+    """Weakly record every result of ``module.apply_move`` and look at each
+    diagram given to ``module.find_sites`` or ``Diagram.canonical_code``.
+
+    Returns ``(most, fresh)``: ``most[0]`` is the largest number of results
+    alive at one look, and ``fresh`` has one entry per diagram looked at
+    that is neither a result nor one of ``inputs``, true when its first look
+    found no cached dart table."""
+    from smg.diagram import Diagram
+
+    results, looked, most, fresh = {}, {}, [0], []
+    apply, find, code = module.apply_move, module.find_sites, Diagram.canonical_code
+
+    def keep(table, d):
+        table[id(d)] = weakref.ref(d, lambda _, i=id(d): table.pop(i, None))
+
+    def look(d):
+        most[0] = max(most[0], len(results))
+        if id(d) not in results and id(d) not in looked and all(d is not x for x in inputs):
+            keep(looked, d)
+            fresh.append("_darts" not in d.__dict__)
+
+    def watched_apply(*args, **kw):
+        out = apply(*args, **kw)
+        keep(results, out)
+        return out
+
+    def watched_find(d, *args, **kw):
+        look(d)
+        return find(d, *args, **kw)
+
+    def watched_code(d):
+        look(d)
+        return code(d)
+
+    monkeypatch.setattr(module, "apply_move", watched_apply)
+    monkeypatch.setattr(module, "find_sites", watched_find)
+    monkeypatch.setattr(Diagram, "canonical_code", watched_code)
+    return most, fresh
+
+
+def test_search_holds_no_rewritten_diagram(monkeypatch):
+    """The search keeps its states as codes: a rewrite is dropped once it
+    is coded, and the frontier holds copies that come without caches.
+    Criterion 7's problem on ``d2m5`` is solved at length 2, before any
+    rewrite is expanded; a walk of three moves is not."""
+    import smg.moves as moves
+
+    d = walk = fixture("d2m5")
+    rng = random.Random("d2m5")
+    for _ in range(3):
+        options = [(CAT[m], s) for m in ("O1", "O2") for direction in (FORWARD, REVERSE)
+                   for s in find_sites(walk, CAT[m], direction)]
+        walk = apply_move(walk, *rng.choice(options))
+    primed = apply_move(d, CAT["O11p"], find_sites(d, CAT["O11p"], FORWARD)[0])
+    seen = []
+    for target, allowed, depth in [
+        (primed, ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O11"], 12),
+        (walk, ["O1", "O2"], 4),
+    ]:
+        most, fresh = watch_states(monkeypatch, moves, (d, target))
+        seq = search_equivalence(d, target, CAT, allowed, SearchBudget(depth, 100_000))
+        monkeypatch.undo()
+        assert verify_sequence(d, seq, CAT).canonical_code() == target.canonical_code()
+        assert most[0] <= 1
+        seen += fresh
+    assert seen and all(seen)

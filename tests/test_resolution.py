@@ -231,6 +231,31 @@ def test_greedy_applies_once_per_trace_step(monkeypatch):
             assert applied == [s.move_id for s in trace.steps], (name, sign)
 
 
+def test_simplifier_heap_answer_is_pinned():
+    """Past its greedy pass the simplifier searches a heap of states; its
+    answer and trace on the dead end are pinned byte for byte."""
+    simp, trace = reidemeister_simplify(parse_smg(KINKED_DEAD_END), Budget(max_states=200))
+    assert (simp.counts[0], len(trace)) == (3, 3)
+    assert hashlib.sha256(trace.serialize().encode()).hexdigest()[:12] == "bab6ca695883"
+
+
+def test_simplifier_heap_holds_no_rewritten_diagram(monkeypatch):
+    """The heap holds copies without caches, so the rewrites the
+    simplifier makes are dropped once it has looked at them.  Alive at
+    most: the greedy start, the best tail, and a rewrite with the greedy
+    tails of it and of the rewrite before."""
+    import smg.resolution as resolution
+    from test_moves import watch_states
+
+    dead_end = parse_smg(KINKED_DEAD_END)
+    most, fresh = watch_states(monkeypatch, resolution, (dead_end,))
+    simp, _ = reidemeister_simplify(dead_end, Budget(max_states=200))
+    monkeypatch.undo()
+    assert simp.counts[0] == 3
+    assert most[0] <= 5
+    assert fresh and all(fresh)
+
+
 def test_admissibility_certificates_are_pinned():
     """Both certificates of every fixture and of its one-move rewrites, byte
     for byte: verdicts, obstructions and simplification traces."""
