@@ -357,6 +357,14 @@ class Diagram:
 
         return _build_colouring(self)
 
+    # -- resolutions --------------------------------------------------------
+
+    @cached_property
+    def _resolutions(self) -> dict:
+        """sign -> (resolved diagram, singular rotations), filled by
+        ``resolution.resolve``, which hands out copies of the rotations."""
+        return {}
+
     # -- rebuilding ---------------------------------------------------------
 
     def relabeled(self, node_map: dict[str, str], edge_map: dict[str, str],

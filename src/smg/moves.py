@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .diagram import (
@@ -258,86 +258,85 @@ class Site:
         return dict(self.node_images)
 
 
+#: the step kinds of a matching program (:func:`_matcher`)
+_LEG, _CYCLE, _TREE = range(3)
+
+
+@lru_cache(maxsize=None)
+def _matcher(pat: Pattern) -> tuple:
+    """Compile a connected node pattern into ``(order, steps)``.
+
+    ``order`` lists the pattern's node ids as a depth-first walk from the
+    least one places them, and ``steps`` that walk's first crossing of each
+    edge, ``(kind, i, p, x, q)``, leaving node ``order[i]`` by port ``p``:
+    a ``_LEG`` step cuts leg edge ``x``, a ``_CYCLE`` step reaches port
+    ``q`` of the placed node ``order[x]``, and a ``_TREE`` step places the
+    next node, the pattern node ``x``, reached at its port ``q``."""
+    order, steps, seen = [min(pat.node_map)], [], set()
+    index = {order[0]: 0}
+    stack = [order[0]]
+    while stack:
+        cur = stack.pop()
+        for p, e in enumerate(pat.node_map[cur].ports):
+            if e in seen:
+                continue
+            seen.add(e)
+            m, q = pat.alpha((cur, p))
+            if m == HUB:
+                steps.append((_LEG, index[cur], p, e, None))
+            elif m in index:
+                steps.append((_CYCLE, index[cur], p, index[m], q))
+            else:
+                index[m] = len(order)
+                order.append(m)
+                steps.append((_TREE, index[cur], p, pat.node_map[m], q))
+                stack.append(m)
+    return tuple(order), tuple(steps)
+
+
 def _match_component(d: Diagram, pat: Pattern):
     """Yield (node map, leg claims) for a connected node pattern.
 
-    A leg-edge consumes one *end* of a host edge, so two leg-edges may share
-    a host edge as long as they claim opposite ends; interior edges consume
-    the whole host edge.
+    The image and rotation of the least pattern node fix the rest, which
+    the compiled walk of :func:`_matcher` reads off the host.  A leg-edge
+    consumes one *end* of a host edge, so two leg-edges may share a host
+    edge as long as they claim opposite ends; interior edges consume the
+    whole host edge.  Both follow from the node map being injective: then
+    distinct pattern darts have distinct images, and each interior edge's
+    image has the images of its two ends as its ends.
     """
-    root = min(pat.node_map)
-    rootnd = pat.node_map[root]
+    order, steps = _matcher(pat)
+    root = pat.node_map[order[0]]
+    node_map, edge_ends = d.node_map, d.edge_ends
     for hostnd in d.nodes:
-        if hostnd.kind != rootnd.kind:
+        if hostnd.kind != root.kind:
             continue
-        rots = (0, 2) if rootnd.kind == CROSSING else (0, 1, 2, 3)
-        for r0 in rots:
-            if rootnd.attr is not None and hostnd.attr != (rootnd.attr + r0) % 2:
+        for r0 in (0, 2) if root.kind == CROSSING else (0, 1, 2, 3):
+            if root.attr is not None and hostnd.attr != (root.attr + r0) % 2:
                 continue
-            amap = {root: (hostnd.id, r0)}
-            seen_pat: dict[str, str] = {}           # pattern edge -> host edge
-            int_img: dict[str, str] = {}            # interior edges only
-            claims: dict[str, tuple] = {}           # leg edge -> (host edge, end dart)
-            queue = [root]
-            ok = True
-            while queue and ok:
-                cur = queue.pop()
-                hid, r = amap[cur]
-                hnd = d.node(hid)
-                for p in range(4):
-                    e = pat.node_map[cur].ports[p]
-                    hp = (p + r) % 4
-                    he = hnd.ports[hp]
-                    if e in seen_pat:
-                        if seen_pat[e] != he:
-                            ok = False
-                            break
-                        continue
-                    other = pat.alpha((cur, p))
-                    if other[0] == HUB:
-                        if he in int_img.values():
-                            ok = False
-                            break
-                        if any(c == (he, (hid, hp)) for c in claims.values()):
-                            ok = False
-                            break
-                        seen_pat[e] = he
-                        claims[e] = (he, (hid, hp))
-                        continue
-                    if he in int_img.values() or any(c[0] == he for c in claims.values()):
-                        ok = False
+            img, rot, claims = [hostnd.id], [r0], {}
+            for kind, i, p, x, q in steps:
+                hid = img[i]
+                hp = (p + rot[i]) % 4
+                he = node_map[hid].ports[hp]
+                if kind == _LEG:
+                    claims[x] = (he, (hid, hp))
+                    continue
+                a, b = edge_ends[he]
+                hm, hq = b if a == (hid, hp) else a
+                r = (hq - q) % 4
+                if kind == _CYCLE:
+                    if img[x] != hm or rot[x] != r:
                         break
-                    m, q = other
-                    hends = d.edge_ends[he]
-                    if (hid, hp) not in hends:
-                        ok = False
-                        break
-                    hm, hq = hends[1] if hends[0] == (hid, hp) else hends[0]
-                    pnd = pat.node_map[m]
-                    if m in amap:
-                        if amap[m] != (hm, (hq - q) % 4):
-                            ok = False
-                            break
-                        seen_pat[e] = he
-                        int_img[e] = he
-                        continue
-                    if any(hm == v[0] for v in amap.values()):
-                        ok = False
-                        break
-                    hnd2 = d.node(hm)
-                    r2 = (hq - q) % 4
-                    if hnd2.kind != pnd.kind or (pnd.kind == CROSSING and r2 % 2):
-                        ok = False
-                        break
-                    if pnd.attr is not None and hnd2.attr != (pnd.attr + r2) % 2:
-                        ok = False
-                        break
-                    amap[m] = (hm, r2)
-                    seen_pat[e] = he
-                    int_img[e] = he
-                    queue.append(m)
-            if ok:
-                yield amap, claims
+                    continue
+                hnd = node_map[hm]
+                if hm in img or hnd.kind != x.kind or (x.kind == CROSSING and r % 2) or (
+                        x.attr is not None and hnd.attr != (x.attr + r) % 2):
+                    break
+                img.append(hm)
+                rot.append(r)
+            else:
+                yield dict(zip(order, zip(img, rot))), claims
 
 
 def _iter_embeddings(d: Diagram, faces: Faces, pat: Pattern):

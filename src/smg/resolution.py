@@ -4,10 +4,14 @@ The positive/negative resolution smooths every marker and resolves every
 singular vertex into a classical crossing; what remains is a classical link
 diagram.  It is one pass of the vertex substitution that the semi-invariant
 transforms and the Kirby export share (``_substitute``).  Triviality of
-classical diagrams is semi-decided: cheap obstructions (linking numbers,
-Fox 3-colorings) give certified NO answers, a bounded search over the
-classical Reidemeister moves gives certified YES answers, and budget
-exhaustion reports UNKNOWN.
+classical diagrams is semi-decided, in this order: a greedy pass of
+crossing-removing R1/R2 moves whose trace, when it clears every crossing,
+certifies YES; cheap obstructions (linking numbers, Fox 3-colorings),
+computed only when it does not, which give certified NO answers; and a
+bounded search over the classical Reidemeister moves from where the greedy
+pass stopped, which gives certified YES answers, with budget exhaustion
+reported as UNKNOWN.  A diagram caches its two resolutions, so every caller
+of :func:`resolve` shares one substitution per diagram and sign.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .moves import (
     _sites,
     apply_move,
     code_digest,
-    find_sites,
 )
 
 POSITIVE = "positive"
@@ -90,7 +93,13 @@ class Resolution:
         return len(self.components)
 
 
+def _require_diagram(d, what: str) -> None:
+    if not isinstance(d, Diagram):
+        raise SMGSemanticError(f"{what} needs an unoriented Diagram, not {type(d).__name__}")
+
+
 def _require_classical(c: Diagram, what: str) -> None:
+    _require_diagram(c, what)
     if not c.is_classical():
         raise SMGSemanticError(
             f"{what} needs a classical diagram; {c.name!r} has markers or double points")
@@ -124,16 +133,21 @@ _SMOOTHING = Pattern((), ("p", "p", "q", "q"))
 
 
 def resolve(d: Diagram, sign: str) -> Resolution:
-    """Smooth every marker and resolve every singular vertex."""
+    """Smooth every marker and resolve every singular vertex.  ``d`` keeps
+    the result for each sign; every call returns a fresh ``Resolution``."""
+    _require_diagram(d, "resolve")
     if sign not in (POSITIVE, NEGATIVE):
         raise SMGSemanticError(f"bad sign {sign!r}")
-    snode_rot, subs = {}, {}
-    for nd in d.nodes:
-        if nd.kind == SINGULAR:
-            snode_rot[nd.id] = _singular_rotation(nd.attr, sign)
-        elif nd.kind == MARKER:
-            subs[nd.id] = (_SMOOTHING, nd.attr + (sign == NEGATIVE))
-    return Resolution(_substitute(d, subs, d.name, snode_rot)[0], sign, snode_rot)
+    if sign not in d._resolutions:
+        snode_rot, subs = {}, {}
+        for nd in d.nodes:
+            if nd.kind == SINGULAR:
+                snode_rot[nd.id] = _singular_rotation(nd.attr, sign)
+            elif nd.kind == MARKER:
+                subs[nd.id] = (_SMOOTHING, nd.attr + (sign == NEGATIVE))
+        d._resolutions[sign] = (_substitute(d, subs, d.name, snode_rot)[0], snode_rot)
+    c, snode_rot = d._resolutions[sign]
+    return Resolution(c, sign, dict(snode_rot))
 
 
 @lru_cache(maxsize=None)
@@ -341,11 +355,14 @@ class TriState:
         return "\n".join(lines)
 
 
-def _rmoves():
+@lru_cache(maxsize=None)
+def _rmoves() -> tuple[tuple[MoveSpec, ...], tuple[MoveSpec, ...]]:
+    """R1, R2 and R3, and those of them that the greedy pass applies."""
     from .catalog import catalog_map
 
     cat = catalog_map("unoriented")
-    return [cat["O1"], cat["O2"], cat["O3"]]
+    moves = (cat["O1"], cat["O2"], cat["O3"])
+    return moves, tuple(m for m in moves if _removes_crossings(m))
 
 
 def _removes_crossings(m: MoveSpec) -> bool:
@@ -358,13 +375,13 @@ def _removes_crossings(m: MoveSpec) -> bool:
                for v in range(len(m.variants)))
 
 
-def _greedy_reduce(c: Diagram, moves) -> tuple[Diagram, tuple]:
+def _greedy_reduce(c: Diagram) -> tuple[Diagram, tuple]:
     """Apply the first reverse site of the first crossing-removing move
     until none has one."""
     steps: tuple = ()
     cur = c
     while cur.counts[0] > 0:
-        for m in moves:
+        for m in _rmoves()[1]:
             site = next(_sites(cur, m, REVERSE, kept=True), None)
             if site is not None:
                 cur = apply_move(cur, m, site)
@@ -378,13 +395,17 @@ def _greedy_reduce(c: Diagram, moves) -> tuple[Diagram, tuple]:
 def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
     """Greedy-first bounded search over R1/R2/R3; returns the diagram with
     the fewest crossings found and a replayable trace to it."""
-    budget = budget or Budget()
     _require_classical(c, "reidemeister_simplify")
-    moves = _rmoves()
-    greedy = [m for m in moves if _removes_crossings(m)]
-    start, presteps = _greedy_reduce(c, greedy)
+    start, presteps = _greedy_reduce(c)
     if start.counts[0] == 0:
         return start, MoveSequence(presteps)
+    return _heap_search(c, start, presteps, budget or Budget())
+
+
+def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
+    """Best-first search over R1/R2/R3 from ``start``, which the greedy pass
+    reached from ``c`` by ``presteps``, finishing greedily from every new
+    state; returns the fewest-crossing diagram found and its trace."""
     ceiling = c.counts[0] + budget.extra_crossings
     best = (start.counts[0], start, MoveSequence(presteps))
     seen = {start.canonical_code()}
@@ -393,11 +414,9 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
     states = 1
     while heap and states < budget.max_states:
         x, _, d, steps = heapq.heappop(heap)
-        for m in moves:
+        for m in _rmoves()[0]:
             for direction in (REVERSE, FORWARD):
-                for site in find_sites(d, m, direction):
-                    if site.variant not in m._kept:
-                        continue
+                for site in _sites(d, m, direction, kept=True):
                     nxt = apply_move(d, m, site)
                     if nxt.counts[0] > ceiling:
                         continue
@@ -406,8 +425,7 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
                         continue
                     seen.add(code)
                     states += 1
-                    # finish greedily from every new state
-                    tail, tailsteps = _greedy_reduce(nxt, greedy)
+                    tail, tailsteps = _greedy_reduce(nxt)
                     step = MoveStep(m.id, site.variant, direction, code_digest(nxt))
                     nsteps = steps + (step,)
                     full = nsteps + tailsteps
@@ -431,12 +449,15 @@ def _fox3_count(c: Diagram) -> int:
 
 def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
     """YES with a simplification trace, NO with an invariant obstruction,
-    or UNKNOWN when the budget runs out."""
-    budget = budget or Budget()
+    or UNKNOWN when the budget runs out.  A greedy pass that clears every
+    crossing is the certificate; only a diagram it leaves crossed has its
+    linking numbers and Fox 3-colorings counted (neither refutes an unlink)
+    and then goes on to the heap search."""
     _require_classical(c, "is_trivial_unlink")
     ncomp = len(classical_components(c))
-    if c.counts[0] == 0:
-        return TriState(YES, components=ncomp, trace=MoveSequence(()))
+    start, presteps = _greedy_reduce(c)
+    if start.counts[0] == 0:
+        return TriState(YES, components=ncomp, trace=MoveSequence(presteps))
     lk = linking_matrix(_first_orientation(c))
     for i in range(len(lk)):
         for j in range(i + 1, len(lk)):
@@ -447,7 +468,7 @@ def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
     if fox != 3 ** ncomp:
         return TriState(NO, components=ncomp,
                         obstruction=f"fox3={fox}!=3^{ncomp}")
-    simp, trace = reidemeister_simplify(c, budget)
+    simp, trace = _heap_search(c, start, presteps, budget or Budget())
     if simp.counts[0] == 0:
         return TriState(YES, components=ncomp, trace=trace)
     return TriState(UNKNOWN, components=ncomp)
@@ -455,6 +476,7 @@ def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
 
 def is_admissible(d: Diagram, budget: Optional[Budget] = None) -> dict:
     """Both resolutions must be trivial unlink diagrams."""
+    _require_diagram(d, "is_admissible")
     res = {}
     for sign in (POSITIVE, NEGATIVE):
         r = resolve(d, sign)

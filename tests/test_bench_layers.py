@@ -53,7 +53,7 @@ PUBLIC_FUNCTIONS = {
     "catalog": ["catalog_map", "mirror_pattern", "move_catalog", "orient_pattern",
                 "parse_pattern"],
     "resolution": ["apply_move", "classical_components", "code_digest", "crossing_sign",
-                   "find_sites", "is_admissible", "is_trivial_unlink", "linking_matrix",
+                   "is_admissible", "is_trivial_unlink", "linking_matrix",
                    "reidemeister_simplify", "resolve", "smoothing_pairs"],
     "transforms": ["classical_components", "coloring_count", "crossing_sign", "cyclic_reduce",
                    "enumerate_orientations", "export_exterior", "kirby_group", "linking_matrix",

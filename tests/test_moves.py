@@ -503,6 +503,94 @@ def test_strand_sites_match_the_product_reference():
     assert checked > 10000
 
 
+def reference_node_embeddings(d, pat) -> list[tuple]:
+    """``(node map, {leg k: target}, face conditions hold)`` of every
+    combinatorial embedding of a node pattern: every injective map of its
+    nodes to host nodes of their kind, each at every rotation that keeps a
+    crossing's strands and turns a decoration into the host's, kept when
+    the two ends of each interior edge land on one host edge.  Sorted by the
+    host node and rotation of the least pattern node, which fix the rest."""
+    from smg.diagram import CROSSING
+    from smg.moves import HUB, _face_conditions
+
+    faces = d.faces()
+    pnodes = sorted(pat.nodes, key=lambda nd: nd.id)
+
+    def fits(pn, hn, r):
+        if hn.kind != pn.kind:
+            return False
+        return r % 2 == 0 if pn.kind == CROSSING else hn.attr == (pn.attr + r) % 2
+
+    def image(amap, dart):
+        h, r = amap[dart[0]]
+        return (h, (dart[1] + r) % 4)
+
+    order = {nd.id: i for i, nd in enumerate(d.nodes)}
+    images = [[(hn.id, r) for hn in d.nodes for r in range(4) if fits(pn, hn, r)]
+              for pn in pnodes]
+    out = []
+    for picks in itertools.product(*images):
+        if len({h for h, _ in picks}) < len(picks):
+            continue
+        amap = {pn.id: pick for pn, pick in zip(pnodes, picks)}
+        targets, ok = {}, True
+        for e, ends in pat.edge_ends.items():
+            darts = [image(amap, x) for x in ends if x[0] != HUB]
+            edges = {d.node(h).ports[p] for h, p in darts}
+            if len(edges) > 1:
+                ok = False
+                break
+            if len(darts) == 1:
+                he = edges.pop()
+                targets[pat.legs.index(e) + 1] = ("edge", he, d.edge_ends[he].index(darts[0]))
+        if ok:
+            out.append((order[picks[0][0]], picks[0][1], amap, targets,
+                        _face_conditions(d, faces, pat, amap, targets)))
+    return [t[2:] for t in sorted(out, key=lambda t: t[:2])]
+
+
+def test_node_sites_match_the_injective_map_reference():
+    """Every node-pattern side of both catalogs matches, in order, the
+    embeddings of the plain product over injective node maps and rotations
+    filtered by edges, and finds those of them that meet the face (and
+    orientation) conditions: on the fixtures and their one-move rewrites,
+    every move, both directions, oriented moves under up to 4 orientations."""
+    from smg.moves import _match_component, _orientation_ok
+    from test_quandles import fixtures_and_rewrites
+
+    def key(amap, targets):
+        return tuple(sorted(amap.items())), tuple(targets[k] for k in sorted(targets))
+
+    sides = [(m, direction, [v for v in range(len(m.variants)) if m.side(v, direction).nodes])
+             for cat in (move_catalog("unoriented"), move_catalog("oriented"))
+             for m in cat for direction in (FORWARD, REVERSE)]
+    sides = [side for side in sides if side[2]]
+    matched = checked = 0
+    for d in fixtures_and_rewrites():
+        oriented = enumerate_orientations(d)[:4]
+        for m, direction, variants in sides:
+            ref = {}
+            for v in variants:
+                pat = m.side(v, direction)
+                ref[v] = reference_node_embeddings(d, pat)
+                leg = {e: k for k, e in enumerate(pat.legs, start=1)}
+                got = [key(amap, {leg[e]: ("edge", he, d.edge_ends[he].index(end))
+                                  for e, (he, end) in claims.items()})
+                       for amap, claims in _match_component(d, pat)]
+                assert got == [key(amap, targets) for amap, targets, _ in ref[v]], m.id
+                matched += len(got)
+            for host in (oriented if m.oriented else [d]):
+                want = [(v, *key(amap, targets)) for v in variants
+                        for amap, targets, face_ok in ref[v] if face_ok and (
+                            host is d or _orientation_ok(host, d, m.side(v, direction),
+                                                         amap, targets))]
+                got = [(s.variant, s.node_images, s.leg_targets)
+                       for s in find_sites(host, m, direction) if s.variant in variants]
+                assert got == want, (m.id, direction, serialize(d))
+                checked += len(got)
+    assert matched > 1000 and checked > 1000
+
+
 def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
     """A search codes every rewrite but reads faces only where it looks for
     sites; an unanchored diagram's code needs none."""
@@ -547,7 +635,8 @@ def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
 
 def watch_states(monkeypatch, module, inputs):
     """Weakly record every result of ``module.apply_move`` and look at each
-    diagram given to ``module.find_sites`` or ``Diagram.canonical_code``.
+    diagram given to ``module._sites`` (which ``find_sites`` goes through)
+    or ``Diagram.canonical_code``.
 
     Returns ``(most, fresh)``: ``most[0]`` is the largest number of results
     alive at one look, and ``fresh`` has one entry per diagram looked at
@@ -556,7 +645,7 @@ def watch_states(monkeypatch, module, inputs):
     from smg.diagram import Diagram
 
     results, looked, most, fresh = {}, {}, [0], []
-    apply, find, code = module.apply_move, module.find_sites, Diagram.canonical_code
+    apply, find, code = module.apply_move, module._sites, Diagram.canonical_code
 
     def keep(table, d):
         table[id(d)] = weakref.ref(d, lambda _, i=id(d): table.pop(i, None))
@@ -581,7 +670,7 @@ def watch_states(monkeypatch, module, inputs):
         return code(d)
 
     monkeypatch.setattr(module, "apply_move", watched_apply)
-    monkeypatch.setattr(module, "find_sites", watched_find)
+    monkeypatch.setattr(module, "_sites", watched_find)
     monkeypatch.setattr(Diagram, "canonical_code", watched_code)
     return most, fresh
 

@@ -294,3 +294,75 @@ def test_non_classical_input_is_a_semantic_error():
                          capture_output=True, text=True, timeout=60, check=True).stdout
     assert out.split("\n")[:2] == ["profile raises SMGSemanticError",
                                    "is_trivial_unlink raises SMGSemanticError"]
+
+
+@pytest.mark.parametrize("bad", [enumerate_orientations(fixture("kink"))[0], "kink"],
+                         ids=["oriented", "text"])
+def test_non_diagram_input_is_a_semantic_error(bad):
+    """An OrientedDiagram, or anything else that is not a Diagram, is a
+    typed error, not an AttributeError."""
+    calls = {"resolve": lambda x: resolve(x, POSITIVE), "is_admissible": is_admissible,
+             "is_trivial_unlink": is_trivial_unlink,
+             "reidemeister_simplify": reidemeister_simplify}
+    for name, f in calls.items():
+        with pytest.raises(SMGSemanticError,
+                           match=f"{name} needs an unoriented Diagram, not {type(bad).__name__}"):
+            f(bad)
+
+
+def test_a_diagram_is_resolved_once_per_sign(monkeypatch):
+    """``resolve`` substitutes once per diagram and sign, for every caller:
+    admissibility, component counts and the abstract orientation.  Each
+    call hands out its own rotations, and a copy made with
+    ``dataclasses.replace`` starts without resolutions."""
+    from dataclasses import replace
+
+    import smg.resolution as resolution
+    from smg.groups import wirtinger_presentation
+
+    substituted = []
+    real = resolution._substitute
+    monkeypatch.setattr(resolution, "_substitute",
+                        lambda d, *args, **kw: substituted.append(d.name) or real(d, *args, **kw))
+    d = replace(fixture("d1m6"))
+    first = resolve(d, POSITIVE)
+    rot = dict(first.snode_rot)
+    first.snode_rot.clear()
+    is_admissible(d)
+    wirtinger_presentation(d)
+    again = resolve(d, POSITIVE)
+    assert again.diagram is first.diagram and again.snode_rot == rot != {}
+    assert resolve(d, NEGATIVE).component_count() == 2
+    assert substituted == ["d1m6", "d1m6"]
+    copy = replace(d)
+    assert "_resolutions" not in copy.__dict__
+    assert resolve(copy, NEGATIVE).diagram.canonical_code() == \
+        resolve(d, NEGATIVE).diagram.canonical_code()
+    assert len(substituted) == 3
+
+
+def test_greedy_certificate_comes_before_the_obstructions(monkeypatch):
+    """A greedy pass that clears every crossing answers YES before linking
+    numbers or Fox colorings are counted; a diagram it leaves crossed gets
+    both, and the heap search starts where the greedy pass stopped."""
+    import smg.resolution as resolution
+
+    calls = []
+    for name in ("linking_matrix", "_fox3_count", "apply_move"):
+        real = getattr(resolution, name)
+        monkeypatch.setattr(resolution, name, lambda *args, _name=name, _real=real, **kw:
+                            calls.append(_name) or _real(*args, **kw))
+    assert is_trivial_unlink(fixture("kink")).value == "yes"
+    assert calls == ["apply_move"]
+    calls.clear()
+    assert is_trivial_unlink(fixture("trefoil")).value == "no"
+    assert calls == ["linking_matrix", "_fox3_count"]
+    # a figure-eight knot, which neither obstruction sees, with one kink
+    # that the greedy pass removes once, before the obstructions
+    fig8 = parse_smg("diagram fig8\nnode a X e4 e2 e5 e1\nnode b X e8 e6 e1 e5\n"
+                     "node c X e6 e3 e7 e4\nnode d X e2 e7 e3 e8\nend\n")
+    o1 = catalog_map("unoriented")["O1"]
+    kinked = resolution.apply_move(fig8, o1, find_sites(fig8, o1, "forward")[0])
+    calls.clear()
+    t = is_trivial_unlink(kinked, Budget(max_states=1))
+    assert (t.value, calls) == ("unknown", ["apply_move", "linking_matrix", "_fox3_count"])
