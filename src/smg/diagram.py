@@ -365,6 +365,17 @@ class Diagram:
         ``resolution.resolve``, which hands out copies of the rotations."""
         return {}
 
+    # -- strand components ---------------------------------------------------
+
+    @cached_property
+    def _components(self) -> tuple:
+        """Strand components of a classical diagram, read through
+        ``resolution.classical_components``, which checks the diagram and
+        hands out copies."""
+        from .resolution import _build_components
+
+        return _build_components(self)
+
     # -- rebuilding ---------------------------------------------------------
 
     def relabeled(self, node_map: dict[str, str], edge_map: dict[str, str],

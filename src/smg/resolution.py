@@ -107,8 +107,14 @@ def _require_classical(c: Diagram, what: str) -> None:
 
 def classical_components(c: Diagram) -> list[frozenset]:
     """Strand components of a classical diagram (edges pass straight through
-    crossings); loops are singleton components."""
+    crossings); loops are singleton components.  They are found once per
+    diagram, as ``Diagram._components``; each call returns a new list."""
     _require_classical(c, "classical_components")
+    return list(c._components)
+
+
+def _build_components(c: Diagram) -> tuple[frozenset, ...]:
+    """Built once per classical diagram, as ``Diagram._components``."""
     uf = UnionFind(c.edges)
     for nd in c.nodes:
         for p in (0, 1):
@@ -118,7 +124,7 @@ def classical_components(c: Diagram) -> list[frozenset]:
         groups.setdefault(uf.find(e), set()).add(e)
     comps = [frozenset(v) for v in groups.values()]
     comps += [frozenset([l]) for l in c.loops]
-    return sorted(comps, key=min)
+    return tuple(sorted(comps, key=min))
 
 
 def _component_index(comps: list[frozenset]) -> dict[str, int]:

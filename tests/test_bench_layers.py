@@ -41,11 +41,12 @@ def test_per_layer_metrics_name_public_functions():
 
 
 #: what the recorder wraps in ``smg.diagram``, ``smg.moves``,
-#: ``smg.catalog``, ``smg.resolution`` and ``smg.transforms``: each public
-#: function, its own or imported from another ``smg`` module.  A helper
-#: called per site, per variant, per vertex or per code costs a span on
-#: every call, so a new public name here is a change to the benchmark's
-#: trace and must be deliberate; helpers stay private.
+#: ``smg.catalog``, ``smg.resolution``, ``smg.transforms``, ``smg.groups``
+#: and ``smg.quandles``: each public function, its own or imported from
+#: another ``smg`` module.  A helper called per site, per variant, per
+#: vertex, per code, per pivot or per elimination costs a span on every
+#: call, so a new public name here is a change to the benchmark's trace and
+#: must be deliberate; helpers stay private.
 PUBLIC_FUNCTIONS = {
     "diagram": ["enumerate_orientations", "parse_smg", "serialize"],
     "moves": ["apply_move", "code_digest", "find_sites", "parse_pattern",
@@ -58,6 +59,12 @@ PUBLIC_FUNCTIONS = {
     "transforms": ["classical_components", "coloring_count", "crossing_sign", "cyclic_reduce",
                    "enumerate_orientations", "export_exterior", "kirby_group", "linking_matrix",
                    "parse_pattern", "profile", "semi_transform"],
+    "groups": ["abelianization", "abstract_orientation", "cyclic_group", "cyclic_reduce",
+               "dihedral_group", "free_reduce", "hom_count", "negative_arcs", "product_group",
+               "quaternion_group", "resolve", "smith_normal_form", "smoothing_pairs",
+               "symmetric_group", "tietze_simplify", "wirtinger_presentation"],
+    "quandles": ["check_quandle", "coloring_count", "colorings", "conjugation_quandle",
+                 "parse_quandle", "quandle_from_rows", "serialize_quandle", "trivial_quandle"],
 }
 
 

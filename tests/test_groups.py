@@ -1,16 +1,25 @@
 import hashlib
+import itertools
+import math
+import random
+import time
 from functools import lru_cache
 
 import pytest
+from test_diagram import t2_text
 
+from smg import cli
 from smg.catalog import move_catalog
-from smg.diagram import MARKER, OrientedDiagram
+from smg.diagram import MARKER, OrientedDiagram, enumerate_orientations, parse_smg
 from smg.fixtures import fixture, fixture_names
 from smg.groups import (
+    AbelianGroup,
     Presentation,
     abelianization,
     abstract_orientation,
     cyclic_group,
+    cyclic_reduce,
+    free_reduce,
     groups_up_to_order,
     hom_count,
     smith_normal_form,
@@ -19,6 +28,7 @@ from smg.groups import (
 )
 from smg.moves import FORWARD, REVERSE, apply_move, find_sites
 from smg.resolution import NEGATIVE, resolve
+from smg.transforms import export_exterior, kirby_group
 
 
 @lru_cache(maxsize=None)
@@ -193,3 +203,317 @@ def test_abstract_orientation_follows_the_negative_smoothing(name):
     heads = tuple((x, (a if h == b else b) if x == e else h) for x, h in ao.heads)
     issues = [str(i) for i in OrientedDiagram(d, heads, ao.loop_dirs, True).validate()]
     assert "bad orientation: marker m not along its negative smoothing" in issues
+
+
+# ---------------------------------------------------------------------------
+# references: the dense Smith form, the Tietze pass that rewrote and
+# renumbered every relator at every step, and the cyclic reduction that
+# reduced the whole word again per stripped pair, kept verbatim as oracles
+
+
+def reference_cyclic_reduce(w):
+    w = free_reduce(w)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = free_reduce(w[1:-1])
+    return w
+
+
+def reference_tietze_simplify(p, budget=1000):
+    cyclic_reduce = reference_cyclic_reduce
+    ngens = p.ngens
+    rels = [cyclic_reduce(w) for w in p.relators]
+    rels = [w for w in rels if w]
+    steps = 0
+    changed = True
+    while changed and steps < budget:
+        changed = False
+        steps += 1
+        # find a relator in which some generator occurs exactly once
+        target = None
+        for ri, w in enumerate(rels):
+            counts: dict[int, int] = {}
+            for l in w:
+                counts[abs(l)] = counts.get(abs(l), 0) + 1
+            for g, cnt in counts.items():
+                if cnt == 1:
+                    target = (ri, g)
+                    break
+            if target:
+                break
+        if not target:
+            break
+        ri, g = target
+        w = rels[ri]
+        i = next(i for i, l in enumerate(w) if abs(l) == g)
+        # rotate so the isolated letter is first, then g^e = (rest)^-1
+        w = w[i:] + w[:i]
+        e = 1 if w[0] > 0 else -1
+        rest = w[1:]
+        repl = tuple(-l for l in reversed(rest)) if e > 0 else rest
+        # g = repl  (when e>0); g^-1 = rest means g = rest reversed-inverted
+        sub = repl
+
+        def substitute(word):
+            out: list[int] = []
+            for l in word:
+                if abs(l) != g:
+                    out.append(l)
+                elif l > 0:
+                    out.extend(sub)
+                else:
+                    out.extend(-x for x in reversed(sub))
+            return cyclic_reduce(tuple(out))
+
+        new_rels = [substitute(w2) for rj, w2 in enumerate(rels) if rj != ri]
+        # renumber generators above g down by one
+        def renum(word):
+            return tuple((abs(l) - 1 if abs(l) > g else abs(l)) * (1 if l > 0 else -1)
+                         for l in word)
+
+        rels = [renum(w2) for w2 in new_rels if w2]
+        ngens -= 1
+        changed = True
+    rels = sorted(set(w for w in (cyclic_reduce(w) for w in rels) if w))
+    return Presentation(ngens, tuple(rels))
+
+
+def reference_smith_normal_form(mat):
+    m = [row[:] for row in mat]
+    rows, cols = len(m), len(m[0]) if m else 0
+    diag = []
+    r = c = 0
+    while r < rows and c < cols:
+        # find a pivot with the smallest nonzero absolute value
+        best = None
+        for i in range(r, rows):
+            for j in range(c, cols):
+                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        m[r], m[i] = m[i], m[r]
+        for row in m:
+            row[c], row[j] = row[j], row[c]
+        again = True
+        while again:
+            again = False
+            for i in range(rows):
+                if i != r and m[i][c]:
+                    q = m[i][c] // m[r][c]
+                    for j in range(cols):
+                        m[i][j] -= q * m[r][j]
+                    if m[i][c]:
+                        m[r], m[i] = m[i], m[r]
+                        again = True
+            for j in range(cols):
+                if j != c and m[r][j]:
+                    q = m[r][j] // m[r][c]
+                    for i in range(rows):
+                        m[i][j] -= q * m[i][c]
+                    if m[r][j]:
+                        for i in range(rows):
+                            m[i][c], m[i][j] = m[i][j], m[i][c]
+                        again = True
+        # divisibility fix-up: pivot must divide the rest of the block
+        piv = abs(m[r][c])
+        fixed = False
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                if m[i][j] % piv:
+                    for jj in range(cols):
+                        m[r][jj] += m[i][jj]
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        diag.append(piv)
+        r += 1
+        c += 1
+    return diag
+
+
+def reference_abelianization(p):
+    mat = [[0] * p.ngens for _ in p.relators]
+    for i, w in enumerate(p.relators):
+        for l in w:
+            mat[i][abs(l) - 1] += 1 if l > 0 else -1
+    if not mat:
+        return AbelianGroup(p.ngens, ())
+    diag = reference_smith_normal_form(mat)
+    torsion = tuple(v for v in diag if v > 1)
+    rank = p.ngens - len(diag)
+    return AbelianGroup(rank, torsion)
+
+
+def random_word(rng, ngens, length):
+    return tuple(rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(length))
+
+
+def test_cyclic_reduce_matches_the_reference_on_random_words():
+    rng = random.Random(1601)
+    for _ in range(3000):
+        w = random_word(rng, rng.randint(1, 3), rng.randint(0, 16))
+        # conjugates, so that pairs of end letters cancel
+        u = random_word(rng, 3, rng.randint(0, 6))
+        w = u + w + tuple(-l for l in reversed(u))
+        assert cyclic_reduce(w) == reference_cyclic_reduce(w), w
+
+
+def test_cyclic_reduce_is_linear():
+    """a^4000 b a^-4000 once took 1.4 s, reducing the whole inner word
+    again for every stripped pair."""
+    w = (1,) * 4000 + (2,) + (-1,) * 4000
+    start = time.perf_counter()
+    assert cyclic_reduce(w) == (2,)
+    assert time.perf_counter() - start < 0.25
+
+
+def random_matrix(rng, size, entries=(0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 12, -9)):
+    rows, cols = rng.randint(0, size), rng.randint(1, size)
+    mat = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+    for row in mat:
+        if rng.random() < 0.15:
+            row[:] = [0] * cols
+    if mat and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in mat:
+            row[j] = 0
+    return mat
+
+
+def test_smith_normal_form_matches_the_dense_reference():
+    """Up to 6 x 6; on larger matrices the reference's entries can grow to
+    thousands of bits (see the next test)."""
+    rng = random.Random(1602)
+    mats = [[], [[]], [[0, 0], [0, 0]], [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]]
+    mats += [random_matrix(rng, 6) for _ in range(3000)]
+    for mat in mats:
+        copy = [row[:] for row in mat]
+        assert smith_normal_form(mat) == reference_smith_normal_form(mat), mat
+        assert mat == copy
+
+
+def determinant(a):
+    """Fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def determinantal_diagonal(mat):
+    """The Smith diagonal as quotients d_k / d_(k-1), where d_k is the gcd
+    of the k x k minors."""
+    rows, cols = len(mat), len(mat[0]) if mat else 0
+    diag, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                d = math.gcd(d, determinant([[mat[i][j] for j in cs] for i in rs]))
+                if d == 1:
+                    break
+            if d == 1:
+                break
+        if not d:
+            break
+        diag.append(d // prev)
+        prev = d
+    return diag
+
+
+#: the reference's entries grow past 1,000 bits on this matrix, and it did
+#: not finish in minutes
+EXPLODING = [[1, 0, -4, 2, 0, -1, 3], [0, -4, -4, 2, 6, 2, 0], [0, 0, 0, 0, 0, 0, 0],
+             [0, 0, -2, 12, -4, -9, 6], [12, 0, -9, 2, 2, 0, 0], [-9, 3, 0, 12, 6, 12, 0],
+             [-9, 12, -2, 0, 1, -4, -2]]
+
+
+def test_smith_normal_form_of_larger_matrices_matches_the_minors():
+    """Matrices on which the dense reference's entries explode, and seeded
+    ones without a unit entry, so that all of them but the first reach the
+    elimination of the rows left after the unit pivots."""
+    rng = random.Random(1604)
+    mats = [EXPLODING] + [random_matrix(rng, 7, (0, 0, 2, -2, 3, -4, 6, 12, -9, 5, 7))
+                          for _ in range(12)]
+    start = time.perf_counter()
+    got = [smith_normal_form(mat) for mat in mats]
+    assert time.perf_counter() - start < 1.0
+    assert got == [determinantal_diagonal(mat) for mat in mats]
+
+
+def test_group_layer_matches_the_references_on_fixtures_and_rewrites():
+    """Wirtinger and Kirby presentations of every fixture and its first
+    rewrites: the same abelianization, and the same Tietze simplification
+    under every budget."""
+    kirby = 0
+    for d in fixtures_and_first_rewrites():
+        presentations = [wirtinger_presentation(d)]
+        if enumerate_orientations(d):
+            presentations.append(kirby_group(export_exterior(d)))
+            kirby += 1
+        for p in presentations:
+            assert abelianization(p) == reference_abelianization(p), d.name
+            for budget in (0, 1, 2, 5, 1000):
+                assert tietze_simplify(p, budget) == reference_tietze_simplify(p, budget), \
+                    (d.name, budget)
+    assert kirby > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 95, 192])
+def test_group_layer_matches_the_references_on_t2(n):
+    p = wirtinger_presentation(parse_smg(t2_text(n)))
+    assert abelianization(p) == reference_abelianization(p)
+    assert tietze_simplify(p) == reference_tietze_simplify(p)
+
+
+def test_tietze_simplify_matches_the_reference_on_random_presentations():
+    rng = random.Random(1603)
+    for _ in range(3000):
+        ngens = rng.randint(1, 6)
+        p = Presentation(ngens, tuple(random_word(rng, ngens, rng.randint(0, 8))
+                                      for _ in range(rng.randint(0, 5))))
+        for budget in (0, 1, 2, 5, 1000):
+            assert tietze_simplify(p, budget) == reference_tietze_simplify(p, budget), \
+                (p, budget)
+        assert abelianization(p) == reference_abelianization(p), p
+
+
+# ---------------------------------------------------------------------------
+# at 10^3 crossings
+
+
+@pytest.mark.parametrize("n, want", [(1000, "Z + Z"), (1001, "Z")])
+def test_abelianization_at_a_thousand_crossings(n, want):
+    """The dense elimination took about 35 s here (extrapolated)."""
+    p = wirtinger_presentation(parse_smg(t2_text(n)))
+    start = time.perf_counter()
+    assert str(abelianization(p)) == want
+    assert time.perf_counter() - start < 2.0
+
+
+def test_tietze_simplify_keeps_the_abelianization_at_size():
+    p = wirtinger_presentation(parse_smg(t2_text(301)))
+    simp = tietze_simplify(p)
+    assert simp.ngens < 10
+    assert str(abelianization(simp)) == str(abelianization(p)) == "Z"
+
+
+def test_cli_abelian_at_a_thousand_crossings(tmp_path, capsys):
+    path = tmp_path / "t2_1000.smg"
+    path.write_text(t2_text(1000))
+    assert cli.main(["abelian", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "Z + Z"

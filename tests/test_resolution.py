@@ -341,6 +341,29 @@ def test_a_diagram_is_resolved_once_per_sign(monkeypatch):
     assert len(substituted) == 3
 
 
+def test_classical_components_are_found_once_per_diagram(monkeypatch):
+    """The admissibility check, the linking numbers and the resolution's
+    components share one computation per diagram; every call still returns
+    a new list."""
+    from dataclasses import replace
+
+    import smg.resolution as resolution
+
+    built = []
+    real = resolution._build_components
+    monkeypatch.setattr(resolution, "_build_components", lambda c: built.append(c) or real(c))
+    d = replace(fixture("hopf"))
+    r = resolve(d, NEGATIVE)
+    c = r.diagram
+    first = classical_components(c)
+    first.clear()
+    assert is_trivial_unlink(c).obstruction == "linking(0,1)=1"
+    assert classical_components(c) == r.components == resolve(d, NEGATIVE).components != []
+    assert classical_components(c) is not classical_components(c)
+    assert len(built) == 1 and built[0] is c
+    assert "_components" not in replace(c).__dict__
+
+
 def test_greedy_certificate_comes_before_the_obstructions(monkeypatch):
     """A greedy pass that clears every crossing answers YES before linking
     numbers or Fox colorings are counted; a diagram it leaves crossed gets
