@@ -701,3 +701,43 @@ def test_search_holds_no_rewritten_diagram(monkeypatch):
         assert most[0] <= 1
         seen += fresh
     assert seen and all(seen)
+
+
+def rewrite_texts() -> list[str]:
+    """``serialize()`` of every rewrite of every fixture: both catalogs, both
+    directions, the oriented catalog under the fixture's first orientation."""
+    from smg.diagram import _first_orientation
+
+    texts = []
+    for name in fixture_names():
+        d = fixture(name)
+        for host, mode in ((d, "unoriented"), (_first_orientation(d), "oriented")):
+            for m in move_catalog(mode) if host is not None else ():
+                for direction in (FORWARD, REVERSE):
+                    texts += [serialize(apply_move(host, m, s))
+                              for s in find_sites(host, m, direction)]
+    return texts
+
+
+def substitution_texts() -> list[str]:
+    """``serialize()`` of both resolutions, both semi-transforms and the
+    exterior of every fixture and of its first rewrites."""
+    from test_groups import fixtures_and_first_rewrites
+
+    from smg.resolution import NEGATIVE, POSITIVE, resolve
+    from smg.transforms import export_exterior, semi_transform
+
+    return [text for d in fixtures_and_first_rewrites()
+            for text in (serialize(resolve(d, POSITIVE).diagram),
+                         serialize(resolve(d, NEGATIVE).diagram),
+                         serialize(semi_transform(d, "M5")), serialize(semi_transform(d, "M6")),
+                         export_exterior(d).serialize())]
+
+
+def test_rewrite_and_substitution_bytes_are_pinned():
+    """Every byte of the rewrites and substitutions, names and places
+    included: sha256 of the texts, 16 hex digits."""
+    for texts, count, digest in ((rewrite_texts(), 2470, "23276c8363903a82"),
+                                 (substitution_texts(), 580, "abc488febcc6743a")):
+        assert len(texts) == count
+        assert hashlib.sha256("".join(texts).encode()).hexdigest()[:16] == digest
