@@ -527,11 +527,11 @@ def _fresh_ids(taken: set[str]) -> Callable[[str], str]:
 
     def fresh(prefix: str) -> str:
         i = start.get(prefix, 0)
-        while f"{prefix}{i}" in taken:
+        while (name := f"{prefix}{i}") in taken:
             i += 1
         start[prefix] = i + 1
-        taken.add(f"{prefix}{i}")
-        return f"{prefix}{i}"
+        taken.add(name)
+        return name
 
     return fresh
 

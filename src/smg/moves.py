@@ -5,7 +5,8 @@ are written in the SMG grammar extended with ``leg <k> <edge>`` stubs; leg
 numbers give the counterclockwise order of the cut points around the disk the
 move is performed in.  Matching embeds a fragment into a host diagram
 injectively, preserving rotation, decorations and face structure; application
-cuts the matched disk out and sews the other side in along the same legs.
+cuts the matched disk out and sews the other side in along the same legs, by
+the one splice (:func:`_splice`) that the resolutions and transforms use too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .diagram import (
     Faces,
     Node,
     OrientedDiagram,
+    SMGError,
     SMGSemanticError,
     SMGSyntaxError,
     StrandParity,
@@ -150,6 +152,13 @@ class Pattern:
                           if m != HUB)
         if len(reached) != len(self.nodes):
             raise ValueError("pattern has more than one node component")
+
+    @cached_property
+    def leg_ends(self) -> tuple:
+        """Per leg, the far end of its edge: a node port ``(node id, port)``,
+        or the index in ``legs`` of the leg at the other end of a bare strand."""
+        ends = (self.alpha(self.hub_dart_of_leg(k)) for k in range(1, self.K + 1))
+        return tuple(self.leg_of_hub_dart(x) - 1 if x[0] == HUB else x for x in ends)
 
     @cached_property
     def head_map(self) -> dict[str, object]:
@@ -476,15 +485,115 @@ def _sites(d, move: MoveSpec, direction: str, kept: bool = False) -> Iterator[Si
 
 
 # ---------------------------------------------------------------------------
+# the splice
+
+
+def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, prefix: str,
+            turned: Optional[dict] = None, beyond: Optional[dict] = None):
+    """Cut the nodes and loops of ``cut`` out of ``d`` and paste tangles in.
+
+    ``tangles[key] = (pattern, legs)`` puts leg ``k`` of a pattern at
+    ``legs[k - 1]`` and its nodes in place of host node ``key`` (after the
+    host's nodes for ``key`` None).  A leg joins ``outer[leg]``, a surviving
+    host dart or the leg at the other end of a cut arc or loop, to a pasted
+    port or the leg at the other end of a bare strand.  Each strand, walked
+    once through alternating connectors, becomes an edge ``prefix<i>``, or a
+    loop ``c<i>`` when it closes, named in ``order``: legs, and host edges
+    between surviving darts to cut whole.  Pasted nodes are ``q<i>`` and
+    interior edges ``t<i>``.  A node of ``turned`` becomes a crossing whose
+    port ``p + turned[v]`` was its port ``p``.  Places follow faces when
+    ``beyond`` maps each leg to the host dart beyond its cut or to the loop
+    it cuts (:func:`resolution._places`), and are dropped otherwise.  Returns the
+    validated result, the new edges ``(id, end, end)``, each end a surviving
+    host dart or a pasted port, and per key the pasted node and edge names."""
+    turned = turned or {}
+    fresh = _fresh_ids({*d.node_map, *d.edge_ends, *d.loops})
+    ids, inner, edge_at = {}, {}, {}
+    for key, (pat, legs) in tangles.items():
+        new = {nd.id: fresh("q") for nd in pat.nodes}
+        mid = {e: fresh("t") for e in pat.interior_edges}
+        ids[key] = (new, mid)
+        edge_at.update({(new[t.id], q): mid[e]
+                        for t in pat.nodes for q, e in enumerate(t.ports) if e in mid})
+        for leg, end in zip(legs, pat.leg_ends):
+            inner[leg] = legs[end] if type(end) is int else (new[end[0]], end[1])
+
+    made, rings = [], []    # (id, end, end) per new edge, (id, None, None) per new loop
+    through = {}            # leg -> index in ``made`` of its strand
+
+    def follow(leg, there, back):
+        """The strand's end beyond ``leg`` via ``there``; None if it closes."""
+        x = there[leg]
+        while x in inner:
+            if x == leg:
+                return None
+            through[x] = len(made)
+            there, back = back, there
+            x = there[x]
+        return x
+
+    edge_ends = d.edge_ends
+    for x in order:
+        if x not in inner:      # a host edge between surviving darts
+            a, b = edge_ends[x]
+        elif x in through:
+            continue
+        else:
+            through[x] = len(made)
+            a = follow(x, inner, outer)
+            if a is None:
+                rings.append(fresh("c"))
+                made.append((rings[-1], None, None))
+                continue
+            b = follow(x, outer, inner)
+        e = edge_at[a] = edge_at[b] = fresh(prefix)
+        made.append((e, a, b))
+
+    pasted = {key: [Node(m, t.kind, t.attr, (edge_at[m, 0], edge_at[m, 1], edge_at[m, 2],
+                                              edge_at[m, 3]))
+                    for t in pat.nodes for m in (ids[key][0][t.id],)]
+              for key, (pat, _) in tangles.items()}
+    nodes, at = [], edge_at.get
+    for nd in d.nodes:
+        n = nd.id
+        if n in pasted:
+            nodes += pasted[n]
+        elif n not in cut:
+            e0, e1, e2, e3 = nd.ports
+            ports = (at((n, 0), e0), at((n, 1), e1), at((n, 2), e2), at((n, 3), e3))
+            if n in turned:
+                r = turned[n]
+                nodes.append(Node(n, CROSSING, None, ports[-r:] + ports[:-r]))
+            else:
+                nodes.append(nd if ports == nd.ports else Node(n, nd.kind, nd.attr, ports))
+    nodes += pasted.get(None, ())
+    anchors = ()
+    if beyond is not None and (d.anchors or rings):
+        from .resolution import _places     # resolution imports this module
+
+        anchors = _places(d, nodes, cut, tangles, ids, made, through, beyond)
+    result = Diagram(name, tuple(nodes), tuple([l for l in d.loops if l not in cut] + rings),
+                     anchors)
+    report = result.validate()
+    if not report.ok:
+        raise SMGError(f"the splice produced an invalid diagram: {report}")
+    return result, [m for m in made if m[1] is not None], ids
+
+
+# ---------------------------------------------------------------------------
 # application
 
 
 def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     """Rewrite at ``site``; returns a new diagram of the same flavour.
 
-    With ``return_info`` the result is a pair ``(diagram, info)`` where info
-    maps the replacement side's interior edge and node names to the fresh
-    identifiers used in the result."""
+    The site's legs are spliced (:func:`_splice`): surviving edges keep
+    their ids, the replacement side's nodes are ``q<i>``, its interior
+    edges and then the new strands, in leg order, ``t<i>``, and new loops
+    ``c<i>``.  Places follow faces.  With ``return_info`` the result is a
+    pair ``(diagram, info)`` where info maps the replacement side's
+    interior edge and node names to the fresh identifiers used in the
+    result."""
     od = d if isinstance(d, OrientedDiagram) else None
     base = d.base if od is not None else d
     pat = move.side(site.variant, site.direction)
@@ -506,208 +615,45 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
             he = hnd.ports[(p + r) % 4]
             if edge_img.setdefault(pnd.ports[p], he) != he:
                 raise StaleSiteError("edge image inconsistent")
-    consumed_nodes = {hid for hid, _ in amap.values()}
+    consumed = {hid for hid, _ in amap.values()}
     consumed_edges = {edge_img[e] for e in pat.interior_edges}
-    # the host edges a survivor may no longer reference
-    cut_edges = consumed_edges | {t[1] for t in targets.values() if t[0] == "edge"}
+    claims: dict[tuple[str, str], list[int]] = {}
     for k, t in targets.items():
         if t[0] == "edge":
             if t[1] not in base.edge_ends or t[1] in consumed_edges:
                 raise StaleSiteError(f"cut edge {t[1]} unavailable")
         elif t[1] not in base.loops:
             raise StaleSiteError(f"cut loop {t[1]} gone")
+        claims.setdefault(t[:2], []).append(k)
 
-    # remember a face near the site so new loops can be anchored there
-    faces = base.faces()
-    site_face = None
-    if targets:
-        t = targets[1]
-        if t[0] == "loop":
-            site_face = faces.face_of_loop(t[1])
-        else:
-            far = base.edge_ends[t[1]][1 - t[2]]
-            if far[0] not in consumed_nodes:
-                site_face = faces.face_of_dart(far)
+    # -- legs: the host dart just beyond each cut, or the loop it cuts, and
+    # the outer connector: that dart, or the leg at the other end of a loop
+    # or of an edge cut near both ends (a through-strand keeps both darts)
+    beyond = {k: _host_dart_beyond(base, pat, pat.hub_dart_of_leg(k), amap, targets) or t[1]
+              for k, t in targets.items()}
+    outer = dict(beyond)
+    for (kind, _), ks in claims.items():
+        if len(ks) == 2 and (kind == "loop" or pat.legs[ks[0] - 1] not in pat.through_edges):
+            outer[ks[0]], outer[ks[1]] = ks[1], ks[0]
 
-    # -- outer stubs per leg
-    stub: dict[int, tuple] = {}
-    claims: dict[tuple[str, str], list[int]] = {}
-    for k, t in targets.items():
-        claims.setdefault((t[0], t[1]), []).append(k)
-    for (kind, ident), ks in claims.items():
-        if kind == "loop":
-            if len(ks) != 2:
-                raise StaleSiteError("loop must be cut exactly twice")
-            stub[ks[0]] = ("pair", ks[1])
-            stub[ks[1]] = ("pair", ks[0])
-        elif any(pat.legs[k - 1] in pat.through_edges for k in ks):
-            # a through-strand covers the middle; both host ends survive
-            if len(ks) != 2 or not all(pat.legs[k - 1] in pat.through_edges for k in ks):
-                raise StaleSiteError("inconsistent through-strand cut")
-            for k in ks:
-                far = base.edge_ends[ident][targets[k][2]]
-                if far[0] in consumed_nodes:
-                    raise StaleSiteError("cut edge ends in consumed node")
-                stub[k] = ("dart", far)
-        elif len(ks) == 2:
-            # two leg-edges cut near both ends; the middle survives outside
-            stub[ks[0]] = ("pair", ks[1])
-            stub[ks[1]] = ("pair", ks[0])
-        else:
-            k = ks[0]
-            far = base.edge_ends[ident][1 - targets[k][2]]
-            if far[0] in consumed_nodes:
-                raise StaleSiteError("cut edge ends in consumed node")
-            stub[k] = ("dart", far)
-
-    fresh = _fresh_ids(set(base.node_map) | set(base.edge_ends) | set(base.loops))
-
-    # -- instantiate replacement interior
-    node_ids = {nd.id: fresh("q") for nd in out.nodes}
-    int_eids = {e: fresh("t") for e in out.interior_edges}
-
-    # inner terminal of each replacement leg
-    inner: dict[int, tuple] = {}
-    for k, e in enumerate(out.legs, start=1):
-        node_end = [x for x in out.edge_ends[e] if x[0] != HUB]
-        if node_end:
-            n, p = node_end[0]
-            inner[k] = ("port", node_ids[n], p)
-        else:
-            other = [x for x in out.edge_ends[e] if x != out.hub_dart_of_leg(k)][0]
-            inner[k] = ("chain", out.leg_of_hub_dart(other))
-
-    # -- walk boundary strands: alternate inner and outer connectors
-    def walk(k: int, go_inner: bool):
-        """Follow the strand from leg k; returns (terminal or None, legs seen)."""
-        seen_states = set()
-        cur, inward = k, go_inner
-        legs_seen = {k}
-        while True:
-            if (cur, inward) in seen_states:
-                return None, legs_seen
-            seen_states.add((cur, inward))
-            conn = inner[cur] if inward else stub[cur]
-            if conn[0] == "port":
-                return ("port", conn[1], conn[2]), legs_seen
-            if conn[0] == "dart":
-                return ("dart", conn[1]), legs_seen
-            cur = conn[1]
-            legs_seen.add(cur)
-            inward = not inward
-            if (cur, inward) == (k, go_inner):
-                return None, legs_seen
-
-    new_edges: list[tuple[str, tuple, tuple]] = []
-    new_loops: list[str] = []
-    done_legs: set[int] = set()
-    for k in sorted(inner):
-        if k in done_legs:
-            continue
-        t1, seen1 = walk(k, True)
-        if t1 is None:
-            new_loops.append(fresh("c"))
-            done_legs |= seen1
-            continue
-        t2, seen2 = walk(k, False)
-        if t2 is None:
-            raise StaleSiteError("inconsistent boundary chain")
-        done_legs |= seen1 | seen2
-        new_edges.append((fresh("t"), t1, t2))
-
-    # -- assemble: the new edge at each host dart and replacement port it
-    # ends at (replacement ids are fresh, so the two kinds of key differ)
-    port_sub = {tuple(t[1]) if t[0] == "dart" else t[1:]: eid
-                for eid, t1, t2 in new_edges for t in (t1, t2)}
-
-    final_nodes: list[Node] = []
-    for nd in base.nodes:
-        if nd.id in consumed_nodes:
-            continue
-        ports = []
-        for p in range(4):
-            if (nd.id, p) in port_sub:
-                ports.append(port_sub[(nd.id, p)])
-            else:
-                e = nd.ports[p]
-                if e in cut_edges:
-                    raise StaleSiteError("survivor references consumed edge")
-                ports.append(e)
-        final_nodes.append(Node(nd.id, nd.kind, nd.attr, tuple(ports)))
-    for nd in out.nodes:
-        ports = []
-        for p in range(4):
-            e = nd.ports[p]
-            if e in int_eids:
-                ports.append(int_eids[e])
-            else:
-                nid = node_ids[nd.id]
-                if (nid, p) not in port_sub:
-                    raise StaleSiteError("unresolved replacement port")
-                ports.append(port_sub[(nid, p)])
-        final_nodes.append(Node(node_ids[nd.id], nd.kind, nd.attr, tuple(ports)))
-
-    cut_loops = {t[1] for t in targets.values() if t[0] == "loop"}
-    final_loops = tuple(l for l in base.loops if l not in cut_loops) + tuple(new_loops)
-
-    # A place follows its component: a loop by its id, a graph piece by its
-    # surviving nodes, since its id (its smallest node) may be consumed or
-    # undercut by a new node.  A place that now points into the component
-    # itself is dropped, so a joined piece keeps the place of the piece
-    # that held the other.
-    surviving_ids = {nd.id for nd in final_nodes}
-    piece_of: dict[str, str] = {}
-    if any(pid in base.node_map for pid, _ in base.anchors):
-        for piece in Diagram(base.name, tuple(final_nodes)).graph_pieces:
-            piece_of.update(dict.fromkeys(piece, min(piece)))
-    places: dict[str, Optional[tuple[str, int]]] = {}
-    for pid, anchor in base.anchors:
-        if anchor is not None and anchor[0] not in surviving_ids:
-            anchor = None
-        if pid in base.node_map:
-            piece = next(p for p in base.graph_pieces if min(p) == pid)
-            now = {piece_of[n] for n in piece if n in piece_of}
-        else:
-            now = {pid} if pid in final_loops else set()
-        for new_pid in sorted(now):
-            if anchor is None or piece_of.get(anchor[0]) != new_pid:
-                places.setdefault(new_pid, anchor)
-    if new_loops and site_face is not None:
-        re_anchor = None
-        for nd in final_nodes:
-            if nd.id not in base.node_map:
-                continue
-            for p in range(4):
-                if faces.face_of_corner((nd.id, p)) == site_face:
-                    re_anchor = (nd.id, p)
-                    break
-            if re_anchor:
-                break
-        if re_anchor is not None:
-            for l in new_loops:
-                places[l] = re_anchor
-
-    result = Diagram(base.name, tuple(final_nodes), final_loops, tuple(places.items()))
-    report = result.validate()
-    if not report.ok:
-        raise StaleSiteError(f"rewrite produced invalid diagram: {report}")
-    info = {"int_eids": dict(int_eids), "node_ids": dict(node_ids)}
+    cut = consumed | {t[1] for t in targets.values() if t[0] == "loop"}
+    try:
+        result, strands, ids = _splice(base, base.name, cut, {None: (out, list(targets))},
+                                       outer, targets, "t", beyond=beyond)
+    except SMGError as exc:
+        raise StaleSiteError(f"rewrite produced invalid diagram: {exc}") from exc
+    node_ids, int_eids = ids[None]
+    info = {"int_eids": int_eids, "node_ids": node_ids}
     if od is None:
         return (result, info) if return_info else result
 
     # -- orientation transport
     fixed: dict[str, tuple] = {}
     banned: dict[str, tuple] = {}
-    for eid, t1, t2 in new_edges:
-        for t in (t1, t2):
-            if t[0] != "dart":
-                continue
-            m, q = t[1]
-            old_edge = base.node(m).ports[q]
-            if od.head_map[old_edge] == (m, q):
-                fixed[eid] = (m, q)
-            else:
-                banned[eid] = (m, q)
+    for eid, *ends in strands:
+        for m, q in ends:
+            if m in base.node_map:
+                (fixed if od.head_map[base.node(m).ports[q]] == (m, q) else banned)[eid] = (m, q)
     for e in out.interior_edges:
         h = out.head_map.get(e)
         if h is not None and h[0] != "leg":

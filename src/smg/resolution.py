@@ -2,15 +2,17 @@
 
 The positive/negative resolution smooths every marker and resolves every
 singular vertex into a classical crossing; what remains is a classical link
-diagram.  It is one pass of the vertex substitution that the semi-invariant
-transforms and the Kirby export share (``_substitute``).  Triviality of
-classical diagrams is semi-decided, in this order: a greedy pass of
-crossing-removing R1/R2 moves whose trace, when it clears every crossing,
-certifies YES; cheap obstructions (linking numbers, Fox 3-colorings),
-computed only when it does not, which give certified NO answers; and a
-bounded search over the classical Reidemeister moves from where the greedy
-pass stopped, which gives certified YES answers, with budget exhaustion
-reported as UNKNOWN.  A diagram caches its two resolutions, so every caller
+diagram.  It is one vertex substitution (``_substitute``, shared with the
+semi-invariant transforms and the Kirby export), which turns each port of a
+replaced vertex into a leg of the one splice that moves use too
+(``moves._splice``); the splice's place rule by faces (``_places``) lives
+here.  Triviality of classical diagrams is semi-decided, in this order: a
+greedy pass of crossing-removing R1/R2 moves whose trace, when it clears
+every crossing, certifies YES; cheap obstructions (linking numbers, Fox
+3-colorings), computed only when it does not, which give certified NO
+answers; and a bounded search over the classical Reidemeister moves from
+where the greedy pass stopped, which gives certified YES answers, with
+budget exhaustion reported as UNKNOWN.  A diagram caches its two resolutions, so every caller
 of :func:`resolve` shares one substitution per diagram and sign.
 """
 
@@ -25,16 +27,13 @@ from .diagram import (
     CROSSING,
     MARKER,
     SINGULAR,
-    Dart,
     Diagram,
-    Node,
     OrientedDiagram,
     SMGError,
     SMGSemanticError,
     UnionFind,
     _crossing_flow,
     _first_orientation,
-    _fresh_ids,
 )
 from .moves import (
     FORWARD,
@@ -45,6 +44,7 @@ from .moves import (
     MoveStep,
     Pattern,
     _sites,
+    _splice,
     apply_move,
     code_digest,
 )
@@ -84,10 +84,6 @@ class Resolution:
     @cached_property
     def components(self) -> list[frozenset]:
         return classical_components(self.diagram)
-
-    @cached_property
-    def component_of(self) -> dict[str, int]:
-        return _component_index(self.components)
 
     def component_count(self) -> int:
         return len(self.components)
@@ -156,141 +152,140 @@ def resolve(d: Diagram, sign: str) -> Resolution:
     return Resolution(c, sign, dict(snode_rot))
 
 
-@lru_cache(maxsize=None)
-def _leg_ends(pat: Pattern, rot: int) -> tuple:
-    """``(p, n, q)`` per leg of ``pat`` turned by ``rot``: the leg sits on
-    port ``p`` of the vertex, and its edge ends at port ``q`` of tangle node
-    ``n`` or, when ``n`` is HUB, at the vertex's port ``q``."""
-    ends = [pat.alpha(pat.hub_dart_of_leg(k)) for k in range(1, 5)]
-    return tuple(((k + rot) % 4, n, (3 - q + rot) % 4 if n == HUB else q)
-                 for k, (n, q) in enumerate(ends))
-
-
 def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
                 turned: Optional[dict[str, int]] = None, places: bool = False):
-    """Replace each node ``v`` of ``subs`` by its tangle in one pass, with leg
-    ``k`` on port ``(k - 1 + rot) % 4`` of ``v`` for ``subs[v] = (tangle, rot)``.
+    """Replace each node ``v`` of ``subs`` by its tangle in one splice
+    (:func:`moves._splice`), with leg ``k`` on port ``(k - 1 + rot) % 4`` of
+    ``v`` for ``subs[v] = (tangle, rot)``: each port of ``v`` is a leg.
 
-    Tangle nodes and interior edges get fresh ids.  Each strand through the
-    tangles' bare strands becomes one new edge, named in ``d.edges`` order,
-    or a new loop when it closes.  A node of ``turned`` becomes a crossing
-    whose port ``p + turned[v]`` was its port ``p``.  Places are dropped
-    unless ``places``.  Returns the validated result and, per replaced
-    node, its tangle's interior edges mapped to their new ids."""
-    turned = turned or {}
-    node_map, edge_ends = d.node_map, d.edge_ends
-    fresh = _fresh_ids(set(edge_ends) | set(d.loops) | set(node_map))
-    succ: dict[Dart, Dart] = {}     # host end of a bare strand -> its other end
-    stop: dict[Dart, Dart] = {}     # host end -> result node port, where they differ
-    edge_at: dict[Dart, str] = {}   # result node port -> its edge
-    ids, interior = {}, {}
-    for v, r in turned.items():
-        stop.update({(v, p): (v, (p + r) % 4) for p in range(4)})
+    Every edge of ``d`` is cut, so every edge of the result is new, named
+    ``r<i>`` in ``d.edges`` order: a strand at its first edge that ends at
+    a node port, a closed strand (a new loop) at its first edge.  A node of
+    ``turned`` becomes a crossing whose port ``p + turned[v]`` was its port
+    ``p``.  Places are dropped unless ``places``.  Returns the validated
+    result and, per replaced node, its tangle's node and interior edge
+    names mapped to their new ids."""
+    tangles, bare = {}, set()
     for v, (pat, rot) in subs.items():
-        new = ids[v] = {nd.id: fresh("q") for nd in pat.nodes}
-        inner = interior[v] = {e: fresh("t") for e in pat.interior_edges}
-        edge_at.update({(new[t.id], q): inner[e]
-                        for t in pat.nodes for q, e in enumerate(t.ports) if e in inner})
-        for p, n, q in _leg_ends(pat, rot):
-            if n == HUB:
-                succ[(v, p)] = (v, q)
-            else:
-                stop[(v, p)] = (new[n], q)
-
-    seen: set[str] = set()
-
-    def cross(dart: Dart) -> Dart:
-        e = node_map[dart[0]].ports[dart[1]]
-        seen.add(e)
+        tangles[v] = (pat, [(v, (k + rot) % 4) for k in range(4)])
+        if not pat.nodes:   # a tangle of bare strands only (Pattern.check)
+            bare.update(tangles[v][1])
+    outer, order, loops, edge_ends = {}, [], [], d.edge_ends
+    for e in d.edges:
         a, b = edge_ends[e]
-        return b if a == dart else a
-
-    for e in d.edges:
-        if e in seen:
-            continue
-        start, end = edge_ends[e]
-        if start in succ:
-            if end in succ:
+        if a[0] in subs:
+            outer[a] = b
+        if b[0] in subs:
+            outer[b] = a
+        if a in bare:
+            loops.append(a)
+            if b in bare:
                 continue    # an edge inside a strand
-            start = end
-        end = cross(start)
-        while end in succ:
-            end = cross(succ[end])
-        edge_at[stop.get(start, start)] = edge_at[stop.get(end, end)] = fresh("r")
-    closed = []     # per new loop, the host end its walk leaves each edge from
-    for e in d.edges:
-        if e not in seen:
-            dart, darts = edge_ends[e][0], []
-            while node_map[dart[0]].ports[dart[1]] not in seen:
-                darts.append(dart)
-                dart = succ[cross(dart)]
-            closed.append(darts)
-    new_loops = tuple([fresh("c") for _ in closed])
-
-    heads = []      # (id, kind, attr) of the result's nodes
-    for nd in d.nodes:
-        if nd.id in subs:
-            heads += [(ids[nd.id][t.id], t.kind, t.attr) for t in subs[nd.id][0].nodes]
-        else:
-            heads.append((nd.id, CROSSING, None) if nd.id in turned else (nd.id, nd.kind, nd.attr))
-    nodes = tuple([Node(n, kind, attr, (edge_at[(n, 0)], edge_at[(n, 1)], edge_at[(n, 2)],
-                                        edge_at[(n, 3)])) for n, kind, attr in heads])
-    anchors = ()
-    if places and (d.anchors or new_loops):
-        anchors = _carry_places(d, subs, ids, nodes, closed, new_loops)
-    out = Diagram(name, nodes, d.loops + new_loops, anchors)
-    rep = out.validate()
-    if not rep.ok:
-        raise SMGError(f"substitution produced an invalid diagram: {rep}")
-    return out, interior
+            a, b = b, a
+        # the strand ending at ``a``: entered at a leg, or the edge itself
+        order.append(a if a in outer else b if b in outer else e)
+    order += loops
+    out, _, ids = _splice(d, name, set(subs), tangles, outer, order, "r", turned,
+                          outer if places else None)
+    return out, ids
 
 
-def _carry_places(d: Diagram, subs, ids, nodes, closed, new_loops) -> tuple:
-    """Places for :func:`_substitute`'s result.  Faces of ``d`` that one face
-    of a tangle touches, or that lie either side of a new loop (loops are
-    transparent), become one face.  A place at a replaced corner moves to
-    the first result corner in its face that is not on the component itself,
-    and so does each new loop; with none it goes to the outer face.  A
-    component follows its surviving and tangle nodes, and a piece that
-    splits gives its place to every part."""
+def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tuple:
+    """Places for :func:`_splice`'s result, by faces.  Host faces that one
+    face of a tangle touches between its legs, or that lie either side of a
+    new loop (loops are transparent), become one face.  A place keeps its
+    corner while the corner survives off the component, on the piece that
+    holds the face, in a face that no two faces of one tangle split.
+    Otherwise it goes to the first result corner of its face off the
+    component, as each new loop does, or else to the outer face.  A
+    component follows its surviving nodes and the strands through its legs,
+    so every part of a split piece keeps its place; a part that joins
+    components drops any place that lay inside one of them."""
     faces = d.faces()
     uf = UnionFind(range(-1, len(faces.orbits)))
-    host_corner = {}    # tangle node corner -> a corner of ``d`` in its face
-    for v, (pat, rot) in subs.items():
-        for face in pat.faces:
-            # the gap after leg k = 4 - t, at hub dart (HUB, t), is a corner of v
-            gaps = [(v, (3 - t + rot) % 4) for n, t in face if n == HUB]
+
+    def face(leg) -> int:       # the host face just after ``leg``, counterclockwise
+        b = beyond[leg]
+        return faces.face_of_loop(b) if type(b) is str else faces.face_of_dart(b)
+
+    host_face = {}      # pasted corner -> the host face it lies in
+    split = set()       # host faces at the gaps of two faces of one tangle
+    for key, (pat, legs) in tangles.items():
+        seen = set()
+        for pf in pat.faces:    # hub dart (HUB, t) opens the gap after leg K - t
+            gaps = [face(legs[pat.K - 1 - t]) for n, t in pf if n == HUB]
+            split |= seen.intersection(gaps)
+            seen.update(gaps)
             for g in gaps[1:]:
-                uf.union(faces.face_of_corner(g), faces.face_of_corner(gaps[0]))
+                uf.union(g, gaps[0])
             if gaps:    # dart (n, p) lies in the face of corner (n, p - 1)
-                host_corner.update({(ids[v][n], (p - 1) % 4): gaps[0] for n, p in face if n != HUB})
-    for darts in closed:
-        for x in darts:
-            uf.union(faces.face_of_dart(x), faces.face_of_dart(d.alpha(x)))
-    corners: dict[int, list] = {}   # face of the result -> its corners in order
+                host_face.update({(ids[key][0][n], (p - 1) % 4): gaps[0] for n, p in pf if n != HUB})
+    rings = {}          # new loop -> its first leg
+    for leg, i in through.items():
+        if made[i][1] is None:
+            rings.setdefault(made[i][0], leg)
+            if type(beyond[leg]) is not str:    # the cut edge's two sides become one
+                uf.union(face(leg), faces.face_of_dart(d.alpha(beyond[leg])))
+    # face of the result -> its corners in order: first the surviving ones
+    # of the piece that holds the face, then those of a host piece's outward
+    # face, which only alias the face that piece is in, then pasted ones
+    corners: dict[int, tuple[list, list, list]] = {}
     for nd in nodes:
         for k in range(4):
-            c = (nd.id, k) if nd.id in d.node_map else host_corner.get((nd.id, k))
-            if c is not None:
-                corners.setdefault(uf.find(faces.face_of_corner(c)), []).append((nd.id, k))
+            c, rank = (nd.id, k), 2
+            if nd.id in d.node_map:
+                f = faces.face_of_corner(c)
+                rank = faces.orbit_of_corner_index(c) == faces.outward[faces.piece_of_corner(c)]
+            else:
+                f = host_face.get(c)
+            if f is not None:
+                corners.setdefault(uf.find(f), ([], [], []))[rank].append(c)
 
-    def settle(face: int, own=()) -> Optional[tuple[str, int]]:
-        return next((c for c in corners.get(uf.find(face), ()) if c[0] not in own), None)
+    def settle(f: int, own=()) -> Optional[tuple[str, int]]:
+        return next((c for cs in corners.get(uf.find(f), ()) for c in cs if c[0] not in own), None)
 
-    piece_of = {n: min(p) for p in Diagram(d.name, nodes).graph_pieces for n in p}
-    places = {}
+    def holder(corner) -> Optional[str]:
+        """The host piece with ``corner``'s face as an inner face, or None
+        for the outer face (an outward face is where its piece is placed)."""
+        for _ in d.anchors:
+            pid = faces.piece_of_corner(corner)
+            if faces.orbit_of_corner_index(corner) != faces.outward[pid]:
+                return pid
+            corner = d.anchor_map.get(pid)
+            if corner is None:
+                break
+        return None
+
+    places, lands = {}, {}  # host component -> the result pieces it lands in
+    if d.anchors:
+        piece_of = {n: p for p in Diagram(d.name, tuple(nodes)).graph_pieces for n in p}
+        host_pid = {n: min(p) for p in d.graph_pieces for n in p}
+        for p in d.graph_pieces:
+            lands[min(p)] = {piece_of[n] for n in p if n in piece_of}
+        for leg, i in through.items():
+            _, a, b = made[i]
+            on = beyond[leg]
+            if a is not None:
+                lands.setdefault(on if type(on) is str else host_pid[on[0]], set()).update(
+                    (piece_of[a[0]], piece_of[b[0]]))
     for pid, anchor in d.anchors:
-        own, parts = (), [pid]
-        if pid in d.node_map:
-            piece = next(p for p in d.graph_pieces if min(p) == pid)
-            own = {x for n in piece for x in (ids[n].values() if n in ids else (n,))}
-            parts = sorted({piece_of[x] for x in own})
-        if anchor is not None and anchor[0] in subs:
-            anchor = settle(faces.face_of_corner(anchor), own)
+        if anchor is None:
+            continue
+        up, f = holder(anchor), faces.face_of_corner(anchor)
+        if pid in d.loops and pid not in cut:
+            own, parts = (), [pid]
+        else:
+            mine = set(lands.get(pid, ()))
+            if up is not None:      # a part that took in its holder is not inside it
+                mine -= lands[up]
+            own, parts = set().union(*mine), sorted(min(p) for p in mine)
+        if anchor[0] in cut or anchor[0] in own or f in split or up != faces.piece_of_corner(anchor):
+            anchor = settle(f, own)
         if anchor is not None:
-            places.update(dict.fromkeys(parts, anchor))
-    for loop, darts in zip(new_loops, closed):
-        anchor = settle(faces.face_of_dart(darts[0]))
+            for part in parts:
+                places.setdefault(part, anchor)
+    for loop, leg in rings.items():
+        anchor = settle(face(leg))
         if anchor is not None:
             places[loop] = anchor
     return tuple(places.items())

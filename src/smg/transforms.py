@@ -63,8 +63,8 @@ def _replace_all(d: Diagram, tangles: dict[str, tuple[Pattern, tuple[str, ...]]]
     turned by its attribute plus ``turn`` ports; returns the classical
     diagram and the ids of the tangles' framed edges."""
     subs = {nd.id: (tangles[nd.kind][0], nd.attr + turn) for nd in d.nodes if nd.kind in tangles}
-    out, interior = _substitute(d, subs, f"{d.name}_{suffix}", places=True)
-    return out, {interior[v][e] for v in subs for e in tangles[d.node(v).kind][1]}
+    out, ids = _substitute(d, subs, f"{d.name}_{suffix}", places=True)
+    return out, {ids[v][1][e] for v in subs for e in tangles[d.node(v).kind][1]}
 
 
 def semi_transform(d: Diagram, kind: str) -> Diagram:

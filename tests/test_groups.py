@@ -27,7 +27,7 @@ from smg.groups import (
     wirtinger_presentation,
 )
 from smg.moves import FORWARD, REVERSE, apply_move, find_sites
-from smg.resolution import NEGATIVE, resolve
+from smg.resolution import NEGATIVE, _component_index, resolve
 from smg.transforms import export_exterior, kirby_group
 
 
@@ -91,11 +91,12 @@ def arc_count_of_resolution(d):
     never dives under anything."""
     r = resolve(d, NEGATIVE)
     c = r.diagram
+    component_of = _component_index(r.components)
     breaks = {}
     for nd in c.nodes:
         if nd.id in r.snode_rot:
             continue  # a resolved double point does not cut the strands
-        comp = r.component_of[nd.ports[0]]
+        comp = component_of[nd.ports[0]]
         breaks[comp] = breaks.get(comp, 0) + 1
     total = 0
     for i in range(r.component_count()):

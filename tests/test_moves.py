@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -738,6 +739,82 @@ def test_rewrite_and_substitution_bytes_are_pinned():
     """Every byte of the rewrites and substitutions, names and places
     included: sha256 of the texts, 16 hex digits."""
     for texts, count, digest in ((rewrite_texts(), 2470, "23276c8363903a82"),
-                                 (substitution_texts(), 580, "abc488febcc6743a")):
+                                 (substitution_texts(), 580, "6ff6da4bc21ebdbd")):
         assert len(texts) == count
         assert hashlib.sha256("".join(texts).encode()).hexdigest()[:16] == digest
+
+
+#: a kink j placed in k's monogon, with a loop placed at a corner of j
+REPRO_HOST = ("node k X b a a b\nnode j X t2 c c t1\nnode q0 X t2 t0 t0 t1\nloop c0\n"
+              "place j in k.1\nplace c0 in j.3\n")
+
+
+def test_a_place_at_a_consumed_corner_keeps_its_face():
+    """Undoing the kink j, at whose corner c0 is placed, leaves c0 in k's
+    monogon, the face it was in: the code of ``place c0 in k.1``."""
+    from test_diagram import anchored_hosts
+
+    cases = [(anchored_hosts()[1],
+              "node k X b a a b\nloop c0\nloop c1\nplace c0 in k.1\nplace c1 in k.1\n"),
+             (parse_smg(f"diagram t\n{REPRO_HOST}end\n"),
+              "node k X b a a b\nnode q0 X e t0 t0 e\nloop c0\nplace q0 in k.1\nplace c0 in k.1\n")]
+    for host, body in cases:
+        want = parse_smg(f"diagram t\n{body}end\n")
+        sites = [s for s in find_sites(host, CAT["O1"], REVERSE) if s.node_image_map["k"][0] == "j"]
+        assert sites
+        for s in sites:
+            out = apply_move(host, CAT["O1"], s)
+            assert out.faces().face_of_loop("c0") == out.faces().face_of_corner(("k", 1))
+            assert out.canonical_code() == want.canonical_code()
+
+
+def test_moves_see_faces_not_corners():
+    """A loop, or a piece with a marker, placed at any corner of one face
+    of the host gives the same rewrite codes, over every site of every
+    unoriented move in both directions.  One face per host: the smallest
+    with two corners (``test_transforms_see_faces_not_corners`` is the
+    transforms' twin)."""
+    from test_diagram import anchored_hosts
+    from test_transforms import PLACED_HOSTS
+
+    from smg.diagram import Diagram, Node
+
+    mover = Node("zv", "M", 1, ("za", "za", "zb", "zb"))
+
+    def codes(d) -> set:
+        return {apply_move(d, m, s).canonical_code() for m in CAT.values()
+                for direction in (FORWARD, REVERSE) for s in find_sites(d, m, direction)}
+
+    pairs = 0
+    for host in [parse_smg(f"diagram h\n{body}end\n") for body in PLACED_HOSTS] + anchored_hosts():
+        faces, by_face = host.faces(), {}
+        for nd in host.nodes:
+            for k in range(4):
+                by_face.setdefault(faces.face_of_corner((nd.id, k)), []).append((nd.id, k))
+        corners = min((cs for cs in by_face.values() if len(cs) > 1), key=len)
+        got = [(codes(Diagram(host.name, host.nodes, host.loops + ("z",),
+                              host.anchors + (("z", c),))),
+                codes(Diagram(host.name, host.nodes + (mover,), host.loops,
+                              host.anchors + (("zv", c),)))) for c in corners]
+        assert got == got[:1] * len(got), serialize(host)
+        pairs += len(got) * (len(got) - 1) // 2
+    assert pairs == 17
+
+
+def test_the_place_rule_is_linear():
+    """A loop placed at a bigon corner of T(2, 1000): a kink put in and
+    taken out again, each rewrite carrying the place by faces in well under
+    a second, and back to the start's code."""
+    from test_diagram import t2_text
+
+    host = parse_smg(t2_text(1000).replace("end\n", "loop z\nplace z in v00000.0\nend\n"))
+    assert host.faces().orbit_degree(host.faces().orbit_of_corner_index(("v00000", 0))) == 2
+    d = host
+    for direction in (FORWARD, REVERSE):    # the reverse site undoes the new kink q0
+        site = next(s for s in find_sites(d, CAT["O1"], direction)
+                    if direction == FORWARD or s.node_image_map["k"][0] == "q0")
+        start = time.perf_counter()
+        d = apply_move(d, CAT["O1"], site)
+        assert time.perf_counter() - start < 0.5, direction
+        assert d.anchor_map["z"] == ("v00000", 0)
+    assert d.canonical_code() == host.canonical_code()

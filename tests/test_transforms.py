@@ -36,10 +36,21 @@ def chain(kind: str, n: int):
 
 
 def test_semi_transform_applies_each_replacement_once(monkeypatch):
-    """Every vertex is replaced in one pass: the result is validated once,
-    and the move engine finds and applies no site."""
-    import smg
+    """Every vertex is replaced in one pass: the result is spliced and
+    validated once, and the move engine finds and applies no site.  A move,
+    oriented or not, and a resolution are one splice and one validation
+    too: there is no second rewriter."""
+    from dataclasses import replace
 
+    import smg
+    from smg.catalog import catalog_map
+    from smg.moves import FORWARD, REVERSE, find_sites
+
+    kink = fixture("kink")
+    o1, g1 = catalog_map("unoriented")["O1"], catalog_map("oriented")["G1"]
+    oriented = enumerate_orientations(kink)[0]
+    moves = [(kink, o1, find_sites(kink, o1, REVERSE)[0]),
+             (oriented, g1, find_sites(oriented, g1, FORWARD)[0])]
     calls = Counter()
     real_validate = Diagram.validate
 
@@ -48,7 +59,7 @@ def test_semi_transform_applies_each_replacement_once(monkeypatch):
         return real_validate(self)
 
     monkeypatch.setattr(Diagram, "validate", validate)
-    for name in ("find_sites", "_sites", "apply_move"):
+    for name in ("find_sites", "_sites", "apply_move", "_splice"):
         for module in (smg.moves, smg.resolution, smg.transforms, smg):
             if hasattr(module, name):
                 real = getattr(module, name)
@@ -57,10 +68,14 @@ def test_semi_transform_applies_each_replacement_once(monkeypatch):
     for kind in ("M", "S"):
         d = chain(kind, 64)
         for f in (lambda d: semi_transform(d, "M5"), lambda d: semi_transform(d, "M6"),
-                  export_exterior):
+                  export_exterior, lambda d: resolve(replace(d), NEGATIVE)):
             calls.clear()
             f(d)
-            assert calls == {"validate": 1}, kind
+            assert calls == {"_splice": 1, "validate": 1}, kind
+    for d, move, site in moves:
+        calls.clear()
+        smg.moves.apply_move(d, move, site)
+        assert calls == {"apply_move": 1, "_splice": 1, "validate": 1}, move.id
 
 
 def test_thousand_vertex_chains():
