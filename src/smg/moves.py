@@ -154,7 +154,7 @@ class Pattern:
             raise ValueError("pattern has more than one node component")
 
     @cached_property
-    def leg_ends(self) -> tuple:
+    def _leg_ends(self) -> tuple:
         """Per leg, the far end of its edge: a node port ``(node id, port)``,
         or the index in ``legs`` of the leg at the other end of a bare strand."""
         ends = (self.alpha(self.hub_dart_of_leg(k)) for k in range(1, self.K + 1))
@@ -501,11 +501,12 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
     loop ``c<i>`` when it closes, named in ``order``: legs, and host edges
     between surviving darts to cut whole.  Pasted nodes are ``q<i>`` and
     interior edges ``t<i>``.  A node of ``turned`` becomes a crossing whose
-    port ``p + turned[v]`` was its port ``p``.  Places follow faces when
-    ``beyond`` maps each leg to the host dart beyond its cut or to the loop
-    it cuts (:func:`resolution._places`), and are dropped otherwise.  Returns the
-    validated result, the new edges ``(id, end, end)``, each end a surviving
-    host dart or a pasted port, and per key the pasted node and edge names."""
+    port ``p + turned[v]`` was its port ``p``.  Places follow faces
+    (:func:`resolution._places`) when ``beyond`` maps each leg to the host
+    dart beyond its cut or to the loop it cuts, and are dropped otherwise.
+    Returns the validated result, the new edges ``(id, end, end)``, each end
+    a surviving host dart or a pasted port, and per key the pasted node and
+    edge names."""
     turned = turned or {}
     fresh = _fresh_ids({*d.node_map, *d.edge_ends, *d.loops})
     ids, inner, edge_at = {}, {}, {}
@@ -513,9 +514,10 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
         new = {nd.id: fresh("q") for nd in pat.nodes}
         mid = {e: fresh("t") for e in pat.interior_edges}
         ids[key] = (new, mid)
-        edge_at.update({(new[t.id], q): mid[e]
-                        for t in pat.nodes for q, e in enumerate(t.ports) if e in mid})
-        for leg, end in zip(legs, pat.leg_ends):
+        if mid:
+            edge_at.update({(new[t.id], q): mid[e]
+                            for t in pat.nodes for q, e in enumerate(t.ports) if e in mid})
+        for leg, end in zip(legs, pat._leg_ends):
             inner[leg] = legs[end] if type(end) is int else (new[end[0]], end[1])
 
     made, rings = [], []    # (id, end, end) per new edge, (id, None, None) per new loop
@@ -549,10 +551,13 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
         e = edge_at[a] = edge_at[b] = fresh(prefix)
         made.append((e, a, b))
 
-    pasted = {key: [Node(m, t.kind, t.attr, (edge_at[m, 0], edge_at[m, 1], edge_at[m, 2],
-                                              edge_at[m, 3]))
-                    for t in pat.nodes for m in (ids[key][0][t.id],)]
-              for key, (pat, _) in tangles.items()}
+    pasted = {}     # key -> its tangle's nodes, for tangles with nodes
+    for key, (pat, _) in tangles.items():
+        if pat.nodes:
+            new = ids[key][0]
+            pasted[key] = [Node(m := new[t.id], t.kind, t.attr,
+                                (edge_at[m, 0], edge_at[m, 1], edge_at[m, 2], edge_at[m, 3]))
+                           for t in pat.nodes]
     nodes, at = [], edge_at.get
     for nd in d.nodes:
         n = nd.id

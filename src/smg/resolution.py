@@ -165,11 +165,8 @@ def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
     ``p``.  Places are dropped unless ``places``.  Returns the validated
     result and, per replaced node, its tangle's node and interior edge
     names mapped to their new ids."""
-    tangles, bare = {}, set()
-    for v, (pat, rot) in subs.items():
-        tangles[v] = (pat, [(v, (k + rot) % 4) for k in range(4)])
-        if not pat.nodes:   # a tangle of bare strands only (Pattern.check)
-            bare.update(tangles[v][1])
+    tangles = {v: (pat, [(v, (k + rot) % 4) for k in range(4)]) for v, (pat, rot) in subs.items()}
+    bare = {v for v, (pat, _) in subs.items() if not pat.nodes}    # tangles of bare strands
     outer, order, loops, edge_ends = {}, [], [], d.edge_ends
     for e in d.edges:
         a, b = edge_ends[e]
@@ -177,13 +174,13 @@ def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
             outer[a] = b
         if b[0] in subs:
             outer[b] = a
-        if a in bare:
+        if a[0] in bare:
             loops.append(a)
-            if b in bare:
+            if b[0] in bare:
                 continue    # an edge inside a strand
             a, b = b, a
         # the strand ending at ``a``: entered at a leg, or the edge itself
-        order.append(a if a in outer else b if b in outer else e)
+        order.append(a if a[0] in subs else b if b[0] in subs else e)
     order += loops
     out, _, ids = _splice(d, name, set(subs), tangles, outer, order, "r", turned,
                           outer if places else None)
@@ -211,15 +208,16 @@ def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tupl
     host_face = {}      # pasted corner -> the host face it lies in
     split = set()       # host faces at the gaps of two faces of one tangle
     for key, (pat, legs) in tangles.items():
-        seen = set()
+        seen, last = set(), pat.K - 1
         for pf in pat.faces:    # hub dart (HUB, t) opens the gap after leg K - t
-            gaps = [face(legs[pat.K - 1 - t]) for n, t in pf if n == HUB]
+            gaps = [face(legs[last - t]) for n, t in pf if n == HUB]
             split |= seen.intersection(gaps)
             seen.update(gaps)
             for g in gaps[1:]:
                 uf.union(g, gaps[0])
             if gaps:    # dart (n, p) lies in the face of corner (n, p - 1)
-                host_face.update({(ids[key][0][n], (p - 1) % 4): gaps[0] for n, p in pf if n != HUB})
+                host_face.update({(ids[key][0][n], (p - 1) % 4): gaps[0]
+                                  for n, p in pf if n != HUB})
     rings = {}          # new loop -> its first leg
     for leg, i in through.items():
         if made[i][1] is None:
@@ -230,16 +228,17 @@ def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tupl
     # of the piece that holds the face, then those of a host piece's outward
     # face, which only alias the face that piece is in, then pasted ones
     corners: dict[int, tuple[list, list, list]] = {}
+    outward, find = set(faces.outward.values()), uf.find
     for nd in nodes:
+        survives = nd.id in d.node_map
         for k in range(4):
-            c, rank = (nd.id, k), 2
-            if nd.id in d.node_map:
-                f = faces.face_of_corner(c)
-                rank = faces.orbit_of_corner_index(c) == faces.outward[faces.piece_of_corner(c)]
+            c = (nd.id, k)
+            if survives:
+                f, rank = faces.face_of_corner(c), faces.orbit_of_corner_index(c) in outward
             else:
-                f = host_face.get(c)
+                f, rank = host_face.get(c), 2
             if f is not None:
-                corners.setdefault(uf.find(f), ([], [], []))[rank].append(c)
+                corners.setdefault(find(f), ([], [], []))[rank].append(c)
 
     def settle(f: int, own=()) -> Optional[tuple[str, int]]:
         return next((c for cs in corners.get(uf.find(f), ()) for c in cs if c[0] not in own), None)
@@ -279,7 +278,8 @@ def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tupl
             if up is not None:      # a part that took in its holder is not inside it
                 mine -= lands[up]
             own, parts = set().union(*mine), sorted(min(p) for p in mine)
-        if anchor[0] in cut or anchor[0] in own or f in split or up != faces.piece_of_corner(anchor):
+        if anchor[0] in cut or anchor[0] in own or f in split or (
+                up != faces.piece_of_corner(anchor)):   # an outward face's corner
             anchor = settle(f, own)
         if anchor is not None:
             for part in parts:
