@@ -504,9 +504,9 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
     port ``p + turned[v]`` was its port ``p``.  Places follow faces
     (:func:`resolution._places`) when ``beyond`` maps each leg to the host
     dart beyond its cut or to the loop it cuts, and are dropped otherwise.
-    Returns the validated result, the new edges ``(id, end, end)``, each end
-    a surviving host dart or a pasted port, and per key the pasted node and
-    edge names."""
+    Returns the validated result, the new edges and loops ``(id, end, end)``,
+    each end a surviving host dart or a pasted port (None for a loop), and
+    per key the pasted node and edge names."""
     turned = turned or {}
     fresh = _fresh_ids({*d.node_map, *d.edge_ends, *d.loops})
     ids, inner, edge_at = {}, {}, {}
@@ -582,7 +582,7 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
     report = result.validate()
     if not report.ok:
         raise SMGError(f"the splice produced an invalid diagram: {report}")
-    return result, [m for m in made if m[1] is not None], ids
+    return result, made, ids
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +643,8 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
 
     cut = consumed | {t[1] for t in targets.values() if t[0] == "loop"}
     try:
-        result, strands, ids = _splice(base, base.name, cut, {None: (out, list(targets))},
-                                       outer, targets, "t", beyond=beyond)
+        result, made, ids = _splice(base, base.name, cut, {None: (out, list(targets))},
+                                    outer, targets, "t", beyond=beyond)
     except SMGError as exc:
         raise StaleSiteError(f"rewrite produced invalid diagram: {exc}") from exc
     node_ids, int_eids = ids[None]
@@ -655,7 +655,7 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     # -- orientation transport
     fixed: dict[str, tuple] = {}
     banned: dict[str, tuple] = {}
-    for eid, *ends in strands:
+    for eid, *ends in (m for m in made if m[1] is not None):
         for m, q in ends:
             if m in base.node_map:
                 (fixed if od.head_map[base.node(m).ports[q]] == (m, q) else banned)[eid] = (m, q)

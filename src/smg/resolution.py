@@ -12,8 +12,9 @@ every crossing, certifies YES; cheap obstructions (linking numbers, Fox
 3-colorings), computed only when it does not, which give certified NO
 answers; and a bounded search over the classical Reidemeister moves from
 where the greedy pass stopped, which gives certified YES answers, with
-budget exhaustion reported as UNKNOWN.  A diagram caches its two resolutions, so every caller
-of :func:`resolve` shares one substitution per diagram and sign.
+budget exhaustion reported as UNKNOWN.  A diagram caches its two
+resolutions, so every caller of :func:`resolve` shares one substitution per
+diagram and sign.
 """
 
 from __future__ import annotations
@@ -165,8 +166,11 @@ def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
     ``p``.  Places are dropped unless ``places``.  Returns the validated
     result and, per replaced node, its tangle's node and interior edge
     names mapped to their new ids."""
-    tangles = {v: (pat, [(v, (k + rot) % 4) for k in range(4)]) for v, (pat, rot) in subs.items()}
-    bare = {v for v, (pat, _) in subs.items() if not pat.nodes}    # tangles of bare strands
+    tangles, bare = {}, set()       # bare: the vertices whose tangle has bare strands only
+    for v, (pat, rot) in subs.items():
+        tangles[v] = (pat, [(v, (k + rot) % 4) for k in range(4)])
+        if not pat.nodes:
+            bare.add(v)
     outer, order, loops, edge_ends = {}, [], [], d.edge_ends
     for e in d.edges:
         a, b = edge_ends[e]
