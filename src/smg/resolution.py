@@ -153,6 +153,10 @@ def resolve(d: Diagram, sign: str) -> Resolution:
     return Resolution(c, sign, dict(snode_rot))
 
 
+#: the ports of a vertex, from the one that leg 1 of a tangle turned by ``r`` sits on
+_TURNS = tuple(tuple((k + r) % 4 for k in range(4)) for r in range(4))
+
+
 def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
                 turned: Optional[dict[str, int]] = None, places: bool = False):
     """Replace each node ``v`` of ``subs`` by its tangle in one splice
@@ -168,7 +172,8 @@ def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
     names mapped to their new ids."""
     tangles, bare = {}, set()       # bare: the vertices whose tangle has bare strands only
     for v, (pat, rot) in subs.items():
-        tangles[v] = (pat, [(v, (k + rot) % 4) for k in range(4)])
+        p0, p1, p2, p3 = _TURNS[rot % 4]
+        tangles[v] = (pat, ((v, p0), (v, p1), (v, p2), (v, p3)))
         if not pat.nodes:
             bare.add(v)
     outer, order, loops, edge_ends = {}, [], [], d.edge_ends
@@ -228,21 +233,22 @@ def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tupl
             rings.setdefault(made[i][0], leg)
             if type(beyond[leg]) is not str:    # the cut edge's two sides become one
                 uf.union(face(leg), faces.face_of_dart(d.alpha(beyond[leg])))
-    # face of the result -> its corners in order: first the surviving ones
-    # of the piece that holds the face, then those of a host piece's outward
-    # face, which only alias the face that piece is in, then pasted ones
-    corners: dict[int, tuple[list, list, list]] = {}
-    outward, find = set(faces.outward.values()), uf.find
+    # per face of the result that a place or a new loop asks for, its corners
+    # in order: first the surviving ones of the piece that holds the face,
+    # then those of a host piece's outward face, which only alias the face
+    # that piece is in, then pasted ones
+    find, outward = uf.find, set(faces.outward.values())
+    asked = [face(leg) for leg in rings.values()]
+    asked += [faces.face_of_corner(a) for _, a in d.anchors if a is not None]
+    corners = {find(f): ([], [], []) for f in asked}
     for nd in nodes:
         survives = nd.id in d.node_map
         for k in range(4):
             c = (nd.id, k)
-            if survives:
-                f, rank = faces.face_of_corner(c), faces.orbit_of_corner_index(c) in outward
-            else:
-                f, rank = host_face.get(c), 2
-            if f is not None:
-                corners.setdefault(find(f), ([], [], []))[rank].append(c)
+            f = faces.face_of_corner(c) if survives else host_face.get(c)
+            ranked = corners.get(find(f)) if f is not None else None
+            if ranked is not None:
+                ranked[faces.orbit_of_corner_index(c) in outward if survives else 2].append(c)
 
     def settle(f: int, own=()) -> Optional[tuple[str, int]]:
         return next((c for cs in corners.get(uf.find(f), ()) for c in cs if c[0] not in own), None)
