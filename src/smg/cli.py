@@ -122,11 +122,9 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
-def _orient_arg(d, want: bool):
+def _orient_arg(d):
     if isinstance(d, OrientedDiagram):
         return d
-    if not want:
-        return None
     od = _first_orientation(d)
     if od is None:
         print("input error: diagram admits no orientation", file=sys.stderr)
@@ -258,12 +256,14 @@ def _main(argv=None) -> int:
                   {"moves": [{"id": m.id, "derived": m.derived, "deltas": m.deltas}
                              for m in move_catalog(mode)]})
             return 0
-        if not args.diagram or not args.move or args.move not in cat:
-            print("usage error: need DIAGRAM and --move ID", file=sys.stderr)
+        if not args.diagram or args.move not in cat:
+            why = (f"unknown move id {args.move!r}; the {mode} catalog has {', '.join(cat)}"
+                   if args.diagram and args.move else "need DIAGRAM and --move ID")
+            print(f"usage error: {why}", file=sys.stderr)
             return USAGE_ERROR
         d = _load_diagram(args.diagram)
         if args.oriented:
-            d = _orient_arg(d, True)
+            d = _orient_arg(d)
         direction = REVERSE if args.reverse else FORWARD
         sites = find_sites(d, cat[args.move], direction)
         if args.action == "sites":
@@ -284,11 +284,12 @@ def _main(argv=None) -> int:
         d2 = _base(_load_diagram(args.target))
         cat = catalog_map("unoriented")
         allowed = args.allow.split(",") if args.allow else None
-        if allowed and any(a not in cat for a in allowed):
-            print("input error: unknown move id", file=sys.stderr)
+        try:
+            seq = search_equivalence(d1, d2, cat, allowed,
+                                     SearchBudget(args.depth, args.states))
+        except dg.SMGSemanticError as e:
+            print(f"input error: {e}", file=sys.stderr)
             return INPUT_ERROR
-        seq = search_equivalence(d1, d2, cat, allowed,
-                                 SearchBudget(args.depth, args.states))
         if seq is None:
             _emit(args, "UNKNOWN", {"found": False})
             return BUDGET_ERROR
@@ -337,7 +338,7 @@ def _main(argv=None) -> int:
         q = _load_quandle(args.quandle)
         od = d if isinstance(d, OrientedDiagram) else None
         if od is None and not q.is_involutory():
-            od = _orient_arg(_base(d), True)
+            od = _orient_arg(_base(d))
         if not args.list_colorings:
             count = coloring_count(_base(d), q, od)
             _emit(args, str(count), {"count": count, "colorings": None})

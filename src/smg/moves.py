@@ -724,6 +724,19 @@ def code_digest(d) -> str:
     return _digest(base.canonical_code())
 
 
+def _path(parents: dict, code: bytes, back: bool = False) -> tuple[MoveStep, ...]:
+    """The steps from the root of ``parents`` (code -> (parent code, move id,
+    variant, direction), None at a root) to ``code``; or, ``back``, the steps
+    from ``code`` back to the root, each undoing one of them."""
+    steps = []
+    while parents[code] is not None:
+        parent, m, v, dr = parents[code]
+        steps.append(MoveStep(m, v, REVERSE if dr == FORWARD else FORWARD, _digest(parent))
+                     if back else MoveStep(m, v, dr, _digest(code)))
+        code = parent
+    return tuple(steps) if back else tuple(steps[::-1])
+
+
 def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
     """Replay ``s`` from ``d``, failing fast on the first stale step."""
     cur = d
@@ -774,24 +787,11 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     # code -> (parent code, move id, variant, direction), None at a root
     fwd: dict[bytes, Optional[tuple]] = {c1: None}
     bwd: dict[bytes, Optional[tuple]] = {c2: None}
-    frontier_f, frontier_b = [d1], [d2]
-    total_depth = 0
-
-    def links(side, code):
-        while side[code] is not None:
-            yield code, side[code]
-            code = side[code][0]
-
-    def join(code: bytes) -> MoveSequence:
-        there = [MoveStep(m, v, dr, _digest(c)) for c, (_, m, v, dr) in links(fwd, code)]
-        back = [MoveStep(m, v, REVERSE if dr == FORWARD else FORWARD, _digest(p))
-                for _, (p, m, v, dr) in links(bwd, code)]
-        return MoveSequence(tuple(there[::-1] + back))
+    frontier_f, frontier_b = [(c1, d1)], [(c2, d2)]
 
     def expand(frontier, this_side, other_side):
         new_frontier = []
-        for d in frontier:
-            here = d.canonical_code()
+        for here, d in frontier:
             for move in moves:
                 for direction in (FORWARD, REVERSE):
                     for site in find_sites(d, move, direction):
@@ -803,17 +803,16 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
                             continue
                         this_side[code] = (here, move.id, site.variant, direction)
                         # without its caches: most rewrites are never expanded
-                        new_frontier.append(replace(nxt))
+                        new_frontier.append((code, replace(nxt)))
                         if code in other_side:
                             return new_frontier, code
                         if len(fwd) + len(bwd) >= budget.max_states:
                             return new_frontier, StopIteration
         return new_frontier, None
 
-    while total_depth < budget.max_depth:
+    for _ in range(budget.max_depth):
         if not frontier_f and not frontier_b:
             return None
-        total_depth += 1
         if frontier_f and (len(frontier_f) <= len(frontier_b) or not frontier_b):
             frontier_f, hit = expand(frontier_f, fwd, bwd)
         else:
@@ -821,5 +820,5 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         if hit is StopIteration:
             return None
         if hit is not None:
-            return join(hit)
+            return MoveSequence(_path(fwd, hit) + _path(bwd, hit, back=True))
     return None

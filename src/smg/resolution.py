@@ -44,6 +44,7 @@ from .moves import (
     MoveSpec,
     MoveStep,
     Pattern,
+    _path,
     _sites,
     _splice,
     apply_move,
@@ -416,15 +417,20 @@ def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
 def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
     """Best-first search over R1/R2/R3 from ``start``, which the greedy pass
     reached from ``c`` by ``presteps``, finishing greedily from every new
-    state; returns the fewest-crossing diagram found and its trace."""
+    state.  As in ``search_equivalence``, states are codes with parent links
+    and the trace is read once; returns the best diagram found and its trace."""
     ceiling = c.counts[0] + budget.extra_crossings
-    best = (start.counts[0], start, MoveSequence(presteps))
-    seen = {start.canonical_code()}
-    heap = [(start.counts[0], 0, start, presteps)]
-    counter = 0
-    states = 1
-    while heap and states < budget.max_states:
-        x, _, d, steps = heapq.heappop(heap)
+    here = start.canonical_code()
+    # code -> (parent code, move id, variant, direction), None at the start
+    parents: dict[bytes, Optional[tuple]] = {here: None}
+    best = (start, here, ())
+    heap = [(start.counts[0], 0, here, start)]
+
+    def answer(tail: Diagram, code: bytes, tailsteps: tuple):
+        return tail, MoveSequence(presteps + _path(parents, code) + tailsteps)
+
+    while heap and len(parents) < budget.max_states:
+        _, _, here, d = heapq.heappop(heap)
         for m in _rmoves()[0]:
             for direction in (REVERSE, FORWARD):
                 for site in _sites(d, m, direction, kept=True):
@@ -432,24 +438,18 @@ def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
                     if nxt.counts[0] > ceiling:
                         continue
                     code = nxt.canonical_code()
-                    if code in seen:
+                    if code in parents:
                         continue
-                    seen.add(code)
-                    states += 1
+                    parents[code] = (here, m.id, site.variant, direction)
                     tail, tailsteps = _greedy_reduce(nxt)
-                    step = MoveStep(m.id, site.variant, direction, code_digest(nxt))
-                    nsteps = steps + (step,)
-                    full = nsteps + tailsteps
-                    nx = tail.counts[0]
-                    if nx < best[0]:
-                        best = (nx, tail, MoveSequence(full))
-                    if nx == 0:
-                        return tail, MoveSequence(full)
-                    counter += 1
-                    heapq.heappush(heap, (nxt.counts[0], counter, replace(nxt), nsteps))
-                    if states >= budget.max_states:
+                    if tail.counts[0] < best[0].counts[0]:
+                        best = (tail, code, tailsteps)
+                    if tail.counts[0] == 0:
+                        return answer(*best)
+                    heapq.heappush(heap, (nxt.counts[0], len(parents), code, replace(nxt)))
+                    if len(parents) >= budget.max_states:
                         break
-    return best[1], best[2]
+    return answer(*best)
 
 
 def _fox3_count(c: Diagram) -> int:

@@ -115,6 +115,18 @@ def test_negative_budget_is_a_usage_error(capsys, argv):
     assert out.out == "" and "expected an integer >= 0" in out.err
 
 
+@pytest.mark.parametrize("argv, code, name", [
+    (["move", "sites", "fixture:kink", "--move", "O1", "--oriented"], 2, "'O1'"),
+    (["search", "fixture:kink", "--target", "fixture:circle", "--allow", "O1,O99"], 3, "'O99'"),
+])
+def test_an_unknown_move_id_is_named(capsys, argv, code, name):
+    """O1 is not in the oriented catalog, nor O99 in the unoriented one;
+    the error names the id that is missing."""
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert out.out == "" and name in out.err
+
+
 def test_usage_error():
     assert main([]) == 2
 

@@ -639,13 +639,15 @@ def watch_states(monkeypatch, module, inputs):
     diagram given to ``module._sites`` (which ``find_sites`` goes through)
     or ``Diagram.canonical_code``.
 
-    Returns ``(most, fresh)``: ``most[0]`` is the largest number of results
-    alive at one look, and ``fresh`` has one entry per diagram looked at
+    Returns ``(most, fresh, work)``: ``most[0]`` is the largest number of
+    results alive at one look, ``fresh`` has one entry per diagram looked at
     that is neither a result nor one of ``inputs``, true when its first look
-    found no cached dart table."""
+    found no cached dart table, and ``work`` counts the ``applies`` and the
+    canonical codes computed (``codes``)."""
     from smg.diagram import Diagram
 
     results, looked, most, fresh = {}, {}, [0], []
+    work = {"applies": 0, "codes": 0}
     apply, find, code = module.apply_move, module._sites, Diagram.canonical_code
 
     def keep(table, d):
@@ -658,6 +660,7 @@ def watch_states(monkeypatch, module, inputs):
             fresh.append("_darts" not in d.__dict__)
 
     def watched_apply(*args, **kw):
+        work["applies"] += 1
         out = apply(*args, **kw)
         keep(results, out)
         return out
@@ -668,20 +671,23 @@ def watch_states(monkeypatch, module, inputs):
 
     def watched_code(d):
         look(d)
+        work["codes"] += "_canonical_code" not in d.__dict__
         return code(d)
 
     monkeypatch.setattr(module, "apply_move", watched_apply)
     monkeypatch.setattr(module, "_sites", watched_find)
     monkeypatch.setattr(Diagram, "canonical_code", watched_code)
-    return most, fresh
+    return most, fresh, work
 
 
 def test_search_holds_no_rewritten_diagram(monkeypatch):
     """The search keeps its states as codes: a rewrite is dropped once it
-    is coded, and the frontier holds copies that come without caches.
-    Criterion 7's problem on ``d2m5`` is solved at length 2, before any
-    rewrite is expanded; a walk of three moves is not."""
+    is coded, and the frontier holds each state's code with a copy that
+    comes without caches, so every diagram is coded once: each rewrite and
+    the two inputs.  Criterion 7's problem on ``d2m5`` is solved at length
+    2, before any rewrite is expanded; a walk of three moves is not."""
     import smg.moves as moves
+    from smg.diagram import Diagram
 
     d = walk = fixture("d2m5")
     rng = random.Random("d2m5")
@@ -695,11 +701,14 @@ def test_search_holds_no_rewritten_diagram(monkeypatch):
         (primed, ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O11"], 12),
         (walk, ["O1", "O2"], 4),
     ]:
-        most, fresh = watch_states(monkeypatch, moves, (d, target))
+        # uncached copies, so that the search codes both inputs itself
+        d, target = (Diagram(x.name, x.nodes, x.loops, x.anchors) for x in (d, target))
+        most, fresh, work = watch_states(monkeypatch, moves, (d, target))
         seq = search_equivalence(d, target, CAT, allowed, SearchBudget(depth, 100_000))
         monkeypatch.undo()
         assert verify_sequence(d, seq, CAT).canonical_code() == target.canonical_code()
         assert most[0] <= 1
+        assert work["codes"] == work["applies"] + 2
         seen += fresh
     assert seen and all(seen)
 

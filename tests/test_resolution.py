@@ -231,12 +231,32 @@ def test_greedy_applies_once_per_trace_step(monkeypatch):
             assert applied == [s.move_id for s in trace.steps], (name, sign)
 
 
-def test_simplifier_heap_answer_is_pinned():
+def test_simplifier_heap_answer_is_pinned(monkeypatch):
     """Past its greedy pass the simplifier searches a heap of states; its
-    answer and trace on the dead end are pinned byte for byte."""
+    answer and trace on the dead end are pinned byte for byte.  A heap
+    state is a code with a parent link, so the only steps that get a digest
+    as they are made are the greedy ones; the trace reads the rest from the
+    links."""
+    import smg.resolution as resolution
+
+    digests, greedy = [0], [0]
+    digest, reduce = resolution.code_digest, resolution._greedy_reduce
+
+    def counted_digest(d):
+        digests[0] += 1
+        return digest(d)
+
+    def counted_reduce(c):
+        out = reduce(c)
+        greedy[0] += len(out[1])
+        return out
+
+    monkeypatch.setattr(resolution, "code_digest", counted_digest)
+    monkeypatch.setattr(resolution, "_greedy_reduce", counted_reduce)
     simp, trace = reidemeister_simplify(parse_smg(KINKED_DEAD_END), Budget(max_states=200))
     assert (simp.counts[0], len(trace)) == (3, 3)
     assert hashlib.sha256(trace.serialize().encode()).hexdigest()[:12] == "bab6ca695883"
+    assert digests[0] == greedy[0] > 0
 
 
 def test_simplifier_heap_holds_no_rewritten_diagram(monkeypatch):
@@ -248,7 +268,7 @@ def test_simplifier_heap_holds_no_rewritten_diagram(monkeypatch):
     from test_moves import watch_states
 
     dead_end = parse_smg(KINKED_DEAD_END)
-    most, fresh = watch_states(monkeypatch, resolution, (dead_end,))
+    most, fresh, _ = watch_states(monkeypatch, resolution, (dead_end,))
     simp, _ = reidemeister_simplify(dead_end, Budget(max_states=200))
     monkeypatch.undo()
     assert simp.counts[0] == 3
