@@ -101,8 +101,14 @@ def _load_group(path: str) -> GroupTable:
         if not all(0 <= v < n for v in vals):
             raise ValueError(f"entries must lie in 1..{n}")
         mult = [vals[i * n:(i + 1) * n] for i in range(n)]
-        ident = next(e for e in range(n)
-                     if all(mult[e][x] == x and mult[x][e] == x for x in range(n)))
+        ident = next((e for e in range(n)
+                      if all(mult[e][x] == x and mult[x][e] == x for x in range(n))), None)
+        if ident is None:
+            raise dg.SMGSemanticError("no identity")
+        # named here, as the file numbers the elements
+        lacking = next((x for x in range(n) if ident not in mult[x]), None)
+        if lacking is not None:
+            raise dg.SMGSemanticError(f"element {lacking + 1} has no inverse")
         perm = [ident] + [x for x in range(n) if x != ident]
         inv = [perm.index(x) for x in range(n)]
         table = tuple(tuple(inv[mult[perm[a]][perm[b]]] for b in range(n))
@@ -110,7 +116,7 @@ def _load_group(path: str) -> GroupTable:
         g = GroupTable(table)
         g.check()
         return g
-    except (OSError, ValueError, StopIteration) as e:
+    except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         raise SystemExit(INPUT_ERROR)
 

@@ -347,7 +347,22 @@ class Diagram:
     def _faces(self) -> "Faces":
         return Faces(self)
 
-    # -- colourings ---------------------------------------------------------
+    # -- orientations and colourings -----------------------------------------
+
+    @cached_property
+    def _orientations(self) -> tuple:
+        """The heads of the strict orientation of each choice of strand-class
+        bits, in the order of ``StrandParity.assignments``, shared by every
+        ``enumerate_orientations`` call."""
+        sp = StrandParity(self.edge_ends, self.nodes)
+        return tuple(map(sp.heads, sp.assignments()))
+
+    @cached_property
+    def _flows_by_heads(self) -> dict:
+        """heads -> ``OrientedDiagram._flows``, for every orientation of this
+        diagram that was asked for them.  Plain data: an ``OrientedDiagram``
+        here would refer back to this diagram in a cycle."""
+        return {}
 
     @cached_property
     def _colouring(self):
@@ -704,6 +719,24 @@ class OrientedDiagram:
     def head_map(self) -> dict[str, Dart]:
         return dict(self.heads)
 
+    @cached_property
+    def _flows(self) -> dict[str, tuple[int, int, int]]:
+        """Per classical crossing, its (incoming under port, incoming over
+        port, sign).  The sign is +1 when the over-strand comes in one port
+        counterclockwise after the under-strand.  Computed once per diagram
+        and heads."""
+        known = self.base._flows_by_heads
+        flows = known.get(self.heads)
+        if flows is None:
+            head_map, flows = self.head_map, {}
+            for nd in self.base.nodes:
+                if nd.kind == CROSSING:
+                    pu = 0 if head_map[nd.ports[0]] == (nd.id, 0) else 2
+                    po = 1 if head_map[nd.ports[1]] == (nd.id, 1) else 3
+                    flows[nd.id] = (pu, po, 1 if po == (pu + 1) % 4 else -1)
+            known[self.heads] = flows
+        return flows
+
     def flows_in(self, dart: Dart) -> bool:
         nid, p = dart
         e = self.base.node(nid).ports[p]
@@ -796,15 +829,11 @@ def enumerate_orientations(d: Diagram) -> list[OrientedDiagram]:
     The inflow flags of the four darts at a node are tied together by parity
     constraints, so the answer is always empty or of size ``2**k``.
     """
-    sp = StrandParity(d.edge_ends, d.nodes)
-    out: list[OrientedDiagram] = []
-    n_loops = len(d.loops)
-    for bits in sp.assignments():
-        heads = sp.heads(bits)
-        for lbits in range(1 << n_loops):
-            loop_dirs = tuple((l, (lbits >> i) & 1) for i, l in enumerate(d.loops))
-            out.append(OrientedDiagram(d, heads, loop_dirs))
-    return out
+    loops = d.loops
+    dirs = [tuple((l, (lbits >> i) & 1) for i, l in enumerate(loops))
+            for lbits in range(1 << len(loops))]
+    return [OrientedDiagram(d, heads, loop_dirs)
+            for heads in d._orientations for loop_dirs in dirs]
 
 
 def _first_orientation(d: Diagram) -> Optional[OrientedDiagram]:
@@ -831,15 +860,6 @@ def _strand(d: Diagram, start: str, head: Dart) -> Iterator[tuple[str, Dart]]:
             return
         a, b = d.edge_ends[e]
         head = b if a == out else a
-
-
-def _crossing_flow(od: OrientedDiagram, node_id: str) -> tuple[int, int, int]:
-    """(incoming under port, incoming over port, sign) of a classical
-    crossing under ``od``.  The sign is +1 when the over-strand comes in one
-    port counterclockwise after the under-strand."""
-    pu = next(p for p in (0, 2) if od.flows_in((node_id, p)))
-    po = next(p for p in (1, 3) if od.flows_in((node_id, p)))
-    return pu, po, 1 if po == (pu + 1) % 4 else -1
 
 
 # ---------------------------------------------------------------------------

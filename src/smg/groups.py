@@ -12,13 +12,14 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, OrientedDiagram, StrandParity, UnionFind,
-                      _crossing_flow)
+from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, OrientedDiagram, SMGSemanticError,
+                      StrandParity, UnionFind)
 from .resolution import NEGATIVE, POSITIVE, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -48,6 +49,20 @@ class Presentation:
                 gens = [abs(l) - 1 for l in w]
                 shapes.append((tuple(gens), tuple(x for x in gens if gens.count(x) == 1)))
         return _build_plan(self.ngens, shapes)
+
+    @cached_property
+    def _abelian(self) -> "AbelianGroup":
+        """The abelianization, from one Smith normal form of the relators'
+        exponent sums, shared by :func:`abelianization` and :func:`hom_count`."""
+        rows = []
+        for w in self.relators:
+            row: dict[int, int] = {}
+            for l in w:
+                j = abs(l) - 1
+                row[j] = row.get(j, 0) + (1 if l > 0 else -1)
+            rows.append({j: v for j, v in row.items() if v})
+        diag = _diagonal(rows)
+        return AbelianGroup(self.ngens - len(diag), tuple(v for v in diag if v > 1))
 
 
 def free_reduce(w: Word) -> Word:
@@ -137,7 +152,7 @@ def wirtinger_presentation(d: Diagram) -> Presentation:
     for nd in d.nodes:
         ports = nd.ports
         if nd.kind == CROSSING:
-            pu, po, sign = _crossing_flow(ao, nd.id)
+            pu, po, sign = ao._flows[nd.id]
             a = arc[ports[pu]] + 1             # incoming under-arc
             cgen = arc[ports[(pu + 2) % 4]] + 1    # outgoing under-arc
             y = arc[ports[po]] + 1             # over-arc
@@ -298,12 +313,14 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
 def _diagonal(rows: list[dict[int, int]]) -> list[int]:
     """:func:`smith_normal_form` of the sparse ``rows``, which it consumes."""
     holding: dict[int, set[int]] = {}
+    # (length, row) of the rows holding a unit; a row is pushed again
+    # whenever it changes, and checked when popped
+    heap = []
     for i, row in enumerate(rows):
         for j in row:
             holding.setdefault(j, set()).add(i)
-    # (length, row) of the rows holding a unit; a row is pushed again
-    # whenever it changes, and checked when popped
-    heap = [(len(row), i) for i, row in enumerate(rows) if _has_unit(row)]
+        if _has_unit(row):
+            heap.append((len(row), i))
     heapq.heapify(heap)
     units = 0
     while heap:
@@ -311,20 +328,26 @@ def _diagonal(rows: list[dict[int, int]]) -> list[int]:
         row = rows[r]
         if len(row) != n or not _has_unit(row):
             continue
-        c = min((j for j, v in row.items() if v in (1, -1)), key=lambda j: len(holding[j]))
-        u = row[c]
-        for i in holding[c] - {r}:
+        # the unit whose column the fewest other rows hold
+        c = -1
+        for j, v in row.items():
+            if (v == 1 or v == -1) and (c < 0 or len(holding[j]) < len(holding[c])):
+                c = j
+        u = row.pop(c)
+        others = holding.pop(c)
+        others.discard(r)
+        for i in others:
             other = rows[i]
-            f = other[c] * u
+            f = other.pop(c) * u
             for j, v in row.items():
                 x = other.get(j, 0) - f * v
-                if not x:
-                    del other[j]
-                    holding[j].discard(i)
-                else:
+                if x:
                     if j not in other:
                         holding[j].add(i)
                     other[j] = x
+                else:
+                    del other[j]
+                    holding[j].discard(i)
             if _has_unit(other):
                 heapq.heappush(heap, (len(other), i))
         for j in row:
@@ -332,6 +355,8 @@ def _diagonal(rows: list[dict[int, int]]) -> list[int]:
         rows[r] = {}
         units += 1
     rest = [row for row in rows if row]
+    if not rest:
+        return [1] * units
     cols = sorted({j for row in rest for j in row})
     return [1] * units + _dense_diagonal([[row.get(j, 0) for j in cols] for row in rest])
 
@@ -382,16 +407,7 @@ def _dense_diagonal(m: list[list[int]]) -> list[int]:
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
-    rows = []
-    for w in p.relators:
-        row: Counter = Counter()
-        for l in w:
-            row[abs(l) - 1] += 1 if l > 0 else -1
-        rows.append({j: v for j, v in row.items() if v})
-    diag = _diagonal(rows)
-    torsion = tuple(v for v in diag if v > 1)
-    rank = p.ngens - len(diag)
-    return AbelianGroup(rank, torsion)
+    return p._abelian
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +426,8 @@ class GroupTable:
 
     @cached_property
     def inv(self) -> tuple[int, ...]:
-        out = []
-        for x in range(self.n):
-            out.append(next(y for y in range(self.n) if self.mult[x][y] == 0))
-        return tuple(out)
+        self.check()
+        return tuple(row.index(0) for row in self.mult)
 
     @cached_property
     def by_inverse(self) -> tuple[tuple[int, ...], ...]:
@@ -421,23 +435,42 @@ class GroupTable:
         return tuple(tuple(row[y] for y in self.inv) for row in self.mult)
 
     def check(self) -> None:
-        """Raise ValueError unless 0 is an identity and the table is
-        associative; the O(n^3) scan runs once per table object."""
+        """Raise SMGSemanticError unless 0 is an identity, the table is
+        associative and every element has an inverse; the O(n^3) scan runs
+        once per table object."""
         self._checked
 
     @cached_property
     def _checked(self) -> bool:
-        n = self.n
+        n, mult = self.n, self.mult
         for x in range(n):
-            if self.mult[0][x] != x or self.mult[x][0] != x:
-                raise ValueError("0 is not an identity")
+            if mult[0][x] != x or mult[x][0] != x:
+                raise SMGSemanticError("0 is not an identity")
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
-                        raise ValueError("not associative")
-        _ = self.inv
+                    if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
+                        raise SMGSemanticError("not associative")
+        for x in range(n):
+            if 0 not in mult[x]:
+                raise SMGSemanticError(f"element {x} has no inverse")
         return True
+
+    @cached_property
+    def _commutative(self) -> bool:
+        return all(self.mult[a][b] == self.mult[b][a]
+                   for a in range(self.n) for b in range(a))
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """The order of each element."""
+        out = []
+        for x in range(self.n):
+            k, y = 1, x
+            while y:
+                k, y = k + 1, self.mult[y][x]
+            out.append(k)
+        return tuple(out)
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -665,10 +698,24 @@ def _count(plan: _Plan, steps: list[_Step], size: int) -> int:
 
 
 def hom_count(p: Presentation, g: GroupTable) -> int:
-    """Number of homomorphisms into the finite group.  A generator that
-    occurs once in a relator ``u x^e v`` is solved as ``x^e = (v u)^-1``
-    once the others have images."""
+    """Number of homomorphisms into the finite group.
+
+    Into a commutative table they factor through the abelianization
+    Z^r + Z/d_1 + ...: each free generator goes anywhere and each Z/d_i to
+    an element whose order divides d_i.  Any other table is counted by
+    :func:`_search_homs`."""
     g.check()
+    if g._commutative:
+        ab = p._abelian
+        return g.n ** ab.free_rank * math.prod(
+            sum(d % k == 0 for k in g._orders) for d in ab.torsion)
+    return _search_homs(p, g)
+
+
+def _search_homs(p: Presentation, g: GroupTable) -> int:
+    """Homomorphisms by the backtracking solver: a generator that occurs
+    once in a relator ``u x^e v`` is solved as ``x^e = (v u)^-1`` once the
+    others have images."""
     relators = [w for w in p.relators if w]
     letters = [[(abs(l) - 1, g.mult if l > 0 else g.by_inverse) for l in w]
                for w in relators]

@@ -11,6 +11,7 @@ keep their colors and must fix each other.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -23,9 +24,8 @@ from .diagram import (
     OrientedDiagram,
     SMGSemanticError,
     UnionFind,
-    _crossing_flow,
 )
-from .groups import _assignments, _build_plan, _count, _Plan, _Step, _steps
+from .groups import _assignments, _build_plan, _count, _diagonal, _Plan, _Step, _steps
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,20 @@ class QuandleTable:
     def _involutory(self) -> bool:
         return all(self.op(self.op(x, y), y) == x
                    for x in range(1, self.n + 1) for y in range(1, self.n + 1))
+
+    @cached_property
+    def _alexander(self) -> Optional[int]:
+        """``t`` when the table is the Alexander quandle ``x * y = t x +
+        (1 - t) y`` over Z/n on its own labelling (element ``k+1`` is ``k``)
+        with ``gcd(t, n) = 1``, else None.  Trivial tables give 1, and
+        dihedral ones of order above 2 give -1, so that one ``t`` names the
+        same integer matrix at every order."""
+        n, op = self.n, self._op
+        t = op[1][0] if n > 1 else 1
+        if math.gcd(t, n) != 1 or any(op[x][y] != (t * x + (1 - t) * y) % n
+                                      for x in range(n) for y in range(n)):
+            return None
+        return -1 if n > 2 and t == n - 1 else t
 
 
 def check_quandle(raw: Iterable[Iterable[int]]) -> list[str]:
@@ -206,13 +220,16 @@ class _Colouring(NamedTuple):
     """A diagram's colouring problem, the same for every quandle and
     orientation: the edges and loops, the colour class of each (classes
     are ordered by their union-find root), per crossing and double point
-    its node id, kind and port classes, and the counting plan with one
-    constraint per such node."""
+    its node id, kind and port classes, the counting plan with one
+    constraint per such node, and the Smith forms of its Alexander
+    relation matrices (see :func:`_alexander_count`), filled as they are
+    asked for."""
 
     items: list[str]
     cls: dict[str, int]
     nodes: list[tuple[str, str, tuple[int, ...]]]
     plan: _Plan
+    smith: dict
 
 
 def _build_colouring(d: Diagram) -> _Colouring:
@@ -250,7 +267,7 @@ def _build_colouring(d: Diagram) -> _Colouring:
         else:
             continue
         nodes.append((nd.id, nd.kind, c))
-    return _Colouring(items, cls, nodes, _build_plan(len(roots), shapes))
+    return _Colouring(items, cls, nodes, _build_plan(len(roots), shapes), {})
 
 
 def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]
@@ -258,9 +275,7 @@ def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[Oriented
     """The diagram's colouring problem and its plan bound to ``q`` and the
     orientation, for :func:`_assignments`: colour ``k`` of a class is
     quandle element ``k+1``."""
-    if orientation is None and not q.is_involutory():
-        raise SMGSemanticError("a non-involutory quandle needs an orientation")
-    problem = d._colouring
+    problem = _colouring_problem(d, q, orientation)
     op, op_inv = q._op, q._op_inv
     checks, roles = [], []
     for nid, kind, c in problem.nodes:
@@ -271,7 +286,7 @@ def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[Oriented
             continue
         pu, sign = 0, 1
         if orientation is not None:
-            pu, _, sign = _crossing_flow(orientation, nid)
+            pu, _, sign = orientation._flows[nid]
         # ``out = inn * over`` by ``table``; ``inverse`` is its column
         # inverse, so ``inn = out * over`` by ``inverse``
         out, inn, over = c[(pu + 2) % 4], c[pu], c[1]
@@ -289,6 +304,15 @@ def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[Oriented
     return problem, _steps(problem.plan, checks, solve)
 
 
+def _colouring_problem(d: Diagram, q: QuandleTable,
+                       orientation: Optional[OrientedDiagram]) -> _Colouring:
+    """The diagram's colouring problem, once ``q`` and the orientation are
+    known to fit together."""
+    if orientation is None and not q.is_involutory():
+        raise SMGSemanticError("a non-involutory quandle needs an orientation")
+    return d._colouring
+
+
 def colorings(d: Diagram, q: QuandleTable,
               orientation: Optional[OrientedDiagram] = None) -> list[dict]:
     """All quandle colorings of the diagram's edges and loops, in
@@ -304,5 +328,53 @@ def colorings(d: Diagram, q: QuandleTable,
 
 def coloring_count(d: Diagram, q: QuandleTable,
                    orientation: Optional[OrientedDiagram] = None) -> int:
+    """Number of colorings: by linear algebra for an Alexander table
+    (:func:`_alexander_count`), by the backtracking solver otherwise."""
+    t = q._alexander
+    if t is None:
+        return _search_count(d, q, orientation)
+    return _alexander_count(_colouring_problem(d, q, orientation), q.n, t, orientation)
+
+
+def _search_count(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]) -> int:
     problem, steps = _colouring_steps(d, q, orientation)
     return _count(problem.plan, steps, q.n)
+
+
+def _alexander_count(problem: _Colouring, n: int, t: int,
+                     orientation: Optional[OrientedDiagram]) -> int:
+    """Colorings by ``x * y = t x + (1 - t) y`` over Z/n (Fox 1962; Nelson
+    2003): the solutions mod n of one integer row per node on the colour
+    classes, ``out - t in - (1 - t) over`` at a crossing (``in`` and
+    ``out`` swapped at a negative one) and ``(1 - t)(x - y)`` at a double
+    point.  With ``rank`` nonzero invariant factors ``d_i`` there are
+    ``n^(classes - rank) * prod gcd(d_i, n)``.  The Smith form is kept per
+    ``t`` and, unless ``t`` is 1 or -1 (where the swap keeps or negates the
+    row), per the crossings' flows.  Without an orientation every crossing
+    reads as positive with ``in`` at port 0, as in the solver."""
+    flows = None
+    if orientation is not None and t not in (1, -1):
+        flows = tuple(orientation._flows[nid] for nid, kind, _ in problem.nodes
+                      if kind == CROSSING)
+    smith = problem.smith.get((t, flows))
+    if smith is None:
+        rows = []
+        flow = iter(flows or ())
+        for nid, kind, c in problem.nodes:
+            if kind == SINGULAR:
+                terms = ((c[0], 1 - t), (c[1], t - 1))
+            else:
+                pu, _, sign = next(flow) if flows else (0, 1, 1)
+                out, inn = c[(pu + 2) % 4], c[pu]
+                if sign < 0:
+                    out, inn = inn, out
+                terms = ((out, 1), (inn, -t), (c[1], t - 1))
+            row: dict[int, int] = {}
+            for x, v in terms:
+                row[x] = row.get(x, 0) + v
+            rows.append({x: v for x, v in row.items() if v})
+        diag = _diagonal(rows)
+        smith = problem.smith[t, flows] = (len(problem.plan.order) - len(diag),
+                                           tuple(v for v in diag if v > 1))
+    free, torsion = smith
+    return n ** free * math.prod(math.gcd(v, n) for v in torsion)

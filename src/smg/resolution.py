@@ -33,7 +33,6 @@ from .diagram import (
     SMGError,
     SMGSemanticError,
     UnionFind,
-    _crossing_flow,
     _first_orientation,
 )
 from .moves import (
@@ -319,7 +318,7 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
         j = comp_of[nd.ports[1]]
         if i == j:
             continue
-        sign = _crossing_flow(od, nd.id)[2]
+        sign = od._flows[nd.id][2]
         twice[i][j] += sign
         twice[j][i] += sign
     if any(v % 2 for row in twice for v in row):
@@ -329,7 +328,7 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
 
 def crossing_sign(od: OrientedDiagram, node_id: str) -> int:
     """+1 or -1, the sign of crossing ``node_id`` under ``od``."""
-    return _crossing_flow(od, node_id)[2]
+    return od._flows[node_id][2]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,8 @@ def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
     """Best-first search over R1/R2/R3 from ``start``, which the greedy pass
     reached from ``c`` by ``presteps``, finishing greedily from every new
     state.  As in ``search_equivalence``, states are codes with parent links
-    and the trace is read once; returns the best diagram found and its trace."""
+    and the trace is read once; returns the best diagram found and its trace.
+    It makes at most ``budget.max_states`` states, the start among them."""
     ceiling = c.counts[0] + budget.extra_crossings
     here = start.canonical_code()
     # code -> (parent code, move id, variant, direction), None at the start
@@ -446,9 +446,9 @@ def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
                         best = (tail, code, tailsteps)
                     if tail.counts[0] == 0:
                         return answer(*best)
-                    heapq.heappush(heap, (nxt.counts[0], len(parents), code, replace(nxt)))
                     if len(parents) >= budget.max_states:
-                        break
+                        return answer(*best)
+                    heapq.heappush(heap, (nxt.counts[0], len(parents), code, replace(nxt)))
     return answer(*best)
 
 

@@ -1,0 +1,47 @@
+"""What the counting layer caches on a diagram never keeps it alive.
+
+A diagram caches its orientation data (heads and crossing flows), its
+colouring problem with the Smith forms of its Alexander matrices, and its
+resolutions.  None of them may refer back to the diagram, or every diagram
+a search or a sweep drops would wait for the cyclic garbage collector.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from smg.diagram import enumerate_orientations, parse_smg, serialize
+from smg.fixtures import fixture
+from smg.groups import cyclic_group, hom_count, symmetric_group, wirtinger_presentation
+from smg.quandles import coloring_count, dihedral_quandle, quandle_from_rows, small_quandles
+
+
+@pytest.mark.parametrize("name", ["trefoil", "hopf", "fr", "sing_sphere", "two_loops"])
+def test_a_diagram_is_freed_with_its_last_reference(name):
+    z5 = quandle_from_rows([[(2 * x - y) % 5 + 1 for y in range(5)] for x in range(5)])
+    oriented = next(q for q in small_quandles(4) if not q.is_involutory())
+    gc.disable()
+    try:
+        d = parse_smg(serialize(fixture(name)))
+        ods = enumerate_orientations(d)
+        for od in ods:
+            for q in (z5, oriented, dihedral_quandle(3)):
+                coloring_count(d, q, od)
+        coloring_count(d, dihedral_quandle(5))
+        p = wirtinger_presentation(d)
+        hom_count(p, cyclic_group(6))
+        hom_count(p, symmetric_group(3))
+        ref = weakref.ref(d)
+        del d, ods, od, p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_enumerate_orientations_returns_a_fresh_list():
+    d = fixture("hopf")
+    first, second = enumerate_orientations(d), enumerate_orientations(d)
+    assert first == second and first is not second
+    first.clear()
+    assert enumerate_orientations(d) == second

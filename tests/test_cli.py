@@ -69,6 +69,18 @@ def test_group_entry_out_of_range_is_an_input_error(files, capsys):
     assert capsys.readouterr().err == "input error: entries must lie in 1..2\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2\n1 2\n2 2\n", "element 2 has no inverse"),
+    ("2\n1 1\n1 1\n", "no identity"),
+    ("3\n1 2 3\n2 1 1\n3 1 1\n", "not associative"),
+])
+def test_a_group_table_that_is_no_group_is_a_named_input_error(files, capsys, text, message):
+    table = files["dir"] / "bad.g"
+    table.write_text(text)
+    assert main(["homs", "fixture:trefoil", "--table", str(table)]) == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("text", ["-1 5", "0"])
 @pytest.mark.parametrize("argv", [
     ["quandle", "check", "TABLE"],

@@ -10,11 +10,14 @@ from test_diagram import t2_text
 
 from smg import cli
 from smg.catalog import move_catalog
-from smg.diagram import MARKER, OrientedDiagram, enumerate_orientations, parse_smg
+from smg.diagram import (MARKER, OrientedDiagram, SMGSemanticError, enumerate_orientations,
+                         parse_smg)
 from smg.fixtures import fixture, fixture_names
 from smg.groups import (
     AbelianGroup,
+    GroupTable,
     Presentation,
+    _search_homs,
     abelianization,
     abstract_orientation,
     cyclic_group,
@@ -518,3 +521,51 @@ def test_cli_abelian_at_a_thousand_crossings(tmp_path, capsys):
     path.write_text(t2_text(1000))
     assert cli.main(["abelian", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "Z + Z"
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms read from the abelianization
+
+
+def test_abelian_hom_counts_match_the_solver():
+    """Into a commutative table ``hom_count`` reads the count off the
+    abelianization; the backtracking solver is the oracle, for every group
+    of order <= 8 on the fixtures and their rewrites."""
+    from test_quandles import fixtures_and_rewrites
+
+    groups = groups_up_to_order(8)
+    assert [name for name, g in groups if not g._commutative] == ["S3", "D4", "Q8"]
+    for d in fixtures_and_rewrites():
+        p = wirtinger_presentation(d)
+        for name, g in groups:
+            assert hom_count(p, g) == _search_homs(p, g), (d.name, name)
+
+
+def test_abelianization_and_hom_count_share_one_smith_form(monkeypatch):
+    import smg.groups as groups
+
+    calls, diagonal = [0], groups._diagonal
+
+    def counted(rows):
+        calls[0] += 1
+        return diagonal(rows)
+
+    monkeypatch.setattr(groups, "_diagonal", counted)
+    p = wirtinger_presentation(fixture("fr"))
+    assert str(abelianization(p)) == "Z + Z"
+    assert [hom_count(p, g) for _, g in groups_up_to_order(4)] == [1, 4, 9, 16, 16]
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("mult, message", [
+    (((1, 0), (0, 1)), "0 is not an identity"),
+    (((0, 1, 2), (1, 0, 0), (2, 0, 0)), "not associative"),
+    (((0, 1), (1, 1)), "element 1 has no inverse"),
+])
+def test_bad_group_tables_raise_typed_errors(mult, message):
+    """Not a ``StopIteration`` or a bare ``ValueError`` from the table or
+    from a count into it."""
+    for use in (GroupTable.check, lambda g: g.inv,
+                lambda g: hom_count(Presentation(1, ((1, 1),)), g)):
+        with pytest.raises(SMGSemanticError, match=f"^{message}$"):
+            use(GroupTable(mult))

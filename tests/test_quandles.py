@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -24,12 +25,14 @@ from smg.groups import (
 )
 from smg.quandles import (
     FOUR_QUANDLE,
+    _search_count,
     check_quandle,
     coloring_count,
     colorings,
     conjugation_quandle,
     dihedral_quandle,
     parse_quandle,
+    quandle_from_rows,
     serialize_quandle,
     small_quandles,
     trivial_quandle,
@@ -396,3 +399,75 @@ def test_split_counts_are_products_of_the_parts():
         assert hom_count(wirtinger_presentation(union), g) == \
             math.prod(hom_count(wirtinger_presentation(p), g) for p in parts), name
 
+
+
+# ---------------------------------------------------------------------------
+# Alexander tables, counted by linear algebra
+
+
+def alexander_quandle(n: int, t: int):
+    """``x * y = t x + (1 - t) y`` over Z/n, element ``k+1`` being ``k``."""
+    return quandle_from_rows([[(t * x + (1 - t) * y) % n + 1 for y in range(n)]
+                              for x in range(n)])
+
+
+def test_alexander_tables_are_recognised():
+    assert [dihedral_quandle(n)._alexander for n in range(3, 8)] == [-1] * 5
+    assert [trivial_quandle(n)._alexander for n in range(1, 5)] == [1] * 4
+    assert alexander_quandle(5, 2)._alexander == 2
+    assert [q._alexander for q in small_quandles(4)] == [1, 1, 1, None, -1, 1] + [None] * 6
+    assert FOUR_QUANDLE._alexander is None
+
+
+def test_linear_counts_match_the_solver():
+    """Dihedral and trivial tables without and under every orientation, and
+    a non-involutory Z/5 table under every orientation, on the fixtures
+    and their rewrites: the backtracking solver is the oracle."""
+    panel = [dihedral_quandle(n) for n in range(3, 8)] + [trivial_quandle(n) for n in range(1, 5)]
+    z5 = alexander_quandle(5, 2)
+    assert not z5.is_involutory()
+    for d in fixtures_and_rewrites():
+        orientations = enumerate_orientations(d)
+        for q in panel:
+            assert coloring_count(d, q) == _search_count(d, q, None), (d.name, q.n)
+            for od in orientations:
+                assert coloring_count(d, q, od) == _search_count(d, q, od), (d.name, q.n)
+        for od in orientations:
+            assert coloring_count(d, z5, od) == _search_count(d, z5, od), d.name
+
+
+def trefoil_sum(k: int, seed: int) -> Diagram:
+    """The connected sum of ``k`` trefoils, each mirrored or not by a seeded
+    draw, its node lines shuffled.  Summand ``c`` is T(2, 3) with its edge
+    from node 2 to node 0 cut: node 2 runs on to node 0 of summand
+    ``c + 1``.  A mirror turns the ports of every node by one."""
+    rng = random.Random(seed)
+    lines = []
+    for c in range(k):
+        mirror = rng.random() < 0.5
+        for i in range(3):
+            j = (i - 1) % 3
+            ports = [f"s{(c - 1) % k}" if i == 0 else f"{c}r{j}", f"{c}l{j}", f"{c}l{i}",
+                     f"s{c}" if i == 2 else f"{c}r{i}"]
+            if mirror:
+                ports = ports[1:] + ports[:1]
+            lines.append(f"node {c}v{i} X " + " ".join(ports))
+    rng.shuffle(lines)
+    return parse_smg(f"diagram sum{k}\n" + "\n".join(lines) + "\nend\n")
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_sums_of_trefoils_count_alike_on_both_routes(k):
+    d = trefoil_sum(k, seed=k)
+    r3, z5 = dihedral_quandle(3), alexander_quandle(5, 2)
+    assert coloring_count(d, r3) == _search_count(d, r3, None) == 3 ** (k + 1)
+    for od in enumerate_orientations(d):
+        assert coloring_count(d, z5, od) == _search_count(d, z5, od) == 5
+
+
+def test_twenty_trefoils_count_by_linear_algebra():
+    """3^21 colourings: the solver would list them all."""
+    d = trefoil_sum(20, seed=20)
+    start = time.perf_counter()
+    assert coloring_count(d, dihedral_quandle(3)) == 3 ** 21
+    assert time.perf_counter() - start < 1.0

@@ -259,6 +259,25 @@ def test_simplifier_heap_answer_is_pinned(monkeypatch):
     assert digests[0] == greedy[0] > 0
 
 
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_simplifier_heap_stops_at_its_state_budget(monkeypatch, cap):
+    """The heap search makes exactly ``max_states`` states, the start
+    among them: one greedy pass for the start and one per new state."""
+    import smg.resolution as resolution
+
+    calls, reduce = [0], resolution._greedy_reduce
+
+    def counted_reduce(c):
+        calls[0] += 1
+        return reduce(c)
+
+    monkeypatch.setattr(resolution, "_greedy_reduce", counted_reduce)
+    simp, trace = reidemeister_simplify(parse_smg(KINKED_DEAD_END), Budget(max_states=cap))
+    assert calls[0] == cap
+    assert verify_sequence(parse_smg(KINKED_DEAD_END), trace,
+                           catalog_map("unoriented")).canonical_code() == simp.canonical_code()
+
+
 def test_simplifier_heap_holds_no_rewritten_diagram(monkeypatch):
     """The heap holds copies without caches, so the rewrites the
     simplifier makes are dropped once it has looked at them.  Alive at
