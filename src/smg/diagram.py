@@ -380,6 +380,13 @@ class Diagram:
         ``resolution.resolve``, which hands out copies of the rotations."""
         return {}
 
+    @cached_property
+    def _family(self) -> dict:
+        """The family memo: ``resolution.is_trivial_unlink``'s answers,
+        shared by every diagram that ``moves._splice`` derives from this
+        one.  Plain data, never a diagram."""
+        return {}
+
     # -- strand components ---------------------------------------------------
 
     @cached_property
@@ -409,6 +416,11 @@ class Diagram:
                 anchor = (node_map.get(anchor[0], anchor[0]), anchor[1])
             anchors.append((pid2, anchor))
         return Diagram(self.name, nodes, loops, tuple(anchors))
+
+
+def _require_diagram(d, what: str) -> None:
+    if not isinstance(d, Diagram):
+        raise SMGSemanticError(f"{what} needs an unoriented Diagram, not {type(d).__name__}")
 
 
 def _canon_table(node_map: dict[str, Node], ids: list[str], alpha: list[int]) -> tuple:

@@ -24,6 +24,7 @@ from .diagram import (
     OrientedDiagram,
     SMGSemanticError,
     UnionFind,
+    _require_diagram,
 )
 from .groups import _assignments, _build_plan, _count, _diagonal, _Plan, _Step, _steps
 
@@ -313,6 +314,14 @@ def _colouring_problem(d: Diagram, q: QuandleTable,
     return d._colouring
 
 
+def _require_orientation_of(d, orientation, what: str) -> None:
+    """``d`` is a diagram, and ``orientation`` None or one of ``d``."""
+    _require_diagram(d, what)
+    if orientation is not None and (not isinstance(orientation, OrientedDiagram)
+                                    or orientation.base != d):
+        raise SMGSemanticError(f"{what} needs an orientation of {d.name!r}")
+
+
 def colorings(d: Diagram, q: QuandleTable,
               orientation: Optional[OrientedDiagram] = None) -> list[dict]:
     """All quandle colorings of the diagram's edges and loops, in
@@ -321,6 +330,7 @@ def colorings(d: Diagram, q: QuandleTable,
     Orientation is required unless the quandle is involutory; with an
     involutory quandle the under-strand relation is direction-free.
     """
+    _require_orientation_of(d, orientation, "colorings")
     problem, steps = _colouring_steps(d, q, orientation)
     found = sorted(tuple(c) for c in _assignments(steps, q.n, 0, len(steps)))
     return [{v: c[problem.cls[v]] + 1 for v in problem.items} for c in found]
@@ -330,6 +340,7 @@ def coloring_count(d: Diagram, q: QuandleTable,
                    orientation: Optional[OrientedDiagram] = None) -> int:
     """Number of colorings: by linear algebra for an Alexander table
     (:func:`_alexander_count`), by the backtracking solver otherwise."""
+    _require_orientation_of(d, orientation, "coloring_count")
     t = q._alexander
     if t is None:
         return _search_count(d, q, orientation)

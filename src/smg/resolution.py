@@ -14,7 +14,9 @@ answers; and a bounded search over the classical Reidemeister moves from
 where the greedy pass stopped, which gives certified YES answers, with
 budget exhaustion reported as UNKNOWN.  A diagram caches its two
 resolutions, so every caller of :func:`resolve` shares one substitution per
-diagram and sign.
+diagram and sign.  The diagrams that the splice derives from one diagram
+share its family memo of triviality answers, so a resolution that recurs
+among a diagram's rewrites is proven once.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .diagram import (
     SMGSemanticError,
     UnionFind,
     _first_orientation,
+    _require_diagram,
 )
 from .moves import (
     FORWARD,
@@ -88,11 +91,6 @@ class Resolution:
 
     def component_count(self) -> int:
         return len(self.components)
-
-
-def _require_diagram(d, what: str) -> None:
-    if not isinstance(d, Diagram):
-        raise SMGSemanticError(f"{what} needs an unoriented Diagram, not {type(d).__name__}")
 
 
 def _require_classical(c: Diagram, what: str) -> None:
@@ -403,14 +401,24 @@ def _greedy_reduce(c: Diagram) -> tuple[Diagram, tuple]:
     return cur, steps
 
 
+def _require_budget(budget, what: str) -> Budget:
+    """``budget``, or the default for None."""
+    if budget is None:
+        return Budget()
+    if not isinstance(budget, Budget):
+        raise SMGSemanticError(f"{what} needs a Budget, not {type(budget).__name__}")
+    return budget
+
+
 def reidemeister_simplify(c: Diagram, budget: Optional[Budget] = None):
     """Greedy-first bounded search over R1/R2/R3; returns the diagram with
     the fewest crossings found and a replayable trace to it."""
     _require_classical(c, "reidemeister_simplify")
+    budget = _require_budget(budget, "reidemeister_simplify")
     start, presteps = _greedy_reduce(c)
     if start.counts[0] == 0:
         return start, MoveSequence(presteps)
-    return _heap_search(c, start, presteps, budget or Budget())
+    return _heap_search(c, start, presteps, budget)
 
 
 def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
@@ -458,13 +466,31 @@ def _fox3_count(c: Diagram) -> int:
     return coloring_count(c, dihedral_quandle(3))
 
 
+#: answers a family memo (``Diagram._family``) keeps, the oldest dropped first
+_FAMILY_CAP = 128
+
+
 def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
     """YES with a simplification trace, NO with an invariant obstruction,
     or UNKNOWN when the budget runs out.  A greedy pass that clears every
     crossing is the certificate; only a diagram it leaves crossed has its
     linking numbers and Fox 3-colorings counted (neither refutes an unlink)
-    and then goes on to the heap search."""
+    and then goes on to the heap search.  The diagrams derived from one
+    diagram share its answers, keyed by everything but the name; each call
+    returns a fresh copy."""
     _require_classical(c, "is_trivial_unlink")
+    budget = _require_budget(budget, "is_trivial_unlink")
+    memo = c._family
+    key = (c.nodes, c.loops, c.anchors, budget.extra_crossings, budget.max_states)
+    answer = memo.get(key)
+    if answer is None:
+        answer = memo[key] = _trivial_unlink(c, budget)
+        if len(memo) > _FAMILY_CAP:
+            del memo[next(iter(memo))]
+    return replace(answer)
+
+
+def _trivial_unlink(c: Diagram, budget: Budget) -> TriState:
     ncomp = len(classical_components(c))
     start, presteps = _greedy_reduce(c)
     if start.counts[0] == 0:
@@ -479,7 +505,7 @@ def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
     if fox != 3 ** ncomp:
         return TriState(NO, components=ncomp,
                         obstruction=f"fox3={fox}!=3^{ncomp}")
-    simp, trace = _heap_search(c, start, presteps, budget or Budget())
+    simp, trace = _heap_search(c, start, presteps, budget)
     if simp.counts[0] == 0:
         return TriState(YES, components=ncomp, trace=trace)
     return TriState(UNKNOWN, components=ncomp)
@@ -488,6 +514,7 @@ def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
 def is_admissible(d: Diagram, budget: Optional[Budget] = None) -> dict:
     """Both resolutions must be trivial unlink diagrams."""
     _require_diagram(d, "is_admissible")
+    budget = _require_budget(budget, "is_admissible")
     res = {}
     for sign in (POSITIVE, NEGATIVE):
         r = resolve(d, sign)

@@ -2,8 +2,10 @@
 
 A diagram caches its orientation data (heads and crossing flows), its
 colouring problem with the Smith forms of its Alexander matrices, and its
-resolutions.  None of them may refer back to the diagram, or every diagram
-a search or a sweep drops would wait for the cyclic garbage collector.
+resolutions, and shares a family memo of admissibility answers with the
+diagrams derived from it.  None of them may refer back to a diagram, or
+every diagram a search or a sweep drops would wait for the cyclic garbage
+collector.
 """
 
 import gc
@@ -11,10 +13,13 @@ import weakref
 
 import pytest
 
+from smg.catalog import move_catalog
 from smg.diagram import enumerate_orientations, parse_smg, serialize
 from smg.fixtures import fixture
 from smg.groups import cyclic_group, hom_count, symmetric_group, wirtinger_presentation
+from smg.moves import FORWARD, REVERSE, apply_move, find_sites
 from smg.quandles import coloring_count, dihedral_quandle, quandle_from_rows, small_quandles
+from smg.resolution import _FAMILY_CAP, NEGATIVE, POSITIVE, is_admissible, resolve
 
 
 @pytest.mark.parametrize("name", ["trefoil", "hopf", "fr", "sing_sphere", "two_loops"])
@@ -37,6 +42,30 @@ def test_a_diagram_is_freed_with_its_last_reference(name):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_rewrite_is_freed_while_its_host_keeps_the_family_memo():
+    """Every rewrite of ``fr`` and its resolutions share ``fr``'s family
+    memo.  Once its admissibility is checked, each is freed with its last
+    reference, while the host and the memo stay; the memo ends at its cap,
+    since the rewrites have more distinct resolutions than that."""
+    host = parse_smg(serialize(fixture("fr")))
+    memo = host._family
+    gc.disable()
+    try:
+        for m in move_catalog("unoriented"):
+            for direction in (FORWARD, REVERSE):
+                for site in find_sites(host, m, direction):
+                    rewrite = apply_move(host, m, site)
+                    is_admissible(rewrite)
+                    refs = [weakref.ref(rewrite)] + [weakref.ref(resolve(rewrite, sign).diagram)
+                                                     for sign in (POSITIVE, NEGATIVE)]
+                    assert all(r()._family is memo for r in refs)
+                    del rewrite
+                    assert [r() for r in refs] == [None] * 3, m.id
+    finally:
+        gc.enable()
+    assert host._family is memo and len(memo) == _FAMILY_CAP
 
 
 def test_enumerate_orientations_returns_a_fresh_list():

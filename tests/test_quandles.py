@@ -141,6 +141,25 @@ def test_non_involutory_quandle_without_orientation_is_a_semantic_error():
             f(fixture("trefoil"), q)
 
 
+def test_foreign_orientation_is_a_semantic_error():
+    """An orientation of another diagram, or a count of anything but a
+    diagram, is a typed error on every route: the solver, the linear count
+    that reads the crossings' flows and the one that reads none, which
+    would answer without a look at the orientation."""
+    d, foreign = fixture("trefoil"), enumerate_orientations(fixture("hopf"))[0]
+    for q in (small_quandles(4)[7], alexander_quandle(5, 2), dihedral_quandle(3)):
+        for f in (coloring_count, colorings):
+            for orientation in (foreign, "x"):
+                with pytest.raises(SMGSemanticError,
+                                   match=f"{f.__name__} needs an orientation of 'trefoil'"):
+                    f(d, q, orientation)
+            with pytest.raises(SMGSemanticError,
+                               match=f"{f.__name__} needs an unoriented Diagram, not str"):
+                f("trefoil", q, enumerate_orientations(d)[0])
+    # the orientation of an equal diagram is one of ``d``
+    assert coloring_count(d, dihedral_quandle(3), enumerate_orientations(fixture("trefoil"))[0]) == 9
+
+
 def test_constant_colorings_lower_bound():
     for name in ("kink", "trefoil", "sing_sphere", "fr"):
         d = fixture(name)

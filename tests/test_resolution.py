@@ -2,14 +2,15 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import smg
-from smg.diagram import SMGSemanticError, enumerate_orientations, parse_smg
+from smg.diagram import SMGSemanticError, enumerate_orientations, parse_smg, serialize
 from smg.fixtures import fixture, fixture_names
-from smg.moves import REVERSE, find_sites, verify_sequence
-from smg.catalog import catalog_map
+from smg.moves import FORWARD, REVERSE, apply_move, find_sites, verify_sequence
+from smg.catalog import catalog_map, move_catalog
 from smg.resolution import (
     NEGATIVE,
     POSITIVE,
@@ -308,6 +309,48 @@ def test_admissibility_certificates_are_pinned():
     assert h.hexdigest()[:16] == "aecdf0def7a6aff4"
 
 
+def test_family_memo_answers_as_a_fresh_family(monkeypatch):
+    """A rewrite shares its host's family memo.  On every rewrite of every
+    fixture by every unoriented move, in both directions at every site
+    (criterion 4's set), admissibility answers byte for byte as on a copy
+    with a memo of its own, and gives the verdict of the rewrite's parsed
+    text (which lists nodes by id, so the greedy pass may take other
+    sites).  Per host the greedy pass runs at most once per distinct
+    resolution, and once for both resolutions of a classical diagram,
+    which are equal."""
+    import smg.resolution as resolution
+
+    calls = []
+    real = resolution._greedy_reduce
+    monkeypatch.setattr(resolution, "_greedy_reduce", lambda c: calls.append(c) or real(c))
+    for name in fixture_names():
+        host, greedy, distinct = fixture(name), 0, set()
+        for m in move_catalog("unoriented"):
+            for direction in (FORWARD, REVERSE):
+                for site in find_sites(host, m, direction):
+                    rewrite = apply_move(host, m, site)
+                    calls.clear()
+                    res = is_admissible(rewrite)
+                    greedy += len(calls)
+                    distinct.update((c.nodes, c.loops, c.anchors) for c in (
+                        resolve(rewrite, sign).diagram for sign in (POSITIVE, NEGATIVE)))
+                    fresh = is_admissible(replace(rewrite))
+                    for sign in (POSITIVE, NEGATIVE):
+                        assert res[sign].serialize() == fresh[sign].serialize(), (name, m.id)
+                    parsed = is_admissible(parse_smg(serialize(rewrite)))
+                    assert res["verdict"] == fresh["verdict"] == parsed["verdict"], (name, m.id)
+        assert greedy <= len(distinct), name
+    calls.clear()
+    assert is_admissible(fixture("hopf"))["verdict"] == "no"
+    assert len(calls) == 1
+    # each call hands out its own copy, sharing only the frozen trace
+    kink = fixture("kink")
+    first = is_trivial_unlink(kink)
+    first.value = "no"
+    again = is_trivial_unlink(kink)
+    assert (again.value, again.trace, len(calls)) == ("yes", first.trace, 2)
+
+
 NON_CLASSICAL_CHECK = """
 from smg.diagram import SMGSemanticError
 from smg.fixtures import fixture
@@ -335,18 +378,22 @@ def test_non_classical_input_is_a_semantic_error():
                                    "is_trivial_unlink raises SMGSemanticError"]
 
 
-@pytest.mark.parametrize("bad", [enumerate_orientations(fixture("kink"))[0], "kink"],
-                         ids=["oriented", "text"])
+@pytest.mark.parametrize("bad", [enumerate_orientations(fixture("kink"))[0], "kink", "budget"],
+                         ids=["oriented", "text", "budget"])
 def test_non_diagram_input_is_a_semantic_error(bad):
     """An OrientedDiagram, or anything else that is not a Diagram, is a
-    typed error, not an AttributeError."""
-    calls = {"resolve": lambda x: resolve(x, POSITIVE), "is_admissible": is_admissible,
-             "is_trivial_unlink": is_trivial_unlink,
+    typed error, not an AttributeError.  So is a budget that is neither
+    None nor a Budget, also where no heap search would read it."""
+    calls = {"is_admissible": is_admissible, "is_trivial_unlink": is_trivial_unlink,
              "reidemeister_simplify": reidemeister_simplify}
+    if bad == "budget":
+        args, wants = (fixture("kink"), "x"), "a Budget, not str"
+    else:
+        calls["resolve"] = lambda x: resolve(x, POSITIVE)
+        args, wants = (bad,), f"an unoriented Diagram, not {type(bad).__name__}"
     for name, f in calls.items():
-        with pytest.raises(SMGSemanticError,
-                           match=f"{name} needs an unoriented Diagram, not {type(bad).__name__}"):
-            f(bad)
+        with pytest.raises(SMGSemanticError, match=f"{name} needs {wants}"):
+            f(*args)
 
 
 def test_a_diagram_is_resolved_once_per_sign(monkeypatch):
@@ -354,7 +401,6 @@ def test_a_diagram_is_resolved_once_per_sign(monkeypatch):
     admissibility, component counts and the abstract orientation.  Each
     call hands out its own rotations, and a copy made with
     ``dataclasses.replace`` starts without resolutions."""
-    from dataclasses import replace
 
     import smg.resolution as resolution
     from smg.groups import wirtinger_presentation
@@ -384,7 +430,6 @@ def test_classical_components_are_found_once_per_diagram(monkeypatch):
     """The admissibility check, the linking numbers and the resolution's
     components share one computation per diagram; every call still returns
     a new list."""
-    from dataclasses import replace
 
     import smg.resolution as resolution
 
