@@ -37,8 +37,10 @@ class SMGError(ValueError):
 
 
 class SMGSyntaxError(SMGError):
-    def __init__(self, message: str, line: int, col: int = 0):
-        super().__init__(f"line {line}: {message}")
+    """A malformed text; ``line`` is None for formats without lines."""
+
+    def __init__(self, message: str, line: Optional[int] = None, col: int = 0):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
         self.col = col
 

@@ -3,9 +3,10 @@
 A quandle table is 1-indexed: ``q[i][j] = i * j``.  Colorings assign quandle
 elements to the edges and loops of a diagram subject to the local conditions:
 the over-strand passes through a crossing unchanged while the under-strand
-acts by ``* y`` (or its column inverse against the orientation), all four
-ends of a marker share one color, and the two strands of a singular vertex
-keep their colors and must fix each other.
+acts by ``* y``, or by its column inverse when the over-strand runs the other
+way (only the over-strand's direction matters), all four ends of a marker
+share one color, and the two strands of a singular vertex keep their colors
+and must fix each other.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .diagram import (
     Diagram,
     OrientedDiagram,
     SMGSemanticError,
+    SMGSyntaxError,
     UnionFind,
     _require_diagram,
 )
@@ -63,11 +65,24 @@ class QuandleTable:
         """``inv`` on 0-indexed elements."""
         return tuple(tuple(z - 1 for z in row) for row in self.inv)
 
+    def check(self) -> None:
+        """Raise SMGSemanticError with the first axiom violation unless the
+        table is a quandle; the scan runs once per table object."""
+        self._checked
+
+    @cached_property
+    def _checked(self) -> bool:
+        issues = check_quandle(self.table)
+        if issues:
+            raise SMGSemanticError(issues[0])
+        return True
+
     def is_involutory(self) -> bool:
         return self._involutory
 
     @cached_property
     def _involutory(self) -> bool:
+        self.check()
         return all(self.op(self.op(x, y), y) == x
                    for x in range(1, self.n + 1) for y in range(1, self.n + 1))
 
@@ -85,6 +100,16 @@ class QuandleTable:
             return None
         return -1 if n > 2 and t == n - 1 else t
 
+    @cached_property
+    def _doubled(self) -> QuandleTable:
+        """Kamada's doubled quandle, of order 2n: element ``x + e n`` is the
+        pair (x, e), and (x, e) * (y, f) = (x * y if f = 0 else x *^-1 y, e).
+        Its colourings of one orientation are those of this table summed
+        over all orientations, ``e`` giving each component's direction."""
+        n, rows = self.n, (self.table, self.inv)
+        return QuandleTable(tuple(tuple(rows[f][x][y] + e * n for f in (0, 1) for y in range(n))
+                                  for e in (0, 1) for x in range(n)))
+
 
 def check_quandle(raw: Iterable[Iterable[int]]) -> list[str]:
     """Return a list of axiom violations, each with a witness; empty iff the
@@ -93,11 +118,11 @@ def check_quandle(raw: Iterable[Iterable[int]]) -> list[str]:
     n = len(table)
     issues = []
     if any(len(r) != n for r in table):
-        raise ValueError("table is not square")
+        raise SMGSemanticError("table is not square")
     for r in table:
         for v in r:
-            if not 1 <= v <= n:
-                raise ValueError(f"entry {v} out of range 1..{n}")
+            if not isinstance(v, int) or not 1 <= v <= n:
+                raise SMGSemanticError(f"entry {v!r} out of range 1..{n}")
     for a in range(1, n + 1):
         if table[a - 1][a - 1] != a:
             issues.append(f"idempotency fails at {a}")
@@ -119,7 +144,7 @@ def check_quandle(raw: Iterable[Iterable[int]]) -> list[str]:
 def quandle_from_rows(rows: Iterable[Iterable[int]]) -> QuandleTable:
     issues = check_quandle(rows)
     if issues:
-        raise ValueError("; ".join(issues))
+        raise SMGSemanticError("; ".join(issues))
     return QuandleTable(tuple(tuple(r) for r in rows))
 
 
@@ -128,13 +153,15 @@ def _quandle_rows(text: str) -> list[list[int]]:
     1-indexed entries."""
     toks = text.split()
     if not toks:
-        raise ValueError("empty quandle table")
-    n = int(toks[0])
+        raise SMGSyntaxError("empty quandle table")
+    try:
+        n, *vals = map(int, toks)
+    except ValueError as e:
+        raise SMGSyntaxError(str(e)) from None
     if n < 1:
-        raise ValueError(f"quandle order {n} is below 1")
-    vals = [int(t) for t in toks[1:]]
+        raise SMGSyntaxError(f"quandle order {n} is below 1")
     if len(vals) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(vals)}")
+        raise SMGSyntaxError(f"expected {n * n} entries, got {len(vals)}")
     return [vals[i * n:(i + 1) * n] for i in range(n)]
 
 
@@ -235,8 +262,8 @@ class _Colouring(NamedTuple):
 
 def _build_colouring(d: Diagram) -> _Colouring:
     """Built once per diagram, as ``Diagram._colouring``.  The plan holds
-    for every orientation: reversing the under-strand swaps the roles of
-    its two classes, not which of them a crossing can solve."""
+    for every orientation: a crossing relates ``c[2]`` to ``c[0]`` and
+    ``c[1]`` whichever way its strands run."""
     items = list(d.edges) + list(d.loops)
     uf = UnionFind(items)
     # forced equalities
@@ -285,13 +312,13 @@ def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[Oriented
             checks.append(lambda v, x=x, y=y: op[v[x]][v[y]] == v[x] and op[v[y]][v[x]] == v[y])
             roles.append(None)
             continue
-        pu, sign = 0, 1
-        if orientation is not None:
-            pu, _, sign = orientation._flows[nid]
-        # ``out = inn * over`` by ``table``; ``inverse`` is its column
-        # inverse, so ``inn = out * over`` by ``inverse``
-        out, inn, over = c[(pu + 2) % 4], c[pu], c[1]
-        table, inverse = (op, op_inv) if sign > 0 else (op_inv, op)
+        # ``c[2] = c[0] * c[1]`` by ``op`` when the over-strand comes in at
+        # port 1 and by ``op_inv`` at port 3, whichever way the under-strand
+        # runs: reversing it swaps ``c[0]`` and ``c[2]`` and flips the sign.
+        # ``inverse`` solves ``c[0]`` from the other two
+        out, inn, over = c[2], c[0], c[1]
+        over_in_1 = orientation is None or orientation._flows[nid][1] == 1
+        table, inverse = (op, op_inv) if over_in_1 else (op_inv, op)
         checks.append(lambda v, out=out, inn=inn, over=over, table=table:
                       v[out] == table[v[inn]][v[over]])
         roles.append((out, inn, over, table, inverse))
@@ -331,6 +358,7 @@ def colorings(d: Diagram, q: QuandleTable,
     involutory quandle the under-strand relation is direction-free.
     """
     _require_orientation_of(d, orientation, "colorings")
+    q.check()
     problem, steps = _colouring_steps(d, q, orientation)
     found = sorted(tuple(c) for c in _assignments(steps, q.n, 0, len(steps)))
     return [{v: c[problem.cls[v]] + 1 for v in problem.items} for c in found]
@@ -341,6 +369,7 @@ def coloring_count(d: Diagram, q: QuandleTable,
     """Number of colorings: by linear algebra for an Alexander table
     (:func:`_alexander_count`), by the backtracking solver otherwise."""
     _require_orientation_of(d, orientation, "coloring_count")
+    q.check()
     t = q._alexander
     if t is None:
         return _search_count(d, q, orientation)
@@ -356,36 +385,34 @@ def _alexander_count(problem: _Colouring, n: int, t: int,
                      orientation: Optional[OrientedDiagram]) -> int:
     """Colorings by ``x * y = t x + (1 - t) y`` over Z/n (Fox 1962; Nelson
     2003): the solutions mod n of one integer row per node on the colour
-    classes, ``out - t in - (1 - t) over`` at a crossing (``in`` and
-    ``out`` swapped at a negative one) and ``(1 - t)(x - y)`` at a double
-    point.  With ``rank`` nonzero invariant factors ``d_i`` there are
-    ``n^(classes - rank) * prod gcd(d_i, n)``.  The Smith form is kept per
-    ``t`` and, unless ``t`` is 1 or -1 (where the swap keeps or negates the
-    row), per the crossings' flows.  Without an orientation every crossing
-    reads as positive with ``in`` at port 0, as in the solver."""
-    flows = None
+    classes, ``out - t in - (1 - t) over`` at a crossing and
+    ``(1 - t)(x - y)`` at a double point.  As in the solver, ``out`` and
+    ``in`` are ``c[2]`` and ``c[0]`` when the over-strand comes in at port
+    1, and swapped at port 3.  With ``rank`` nonzero invariant factors
+    ``d_i`` there are ``n^(classes - rank) * prod gcd(d_i, n)``.  The Smith
+    form is kept per ``t`` and, unless ``t`` is 1 or -1 (where the swap
+    keeps or negates the row), per the crossings' over ports.  Without an
+    orientation every over port reads as 1."""
+    over = None
     if orientation is not None and t not in (1, -1):
-        flows = tuple(orientation._flows[nid] for nid, kind, _ in problem.nodes
-                      if kind == CROSSING)
-    smith = problem.smith.get((t, flows))
+        over = tuple(orientation._flows[nid][1] for nid, kind, _ in problem.nodes
+                     if kind == CROSSING)
+    smith = problem.smith.get((t, over))
     if smith is None:
         rows = []
-        flow = iter(flows or ())
+        port = iter(over or ())
         for nid, kind, c in problem.nodes:
             if kind == SINGULAR:
                 terms = ((c[0], 1 - t), (c[1], t - 1))
             else:
-                pu, _, sign = next(flow) if flows else (0, 1, 1)
-                out, inn = c[(pu + 2) % 4], c[pu]
-                if sign < 0:
-                    out, inn = inn, out
+                out, inn = (c[2], c[0]) if next(port, 1) == 1 else (c[0], c[2])
                 terms = ((out, 1), (inn, -t), (c[1], t - 1))
             row: dict[int, int] = {}
             for x, v in terms:
                 row[x] = row.get(x, 0) + v
             rows.append({x: v for x, v in row.items() if v})
         diag = _diagonal(rows)
-        smith = problem.smith[t, flows] = (len(problem.plan.order) - len(diag),
-                                           tuple(v for v in diag if v > 1))
+        smith = problem.smith[t, over] = (len(problem.plan.order) - len(diag),
+                                          tuple(v for v in diag if v > 1))
     free, torsion = smith
     return n ** free * math.prod(math.gcd(v, n) for v in torsion)

@@ -14,12 +14,12 @@ one 0-framed circle per band, and a commutator circle per double point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .diagram import (MARKER, SINGULAR, Diagram, SMGSemanticError, _first_orientation, _strand,
-                      enumerate_orientations)
+from .diagram import MARKER, SINGULAR, Diagram, SMGSemanticError, _first_orientation, _strand
 from .groups import Presentation, cyclic_reduce
 from .moves import Pattern, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
@@ -85,10 +85,12 @@ def semi_transform(d: Diagram, kind: str) -> Diagram:
 class Profile:
     """Sorted nonzero |linking| entries plus per-quandle coloring rates.
 
-    The rate for a quandle of order n is the number of colorings summed over
-    all orientations, divided by ``(2n)**components``.  Both ingredients are
-    blind to disjoint unknotted circles, realizing values taken modulo split
-    sums with trivial pieces.
+    The rate for a quandle table is its number of colorings summed over all
+    orientations, divided by ``(2n)**components`` for order n.  That is the
+    count by Q over ``|Q|**components`` on any one orientation, where Q is
+    the table itself when it is involutory and its doubled quandle (order
+    2n) otherwise.  Both ingredients are blind to disjoint unknotted
+    circles, realizing values taken modulo split sums with trivial pieces.
     """
 
     linking: tuple[int, ...]
@@ -98,31 +100,25 @@ class Profile:
         return not self.linking and all(r == "1" for _, r in self.rates)
 
 
-def _rate(count_sum: int, n: int, comps: int) -> str:
-    from fractions import Fraction
-
-    return str(Fraction(count_sum, (2 * n) ** comps))
-
-
 def profile(c: Diagram, panel: Optional[tuple[QuandleTable, ...]] = None) -> Profile:
     """Profile of a classical diagram; deterministic and unchanged by
     disjoint union with crossingless loops."""
     _require_classical(c, "profile")
-    panel = panel or small_quandles(4)
-    comps = classical_components(c)
-    orientations = enumerate_orientations(c)
-    od = orientations[0]
+    if panel is None:
+        panel = small_quandles(4)
+    comps = len(classical_components(c))
+    od = _first_orientation(c)
     lk = linking_matrix(od)
     linking = tuple(sorted(abs(lk[i][j])
                            for i in range(len(lk)) for j in range(i + 1, len(lk))
                            if lk[i][j]))
     rates = []
     for idx, q in enumerate(panel):
-        if q.is_involutory():   # op_inv == op: the count is orientation-free
-            total = coloring_count(c, q) * len(orientations)
-        else:
-            total = sum(coloring_count(c, q, o) for o in orientations)
-        rates.append((f"q{q.n}.{idx}", _rate(total, q.n, len(comps))))
+        # an involutory count is orientation-free (op_inv == op); the
+        # doubled table sums any other over all orientations
+        table = q if q.is_involutory() else q._doubled
+        count = coloring_count(c, table, od)
+        rates.append((f"q{q.n}.{idx}", str(Fraction(count, table.n ** comps))))
     return Profile(linking, tuple(rates))
 
 

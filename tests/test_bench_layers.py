@@ -57,8 +57,8 @@ PUBLIC_FUNCTIONS = {
                    "is_admissible", "is_trivial_unlink", "linking_matrix",
                    "reidemeister_simplify", "resolve", "smoothing_pairs"],
     "transforms": ["classical_components", "coloring_count", "crossing_sign", "cyclic_reduce",
-                   "enumerate_orientations", "export_exterior", "kirby_group", "linking_matrix",
-                   "parse_pattern", "profile", "semi_transform"],
+                   "export_exterior", "kirby_group", "linking_matrix", "parse_pattern", "profile",
+                   "semi_transform"],
     "groups": ["abelianization", "abstract_orientation", "cyclic_group", "cyclic_reduce",
                "dihedral_group", "free_reduce", "hom_count", "negative_arcs", "product_group",
                "quaternion_group", "resolve", "smith_normal_form", "smoothing_pairs",

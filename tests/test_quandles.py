@@ -12,6 +12,7 @@ from smg.diagram import (
     Diagram,
     OrientedDiagram,
     SMGSemanticError,
+    SMGSyntaxError,
     enumerate_orientations,
     parse_smg,
 )
@@ -25,6 +26,7 @@ from smg.groups import (
 )
 from smg.quandles import (
     FOUR_QUANDLE,
+    QuandleTable,
     _search_count,
     check_quandle,
     coloring_count,
@@ -158,6 +160,41 @@ def test_foreign_orientation_is_a_semantic_error():
                 f("trefoil", q, enumerate_orientations(d)[0])
     # the orientation of an equal diagram is one of ``d``
     assert coloring_count(d, dihedral_quandle(3), enumerate_orientations(fixture("trefoil"))[0]) == 9
+
+
+def test_a_table_that_is_no_quandle_is_a_semantic_error():
+    """Each count checks its table first, once per table object, and names
+    the first violation.  Unchecked, an entry out of range leaked an
+    IndexError, a table that is no quandle was counted all the same, and an
+    entry 0, which is the solver's mark for an unset colour, never
+    returned; that table comes last, after the ones that fail fast.  An
+    entry that is no integer is out of range, not a TypeError."""
+    d = fixture("trefoil")
+    od = enumerate_orientations(d)[0]
+    for rows, why in ((((1, 5), (2, 2)), "entry 5 out of range 1..2"),
+                      (((1, "2"), (2, 2)), "entry '2' out of range 1..2"),
+                      (((1, 1), (1, 1)), "idempotency fails at 2"),
+                      (((0, 2), (1, 2)), "entry 0 out of range 1..2")):
+        q = QuandleTable(rows)
+        for f in (coloring_count, colorings):
+            with pytest.raises(SMGSemanticError, match=why):
+                f(d, q, od)
+        with pytest.raises(SMGSemanticError, match=why):
+            q.is_involutory()
+    with pytest.raises(SMGSemanticError, match="not square"):
+        check_quandle([[1, 1], [1]])
+    with pytest.raises(SMGSemanticError, match="idempotency fails at 2"):
+        quandle_from_rows([[1, 1], [1, 1]])
+    for text, why in (("", "empty quandle table"), ("2 1 x 2 2", "invalid literal"),
+                      ("2 1 2 1", "expected 4 entries, got 3"), ("0", "order 0 is below 1")):
+        with pytest.raises(SMGSyntaxError, match=why):
+            parse_quandle(text)
+
+
+def test_doubled_tables_are_quandles():
+    for q in small_quandles(4) + (FOUR_QUANDLE, dihedral_quandle(5)):
+        assert check_quandle(q._doubled.table) == [], q
+        assert q._doubled.n == 2 * q.n
 
 
 def test_constant_colorings_lower_bound():

@@ -1,4 +1,8 @@
+import random
+import time
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -6,7 +10,8 @@ from smg.diagram import (Diagram, Node, SMGSemanticError, enumerate_orientations
                          serialize)
 from smg.fixtures import fixture
 from smg.groups import abelianization, hom_count, groups_up_to_order, wirtinger_presentation
-from smg.resolution import NEGATIVE, resolve
+from smg.quandles import FOUR_QUANDLE, coloring_count, dihedral_quandle, small_quandles
+from smg.resolution import NEGATIVE, classical_components, resolve
 from smg.transforms import (
     KirbyDiagram,
     export_exterior,
@@ -185,6 +190,114 @@ def test_profile_split_loop_insensitive():
                          .serialize(d).splitlines() if l != "end")
         bigger = parse_smg(text + "\nloop extra\nend\n")
         assert profile(d) == profile(bigger), name
+
+
+def test_an_empty_panel_gives_no_rates():
+    assert profile(fixture("hopf"), ()).rates == ()
+
+
+def summed_rates(c, panel):
+    """The rates as a sum over every orientation, one count each: the loop
+    that the doubled tables replaced, kept as the oracle."""
+    comps = classical_components(c)
+    orientations = enumerate_orientations(c)
+    rates = []
+    for idx, q in enumerate(panel):
+        if q.is_involutory():   # op_inv == op: the count is orientation-free
+            total = coloring_count(c, q) * len(orientations)
+        else:
+            total = sum(coloring_count(c, q, o) for o in orientations)
+        rates.append((f"q{q.n}.{idx}", str(Fraction(total, (2 * q.n) ** len(comps)))))
+    return tuple(rates)
+
+
+PANELS = (small_quandles(4), (FOUR_QUANDLE, dihedral_quandle(5)))
+
+
+@lru_cache(maxsize=None)
+def criterion_6_inputs() -> tuple:
+    """The classical diagrams whose profiles acceptance criterion 6 compares:
+    both transforms of its nine hosts and of every unoriented rewrite of
+    them, one per canonical code."""
+    from smg.catalog import move_catalog
+    from smg.moves import FORWARD, REVERSE, apply_move, find_sites
+
+    cat = move_catalog("unoriented")
+    found = {}
+    for name in ORIENTABLE:
+        if name in ("fr", "hopf", "trefoil"):
+            continue
+        d = fixture(name)
+        for d2 in [d] + [apply_move(d, m, s) for m in cat for direction in (FORWARD, REVERSE)
+                         for s in find_sites(d, m, direction)]:
+            for kind in ("M5", "M6"):
+                c = semi_transform(d2, kind)
+                found.setdefault(c.canonical_code(), c)
+    return tuple(found.values())
+
+
+def clasped_circles(k: int) -> Diagram:
+    """A chain of ``k >= 2`` circles in a row, each clasping the next in a
+    Hopf clasp: circle ``i`` is over at the upper crossing ``T{i}`` with
+    circle ``i + 1`` and under at the lower one ``B{i}``.  Its arcs are
+    ``t``op, ``l``eft, ``b``ottom and ``r``ight; the end circles have one
+    arc for top and bottom.  At ``k = 2`` this is the fixture ``hopf``."""
+    top = {i: f"t{i}" for i in range(1, k + 1)}
+    bot = {i: top[i] if i in (1, k) else f"b{i}" for i in range(1, k + 1)}
+    lines = []
+    for i in range(1, k):
+        lines.append(f"node T{i} X {top[i + 1]} {top[i]} l{i + 1} r{i}")
+        lines.append(f"node B{i} X r{i} l{i + 1} {bot[i]} {bot[i + 1]}")
+    return parse_smg(f"diagram chain{k}\n" + "\n".join(lines) + "\nend\n")
+
+
+def split_links(seed: int, max_components: int = 10) -> Diagram:
+    """Kinks, trefoils, Hopf links, chains of three circles and loops side
+    by side, each mirrored or not, drawn by ``seed`` while the union has at
+    most ``max_components`` components."""
+    rng = random.Random(seed)
+    pieces = [("kink", 1), ("trefoil", 1), ("hopf", 2), ("chain3", 3), ("circle", 1)]
+    nodes, loops, comps = [], [], 0
+    for i in range(rng.randrange(1, 8)):
+        name, size = rng.choice(pieces)
+        if comps + size > max_components:
+            break
+        comps += size
+        d = clasped_circles(3) if name == "chain3" else fixture(name)
+        turn = rng.randrange(2)   # a mirror turns every crossing's ports by one
+        nodes += [Node(f"p{i}.{nd.id}", nd.kind, nd.attr,
+                       tuple(f"p{i}.{nd.ports[(p + turn) % 4]}" for p in range(4)))
+                  for nd in d.nodes]
+        loops += [f"p{i}.{l}" for l in d.loops]
+    return Diagram(f"split{seed}", tuple(nodes), tuple(loops))
+
+
+def test_profiles_equal_the_sum_over_orientations():
+    """One count per table on one orientation, by the doubled table unless
+    the table is involutory, against the sum over every orientation:
+    criterion 6's inputs, seeded split links of up to 10 components and
+    chains of 3-6 clasped circles, under the default panel and a panel of
+    the paper's quandle and R5."""
+    links = [split_links(seed) for seed in range(12)]
+    chains = [clasped_circles(k) for k in range(3, 7)]
+    assert max(len(classical_components(c)) for c in links) == 10
+    assert [profile(c).linking for c in chains] == [(1,) * (k - 1) for k in range(3, 7)]
+    inputs = criterion_6_inputs() + tuple(links) + tuple(chains)
+    for c in inputs:
+        for panel in PANELS:
+            assert profile(c, panel).rates == summed_rates(c, panel), c.name
+    assert profile(clasped_circles(2)) == profile(fixture("hopf"))
+
+
+def test_profile_of_twenty_split_loops_is_one_count_per_table():
+    """A kink and 20 loops have 2^21 orientations; the doubled table
+    counts them all at once."""
+    d = parse_smg("diagram k\nnode k X b a a b\n"
+                  + "".join(f"loop l{i}\n" for i in range(20)) + "end\n")
+    start = time.perf_counter()
+    p = profile(d)
+    assert time.perf_counter() - start < 1.0
+    assert p.is_trivial() and len(p.rates) == len(small_quandles(4))
 
 
 def test_export_circle():
