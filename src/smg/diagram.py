@@ -713,6 +713,20 @@ def _ties(node: Node, abstract: bool) -> tuple[tuple[int, int], ...]:
     return ((0, 1), (1, 2), (2, 3))
 
 
+def _port_classes(d: Diagram, pairs: Callable[[Node], Iterable[tuple[int, int]]]
+                  ) -> dict[str, int]:
+    """Each edge and then each loop of ``d`` mapped to its class when every
+    node joins the edges at the port pairs ``pairs(node)``, in node order;
+    classes are numbered in the sorted order of their union-find roots."""
+    items = list(d.edges) + list(d.loops)
+    uf = UnionFind(items)
+    for nd in d.nodes:
+        for p, q in pairs(nd):
+            uf.union(nd.ports[p], nd.ports[q])
+    index = {r: i for i, r in enumerate(sorted({uf.find(x) for x in items}))}
+    return {x: index[uf.find(x)] for x in items}
+
+
 @dataclass(frozen=True)
 class OrientedDiagram:
     """Diagram plus a direction on every edge and loop.
@@ -888,6 +902,27 @@ def _check_id(tok: str, lineno: int) -> str:
     return tok
 
 
+def _read_node(toks: list[str], lineno: int) -> Node:
+    """The node of a ``node`` line split into ``toks``."""
+    if len(toks) < 3:
+        raise SMGSyntaxError("truncated 'node' line", lineno)
+    nid = _check_id(toks[1], lineno)
+    kind = toks[2]
+    if kind == "X":
+        if len(toks) != 7:
+            raise SMGSyntaxError("crossing needs 4 edges", lineno)
+        attr, ports = None, toks[3:7]
+    elif kind in ("M", "S"):
+        if len(toks) != 8:
+            raise SMGSyntaxError(f"{kind}-node needs attr and 4 edges", lineno)
+        if toks[3] not in ("0", "1"):
+            raise SMGSemanticError(f"line {lineno}: bad axis/side {toks[3]!r}")
+        attr, ports = int(toks[3]), toks[4:8]
+    else:
+        raise SMGSyntaxError(f"unknown node kind {kind!r}", lineno)
+    return Node(nid, kind, attr, tuple(_check_id(t, lineno) for t in ports))
+
+
 def parse_smg(text: str, *, allow_invalid: bool = False):
     """Parse the SMG format; returns a Diagram or, with an orient block,
     an OrientedDiagram."""
@@ -915,24 +950,7 @@ def parse_smg(text: str, *, allow_invalid: bool = False):
         elif kw == "node":
             if name is None:
                 raise SMGSyntaxError("'node' before 'diagram'", lineno)
-            if len(toks) < 3:
-                raise SMGSyntaxError("truncated 'node' line", lineno)
-            nid = _check_id(toks[1], lineno)
-            kind = toks[2]
-            if kind == "X":
-                if len(toks) != 7:
-                    raise SMGSyntaxError("crossing needs 4 edges", lineno)
-                attr, ports = None, toks[3:7]
-            elif kind in ("M", "S"):
-                if len(toks) != 8:
-                    raise SMGSyntaxError(f"{kind}-node needs attr and 4 edges", lineno)
-                if toks[3] not in ("0", "1"):
-                    raise SMGSemanticError(f"line {lineno}: bad axis/side {toks[3]!r}")
-                attr, ports = int(toks[3]), toks[4:8]
-            else:
-                raise SMGSyntaxError(f"unknown node kind {kind!r}", lineno)
-            ports = tuple(_check_id(t, lineno) for t in ports)
-            nodes.append(Node(nid, kind, attr, ports))
+            nodes.append(_read_node(toks, lineno))
         elif kw == "loop":
             if len(toks) != 2:
                 raise SMGSyntaxError("bad 'loop' line", lineno)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .diagram import (CROSSING, MARKER, SINGULAR, Diagram, OrientedDiagram, SMGSemanticError,
-                      StrandParity, UnionFind)
+from .diagram import (CROSSING, MARKER, Diagram, OrientedDiagram, SMGSemanticError, StrandParity,
+                      _port_classes, _ties)
 from .resolution import NEGATIVE, POSITIVE, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -124,20 +124,7 @@ def negative_arcs(d: Diagram) -> dict[str, int]:
     over-crossings, marker smoothings and double points unbroken and is cut
     only where it passes under a classical crossing.
     """
-    items = list(d.edges) + list(d.loops)
-    uf = UnionFind(items)
-    for nd in d.nodes:
-        if nd.kind == CROSSING:
-            uf.union(nd.ports[1], nd.ports[3])
-        elif nd.kind == SINGULAR:
-            uf.union(nd.ports[0], nd.ports[2])
-            uf.union(nd.ports[1], nd.ports[3])
-        else:
-            for p, q in smoothing_pairs(nd.attr, NEGATIVE):
-                uf.union(nd.ports[p], nd.ports[q])
-    roots = sorted({uf.find(x) for x in items})
-    index = {r: i for i, r in enumerate(roots)}
-    return {x: index[uf.find(x)] for x in items}
+    return _port_classes(d, lambda nd: ((1, 3),) if nd.kind == CROSSING else _ties(nd, True))
 
 
 def wirtinger_presentation(d: Diagram) -> Presentation:
@@ -435,14 +422,22 @@ class GroupTable:
         return tuple(tuple(row[y] for y in self.inv) for row in self.mult)
 
     def check(self) -> None:
-        """Raise SMGSemanticError unless 0 is an identity, the table is
-        associative and every element has an inverse; the O(n^3) scan runs
-        once per table object."""
+        """Raise SMGSemanticError unless the table is square, not empty and
+        over 0..n-1, 0 is an identity, the table is associative and every
+        element has an inverse; the O(n^3) scan runs once per table object."""
         self._checked
 
     @cached_property
     def _checked(self) -> bool:
         n, mult = self.n, self.mult
+        if not n:
+            raise SMGSemanticError("empty group table")
+        if any(len(row) != n for row in mult):
+            raise SMGSemanticError("table is not square")
+        for row in mult:
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise SMGSemanticError(f"entry {v!r} out of range 0..{n - 1}")
         for x in range(n):
             if mult[0][x] != x or mult[x][0] != x:
                 raise SMGSemanticError("0 is not an identity")
@@ -477,28 +472,25 @@ def cyclic_group(n: int) -> GroupTable:
     return GroupTable(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
 
 
+def _table(elements: list, mul: Callable) -> GroupTable:
+    """The group of ``elements`` under ``mul``: element ``i`` of the table
+    is ``elements[i]``, so the identity comes first."""
+    index = {x: i for i, x in enumerate(elements)}
+    return GroupTable(tuple(tuple(index[mul(a, b)] for b in elements) for a in elements))
+
+
 def product_group(g: GroupTable, h: GroupTable) -> GroupTable:
-    n, m = g.n, h.n
-    mult = [[0] * (n * m) for _ in range(n * m)]
-    for a in range(n):
-        for b in range(m):
-            for c in range(n):
-                for e in range(m):
-                    mult[a * m + b][c * m + e] = g.mult[a][c] * m + h.mult[b][e]
-    return GroupTable(tuple(tuple(r) for r in mult))
+    return _table([(a, b) for a in range(g.n) for b in range(h.n)],
+                  lambda x, y: (g.mult[x[0]][y[0]], h.mult[x[1]][y[1]]))
 
 
 def symmetric_group(n: int) -> GroupTable:
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    mult = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-    return GroupTable(tuple(tuple(r) for r in mult))
+    return _table(sorted(itertools.permutations(range(n))),
+                  lambda p, q: tuple(p[q[i]] for i in range(n)))
 
 
 def dihedral_group(n: int) -> GroupTable:
     """Order 2n: elements (r, s) = rotation r, flip s."""
-    els = [(r, s) for s in (0, 1) for r in range(n)]
-    index = {e: i for i, e in enumerate(els)}
 
     def mul(a, b):
         r1, s1 = a
@@ -507,43 +499,21 @@ def dihedral_group(n: int) -> GroupTable:
             return ((r1 + r2) % n, s2)
         return ((r1 - r2) % n, 1 - s2)
 
-    mult = [[index[mul(a, b)] for b in els] for a in els]
-    return GroupTable(tuple(tuple(r) for r in mult))
+    return _table([(r, s) for s in (0, 1) for r in range(n)], mul)
 
 
 def quaternion_group() -> GroupTable:
-    # 1, -1, i, -i, j, -j, k, -k encoded via pair tables
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {
-        ("1", x): x for x in names}
-    base.update({(x, "1"): x for x in names})
-    rules = {("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-             ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-             ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j"}
+    """Q8 on 1, -1, i, -i, j, -j, k, -k: the Hamilton product of the
+    quaternions a + bi + cj + dk."""
+    units = [tuple(sign * (i == u) for i in range(4)) for u in range(4) for sign in (1, -1)]
 
-    def neg(x):
-        return x[1:] if x.startswith("-") else "-" + x
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    def mul(a, b):
-        sa, sb = a.startswith("-"), b.startswith("-")
-        ua, ub = a.lstrip("-"), b.lstrip("-")
-        if ua == "1":
-            r = ub
-        elif ub == "1":
-            r = ua
-        elif ua == ub:
-            r = "-1"
-        else:
-            r = rules[(ua, ub)]
-        if sa ^ sb:
-            r = neg(r)
-        if r == "--1":
-            r = "1"
-        return r
-
-    index = {x: i for i, x in enumerate(names)}
-    mult = [[index[mul(a, b).replace("--", "")] for b in names] for a in names]
-    return GroupTable(tuple(tuple(r) for r in mult))
+    return _table(units, mul)
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,7 @@ from .diagram import (
     SMGSyntaxError,
     StrandParity,
     _fresh_ids,
+    _read_node,
 )
 
 HUB = "#"
@@ -78,7 +79,7 @@ class Pattern:
             ends.setdefault(e, []).append((HUB, self.K - k))
         bad = [e for e, v in ends.items() if len(v) != 2]
         if bad:
-            raise ValueError(f"pattern edge(s) {bad} not used exactly twice")
+            raise SMGSemanticError(f"pattern edge(s) {bad} not used exactly twice")
         return {e: tuple(v) for e, v in ends.items()}
 
     @cached_property
@@ -133,16 +134,16 @@ class Pattern:
         e = len(self.edge_ends)
         f = len(self.faces)
         if v - e + f != 2:
-            raise ValueError(f"pattern is not a disk fragment: V-E+F = {v - e + f}")
+            raise SMGSemanticError(f"pattern is not a disk fragment: V-E+F = {v - e + f}")
         for nd in self.nodes:
             if nd.kind in (MARKER, SINGULAR) and nd.attr not in (0, 1):
-                raise ValueError(f"pattern node {nd.id}: bad attribute")
+                raise SMGSemanticError(f"pattern node {nd.id}: bad attribute")
             if nd.kind == CROSSING and nd.attr is not None:
-                raise ValueError(f"pattern crossing {nd.id} carries an attribute")
+                raise SMGSemanticError(f"pattern crossing {nd.id} carries an attribute")
         if not self.nodes:
             return
         if self.through_edges:
-            raise ValueError("pattern mixes nodes with a bare strand")
+            raise SMGSemanticError("pattern mixes nodes with a bare strand")
         reached, stack = set(), [self.nodes[0].id]
         while stack:
             cur = stack.pop()
@@ -151,7 +152,7 @@ class Pattern:
                 stack += (m for m, _ in map(self.alpha, ((cur, p) for p in range(4)))
                           if m != HUB)
         if len(reached) != len(self.nodes):
-            raise ValueError("pattern has more than one node component")
+            raise SMGSemanticError("pattern has more than one node component")
 
     @cached_property
     def _leg_ends(self) -> tuple:
@@ -190,24 +191,17 @@ def parse_pattern(text: str) -> Pattern:
         if kw in ("diagram", "end"):
             continue
         if kw == "node":
-            kind = toks[2]
-            if kind == "X":
-                nodes.append(Node(toks[1], "X", None, tuple(toks[3:7])))
-            elif kind in ("M", "S"):
-                nodes.append(Node(toks[1], kind, int(toks[3]), tuple(toks[4:8])))
-            else:
-                raise SMGSyntaxError(f"bad node kind {kind!r}", lineno)
+            nodes.append(_read_node(toks, lineno))
         elif kw == "leg":
+            if len(toks) != 3 or not toks[1].isdecimal():
+                raise SMGSyntaxError("bad 'leg' line", lineno)
             legs[int(toks[1])] = toks[2]
         elif kw == "orient":
-            e = toks[1]
-            if toks[2] == "leg":
-                heads.append((e, ("leg", int(toks[3]))))
-            else:
-                m = re.match(r"^(.+)\.([0-3])$", toks[2])
-                if not m:
-                    raise SMGSyntaxError("bad orient target", lineno)
-                heads.append((e, (m.group(1), int(m.group(2)))))
+            m = re.match(r"^orient (\S+) (?:leg (\d+)|(\S+)\.([0-3]))$", " ".join(toks))
+            if not m:
+                raise SMGSyntaxError("bad orient target", lineno)
+            e, k, n, p = m.groups()
+            heads.append((e, ("leg", int(k)) if k else (n, int(p))))
         else:
             raise SMGSyntaxError(f"unknown pattern keyword {kw!r}", lineno)
     if sorted(legs) != list(range(1, len(legs) + 1)):

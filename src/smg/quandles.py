@@ -19,14 +19,14 @@ from typing import Iterable, NamedTuple, Optional
 
 from .diagram import (
     CROSSING,
-    MARKER,
     SINGULAR,
     Diagram,
     OrientedDiagram,
     SMGSemanticError,
     SMGSyntaxError,
-    UnionFind,
+    _port_classes,
     _require_diagram,
+    _ties,
 )
 from .groups import _assignments, _build_plan, _count, _diagonal, _Plan, _Step, _steps
 
@@ -192,10 +192,12 @@ def conjugation_quandle(mult: list[list[int]]) -> QuandleTable:
     """Conjugation quandle of a group given by a 0-indexed multiplication
     table: x * y = y^-1 x y, returned 1-indexed."""
     n = len(mult)
-    inv = [0] * n
-    identity = next(e for e in range(n) if all(mult[e][x] == x for x in range(n)))
-    for x in range(n):
-        inv[x] = next(y for y in range(n) if mult[x][y] == identity)
+    identity = next((e for e in range(n) if all(mult[e][x] == x for x in range(n))), None)
+    if identity is None:
+        raise SMGSemanticError("no identity")
+    inv = [next((y for y in range(n) if mult[x][y] == identity), None) for x in range(n)]
+    if None in inv:
+        raise SMGSemanticError(f"element {inv.index(None)} has no inverse")
     rows = [[mult[mult[inv[y]][x]][y] + 1 for y in range(n)] for x in range(n)]
     return quandle_from_rows(rows)
 
@@ -246,14 +248,13 @@ def small_quandles(max_order: int = 4) -> tuple[QuandleTable, ...]:
 
 class _Colouring(NamedTuple):
     """A diagram's colouring problem, the same for every quandle and
-    orientation: the edges and loops, the colour class of each (classes
-    are ordered by their union-find root), per crossing and double point
-    its node id, kind and port classes, the counting plan with one
-    constraint per such node, and the Smith forms of its Alexander
-    relation matrices (see :func:`_alexander_count`), filled as they are
-    asked for."""
+    orientation: the colour class of each edge and then each loop (the
+    arcs of :func:`~smg.diagram._port_classes` under the strict ties, so a
+    marker joins all four ends), per crossing and double point its node
+    id, kind and port classes, the counting plan with one constraint per
+    such node, and the Smith forms of its Alexander relation matrices (see
+    :func:`_alexander_count`), filled as they are asked for."""
 
-    items: list[str]
     cls: dict[str, int]
     nodes: list[tuple[str, str, tuple[int, ...]]]
     plan: _Plan
@@ -264,22 +265,8 @@ def _build_colouring(d: Diagram) -> _Colouring:
     """Built once per diagram, as ``Diagram._colouring``.  The plan holds
     for every orientation: a crossing relates ``c[2]`` to ``c[0]`` and
     ``c[1]`` whichever way its strands run."""
-    items = list(d.edges) + list(d.loops)
-    uf = UnionFind(items)
-    # forced equalities
-    for nd in d.nodes:
-        if nd.kind == MARKER:
-            for p in range(3):
-                uf.union(nd.ports[p], nd.ports[p + 1])
-        elif nd.kind == SINGULAR:
-            uf.union(nd.ports[0], nd.ports[2])
-            uf.union(nd.ports[1], nd.ports[3])
-        else:
-            uf.union(nd.ports[1], nd.ports[3])  # over-strand runs through
-    roots = sorted({uf.find(v) for v in items})
-    index = {r: i for i, r in enumerate(roots)}
-    cls = {v: index[uf.find(v)] for v in items}
-
+    # the over-strand runs through a crossing
+    cls = _port_classes(d, lambda nd: ((1, 3),) if nd.kind == CROSSING else _ties(nd, False))
     nodes, shapes = [], []
     for nd in d.nodes:
         c = tuple(cls[e] for e in nd.ports)
@@ -295,15 +282,29 @@ def _build_colouring(d: Diagram) -> _Colouring:
         else:
             continue
         nodes.append((nd.id, nd.kind, c))
-    return _Colouring(items, cls, nodes, _build_plan(len(roots), shapes), {})
+    return _Colouring(cls, nodes, _build_plan(len(set(cls.values())), shapes), {})
 
 
-def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]
-                     ) -> tuple[_Colouring, list[_Step]]:
-    """The diagram's colouring problem and its plan bound to ``q`` and the
-    orientation, for :func:`_assignments`: colour ``k`` of a class is
-    quandle element ``k+1``."""
-    problem = _colouring_problem(d, q, orientation)
+def _colouring_problem(d, q: QuandleTable, orientation: Optional[OrientedDiagram],
+                       what: str) -> _Colouring:
+    """The colouring problem of ``d``, once ``d`` is a diagram,
+    ``orientation`` None or one of ``d``, ``q`` a quandle, and ``q``
+    involutory or the orientation given."""
+    _require_diagram(d, what)
+    if orientation is not None and (not isinstance(orientation, OrientedDiagram)
+                                    or orientation.base != d):
+        raise SMGSemanticError(f"{what} needs an orientation of {d.name!r}")
+    q.check()
+    if orientation is None and not q.is_involutory():
+        raise SMGSemanticError("a non-involutory quandle needs an orientation")
+    return d._colouring
+
+
+def _colouring_steps(problem: _Colouring, q: QuandleTable,
+                     orientation: Optional[OrientedDiagram]) -> list[_Step]:
+    """The plan of ``problem`` bound to ``q`` and the orientation, for
+    :func:`_assignments`: colour ``k`` of a class is quandle element
+    ``k+1``."""
     op, op_inv = q._op, q._op_inv
     checks, roles = [], []
     for nid, kind, c in problem.nodes:
@@ -329,24 +330,7 @@ def _colouring_steps(d: Diagram, q: QuandleTable, orientation: Optional[Oriented
             return lambda v: table[v[inn]][v[over]]
         return lambda v: inverse[v[out]][v[over]]
 
-    return problem, _steps(problem.plan, checks, solve)
-
-
-def _colouring_problem(d: Diagram, q: QuandleTable,
-                       orientation: Optional[OrientedDiagram]) -> _Colouring:
-    """The diagram's colouring problem, once ``q`` and the orientation are
-    known to fit together."""
-    if orientation is None and not q.is_involutory():
-        raise SMGSemanticError("a non-involutory quandle needs an orientation")
-    return d._colouring
-
-
-def _require_orientation_of(d, orientation, what: str) -> None:
-    """``d`` is a diagram, and ``orientation`` None or one of ``d``."""
-    _require_diagram(d, what)
-    if orientation is not None and (not isinstance(orientation, OrientedDiagram)
-                                    or orientation.base != d):
-        raise SMGSemanticError(f"{what} needs an orientation of {d.name!r}")
+    return _steps(problem.plan, checks, solve)
 
 
 def colorings(d: Diagram, q: QuandleTable,
@@ -357,28 +341,26 @@ def colorings(d: Diagram, q: QuandleTable,
     Orientation is required unless the quandle is involutory; with an
     involutory quandle the under-strand relation is direction-free.
     """
-    _require_orientation_of(d, orientation, "colorings")
-    q.check()
-    problem, steps = _colouring_steps(d, q, orientation)
+    problem = _colouring_problem(d, q, orientation, "colorings")
+    steps = _colouring_steps(problem, q, orientation)
     found = sorted(tuple(c) for c in _assignments(steps, q.n, 0, len(steps)))
-    return [{v: c[problem.cls[v]] + 1 for v in problem.items} for c in found]
+    return [{v: c[k] + 1 for v, k in problem.cls.items()} for c in found]
 
 
 def coloring_count(d: Diagram, q: QuandleTable,
                    orientation: Optional[OrientedDiagram] = None) -> int:
     """Number of colorings: by linear algebra for an Alexander table
     (:func:`_alexander_count`), by the backtracking solver otherwise."""
-    _require_orientation_of(d, orientation, "coloring_count")
-    q.check()
+    problem = _colouring_problem(d, q, orientation, "coloring_count")
     t = q._alexander
     if t is None:
         return _search_count(d, q, orientation)
-    return _alexander_count(_colouring_problem(d, q, orientation), q.n, t, orientation)
+    return _alexander_count(problem, q.n, t, orientation)
 
 
 def _search_count(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]) -> int:
-    problem, steps = _colouring_steps(d, q, orientation)
-    return _count(problem.plan, steps, q.n)
+    problem = d._colouring
+    return _count(problem.plan, _colouring_steps(problem, q, orientation), q.n)
 
 
 def _alexander_count(problem: _Colouring, n: int, t: int,

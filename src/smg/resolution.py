@@ -36,7 +36,9 @@ from .diagram import (
     SMGSemanticError,
     UnionFind,
     _first_orientation,
+    _port_classes,
     _require_diagram,
+    _ties,
 )
 from .moves import (
     FORWARD,
@@ -110,16 +112,10 @@ def classical_components(c: Diagram) -> list[frozenset]:
 
 def _build_components(c: Diagram) -> tuple[frozenset, ...]:
     """Built once per classical diagram, as ``Diagram._components``."""
-    uf = UnionFind(c.edges)
-    for nd in c.nodes:
-        for p in (0, 1):
-            uf.union(nd.ports[p], nd.ports[p + 2])
-    groups: dict[str, set] = {}
-    for e in c.edges:
-        groups.setdefault(uf.find(e), set()).add(e)
-    comps = [frozenset(v) for v in groups.values()]
-    comps += [frozenset([l]) for l in c.loops]
-    return tuple(sorted(comps, key=min))
+    groups: dict[int, set] = {}
+    for x, i in _port_classes(c, lambda nd: _ties(nd, False)).items():
+        groups.setdefault(i, set()).add(x)
+    return tuple(sorted(map(frozenset, groups.values()), key=min))
 
 
 def _component_index(comps: list[frozenset]) -> dict[str, int]:

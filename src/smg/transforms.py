@@ -19,7 +19,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .diagram import MARKER, SINGULAR, Diagram, SMGSemanticError, _first_orientation, _strand
+from .diagram import (MARKER, SINGULAR, Diagram, SMGSemanticError, _first_orientation,
+                      _require_diagram, _strand)
 from .groups import Presentation, cyclic_reduce
 from .moves import Pattern, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
@@ -71,6 +72,7 @@ def semi_transform(d: Diagram, kind: str) -> Diagram:
     """The marker/singular replacement underlying the two semi-invariants.
     f^M6 is f^M5 with every tangle turned back by one port, so that a marker
     takes its negative smoothing instead of its positive one."""
+    _require_diagram(d, "semi_transform")
     if kind not in (M5, M6):
         raise SMGSemanticError(f"kind must be M5 or M6, got {kind!r}")
     tangles = {MARKER: (_SMOOTHING, ()), SINGULAR: _tangles()["clasp"]}
@@ -155,6 +157,7 @@ def export_exterior(d: Diagram) -> KirbyDiagram:
     """Handle diagram of the complement: dot every negative-resolution
     component, add one 0-framed circle per band and a commutator circle per
     double point."""
+    _require_diagram(d, "export_exterior")
     tangles = _tangles()
     out, framed_edges = _replace_all(
         d, {MARKER: tangles["ext_marker"], SINGULAR: tangles["ext_singular"]}, "ext")

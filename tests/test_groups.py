@@ -10,8 +10,8 @@ from test_diagram import t2_text
 
 from smg import cli
 from smg.catalog import move_catalog
-from smg.diagram import (MARKER, OrientedDiagram, SMGSemanticError, enumerate_orientations,
-                         parse_smg)
+from smg.diagram import (CROSSING, MARKER, SINGULAR, OrientedDiagram, SMGSemanticError,
+                         UnionFind, enumerate_orientations, parse_smg)
 from smg.fixtures import fixture, fixture_names
 from smg.groups import (
     AbelianGroup,
@@ -25,13 +25,14 @@ from smg.groups import (
     free_reduce,
     groups_up_to_order,
     hom_count,
+    negative_arcs,
     smith_normal_form,
     tietze_simplify,
     wirtinger_presentation,
 )
 from smg.moves import FORWARD, REVERSE, apply_move, find_sites
-from smg.resolution import NEGATIVE, _component_index, resolve
-from smg.transforms import export_exterior, kirby_group
+from smg.resolution import NEGATIVE, POSITIVE, _component_index, resolve, smoothing_pairs
+from smg.transforms import M5, M6, export_exterior, kirby_group, semi_transform
 
 
 @lru_cache(maxsize=None)
@@ -561,6 +562,9 @@ def test_abelianization_and_hom_count_share_one_smith_form(monkeypatch):
     (((1, 0), (0, 1)), "0 is not an identity"),
     (((0, 1, 2), (1, 0, 0), (2, 0, 0)), "not associative"),
     (((0, 1), (1, 1)), "element 1 has no inverse"),
+    (((0, 1), (1,)), "table is not square"),
+    (((0, 1), (1, 5)), r"entry 5 out of range 0\.\.1"),
+    ((), "empty group table"),
 ])
 def test_bad_group_tables_raise_typed_errors(mult, message):
     """Not a ``StopIteration`` or a bare ``ValueError`` from the table or
@@ -569,3 +573,103 @@ def test_bad_group_tables_raise_typed_errors(mult, message):
                 lambda g: hom_count(Presentation(1, ((1, 1),)), g)):
         with pytest.raises(SMGSemanticError, match=f"^{message}$"):
             use(GroupTable(mult))
+
+
+# The port rule before it was shared, kept verbatim as the oracle for the
+# one union-find that arcs, colour classes and strand components now use.
+
+def reference_negative_arcs(d):
+    items = list(d.edges) + list(d.loops)
+    uf = UnionFind(items)
+    for nd in d.nodes:
+        if nd.kind == CROSSING:
+            uf.union(nd.ports[1], nd.ports[3])
+        elif nd.kind == SINGULAR:
+            uf.union(nd.ports[0], nd.ports[2])
+            uf.union(nd.ports[1], nd.ports[3])
+        else:
+            for p, q in smoothing_pairs(nd.attr, NEGATIVE):
+                uf.union(nd.ports[p], nd.ports[q])
+    roots = sorted({uf.find(x) for x in items})
+    index = {r: i for i, r in enumerate(roots)}
+    return {x: index[uf.find(x)] for x in items}
+
+
+def reference_colour_classes(d):
+    items = list(d.edges) + list(d.loops)
+    uf = UnionFind(items)
+    # forced equalities
+    for nd in d.nodes:
+        if nd.kind == MARKER:
+            for p in range(3):
+                uf.union(nd.ports[p], nd.ports[p + 1])
+        elif nd.kind == SINGULAR:
+            uf.union(nd.ports[0], nd.ports[2])
+            uf.union(nd.ports[1], nd.ports[3])
+        else:
+            uf.union(nd.ports[1], nd.ports[3])  # over-strand runs through
+    roots = sorted({uf.find(v) for v in items})
+    index = {r: i for i, r in enumerate(roots)}
+    return {v: index[uf.find(v)] for v in items}
+
+
+def reference_components(c):
+    uf = UnionFind(c.edges)
+    for nd in c.nodes:
+        for p in (0, 1):
+            uf.union(nd.ports[p], nd.ports[p + 2])
+    groups: dict[str, set] = {}
+    for e in c.edges:
+        groups.setdefault(uf.find(e), set()).add(e)
+    comps = [frozenset(v) for v in groups.values()]
+    comps += [frozenset([l]) for l in c.loops]
+    return tuple(sorted(comps, key=min))
+
+
+def port_rule_inputs() -> list:
+    """Every fixture and every rewrite of it by either catalog at every
+    site, their resolutions and M5/M6 transforms, and seeded T(2, n),
+    marker and singular chains and split links."""
+    from test_transforms import chain, split_links
+
+    base = []
+    for name in fixture_names():
+        d = fixture(name)
+        base.append(d)
+        for m in move_catalog("unoriented"):
+            for direction in (FORWARD, REVERSE):
+                base += [apply_move(d, m, s) for s in find_sites(d, m, direction)]
+        for od in enumerate_orientations(d):
+            for m in move_catalog("oriented"):
+                for direction in (FORWARD, REVERSE):
+                    base += [apply_move(od, m, s).base for s in find_sites(od, m, direction)]
+    # the orientations of a fixture share many rewrites
+    base = list({(d.nodes, d.loops, d.anchors): d for d in base}.values())
+    out = list(base)
+    for d in base:
+        out += [resolve(d, sign).diagram for sign in (POSITIVE, NEGATIVE)]
+        out += [semi_transform(d, kind) for kind in (M5, M6)]
+    rng = random.Random(2207)
+    out += [parse_smg(t2_text(rng.randrange(1, 40))) for _ in range(6)]
+    out += [chain(kind, rng.randrange(1, 12)) for kind in "MS" for _ in range(3)]
+    out += [split_links(seed) for seed in range(2207, 2219)]
+    return out
+
+
+def test_port_classes_match_the_loops_they_replace():
+    """Arcs, colour classes and strand components read through
+    ``_port_classes`` equal the three loops it replaced, numbering and key
+    order included: generators and colour classes are public."""
+    from smg.resolution import _build_components
+
+    inputs = port_rule_inputs()
+    assert len(inputs) > 1000
+    classical = 0
+    for d in inputs:
+        assert list(negative_arcs(d).items()) == list(reference_negative_arcs(d).items()), d.name
+        assert (list(d._colouring.cls.items())
+                == list(reference_colour_classes(d).items())), d.name
+        if d.is_classical():
+            classical += 1
+            assert _build_components(d) == reference_components(d), d.name
+    assert classical > len(inputs) // 2

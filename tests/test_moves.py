@@ -7,7 +7,8 @@ import weakref
 import pytest
 
 from smg.catalog import catalog_map, move_catalog
-from smg.diagram import enumerate_orientations, parse_smg, serialize
+from smg.diagram import (SMGSemanticError, SMGSyntaxError, enumerate_orientations, parse_smg,
+                         serialize)
 from smg.fixtures import fixture, fixture_names
 from smg.moves import (
     FORWARD,
@@ -53,6 +54,27 @@ def test_pattern_is_one_node_component_or_bare_strands(text, why):
     from smg.moves import parse_pattern
 
     with pytest.raises(ValueError, match=why):
+        parse_pattern(text)
+
+
+@pytest.mark.parametrize("text, error, why", [
+    ("node k X a b\n", SMGSyntaxError, "line 1: crossing needs 4 edges"),
+    ("node k M x a b c d\n", SMGSemanticError, "line 1: bad axis/side 'x'"),
+    ("leg x a\n", SMGSyntaxError, "line 1: bad 'leg' line"),
+    ("orient a\n", SMGSyntaxError, "line 1: bad orient target"),
+    ("node a X p q r s\nleg 1 p\nleg 2 q\nleg 3 r\n", SMGSemanticError,
+     r"pattern edge\(s\) \['s'\] not used exactly twice"),
+    ("node a X p q r s\nnode b X t u v w\n" + "".join(
+        f"leg {k} {e}\n" for k, e in enumerate("pqrstuvw", start=1)), SMGSemanticError,
+     "pattern has more than one node component"),
+], ids=["truncated_crossing", "bad_axis", "bad_leg", "bad_orient", "edge_used_once", "two_components"])
+def test_malformed_patterns_are_typed_errors(text, error, why):
+    """Pattern lines are read by the diagram parser's node reader, and a
+    pattern that is no disk fragment is a semantic error: no bare
+    ``IndexError`` or ``ValueError``."""
+    from smg.moves import parse_pattern
+
+    with pytest.raises(error, match=f"^{why}$"):
         parse_pattern(text)
 
 

@@ -295,6 +295,15 @@ def test_trivial_quandle_counts_components():
     assert coloring_count(fixture("hopf"), q) == 9
 
 
+@pytest.mark.parametrize("mult, why", [([[0, 1], [1, 1]], "element 1 has no inverse"),
+                                       ([], "no identity")])
+def test_conjugation_quandle_of_no_group_is_a_semantic_error(mult, why):
+    """Not a ``StopIteration`` from the search for the identity or an
+    inverse."""
+    with pytest.raises(SMGSemanticError, match=f"^{why}$"):
+        conjugation_quandle(mult)
+
+
 def test_hom_counts_equal_conjugation_quandle_colorings():
     """Homomorphisms of a classical link group into G are the colorings by
     the conjugation quandle of G: the two users of one counting solver

@@ -22,7 +22,7 @@ from smg.resolution import (
     reidemeister_simplify,
     resolve,
 )
-from smg.transforms import profile
+from smg.transforms import export_exterior, profile, semi_transform
 
 
 def test_resolve_circle_both_signs():
@@ -390,6 +390,8 @@ def test_non_diagram_input_is_a_semantic_error(bad):
         args, wants = (fixture("kink"), "x"), "a Budget, not str"
     else:
         calls["resolve"] = lambda x: resolve(x, POSITIVE)
+        calls["semi_transform"] = lambda x: semi_transform(x, "M5")
+        calls["export_exterior"] = export_exterior
         args, wants = (bad,), f"an unoriented Diagram, not {type(bad).__name__}"
     for name, f in calls.items():
         with pytest.raises(SMGSemanticError, match=f"{name} needs {wants}"):
