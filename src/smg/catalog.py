@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .diagram import CROSSING, MARKER, Node, SMGSemanticError, StrandParity
+from .diagram import CROSSING, MARKER, Node, SMGSemanticError, StrandParity, _lines
 from .moves import HUB, MoveSpec, Pattern, parse_pattern
 
 #: order of the 17 core unoriented moves plus the 3 flagged-derived ones
@@ -63,11 +63,7 @@ def _parse_catalog(text: str):
             variants.append((lhs, rhs))
             buf.clear()
 
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for _, toks in _lines(text):
         if toks[0] == "move":
             cur = {"id": toks[1], "derived": "derived" in toks[2:],
                    "deltas": (0, 0, 0, 0)}
@@ -87,7 +83,7 @@ def _parse_catalog(text: str):
             section = toks[0]
             buf.setdefault(section, [])
         else:
-            buf[section].append(line)
+            buf[section].append(" ".join(toks))
     return moves
 
 

@@ -10,12 +10,13 @@ import argparse
 import json
 import sys
 
-from . import diagram as dg
 from .catalog import catalog_map, move_catalog
-from .diagram import OrientedDiagram, _first_orientation, parse_smg, serialize
+from .diagram import (OrientedDiagram, SMGSemanticError, SMGSyntaxError, _first_orientation,
+                      parse_smg, serialize)
 from .fixtures import fixture
 from .groups import (
     GroupTable,
+    _table_rows,
     abelianization,
     hom_count,
     tietze_simplify,
@@ -29,16 +30,7 @@ from .moves import (
     find_sites,
     search_equivalence,
 )
-from .quandles import (
-    FOUR_QUANDLE,
-    QuandleTable,
-    _quandle_rows,
-    check_quandle,
-    coloring_count,
-    colorings,
-    parse_quandle,
-    serialize_quandle,
-)
+from .quandles import FOUR_QUANDLE, check_quandle, coloring_count, colorings, quandle_from_rows
 from .resolution import (
     NEGATIVE,
     POSITIVE,
@@ -55,70 +47,52 @@ INPUT_ERROR = 3
 BUDGET_ERROR = 4
 
 
-def _load_diagram(path: str):
-    try:
-        if path.startswith("fixture:"):
-            return fixture(path.split(":", 1)[1])
-        with open(path) as fh:
-            return parse_smg(fh.read())
-    except (OSError, KeyError, dg.SMGError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+def _read(path: str) -> str:
+    """The text of the file at ``path``.  Bytes the locale cannot decode
+    reach the parsers as escapes, which they reject as malformed."""
+    with open(path, errors="surrogateescape") as fh:
+        return fh.read()
+
+
+def _load_diagram(path: str, allow_invalid: bool = False):
+    if path.startswith("fixture:"):
+        return fixture(path.split(":", 1)[1])
+    return parse_smg(_read(path), allow_invalid=allow_invalid)
 
 
 def _base(d):
     return d.base if isinstance(d, OrientedDiagram) else d
 
 
-def _quandle_text(path: str) -> str:
-    """The quandle file at ``path``, or the built-in table ``fixture:four``."""
+def _quandle_rows(path: str) -> list[list[int]]:
+    """The rows of the quandle file at ``path``, or of the built-in table
+    ``fixture:four``."""
     if path == "fixture:four":
-        return serialize_quandle(FOUR_QUANDLE)
-    with open(path) as fh:
-        return fh.read()
-
-
-def _load_quandle(path: str) -> QuandleTable:
-    try:
-        return parse_quandle(_quandle_text(path))
-    except (OSError, ValueError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+        return [list(r) for r in FOUR_QUANDLE.table]
+    return _table_rows(_read(path), "quandle")
 
 
 def _load_group(path: str) -> GroupTable:
-    try:
-        with open(path) as fh:
-            toks = fh.read().split()
-        if not toks:
-            raise ValueError("empty group table")
-        n = int(toks[0])
-        if n < 1:
-            raise ValueError(f"group order {n} is below 1")
-        vals = [int(t) - 1 for t in toks[1:]]
-        if len(vals) != n * n:
-            raise ValueError(f"expected {n * n} entries")
-        if not all(0 <= v < n for v in vals):
-            raise ValueError(f"entries must lie in 1..{n}")
-        mult = [vals[i * n:(i + 1) * n] for i in range(n)]
-        ident = next((e for e in range(n)
-                      if all(mult[e][x] == x and mult[x][e] == x for x in range(n))), None)
-        if ident is None:
-            raise dg.SMGSemanticError("no identity")
-        # named here, as the file numbers the elements
-        lacking = next((x for x in range(n) if ident not in mult[x]), None)
-        if lacking is not None:
-            raise dg.SMGSemanticError(f"element {lacking + 1} has no inverse")
-        perm = [ident] + [x for x in range(n) if x != ident]
-        inv = [perm.index(x) for x in range(n)]
-        table = tuple(tuple(inv[mult[perm[a]][perm[b]]] for b in range(n))
-                      for a in range(n))
-        g = GroupTable(table)
-        g.check()
-        return g
-    except (OSError, ValueError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+    """The group file at ``path``, its elements renumbered from 0 with the
+    identity first."""
+    mult = [[v - 1 for v in row] for row in _table_rows(_read(path), "group")]
+    n = len(mult)
+    if not all(0 <= v < n for row in mult for v in row):
+        raise SMGSemanticError(f"entries must lie in 1..{n}")
+    ident = next((e for e in range(n)
+                  if all(mult[e][x] == x and mult[x][e] == x for x in range(n))), None)
+    if ident is None:
+        raise SMGSemanticError("no identity")
+    # named here, as the file numbers the elements
+    lacking = next((x for x in range(n) if ident not in mult[x]), None)
+    if lacking is not None:
+        raise SMGSemanticError(f"element {lacking + 1} has no inverse")
+    perm = [ident] + [x for x in range(n) if x != ident]
+    inv = [perm.index(x) for x in range(n)]
+    g = GroupTable(tuple(tuple(inv[mult[perm[a]][perm[b]]] for b in range(n))
+                         for a in range(n)))
+    g.check()
+    return g
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -133,17 +107,21 @@ def _orient_arg(d):
         return d
     od = _first_orientation(d)
     if od is None:
-        print("input error: diagram admits no orientation", file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+        raise SMGSemanticError("diagram admits no orientation")
     return od
 
 
 def main(argv=None) -> int:
+    """Run one verb.  An input that cannot be read, or that is malformed
+    or invalid, is reported here as one ``input error`` line."""
     try:
         return _main(argv)
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else USAGE_ERROR
+    except (OSError, SMGSyntaxError, SMGSemanticError) as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return INPUT_ERROR
 
 
 def _budget(text: str) -> int:
@@ -225,8 +203,7 @@ def _main(argv=None) -> int:
         return USAGE_ERROR
 
     if args.cmd == "validate":
-        d = _load_diagram(args.diagram)
-        rep = _base(d).validate()
+        rep = _load_diagram(args.diagram, allow_invalid=True).validate()
         _emit(args, str(rep), {"ok": rep.ok, "issues": [str(i) for i in rep.issues]})
         return 0 if rep.ok else 1
 
@@ -279,8 +256,7 @@ def _main(argv=None) -> int:
                               "nodes": list(s.node_image_map.values())} for s in sites]})
             return 0 if sites else 1
         if not 0 <= args.site < len(sites):
-            print(f"input error: site {args.site} of {len(sites)}", file=sys.stderr)
-            return INPUT_ERROR
+            raise SMGSemanticError(f"site {args.site} of {len(sites)}")
         out = apply_move(d, cat[args.move], sites[args.site])
         _emit(args, serialize(out).rstrip(), {"diagram": serialize(out)})
         return 0
@@ -290,12 +266,7 @@ def _main(argv=None) -> int:
         d2 = _base(_load_diagram(args.target))
         cat = catalog_map("unoriented")
         allowed = args.allow.split(",") if args.allow else None
-        try:
-            seq = search_equivalence(d1, d2, cat, allowed,
-                                     SearchBudget(args.depth, args.states))
-        except dg.SMGSemanticError as e:
-            print(f"input error: {e}", file=sys.stderr)
-            return INPUT_ERROR
+        seq = search_equivalence(d1, d2, cat, allowed, SearchBudget(args.depth, args.states))
         if seq is None:
             _emit(args, "UNKNOWN", {"found": False})
             return BUDGET_ERROR
@@ -328,20 +299,16 @@ def _main(argv=None) -> int:
 
     if args.cmd == "quandle":
         if args.action == "involutory":
-            inv = _load_quandle(args.table).is_involutory()
+            inv = quandle_from_rows(_quandle_rows(args.table)).is_involutory()
             _emit(args, "involutory" if inv else "not involutory", {"involutory": inv})
             return 0 if inv else 1
-        try:
-            issues = check_quandle(_quandle_rows(_quandle_text(args.table)))
-        except (OSError, ValueError) as e:
-            print(f"input error: {e}", file=sys.stderr)
-            return INPUT_ERROR
+        issues = check_quandle(_quandle_rows(args.table))
         _emit(args, "ok" if not issues else "; ".join(issues), {"issues": issues})
         return 0 if not issues else 1
 
     if args.cmd == "color":
         d = _load_diagram(args.diagram)
-        q = _load_quandle(args.quandle)
+        q = quandle_from_rows(_quandle_rows(args.quandle))
         od = d if isinstance(d, OrientedDiagram) else None
         if od is None and not q.is_involutory():
             od = _orient_arg(_base(d))
@@ -362,11 +329,7 @@ def _main(argv=None) -> int:
         return 0
 
     if args.cmd == "profile":
-        d = _base(_load_diagram(args.diagram))
-        if not d.is_classical():
-            print("input error: profile needs a classical diagram", file=sys.stderr)
-            return INPUT_ERROR
-        pr = profile(d)
+        pr = profile(_base(_load_diagram(args.diagram)))
         text = f"linking {list(pr.linking)} trivial={pr.is_trivial()}"
         _emit(args, text, {"linking": list(pr.linking),
                            "rates": [list(r) for r in pr.rates],

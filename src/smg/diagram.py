@@ -894,12 +894,31 @@ def _strand(d: Diagram, start: str, head: Dart) -> Iterator[tuple[str, Dart]]:
 # SMG text format
 
 _ID = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_END = re.compile(r"([A-Za-z0-9_.\-]+)\.([0-3])")
+
+
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each line of a text format that is not blank once its ``#`` comment
+    is cut off: its number, from 1, and its tokens."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield lineno, toks
 
 
 def _check_id(tok: str, lineno: int) -> str:
     if not _ID.match(tok):
         raise SMGSyntaxError(f"bad identifier {tok!r}", lineno)
     return tok
+
+
+def _target(tok: str, what: str, lineno: int) -> Dart:
+    """The node end ``node.port`` that a ``place`` or ``orient`` line
+    names in ``tok``; SMGSyntaxError ``bad <what>`` if it names none."""
+    m = _END.fullmatch(tok)
+    if not m:
+        raise SMGSyntaxError(f"bad {what}", lineno)
+    return m.group(1), int(m.group(2))
 
 
 def _read_node(toks: list[str], lineno: int) -> Node:
@@ -935,13 +954,9 @@ def parse_smg(text: str, *, allow_invalid: bool = False):
     saw_orient = False
     ended = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, toks in _lines(text):
         if ended:
             raise SMGSyntaxError("content after 'end'", lineno)
-        toks = line.split()
         kw = toks[0]
         if kw == "diagram":
             if name is not None or len(toks) != 2:
@@ -959,10 +974,7 @@ def parse_smg(text: str, *, allow_invalid: bool = False):
             if len(toks) != 4 or toks[2] != "in":
                 raise SMGSyntaxError("bad 'place' line", lineno)
             pid = _check_id(toks[1], lineno)
-            m = re.match(r"^([A-Za-z0-9_.\-]+)\.([0-3])$", toks[3])
-            if not m:
-                raise SMGSyntaxError("bad 'place' target", lineno)
-            anchors.append((pid, (m.group(1), int(m.group(2)))))
+            anchors.append((pid, _target(toks[3], "'place' target", lineno)))
         elif kw == "orient":
             saw_orient = True
             if len(toks) == 3 and toks[2] in ("+", "-"):
@@ -971,10 +983,7 @@ def parse_smg(text: str, *, allow_invalid: bool = False):
             if len(toks) != 5 or toks[3] != "->":
                 raise SMGSyntaxError("bad 'orient' line", lineno)
             e = _check_id(toks[1], lineno)
-            m = re.match(r"^([A-Za-z0-9_.\-]+)\.([0-3])$", toks[4])
-            if not m:
-                raise SMGSyntaxError("bad 'orient' head", lineno)
-            orient_edges[e] = (m.group(1), int(m.group(2)))
+            orient_edges[e] = _target(toks[4], "'orient' head", lineno)
         elif kw == "end":
             ended = True
         else:

@@ -8,7 +8,7 @@ Fenn-Rolfsen link, and the two semi-invariant separating pairs.
 
 from __future__ import annotations
 
-from .diagram import Diagram, parse_smg
+from .diagram import Diagram, SMGSemanticError, parse_smg
 
 CIRCLE = """\
 diagram circle
@@ -124,7 +124,7 @@ def fixture(name: str) -> Diagram:
         return parse_smg(_TEXTS[name])
     if name in ("d1m5", "d1m6"):
         return _moved_partner(name)
-    raise KeyError(f"unknown fixture {name!r}")
+    raise SMGSemanticError(f"unknown fixture {name!r}")
 
 
 def fixture_names() -> list[str]:

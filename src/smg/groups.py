@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .diagram import (CROSSING, MARKER, Diagram, OrientedDiagram, SMGSemanticError, StrandParity,
-                      _port_classes, _ties)
+from .diagram import (CROSSING, MARKER, Diagram, OrientedDiagram, SMGSemanticError,
+                      SMGSyntaxError, StrandParity, _port_classes, _ties)
 from .resolution import NEGATIVE, POSITIVE, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -401,6 +401,35 @@ def abelianization(p: Presentation) -> AbelianGroup:
 # finite quotients
 
 
+def _table_rows(text: str, what: str) -> list[list[int]]:
+    """The rows of a ``what`` table file: its order n >= 1, then n rows of
+    n entries, as written."""
+    toks = text.split()
+    if not toks:
+        raise SMGSyntaxError(f"empty {what} table")
+    try:
+        n, *vals = [int(t) for t in toks]
+    except ValueError as e:
+        raise SMGSyntaxError(str(e)) from None
+    if n < 1:
+        raise SMGSyntaxError(f"{what} order {n} is below 1")
+    if len(vals) != n * n:
+        raise SMGSyntaxError(f"expected {n * n} entries, got {len(vals)}")
+    return [vals[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _check_square(table, first: int) -> None:
+    """Raise SMGSemanticError unless each of the n rows of ``table`` holds
+    n integers in ``first..first+n-1``."""
+    n = len(table)
+    if any(len(row) != n for row in table):
+        raise SMGSemanticError("table is not square")
+    for row in table:
+        for v in row:
+            if not isinstance(v, int) or not first <= v < first + n:
+                raise SMGSemanticError(f"entry {v!r} out of range {first}..{first + n - 1}")
+
+
 @dataclass(frozen=True)
 class GroupTable:
     """Finite group as a multiplication table over 0..n-1 with identity 0."""
@@ -432,12 +461,7 @@ class GroupTable:
         n, mult = self.n, self.mult
         if not n:
             raise SMGSemanticError("empty group table")
-        if any(len(row) != n for row in mult):
-            raise SMGSemanticError("table is not square")
-        for row in mult:
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise SMGSemanticError(f"entry {v!r} out of range 0..{n - 1}")
+        _check_square(mult, 0)
         for x in range(n):
             if mult[0][x] != x or mult[x][0] != x:
                 raise SMGSemanticError("0 is not an identity")

@@ -30,7 +30,9 @@ from .diagram import (
     SMGSyntaxError,
     StrandParity,
     _fresh_ids,
+    _lines,
     _read_node,
+    _target,
 )
 
 HUB = "#"
@@ -129,12 +131,16 @@ class Pattern:
     def check(self) -> None:
         """A fragment plus its boundary hub must be a sphere map, and either
         one connected node component or bare strands (the matcher's two
-        shapes)."""
+        shapes); each head must be an end of its edge."""
         v = len(self.nodes) + (1 if self.K else 0)
         e = len(self.edge_ends)
         f = len(self.faces)
         if v - e + f != 2:
             raise SMGSemanticError(f"pattern is not a disk fragment: V-E+F = {v - e + f}")
+        for edge, h in self.heads:
+            end = self.hub_dart_of_leg(h[1]) if h[0] == "leg" else h
+            if end not in self.edge_ends.get(edge, ()):
+                raise SMGSemanticError(f"pattern edge {edge} has no end {h}")
         for nd in self.nodes:
             if nd.kind in (MARKER, SINGULAR) and nd.attr not in (0, 1):
                 raise SMGSemanticError(f"pattern node {nd.id}: bad attribute")
@@ -182,11 +188,7 @@ def parse_pattern(text: str) -> Pattern:
     nodes: list[Node] = []
     legs: dict[int, str] = {}
     heads: list[tuple[str, object]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, toks in _lines(text):
         kw = toks[0]
         if kw in ("diagram", "end"):
             continue
@@ -196,12 +198,12 @@ def parse_pattern(text: str) -> Pattern:
             if len(toks) != 3 or not toks[1].isdecimal():
                 raise SMGSyntaxError("bad 'leg' line", lineno)
             legs[int(toks[1])] = toks[2]
+        elif kw == "orient" and len(toks) == 4 and toks[2] == "leg" and toks[3].isdecimal():
+            heads.append((toks[1], ("leg", int(toks[3]))))
         elif kw == "orient":
-            m = re.match(r"^orient (\S+) (?:leg (\d+)|(\S+)\.([0-3]))$", " ".join(toks))
-            if not m:
+            if len(toks) != 3:
                 raise SMGSyntaxError("bad orient target", lineno)
-            e, k, n, p = m.groups()
-            heads.append((e, ("leg", int(k)) if k else (n, int(p))))
+            heads.append((toks[1], _target(toks[2], "orient target", lineno)))
         else:
             raise SMGSyntaxError(f"unknown pattern keyword {kw!r}", lineno)
     if sorted(legs) != list(range(1, len(legs) + 1)):

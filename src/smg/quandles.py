@@ -23,12 +23,12 @@ from .diagram import (
     Diagram,
     OrientedDiagram,
     SMGSemanticError,
-    SMGSyntaxError,
     _port_classes,
     _require_diagram,
     _ties,
 )
-from .groups import _assignments, _build_plan, _count, _diagonal, _Plan, _Step, _steps
+from .groups import (_assignments, _build_plan, _check_square, _count, _diagonal, _Plan, _Step,
+                     _steps, _table_rows)
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,9 @@ def check_quandle(raw: Iterable[Iterable[int]]) -> list[str]:
     table = [list(r) for r in raw]
     n = len(table)
     issues = []
-    if any(len(r) != n for r in table):
-        raise SMGSemanticError("table is not square")
-    for r in table:
-        for v in r:
-            if not isinstance(v, int) or not 1 <= v <= n:
-                raise SMGSemanticError(f"entry {v!r} out of range 1..{n}")
+    if not n:
+        raise SMGSemanticError("empty quandle table")
+    _check_square(table, 1)
     for a in range(1, n + 1):
         if table[a - 1][a - 1] != a:
             issues.append(f"idempotency fails at {a}")
@@ -148,26 +145,9 @@ def quandle_from_rows(rows: Iterable[Iterable[int]]) -> QuandleTable:
     return QuandleTable(tuple(tuple(r) for r in rows))
 
 
-def _quandle_rows(text: str) -> list[list[int]]:
-    """The rows of a quandle file: first line n >= 1, then n rows of n
-    1-indexed entries."""
-    toks = text.split()
-    if not toks:
-        raise SMGSyntaxError("empty quandle table")
-    try:
-        n, *vals = map(int, toks)
-    except ValueError as e:
-        raise SMGSyntaxError(str(e)) from None
-    if n < 1:
-        raise SMGSyntaxError(f"quandle order {n} is below 1")
-    if len(vals) != n * n:
-        raise SMGSyntaxError(f"expected {n * n} entries, got {len(vals)}")
-    return [vals[i * n:(i + 1) * n] for i in range(n)]
-
-
 def parse_quandle(text: str) -> QuandleTable:
     """Quandle file: first line n, then n rows of n 1-indexed entries."""
-    return quandle_from_rows(_quandle_rows(text))
+    return quandle_from_rows(_table_rows(text, "quandle"))
 
 
 def serialize_quandle(q: QuandleTable) -> str:
@@ -192,6 +172,7 @@ def conjugation_quandle(mult: list[list[int]]) -> QuandleTable:
     """Conjugation quandle of a group given by a 0-indexed multiplication
     table: x * y = y^-1 x y, returned 1-indexed."""
     n = len(mult)
+    _check_square(mult, 0)
     identity = next((e for e in range(n) if all(mult[e][x] == x for x in range(n))), None)
     if identity is None:
         raise SMGSemanticError("no identity")

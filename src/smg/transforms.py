@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Optional
 
 from .diagram import (MARKER, SINGULAR, Diagram, SMGSemanticError, _first_orientation,
-                      _require_diagram, _strand)
+                      _lines, _require_diagram, _strand)
 from .groups import Presentation, cyclic_reduce
 from .moves import Pattern, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
@@ -36,11 +36,7 @@ def _parse_tangles(text: str) -> dict[str, tuple[Pattern, tuple[str, ...]]]:
     name = None
     buf: list[str] = []
     framed: tuple[str, ...] = ()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for _, toks in _lines(text):
         if toks[0] == "tangle":
             name, buf, framed = toks[1], [], ()
         elif toks[0] == "endtangle":
@@ -48,7 +44,7 @@ def _parse_tangles(text: str) -> dict[str, tuple[Pattern, tuple[str, ...]]]:
         elif toks[0] == "framed":
             framed = tuple(toks[1:])
         else:
-            buf.append(line)
+            buf.append(" ".join(toks))
     return out
 
 

@@ -147,6 +147,55 @@ def test_input_error_missing_file(capsys):
     assert main(["validate", "/nonexistent.smg"]) == 3
 
 
+SADDLE_BACKWARDS = ("diagram s\nnode v M 1 a a b b\n"
+                    "orient a v.1 -> v.0\norient b v.2 -> v.3\nend\n")
+
+
+@pytest.mark.parametrize("text, issues", [
+    ("diagram u\nnode k X a b c a\nend\n",
+     ["unpaired edge: edge b has a single endpoint",
+      "unpaired edge: edge c has a single endpoint"]),
+    (SADDLE_BACKWARDS, ["bad orientation: marker v not alternating"]),
+    (FR, []),
+], ids=["unpaired_edges", "marker_not_alternating", "fr"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_validate_lists_the_issues_of_a_diagram_that_parses(tmp_path, capsys, text, issues,
+                                                            as_json):
+    """A text that parses but is no valid diagram is a negative answer
+    (exit 1) naming its issues, not an input error."""
+    path = tmp_path / "d.smg"
+    path.write_text(text)
+    rc = main(["--json"] * as_json + ["validate", str(path)])
+    out = capsys.readouterr()
+    assert (rc, out.err) == (1 if issues else 0, "")
+    if as_json:
+        assert json.loads(out.out) == {"ok": not issues, "issues": issues}
+    else:
+        assert out.out == ("; ".join(issues) or "ok") + "\n"
+
+
+# a marker whose strands cannot alternate around it
+UNORIENTABLE = "diagram n\nnode v M 0 a b c d\nnode k X a d c b\nend\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "fixture:nosuch"], "unknown fixture 'nosuch'"),
+    (["profile", "fixture:fr"],
+     "profile needs a classical diagram; 'fr' has markers or double points"),
+    (["move", "apply", "fixture:kink", "--move", "O1", "--site", "99"], "site 99 of 16"),
+    (["move", "sites", "UNORIENTABLE", "--move", "G1", "--oriented"],
+     "diagram admits no orientation"),
+])
+def test_an_input_error_is_one_line(tmp_path, capsys, argv, message):
+    """Every input error, whichever layer finds it, is reported once, by
+    ``main``: one stderr line, nothing on stdout, exit 3."""
+    path = tmp_path / "unorientable.smg"
+    path.write_text(UNORIENTABLE)
+    rc = main([str(path) if a == "UNORIENTABLE" else a for a in argv])
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (3, "", f"input error: {message}\n")
+
+
 def test_validate_and_json_stability(files, capsys):
     rc = main(["--json", "validate", files["fr"]])
     assert rc == 0

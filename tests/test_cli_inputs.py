@@ -3,7 +3,8 @@
 Each fixture's text (plain and oriented), the paper's quandle table and a
 group table are edited once per case: a line deleted or repeated, two tokens
 swapped, a token replaced, or the text cut short.  Whatever the edit, ``main``
-must answer with one of its exit codes and never raise.
+must answer with one of its exit codes and never raise, and an input error
+(exit 3) is one ``input error:`` line on stderr with nothing on stdout.
 """
 
 import random
@@ -86,8 +87,11 @@ def run(argv, paths, capsys, key, text):
         rc = main([paths.get(a, a) for a in argv])
     except Exception as e:
         pytest.fail(f"{argv} raised {e!r} on:\n{text}")
-    capsys.readouterr()
+    out = capsys.readouterr()
     assert rc in EXIT_CODES, (argv, text)
+    if rc == 3:
+        assert out.out == "" and len(out.err.splitlines()) == 1, (argv, text, out)
+        assert out.err.startswith("input error: "), (argv, text, out)
 
 
 @pytest.fixture

@@ -57,6 +57,9 @@ def test_pattern_is_one_node_component_or_bare_strands(text, why):
         parse_pattern(text)
 
 
+ONE_CROSSING = "node k X p q r s\nleg 1 p\nleg 2 q\nleg 3 r\nleg 4 s\n"
+
+
 @pytest.mark.parametrize("text, error, why", [
     ("node k X a b\n", SMGSyntaxError, "line 1: crossing needs 4 edges"),
     ("node k M x a b c d\n", SMGSemanticError, "line 1: bad axis/side 'x'"),
@@ -67,11 +70,16 @@ def test_pattern_is_one_node_component_or_bare_strands(text, why):
     ("node a X p q r s\nnode b X t u v w\n" + "".join(
         f"leg {k} {e}\n" for k, e in enumerate("pqrstuvw", start=1)), SMGSemanticError,
      "pattern has more than one node component"),
-], ids=["truncated_crossing", "bad_axis", "bad_leg", "bad_orient", "edge_used_once", "two_components"])
+    ("leg 1 a\nleg 2 a\norient a leg 3\n", SMGSemanticError,
+     r"pattern edge a has no end \('leg', 3\)"),
+    (ONE_CROSSING + "orient p zz.1\n", SMGSemanticError, r"pattern edge p has no end \('zz', 1\)"),
+    (ONE_CROSSING + "orient zz p.1\n", SMGSemanticError, r"pattern edge zz has no end \('p', 1\)"),
+], ids=["truncated_crossing", "bad_axis", "bad_leg", "bad_orient", "edge_used_once", "two_components",
+        "head_on_no_leg", "head_on_no_node", "head_of_no_edge"])
 def test_malformed_patterns_are_typed_errors(text, error, why):
     """Pattern lines are read by the diagram parser's node reader, and a
-    pattern that is no disk fragment is a semantic error: no bare
-    ``IndexError`` or ``ValueError``."""
+    pattern that is no disk fragment, or whose head names no end of its
+    edge, is a semantic error: no bare ``IndexError`` or ``ValueError``."""
     from smg.moves import parse_pattern
 
     with pytest.raises(error, match=f"^{why}$"):

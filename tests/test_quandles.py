@@ -168,10 +168,12 @@ def test_a_table_that_is_no_quandle_is_a_semantic_error():
     IndexError, a table that is no quandle was counted all the same, and an
     entry 0, which is the solver's mark for an unset colour, never
     returned; that table comes last, after the ones that fail fast.  An
-    entry that is no integer is out of range, not a TypeError."""
+    entry that is no integer is out of range, not a TypeError, and the
+    empty table, which counted 0, is no quandle."""
     d = fixture("trefoil")
     od = enumerate_orientations(d)[0]
-    for rows, why in ((((1, 5), (2, 2)), "entry 5 out of range 1..2"),
+    for rows, why in (((), "empty quandle table"),
+                      (((1, 5), (2, 2)), "entry 5 out of range 1..2"),
                       (((1, "2"), (2, 2)), "entry '2' out of range 1..2"),
                       (((1, 1), (1, 1)), "idempotency fails at 2"),
                       (((0, 2), (1, 2)), "entry 0 out of range 1..2")):
@@ -183,6 +185,10 @@ def test_a_table_that_is_no_quandle_is_a_semantic_error():
             q.is_involutory()
     with pytest.raises(SMGSemanticError, match="not square"):
         check_quandle([[1, 1], [1]])
+    with pytest.raises(SMGSemanticError, match="^empty quandle table$"):
+        check_quandle(())
+    with pytest.raises(SMGSemanticError, match="^empty quandle table$"):
+        coloring_count(d, QuandleTable(()))
     with pytest.raises(SMGSemanticError, match="idempotency fails at 2"):
         quandle_from_rows([[1, 1], [1, 1]])
     for text, why in (("", "empty quandle table"), ("2 1 x 2 2", "invalid literal"),
@@ -296,10 +302,14 @@ def test_trivial_quandle_counts_components():
 
 
 @pytest.mark.parametrize("mult, why", [([[0, 1], [1, 1]], "element 1 has no inverse"),
-                                       ([], "no identity")])
+                                       ([], "no identity"),
+                                       ([[0, 1], [1]], "table is not square"),
+                                       ([[0, 1, 2], [1, 2, 0], [2, 0, 7]],
+                                        "entry 7 out of range 0..2")])
 def test_conjugation_quandle_of_no_group_is_a_semantic_error(mult, why):
     """Not a ``StopIteration`` from the search for the identity or an
-    inverse."""
+    inverse, nor an ``IndexError`` from a row that is short or an entry
+    that is no element."""
     with pytest.raises(SMGSemanticError, match=f"^{why}$"):
         conjugation_quandle(mult)
 
