@@ -40,13 +40,9 @@ def mirror_pattern(pat: Pattern) -> Pattern:
         nodes.append(Node(nd.id, nd.kind, attr, ports))
     legs = tuple(reversed(pat.legs))
     K = len(legs)
-    heads = []
-    for e, h in pat.heads:
-        if h[0] == "leg":
-            heads.append((e, ("leg", K + 1 - h[1])))
-        else:
-            heads.append((e, (h[0], rho[h[1]])))
-    return Pattern(tuple(nodes), legs, tuple(heads))
+    heads = tuple((e, (HUB, K - 1 - h[1]) if h[0] == HUB else (h[0], rho[h[1]]))
+                  for e, h in pat.heads)
+    return Pattern(tuple(nodes), legs, heads)
 
 
 def _parse_catalog(text: str):
@@ -115,9 +111,6 @@ def _leg_shifts(a: Pattern, b: Pattern) -> list[int]:
     if not K or b.K != K or len(a.nodes) != len(b.nodes):
         return []
 
-    def head_darts(pat: Pattern) -> set:
-        return {pat.hub_dart_of_leg(h[1]) if h[0] == "leg" else h for _, h in pat.heads}
-
     shifts = []
     for t in range(K):
         img = {(HUB, 0): (HUB, t)}
@@ -136,7 +129,7 @@ def _leg_shifts(a: Pattern, b: Pattern) -> list[int]:
         turned = [(nd, b.node_map[img[(nd.id, 0)][0]], img[(nd.id, 0)][1]) for nd in a.nodes]
         if all(m.kind == nd.kind and not (nd.kind == CROSSING and q % 2)
                and (nd.attr is None or m.attr == (nd.attr + q) % 2) for nd, m, q in turned) \
-                and {img[x] for x in head_darts(a)} == head_darts(b):
+                and {img[h] for _, h in a.heads} == {h for _, h in b.heads}:
             shifts.append(-t % K)
     return shifts
 
@@ -179,9 +172,7 @@ def orient_pattern(pat: Pattern) -> list[Pattern]:
     sp = StrandParity(pat.edge_ends, pat.nodes)
     out = []
     for bits in sp.assignments():
-        heads = tuple((e, ("leg", pat.leg_of_hub_dart(h)) if h[0] == HUB else h)
-                      for e, h in sp.heads(bits))
-        out.append(Pattern(pat.nodes, pat.legs, heads))
+        out.append(Pattern(pat.nodes, pat.legs, sp.heads(bits)))
     return out
 
 

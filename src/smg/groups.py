@@ -16,7 +16,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .diagram import (CROSSING, MARKER, Diagram, OrientedDiagram, SMGSemanticError,
                       SMGSyntaxError, StrandParity, _port_classes, _ties)
@@ -49,6 +49,22 @@ class Presentation:
                 gens = [abs(l) - 1 for l in w]
                 shapes.append((tuple(gens), tuple(x for x in gens if gens.count(x) == 1)))
         return _build_plan(self.ngens, shapes)
+
+    @cached_property
+    def _kernel_source(self) -> str:
+        """The source of the kernel of :func:`_search_homs`, a function of
+        the group's order and its tables ``mult``, ``by_inverse`` and
+        ``inv``.  A generator that occurs once in a relator ``u x^e v`` is
+        solved as ``x^e = (v u)^-1`` once the others have images."""
+        relators = [w for w in self.relators if w]
+
+        def solve(ci: int, x: int) -> tuple[tuple[str, ...], str]:
+            w = relators[ci]
+            k = next(k for k, l in enumerate(w) if abs(l) - 1 == x)
+            return _product(w[k + 1:] + w[:k]), "x" if w[k] < 0 else "I[x]"
+
+        return _plan_source(self._plan, ("M", "B", "I"), [(_product(w), "x") for w in relators],
+                            solve)
 
     @cached_property
     def _abelian(self) -> "AbelianGroup":
@@ -625,70 +641,106 @@ def _build_plan(nvars: int, shapes: list[tuple[tuple[int, ...], tuple[int, ...]]
     return _Plan(tuple(order), tuple(map(tuple, waiting)), tuple(starts))
 
 
-_Step = tuple[int, Optional[Callable[[list[int]], int]], list[Callable[[list[int]], bool]]]
+#: nested ``for`` loops per generated function; CPython refuses a function
+#: with more than 20 statically nested blocks
+_LOOPS = 16
+
+#: distinct kernel sources kept compiled, process-wide
+_KERNELS = 4096
 
 
-def _steps(plan: _Plan, checks: list[Callable[[list[int]], bool]],
-           solve: Callable[[int, int], Callable[[list[int]], int]]) -> list[_Step]:
-    """The plan bound to one table: per position ``(variable, solve or
-    None, checks)``, with ``checks[ci]`` the check of constraint ``ci`` and
-    ``solve(ci, v)`` the function that solves ``v`` from it."""
-    return [(v, None if ci < 0 else solve(ci, v), [checks[k] for k in ks])
-            for (v, ci), ks in zip(plan.order, plan.waiting)]
+def _plan_source(plan: _Plan, params: tuple[str, ...],
+                 checks: list[tuple[tuple[str, ...], str]],
+                 solve: Callable[[int, int], tuple[tuple[str, ...], str]],
+                 listing: bool = False) -> str:
+    """``plan`` written as Python source, for :func:`_compiled`: a function
+    ``f0`` of the size ``n`` and ``params`` (the tables) that counts the
+    assignments of ``0..n-1`` to the variables passing every check, or,
+    when ``listing``, returns them as one tuple per assignment over all
+    variables.
 
+    Variable ``v`` is ``a<v>``.  ``checks[ci]`` is ``(statements, failed)``:
+    statements run once the last variable of constraint ``ci`` is set,
+    then the expression that is true when it fails.  ``solve(ci, v)`` is
+    ``(statements, value)`` giving ``v`` from constraint ``ci``, which then
+    holds and is not checked again: the tables are checked before they are
+    counted in.  A free variable is a ``for`` loop, a solved one an
+    assignment, and a failed check a ``continue`` of the innermost loop.
 
-def _assignments(steps: list[_Step], size: int, start: int, stop: int) -> Iterator[list[int]]:
-    """Every assignment of ``0..size-1`` to the variables at positions
-    ``start..stop-1`` of :func:`_steps` that passes their checks, in no
-    particular order: a solved variable takes its one value, a free one
-    tries ``0..size-1``, and each check runs once its last variable is set.
-    One list over all variables is yielded each time, updated in place; a
-    variable reads -1 while it is unset."""
-    values = [-1] * len(steps)
-    i = start
-    while i >= start:
-        if i == stop:
-            yield values
-            i -= 1
+    A count is the product of the counts of the connected components, as
+    no check spans two of them; a listing nests them all.  Each component
+    is split over chained functions of at most ``_LOOPS`` loops each: the
+    innermost loop of one calls the next with the values set so far and
+    adds up what it returns.  The source holds only integers and fixed
+    names, so one compiled function serves every problem with the same
+    source, and none refers to a problem or a table.  A problem keeps its
+    source, not the function, so that it pickles as before."""
+    order = plan.order
+    head = ("n",) + params
+    if listing:
+        starts, done = (0,), "push((" + "".join(f"a{v}, " for v in range(len(order))) + "))"
+        main = [f"def f0({', '.join(head)}):", "    out = []", "    push = out.append"]
+        head += ("push",)
+    else:
+        starts, done = plan.starts, "s += 1"
+        main = [f"def f0({', '.join(head)}):", "    c = 1"]
+    chained: list[str] = []
+    nfun = 0
+    for start, stop in zip(starts, starts[1:] + (len(order),)):
+        if not listing and stop == start + 1 and not plan.waiting[start]:
+            main.append("    c *= n")
             continue
-        v, solve, checks = steps[i]
-        if solve is None:
-            for x in range(values[v] + 1, size):
-                values[v] = x
-                for ok in checks:
-                    if not ok(values):
-                        break
-                else:
-                    i += 1
-                    break
+        names = tuple(f"a{v}" for v, _ in order[start:stop])
+        free = [i for i in range(start, stop) if order[i][1] < 0]
+        cuts = [start] + free[_LOOPS::_LOOPS] + [stop]
+        for j in range(len(cuts) - 1):
+            # a chained function takes the tables and every value set before it
+            body = [f"def f{nfun}({', '.join(head + names[:cuts[j] - start])}):"] if j else main
+            if not listing:
+                body.append("    s = 0")
+            if cuts[j + 1] == stop:
+                inner = done
             else:
-                values[v] = -1
-                i -= 1
-        elif values[v] < 0:
-            values[v] = solve(values)
-            for ok in checks:
-                if not ok(values):
-                    break
-            else:
-                i += 1
-        else:
-            values[v] = -1
-            i -= 1
+                nfun += 1
+                call = f"f{nfun}({', '.join(head + names[:cuts[j + 1] - start])})"
+                inner = call if listing else f"s += {call}"
+            body += _loops(plan, checks, solve, range(cuts[j], cuts[j + 1]), inner)
+            if j:
+                chained += body + ([] if listing else ["    return s"])
+        if not listing:
+            main += ["    c *= s", "    if not c:", "        return 0"]
+    main.append("    return out" if listing else "    return c")
+    return "\n".join(main + chained) + "\n"
 
 
-def _count(plan: _Plan, steps: list[_Step], size: int) -> int:
-    """Number of assignments: the product of the counts of the connected
-    components, as no check spans two of them.  A component that no
-    constraint touches is one free variable and counts ``size``."""
-    total = 1
-    for start, stop in zip(plan.starts, plan.starts[1:] + (len(steps),)):
-        if stop == start + 1 and not steps[start][2]:
-            total *= size
+def _loops(plan: _Plan, checks, solve, positions: range, inner: str) -> list[str]:
+    """The lines of :func:`_plan_source` that set the variables at
+    ``positions`` and run their checks, one level into a function body,
+    then ``inner``."""
+    out, pad = [], "    "
+    for i in positions:
+        v, ci = plan.order[i]
+        if ci < 0:
+            out.append(f"{pad}for a{v} in range(n):")
+            pad += "    "
         else:
-            total *= sum(1 for _ in _assignments(steps, size, start, stop))
-        if not total:
-            break
-    return total
+            pre, value = solve(ci, v)
+            out += [pad + line for line in pre] + [f"{pad}a{v} = {value}"]
+        for k in plan.waiting[i]:
+            if k == ci:
+                continue
+            pre, failed = checks[k]
+            out += [pad + line for line in pre] + [f"{pad}if {failed}:", f"{pad}    continue"]
+    return out + [pad + inner]
+
+
+@lru_cache(maxsize=_KERNELS)
+def _compiled(source: str) -> Callable:
+    """The function ``f0`` that ``source`` defines, with the functions it
+    chains to and no builtins but ``range``."""
+    namespace: dict = {"__builtins__": {"range": range}}
+    exec(source, namespace)
+    return namespace["f0"]
 
 
 def hom_count(p: Presentation, g: GroupTable) -> int:
@@ -707,32 +759,17 @@ def hom_count(p: Presentation, g: GroupTable) -> int:
 
 
 def _search_homs(p: Presentation, g: GroupTable) -> int:
-    """Homomorphisms by the backtracking solver: a generator that occurs
-    once in a relator ``u x^e v`` is solved as ``x^e = (v u)^-1`` once the
-    others have images."""
-    relators = [w for w in p.relators if w]
-    letters = [[(abs(l) - 1, g.mult if l > 0 else g.by_inverse) for l in w]
-               for w in relators]
+    """Homomorphisms by the compiled counting kernel of ``p``."""
+    return _compiled(p._kernel_source)(g.n, g.mult, g.by_inverse, g.inv)
 
-    def product(word: list[tuple[int, tuple]]) -> Callable[[list[int]], int]:
-        def value(images: list[int]) -> int:
-            v = 0
-            for i, table in word:
-                v = table[v][images[i]]
-            return v
 
-        return value
-
-    def check(word: list[tuple[int, tuple]]) -> Callable[[list[int]], bool]:
-        whole = product(word)
-        return lambda images: whole(images) == 0
-
-    def solve(ci: int, x: int) -> Callable[[list[int]], int]:
-        w, word = relators[ci], letters[ci]
-        k = next(k for k, l in enumerate(w) if abs(l) - 1 == x)
-        rest = product(word[k + 1:] + word[:k])     # v u
-        inv = g.inv
-        return rest if w[k] < 0 else (lambda images: inv[rest(images)])
-
-    plan = p._plan
-    return _count(plan, _steps(plan, [check(word) for word in letters], solve), g.n)
+def _product(word: Word) -> tuple[str, ...]:
+    """Statements leaving the product of ``word``'s letters in ``x``, one
+    per letter: ``M`` is the multiplication table, ``B`` multiplies by an
+    inverse and ``I`` inverts."""
+    if not word:
+        return ("x = 0",)
+    first = f"a{abs(word[0]) - 1}"
+    out = [f"x = {first}" if word[0] > 0 else f"x = I[{first}]"]
+    out += [f"x = {'M' if l > 0 else 'B'}[x][a{abs(l) - 1}]" for l in word[1:]]
+    return tuple(out)

@@ -53,8 +53,10 @@ class StaleSiteError(ValueError):
 class Pattern:
     """A diagram fragment with boundary legs, living in a disk.
 
-    ``heads`` optionally orients each edge: the value is either a node end
-    ``(node_id, port)`` or ``("leg", k)``, naming the end the edge flows into.
+    ``heads`` optionally orients each edge: the value is the end the edge
+    flows into, a node end ``(node_id, port)`` or the hub end of a leg
+    (:meth:`hub_dart_of_leg`).  ``HUB`` is no node id, so a leg's end never
+    equals a node's.
     """
 
     nodes: tuple[Node, ...]
@@ -138,9 +140,9 @@ class Pattern:
         if v - e + f != 2:
             raise SMGSemanticError(f"pattern is not a disk fragment: V-E+F = {v - e + f}")
         for edge, h in self.heads:
-            end = self.hub_dart_of_leg(h[1]) if h[0] == "leg" else h
-            if end not in self.edge_ends.get(edge, ()):
-                raise SMGSemanticError(f"pattern edge {edge} has no end {h}")
+            if h not in self.edge_ends.get(edge, ()):
+                shown = ("leg", self.leg_of_hub_dart(h)) if h[0] == HUB else h
+                raise SMGSemanticError(f"pattern edge {edge} has no end {shown}")
         for nd in self.nodes:
             if nd.kind in (MARKER, SINGULAR) and nd.attr not in (0, 1):
                 raise SMGSemanticError(f"pattern node {nd.id}: bad attribute")
@@ -178,7 +180,7 @@ class Pattern:
             return None
         prof = []
         for k, e in enumerate(self.legs, start=1):
-            prof.append(+1 if self.head_map.get(e) == ("leg", k) else -1)
+            prof.append(+1 if self.head_map.get(e) == self.hub_dart_of_leg(k) else -1)
         return tuple(prof)
 
 
@@ -187,7 +189,7 @@ def parse_pattern(text: str) -> Pattern:
     ``orient e <n.p | leg k>`` lines."""
     nodes: list[Node] = []
     legs: dict[int, str] = {}
-    heads: list[tuple[str, object]] = []
+    heads: list[tuple[str, object]] = []    # a leg's head by its number, until K is known
     for lineno, toks in _lines(text):
         kw = toks[0]
         if kw in ("diagram", "end"):
@@ -199,7 +201,7 @@ def parse_pattern(text: str) -> Pattern:
                 raise SMGSyntaxError("bad 'leg' line", lineno)
             legs[int(toks[1])] = toks[2]
         elif kw == "orient" and len(toks) == 4 and toks[2] == "leg" and toks[3].isdecimal():
-            heads.append((toks[1], ("leg", int(toks[3]))))
+            heads.append((toks[1], int(toks[3])))
         elif kw == "orient":
             if len(toks) != 3:
                 raise SMGSyntaxError("bad orient target", lineno)
@@ -208,7 +210,8 @@ def parse_pattern(text: str) -> Pattern:
             raise SMGSyntaxError(f"unknown pattern keyword {kw!r}", lineno)
     if sorted(legs) != list(range(1, len(legs) + 1)):
         raise SMGSyntaxError("legs must be numbered 1..K", 1)
-    pat = Pattern(tuple(nodes), tuple(legs[k] for k in sorted(legs)), tuple(heads))
+    pat = Pattern(tuple(nodes), tuple(legs[k] for k in sorted(legs)),
+                  tuple((e, (HUB, len(legs) - h) if isinstance(h, int) else h) for e, h in heads))
     pat.check()
     return pat
 
@@ -437,14 +440,13 @@ def _orientation_ok(od: OrientedDiagram, d: Diagram, pat: Pattern, amap, targets
         head = pat.head_map.get(e)
         if head is None:
             return False
-        hdart = pat.hub_dart_of_leg(head[1]) if head[0] == "leg" else head
-        hd = _host_dart_beyond(d, pat, hdart, amap, targets)
-        if hdart[0] != HUB:
+        hd = _host_dart_beyond(d, pat, head, amap, targets)
+        if head[0] != HUB:
             host_edge = d.node(hd[0]).ports[hd[1]]
             if od.head_map[host_edge] != hd:
                 return False
         else:
-            t = targets[pat.leg_of_hub_dart(hdart)]
+            t = targets[pat.leg_of_hub_dart(head)]
             if t[0] == "loop":
                 continue
             if od.head_map[t[1]] != hd:
@@ -659,7 +661,7 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
                 (fixed if od.head_map[base.node(m).ports[q]] == (m, q) else banned)[eid] = (m, q)
     for e in out.interior_edges:
         h = out.head_map.get(e)
-        if h is not None and h[0] != "leg":
+        if h is not None and h[0] != HUB:
             fixed[int_eids[e]] = (node_ids[h[0]], h[1])
     # the first orientation of the result, in enumeration order, that keeps
     # the pinned heads and every surviving edge's head

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .diagram import (
     CROSSING,
@@ -27,8 +27,8 @@ from .diagram import (
     _require_diagram,
     _ties,
 )
-from .groups import (_assignments, _build_plan, _check_square, _count, _diagonal, _Plan, _Step,
-                     _steps, _table_rows)
+from .groups import (_build_plan, _check_square, _compiled, _diagonal, _Plan, _plan_source,
+                     _table_rows)
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,15 @@ class _Colouring(NamedTuple):
     arcs of :func:`~smg.diagram._port_classes` under the strict ties, so a
     marker joins all four ends), per crossing and double point its node
     id, kind and port classes, the counting plan with one constraint per
-    such node, and the Smith forms of its Alexander relation matrices (see
-    :func:`_alexander_count`), filled as they are asked for."""
+    such node, and, filled as they are asked for, the Smith forms of its
+    Alexander relation matrices (see :func:`_alexander_count`) and the
+    sources of its kernels (see :func:`_colouring_kernel`)."""
 
     cls: dict[str, int]
     nodes: list[tuple[str, str, tuple[int, ...]]]
     plan: _Plan
     smith: dict
+    sources: dict
 
 
 def _build_colouring(d: Diagram) -> _Colouring:
@@ -263,7 +265,7 @@ def _build_colouring(d: Diagram) -> _Colouring:
         else:
             continue
         nodes.append((nd.id, nd.kind, c))
-    return _Colouring(cls, nodes, _build_plan(len(set(cls.values())), shapes), {})
+    return _Colouring(cls, nodes, _build_plan(len(set(cls.values())), shapes), {}, {})
 
 
 def _colouring_problem(d, q: QuandleTable, orientation: Optional[OrientedDiagram],
@@ -281,37 +283,50 @@ def _colouring_problem(d, q: QuandleTable, orientation: Optional[OrientedDiagram
     return d._colouring
 
 
-def _colouring_steps(problem: _Colouring, q: QuandleTable,
-                     orientation: Optional[OrientedDiagram]) -> list[_Step]:
-    """The plan of ``problem`` bound to ``q`` and the orientation, for
-    :func:`_assignments`: colour ``k`` of a class is quandle element
-    ``k+1``."""
+def _colouring_kernel(problem: _Colouring, listing: bool) -> Callable:
+    """The compiled kernel of ``problem``, from its source kept on it (see
+    :func:`~smg.groups._plan_source`): a function of the order and, per
+    node ``k``, the table ``t<k>`` of its relation and, at a crossing, the
+    table ``u<k>`` that solves its incoming under-strand (see
+    :func:`_tables`).  Colour ``k`` of a class is quandle element ``k+1``."""
+    source = problem.sources.get(listing)
+    if source is None:
+        params, checks, solves = [], [], []
+        for k, (nid, kind, c) in enumerate(problem.nodes):
+            if kind == SINGULAR:
+                x, y = c[0], c[1]
+                params.append(f"t{k}")
+                checks.append(((), f"t{k}[a{x}][a{y}] != a{x} or t{k}[a{y}][a{x}] != a{y}"))
+                solves.append(None)
+                continue
+            out, inn, over = c[2], c[0], c[1]
+            params += (f"t{k}", f"u{k}")
+            checks.append(((), f"a{out} != t{k}[a{inn}][a{over}]"))
+            solves.append({out: ((), f"t{k}[a{inn}][a{over}]"),
+                           inn: ((), f"u{k}[a{out}][a{over}]")})
+        source = problem.sources[listing] = _plan_source(
+            problem.plan, tuple(params), checks, lambda ci, v: solves[ci][v], listing)
+    return _compiled(source)
+
+
+def _tables(problem: _Colouring, q: QuandleTable,
+            orientation: Optional[OrientedDiagram]) -> list:
+    """The arguments of the kernel of ``problem`` for ``q`` and the
+    orientation.  ``c[2] = c[0] * c[1]`` by ``op`` when the over-strand
+    comes in at port 1 and by ``op_inv`` at port 3, whichever way the
+    under-strand runs: reversing it swaps ``c[0]`` and ``c[2]`` and flips
+    the sign.  The other table solves ``c[0]`` from the other two."""
     op, op_inv = q._op, q._op_inv
-    checks, roles = [], []
-    for nid, kind, c in problem.nodes:
+    flows = None if orientation is None else orientation._flows
+    args = [q.n]
+    for nid, kind, _ in problem.nodes:
         if kind == SINGULAR:
-            x, y = c[0], c[1]
-            checks.append(lambda v, x=x, y=y: op[v[x]][v[y]] == v[x] and op[v[y]][v[x]] == v[y])
-            roles.append(None)
-            continue
-        # ``c[2] = c[0] * c[1]`` by ``op`` when the over-strand comes in at
-        # port 1 and by ``op_inv`` at port 3, whichever way the under-strand
-        # runs: reversing it swaps ``c[0]`` and ``c[2]`` and flips the sign.
-        # ``inverse`` solves ``c[0]`` from the other two
-        out, inn, over = c[2], c[0], c[1]
-        over_in_1 = orientation is None or orientation._flows[nid][1] == 1
-        table, inverse = (op, op_inv) if over_in_1 else (op_inv, op)
-        checks.append(lambda v, out=out, inn=inn, over=over, table=table:
-                      v[out] == table[v[inn]][v[over]])
-        roles.append((out, inn, over, table, inverse))
-
-    def solve(ci: int, x: int):
-        out, inn, over, table, inverse = roles[ci]
-        if x == out:
-            return lambda v: table[v[inn]][v[over]]
-        return lambda v: inverse[v[out]][v[over]]
-
-    return _steps(problem.plan, checks, solve)
+            args.append(op)
+        elif flows is None or flows[nid][1] == 1:
+            args += (op, op_inv)
+        else:
+            args += (op_inv, op)
+    return args
 
 
 def colorings(d: Diagram, q: QuandleTable,
@@ -323,8 +338,7 @@ def colorings(d: Diagram, q: QuandleTable,
     involutory quandle the under-strand relation is direction-free.
     """
     problem = _colouring_problem(d, q, orientation, "colorings")
-    steps = _colouring_steps(problem, q, orientation)
-    found = sorted(tuple(c) for c in _assignments(steps, q.n, 0, len(steps)))
+    found = sorted(_colouring_kernel(problem, True)(*_tables(problem, q, orientation)))
     return [{v: c[k] + 1 for v, k in problem.cls.items()} for c in found]
 
 
@@ -341,7 +355,7 @@ def coloring_count(d: Diagram, q: QuandleTable,
 
 def _search_count(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]) -> int:
     problem = d._colouring
-    return _count(problem.plan, _colouring_steps(problem, q, orientation), q.n)
+    return _colouring_kernel(problem, False)(*_tables(problem, q, orientation))
 
 
 def _alexander_count(problem: _Colouring, n: int, t: int,

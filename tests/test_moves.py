@@ -58,6 +58,8 @@ def test_pattern_is_one_node_component_or_bare_strands(text, why):
 
 
 ONE_CROSSING = "node k X p q r s\nleg 1 p\nleg 2 q\nleg 3 r\nleg 4 s\n"
+#: ONE_CROSSING with its node named ``leg``, as the keyword of a leg head
+LEG_NODE = ONE_CROSSING.replace("node k", "node leg")
 
 
 @pytest.mark.parametrize("text, error, why", [
@@ -74,8 +76,10 @@ ONE_CROSSING = "node k X p q r s\nleg 1 p\nleg 2 q\nleg 3 r\nleg 4 s\n"
      r"pattern edge a has no end \('leg', 3\)"),
     (ONE_CROSSING + "orient p zz.1\n", SMGSemanticError, r"pattern edge p has no end \('zz', 1\)"),
     (ONE_CROSSING + "orient zz p.1\n", SMGSemanticError, r"pattern edge zz has no end \('p', 1\)"),
+    (LEG_NODE + "orient p leg.1\n", SMGSemanticError,
+     r"pattern edge p has no end \('leg', 1\)"),
 ], ids=["truncated_crossing", "bad_axis", "bad_leg", "bad_orient", "edge_used_once", "two_components",
-        "head_on_no_leg", "head_on_no_node", "head_of_no_edge"])
+        "head_on_no_leg", "head_on_no_node", "head_of_no_edge", "end_of_a_node_named_leg"])
 def test_malformed_patterns_are_typed_errors(text, error, why):
     """Pattern lines are read by the diagram parser's node reader, and a
     pattern that is no disk fragment, or whose head names no end of its
@@ -84,6 +88,16 @@ def test_malformed_patterns_are_typed_errors(text, error, why):
 
     with pytest.raises(error, match=f"^{why}$"):
         parse_pattern(text)
+
+
+def test_a_node_named_leg_keeps_its_ends_apart_from_the_legs():
+    """``leg.0`` is an end of the node ``leg``, not leg 0; ``leg 1`` is
+    leg 1."""
+    from smg.moves import parse_pattern
+
+    pat = parse_pattern(LEG_NODE + "orient p leg.0\norient q leg 2\n")
+    assert pat.head_map == {"p": ("leg", 0), "q": pat.hub_dart_of_leg(2)}
+    assert pat.boundary_profile() == (-1, 1, -1, -1)
 
 
 def test_o1_sites_on_circle():
@@ -493,7 +507,7 @@ def reference_strand_sites(d, move, direction) -> list[tuple]:
                    for k, t in targets.items()):
                 continue
             if od is not None and pat.heads:
-                heads = [targets[pat.head_map[e][1]] for e in pat.through_edges]
+                heads = [targets[pat.leg_of_hub_dart(pat.head_map[e])] for e in pat.through_edges]
                 if any(kind == "edge" and od.head_map[ident] != base.edge_ends[ident][end]
                        for kind, ident, end in heads):
                     continue
