@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 CROSSING = "X"
@@ -30,6 +30,28 @@ SINGULAR = "S"
 KINDS = (CROSSING, MARKER, SINGULAR)
 
 Dart = tuple[str, int]
+
+
+class _cached:
+    """A lazily computed attribute, kept in the instance ``__dict__`` under
+    its own name: ``functools.cached_property`` without the class-wide lock
+    it takes on every first read in Python 3.11.  Two threads that read a
+    value at once may both compute it, and the last one stays.  ``__dict__``
+    is written directly, so frozen dataclasses take it; ``replace()``
+    drops the values and pickling keeps them."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class SMGError(ValueError):
@@ -84,6 +106,15 @@ class ValidationReport:
         return "ok" if self.ok else "; ".join(map(str, self.issues))
 
 
+class _Malformed(SMGSemanticError):
+    """Structure that no face can be traced on; ``issues`` lists what
+    :meth:`Diagram.validate` reports for it."""
+
+    def __init__(self, issues: list[Issue]):
+        super().__init__(str(ValidationReport(issues)))
+        self.issues = issues
+
+
 @dataclass(frozen=True)
 class Diagram:
     """An immutable singular marked graph diagram.
@@ -100,14 +131,14 @@ class Diagram:
 
     # -- basic structure -------------------------------------------------
 
-    @cached_property
+    @_cached
     def node_map(self) -> dict[str, Node]:
         return {nd.id: nd for nd in self.nodes}
 
     def node(self, nid: str) -> Node:
         return self.node_map[nid]
 
-    @cached_property
+    @_cached
     def edge_ends(self) -> dict[str, tuple[Dart, ...]]:
         ends: dict[str, list[Dart]] = {}
         for nd in self.nodes:
@@ -115,11 +146,11 @@ class Diagram:
                 ends.setdefault(e, []).append((nd.id, p))
         return {e: tuple(v) for e, v in ends.items()}
 
-    @cached_property
+    @_cached
     def edges(self) -> tuple[str, ...]:
         return tuple(sorted(self.edge_ends))
 
-    @cached_property
+    @_cached
     def anchor_map(self) -> dict[str, Optional[tuple[str, int]]]:
         return dict(self.anchors)
 
@@ -130,84 +161,46 @@ class Diagram:
         a, b = self.edge_ends[e]
         return b if a == dart else a
 
-    @property
+    @_cached
     def counts(self) -> tuple[int, int, int]:
         """(crossings, markers, singular vertices)."""
-        x = sum(1 for nd in self.nodes if nd.kind == CROSSING)
-        m = sum(1 for nd in self.nodes if nd.kind == MARKER)
-        s = sum(1 for nd in self.nodes if nd.kind == SINGULAR)
-        return x, m, s
+        kinds = [nd.kind for nd in self.nodes]
+        return kinds.count(CROSSING), kinds.count(MARKER), kinds.count(SINGULAR)
 
     def is_classical(self) -> bool:
         return all(nd.kind == CROSSING for nd in self.nodes)
 
     # -- components -------------------------------------------------------
 
-    @cached_property
+    @_cached
     def graph_pieces(self) -> tuple[frozenset[str], ...]:
-        """Connected components of the node-bearing graph."""
-        seen: set[str] = set()
-        pieces = []
-        node_map, edge_ends = self.node_map, self.edge_ends
-        for nd in self.nodes:
-            if nd.id in seen:
-                continue
-            stack, comp = [nd.id], {nd.id}
-            while stack:
-                for e in node_map[stack.pop()].ports:
-                    for m, _ in edge_ends[e]:
-                        if m not in comp:
-                            comp.add(m)
-                            stack.append(m)
-            seen |= comp
-            pieces.append(frozenset(comp))
-        return tuple(sorted(pieces, key=min))
+        """Connected components of the node-bearing graph, in the order of
+        their least node id."""
+        return tuple(frozenset(nd.id for nd in nodes) for nodes, _, _ in self._darts)
 
-    def piece_id(self, piece: frozenset[str]) -> str:
-        return min(piece)
-
-    @cached_property
+    @_cached
     def piece_ids(self) -> tuple[str, ...]:
-        return tuple(self.piece_id(p) for p in self.graph_pieces) + self.loops
+        return tuple(nodes[0].id for nodes, _, _ in self._darts) + self.loops
 
     # -- validation -------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        issues: list[Issue] = []
-        ids = [nd.id for nd in self.nodes]
-        if len(set(ids)) != len(ids):
-            issues.append(Issue("duplicate id", "repeated node id"))
-        if len(set(self.loops)) != len(self.loops):
-            issues.append(Issue("duplicate id", "repeated loop id"))
-        if set(ids) & set(self.loops):
-            issues.append(Issue("duplicate id", "node id reused as loop id"))
-        for nd in self.nodes:
-            if nd.kind not in KINDS:
-                issues.append(Issue("bad kind", f"node {nd.id} kind {nd.kind!r}"))
-                continue
-            if nd.kind == CROSSING and nd.attr is not None:
-                issues.append(Issue("bad attribute", f"crossing {nd.id} carries an attribute"))
-            if nd.kind in (MARKER, SINGULAR) and nd.attr not in (0, 1):
-                issues.append(Issue("bad attribute", f"node {nd.id} needs axis/side 0 or 1"))
-        for e, ends in self.edge_ends.items():
-            if len(ends) == 1:
-                issues.append(Issue("unpaired edge", f"edge {e} has a single endpoint"))
-            elif len(ends) > 2:
-                issues.append(Issue("port collision", f"edge {e} attached {len(ends)} times"))
-        if issues:
-            # face tracing is unsafe on malformed structure
-            return ValidationReport(issues)
+        try:
+            darts = self._darts
+        except _Malformed as exc:
+            return ValidationReport(exc.issues)
 
         # Euler check, per connected piece: V - E + F = 2, where E = 2V
         # because every edge has its two ends.
-        for nids, _, orbit in self._darts:
-            v = len(nids)
+        issues: list[Issue] = []
+        for nodes, _, orbit in darts:
+            v = len(nodes)
             e = 2 * v
             f = len(set(orbit))
             if v - e + f != 2:
                 issues.append(
                     Issue("non-spherical embedding",
-                          f"piece {nids[0]}: V-E+F = {v}-{e}+{f} = {v - e + f}"))
+                          f"piece {nodes[0].id}: V-E+F = {v}-{e}+{f} = {v - e + f}"))
 
         known, placed = set(self.piece_ids), set()
         for pid, anchor in self.anchors:
@@ -224,38 +217,91 @@ class Diagram:
                     issues.append(Issue("bad placement", f"piece {pid} anchored to itself"))
         return ValidationReport(issues)
 
-    @cached_property
-    def _darts(self) -> tuple[tuple[list[str], list[int], list[int]], ...]:
-        """Per graph piece, in order: its node ids sorted, ``alpha`` on its
-        integer darts ``4*i + port`` of node ``ids[i]`` (the other end of the
-        dart's edge), and the face orbit of every dart.
+    def _structure_issues(self, paired: bool) -> list[Issue]:
+        """The issues that make face tracing unsafe: repeated ids, bad
+        kinds or attributes, and, unless every edge is ``paired`` (has
+        exactly two ends), the edges that are not, in order of appearance."""
+        issues: list[Issue] = []
+        ids = [nd.id for nd in self.nodes]
+        if len(set(ids)) != len(ids):
+            issues.append(Issue("duplicate id", "repeated node id"))
+        if self.loops:
+            if len(set(self.loops)) != len(self.loops):
+                issues.append(Issue("duplicate id", "repeated loop id"))
+            if set(ids) & set(self.loops):
+                issues.append(Issue("duplicate id", "node id reused as loop id"))
+        for nd in self.nodes:
+            if (nd.kind, nd.attr) in _ROWS:
+                continue
+            if nd.kind not in KINDS:
+                issues.append(Issue("bad kind", f"node {nd.id} kind {nd.kind!r}"))
+            elif nd.kind == CROSSING:
+                issues.append(Issue("bad attribute", f"crossing {nd.id} carries an attribute"))
+            else:
+                issues.append(Issue("bad attribute", f"node {nd.id} needs axis/side 0 or 1"))
+        if not paired:
+            for e, k in Counter(e for nd in self.nodes for e in nd.ports).items():
+                if k == 1:
+                    issues.append(Issue("unpaired edge", f"edge {e} has a single endpoint"))
+                elif k > 2:
+                    issues.append(Issue("port collision", f"edge {e} attached {k} times"))
+        return issues
 
+    @_cached
+    def _darts(self) -> tuple[tuple[list[Node], list[int], list[int]], ...]:
+        """Per graph piece, in the order of its least node id: its nodes
+        sorted by id, ``alpha`` on its integer darts ``4*i + port`` of node
+        ``i`` (the other end of the dart's edge), and the face orbit of
+        every dart.
+
+        One pass over the nodes sorted by id numbers their darts and pairs
+        the two ends of every edge; the pieces are read off that ``alpha``.
         Orbits are the cycles of ``phi``: cross the edge, then rotate one
         port.  They are numbered across the pieces in the order of their
         smallest dart.  Nothing here refers back to the diagram, which
-        caches it."""
-        out, count = [], 0
-        node_map = self.node_map
-        for piece in self.graph_pieces:
-            ids = sorted(piece)
-            ends: dict[str, list[int]] = {}
-            for i, nid in enumerate(ids):
-                for p, e in enumerate(node_map[nid].ports):
-                    ends.setdefault(e, []).append(4 * i + p)
-            alpha = [0] * (4 * len(ids))
-            for a, b in ends.values():
-                alpha[a], alpha[b] = b, a
-            orbit = [-1] * len(alpha)
-            for start in range(len(alpha)):
+        caches it.  On structure that orbits cannot be traced on, raises
+        ``SMGSemanticError`` naming the issues (see :meth:`validate`)."""
+        nodes = sorted(self.nodes, key=attrgetter("id"))
+        ports = [e for nd in nodes for e in nd.ports]
+        alpha, first = [-1] * len(ports), {}
+        for x, e in enumerate(ports):
+            y = first.setdefault(e, x)
+            if y != x:
+                alpha[x], alpha[y] = y, x
+        # with as many edges as half the darts and no dart left unpaired,
+        # every edge has exactly two ends
+        issues = self._structure_issues(2 * len(first) == len(ports) and -1 not in alpha)
+        if issues:
+            raise _Malformed(issues)
+
+        out, count, piece = [], 0, [-1] * len(nodes)
+        for v in range(len(nodes)):
+            if piece[v] >= 0:
+                continue
+            members, piece[v] = [v], v
+            for u in members:       # grows as it is read
+                for y in alpha[4 * u:4 * u + 4]:
+                    if piece[y >> 2] < 0:
+                        piece[y >> 2] = v
+                        members.append(y >> 2)
+            if len(members) == len(nodes):
+                local, mine = alpha, nodes
+            else:
+                members.sort()
+                at = {u: i for i, u in enumerate(members)}
+                local = [4 * at[y >> 2] + (y & 3) for u in members for y in alpha[4 * u:4 * u + 4]]
+                mine = [nodes[u] for u in members]
+            orbit = [-1] * len(local)
+            for start in range(len(local)):
                 if orbit[start] >= 0:
                     continue
                 x = start
                 while orbit[x] < 0:
                     orbit[x] = count
-                    y = alpha[x]
+                    y = local[x]
                     x = y - 3 if y & 3 == 3 else y + 1
                 count += 1
-            out.append((ids, alpha, orbit))
+            out.append((mine, local, orbit))
         return tuple(out)
 
     # -- canonical form ---------------------------------------------------
@@ -266,15 +312,15 @@ class Diagram:
     #: a search holds store nothing for it.  Nothing mutates it.
     _piece_gens = {}
 
-    @cached_property
+    @_cached
     def _piece_canon(self) -> dict[str, tuple]:
         """piece id -> (signature, tuple of minimizing root darts)."""
         out, gens = {}, {}
-        for ids, alpha, _ in self._darts:
-            best, roots, found = _canonise(_canon_table(self.node_map, ids, alpha))
-            out[ids[0]] = (best, tuple((ids[r >> 2], r & 3) for r in roots))
+        for nodes, alpha, _ in self._darts:
+            best, roots, found = _canonise(_canon_table(nodes, alpha))
+            out[nodes[0].id] = (best, tuple((nodes[r >> 2].id, r & 3) for r in roots))
             if found:
-                gens[ids[0]] = found
+                gens[nodes[0].id] = found
         if gens:
             self.__dict__["_piece_gens"] = gens
         return out
@@ -288,10 +334,10 @@ class Diagram:
         an automorphism of the piece, so this is the least name the first
         root gives the face's images under the automorphisms; the
         generators ``_canonise`` found reach every image."""
-        ids, alpha, orbit = next(t for t in self._darts if t[0][0] == pid)
+        nodes, alpha, orbit = next(t for t in self._darts if t[0][0].id == pid)
         n, p = self._piece_canon[pid][1][0]
-        _, labels, rots = _signature(_canon_table(self.node_map, ids, alpha),
-                                     4 * ids.index(n) + p)
+        i = next(i for i, nd in enumerate(nodes) if nd.id == n)
+        _, labels, rots = _signature(_canon_table(nodes, alpha), 4 * i + p)
         members, gens = self.faces().orbits, self._piece_gens.get(pid, ())
         images, seen = [darts], {orbit[darts[0]]}
         for face in images:
@@ -308,7 +354,7 @@ class Diagram:
         """Byte string equal exactly for isomorphic decorated sphere maps."""
         return self._canonical_code
 
-    @cached_property
+    @_cached
     def _canonical_code(self) -> bytes:
         # faces only name the places of anchored components: a search codes
         # many more diagrams than it expands, so the rest skip them
@@ -345,13 +391,13 @@ class Diagram:
     def faces(self) -> "Faces":
         return self._faces
 
-    @cached_property
+    @_cached
     def _faces(self) -> "Faces":
         return Faces(self)
 
     # -- orientations and colourings -----------------------------------------
 
-    @cached_property
+    @_cached
     def _orientations(self) -> tuple:
         """The heads of the strict orientation of each choice of strand-class
         bits, in the order of ``StrandParity.assignments``, shared by every
@@ -359,14 +405,14 @@ class Diagram:
         sp = StrandParity(self.edge_ends, self.nodes)
         return tuple(map(sp.heads, sp.assignments()))
 
-    @cached_property
+    @_cached
     def _flows_by_heads(self) -> dict:
         """heads -> ``OrientedDiagram._flows``, for every orientation of this
         diagram that was asked for them.  Plain data: an ``OrientedDiagram``
         here would refer back to this diagram in a cycle."""
         return {}
 
-    @cached_property
+    @_cached
     def _colouring(self):
         """Colour classes and counting plan (``quandles._Colouring``),
         shared by every quandle and orientation."""
@@ -376,13 +422,13 @@ class Diagram:
 
     # -- resolutions --------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _resolutions(self) -> dict:
         """sign -> (resolved diagram, singular rotations), filled by
         ``resolution.resolve``, which hands out copies of the rotations."""
         return {}
 
-    @cached_property
+    @_cached
     def _family(self) -> dict:
         """The family memo: ``resolution.is_trivial_unlink``'s answers,
         shared by every diagram that ``moves._splice`` derives from this
@@ -391,7 +437,7 @@ class Diagram:
 
     # -- strand components ---------------------------------------------------
 
-    @cached_property
+    @_cached
     def _components(self) -> tuple:
         """Strand components of a classical diagram, read through
         ``resolution.classical_components``, which checks the diagram and
@@ -421,13 +467,28 @@ class Diagram:
 
 
 def _require_diagram(d, what: str) -> None:
+    """``d`` is a ``Diagram`` whose faces can be traced: SMGSemanticError
+    otherwise, naming the structural issues."""
     if not isinstance(d, Diagram):
         raise SMGSemanticError(f"{what} needs an unoriented Diagram, not {type(d).__name__}")
+    d._darts    # raises on malformed structure
 
 
-def _canon_table(node_map: dict[str, Node], ids: list[str], alpha: list[int]) -> tuple:
-    """The table :func:`_signature` reads for a piece with sorted node ids
-    ``ids`` and integer darts ``alpha``: ``(alpha, enter, head)``.
+def _rows(kind: str, attr: Optional[int]) -> tuple[tuple, tuple]:
+    """The ``enter`` and ``head`` entries of :func:`_canon_table` for the
+    four ports of a node of ``kind`` and ``attr``."""
+    enter = tuple(p - (p & 1) if kind == CROSSING else p for p in range(4))
+    return enter, tuple((kind, None if attr is None else (attr - r) % 2) for r in enter)
+
+
+#: (kind, attribute) -> :func:`_rows`, for every valid pair
+_ROWS = {(k, a): _rows(k, a) for k, a in ((CROSSING, None), (MARKER, 0), (MARKER, 1),
+                                          (SINGULAR, 0), (SINGULAR, 1))}
+
+
+def _canon_table(nodes: list[Node], alpha: list[int]) -> tuple:
+    """The table :func:`_signature` reads for a piece with nodes ``nodes``
+    sorted by id and integer darts ``alpha``: ``(alpha, enter, head)``.
 
     A node entered at a dart is read from port ``enter[dart]``, the dart's
     port except that crossings turn only by 0 or 2, so that the
@@ -435,12 +496,10 @@ def _canon_table(node_map: dict[str, Node], ids: list[str], alpha: list[int]) ->
     and its attribute relative to that port, the first two entries of the
     node's signature row."""
     enter, head = [], []
-    for nid in ids:
-        nd = node_map[nid]
-        for p in range(4):
-            r = p - (p & 1) if nd.kind == CROSSING else p
-            enter.append(r)
-            head.append((nd.kind, None if nd.attr is None else (nd.attr - r) % 2))
+    for nd in nodes:
+        e, h = _ROWS[nd.kind, nd.attr]
+        enter += e
+        head += h
     return alpha, enter, head
 
 
@@ -632,15 +691,15 @@ class Faces:
         self._piece_of: list[str] = []
         self._orbit_of: list[int] = []      # every piece's dart orbits in turn
         self._first: dict[str, int] = {}    # node id -> its port 0 in _orbit_of
-        for ids, _, orbit in d._darts:
-            for i, nid in enumerate(ids):
-                self._first[nid] = len(self._orbit_of) + 4 * i
+        for nodes, _, orbit in d._darts:
+            for i, nd in enumerate(nodes):
+                self._first[nd.id] = len(self._orbit_of) + 4 * i
             self._orbit_of += orbit
             darts: dict[int, list[int]] = {}
             for x, o in enumerate(orbit):
                 darts.setdefault(o, []).append(x)
             self.orbits += map(tuple, darts.values())
-            self._piece_of += [ids[0]] * len(darts)
+            self._piece_of += [nodes[0].id] * len(darts)
         # Union-find over orbit ids plus the virtual outer face (-1); a
         # face is named by the root of its class.
         uf = UnionFind(range(-1, len(self.orbits)))
@@ -743,11 +802,11 @@ class OrientedDiagram:
     loop_dirs: tuple[tuple[str, int], ...] = ()
     abstract: bool = False
 
-    @cached_property
+    @_cached
     def head_map(self) -> dict[str, Dart]:
         return dict(self.heads)
 
-    @cached_property
+    @_cached
     def _flows(self) -> dict[str, tuple[int, int, int]]:
         """Per classical crossing, its (incoming under port, incoming over
         port, sign).  The sign is +1 when the over-strand comes in one port

@@ -15,11 +15,11 @@ import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .diagram import (CROSSING, MARKER, Diagram, OrientedDiagram, SMGSemanticError,
-                      SMGSyntaxError, StrandParity, _port_classes, _ties)
+                      SMGSyntaxError, StrandParity, _cached, _port_classes, _ties)
 from .resolution import NEGATIVE, POSITIVE, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -39,7 +39,7 @@ class Presentation:
 
         return "⟨ " + ",".join(names) + " | " + ", ".join(show(w) for w in self.relators) + " ⟩"
 
-    @cached_property
+    @_cached
     def _plan(self) -> "_Plan":
         """The counting plan of :func:`hom_count`: a constraint per nonempty
         relator, solving each generator that occurs in it once."""
@@ -50,7 +50,7 @@ class Presentation:
                 shapes.append((tuple(gens), tuple(x for x in gens if gens.count(x) == 1)))
         return _build_plan(self.ngens, shapes)
 
-    @cached_property
+    @_cached
     def _kernel_source(self) -> str:
         """The source of the kernel of :func:`_search_homs`, a function of
         the group's order and its tables ``mult``, ``by_inverse`` and
@@ -66,7 +66,7 @@ class Presentation:
         return _plan_source(self._plan, ("M", "B", "I"), [(_product(w), "x") for w in relators],
                             solve)
 
-    @cached_property
+    @_cached
     def _abelian(self) -> "AbelianGroup":
         """The abelianization, from one Smith normal form of the relators'
         exponent sums, shared by :func:`abelianization` and :func:`hom_count`."""
@@ -456,12 +456,12 @@ class GroupTable:
     def n(self) -> int:
         return len(self.mult)
 
-    @cached_property
+    @_cached
     def inv(self) -> tuple[int, ...]:
         self.check()
         return tuple(row.index(0) for row in self.mult)
 
-    @cached_property
+    @_cached
     def by_inverse(self) -> tuple[tuple[int, ...], ...]:
         """``by_inverse[v][x] = v * x^-1``, as ``mult[v][x] = v * x``."""
         return tuple(tuple(row[y] for y in self.inv) for row in self.mult)
@@ -472,7 +472,7 @@ class GroupTable:
         element has an inverse; the O(n^3) scan runs once per table object."""
         self._checked
 
-    @cached_property
+    @_cached
     def _checked(self) -> bool:
         n, mult = self.n, self.mult
         if not n:
@@ -491,12 +491,12 @@ class GroupTable:
                 raise SMGSemanticError(f"element {x} has no inverse")
         return True
 
-    @cached_property
+    @_cached
     def _commutative(self) -> bool:
         return all(self.mult[a][b] == self.mult[b][a]
                    for a in range(self.n) for b in range(a))
 
-    @cached_property
+    @_cached
     def _orders(self) -> tuple[int, ...]:
         """The order of each element."""
         out = []

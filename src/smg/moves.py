@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .diagram import (
@@ -29,6 +29,7 @@ from .diagram import (
     SMGSemanticError,
     SMGSyntaxError,
     StrandParity,
+    _cached,
     _fresh_ids,
     _lines,
     _read_node,
@@ -63,7 +64,7 @@ class Pattern:
     legs: tuple[str, ...]                        # legs[k-1] = edge id of leg k
     heads: tuple[tuple[str, object], ...] = ()
 
-    @cached_property
+    @_cached
     def node_map(self) -> dict[str, Node]:
         return {nd.id: nd for nd in self.nodes}
 
@@ -71,7 +72,7 @@ class Pattern:
     def K(self) -> int:
         return len(self.legs)
 
-    @cached_property
+    @_cached
     def edge_ends(self) -> dict[str, tuple]:
         """Both ends of every edge; hub ends are ``(HUB, t)``, legs attached
         to the hub in clockwise order so the closed pattern is a sphere map."""
@@ -86,12 +87,12 @@ class Pattern:
             raise SMGSemanticError(f"pattern edge(s) {bad} not used exactly twice")
         return {e: tuple(v) for e, v in ends.items()}
 
-    @cached_property
+    @_cached
     def interior_edges(self) -> tuple[str, ...]:
         return tuple(sorted(e for e, ends in self.edge_ends.items()
                             if all(x[0] != HUB for x in ends)))
 
-    @cached_property
+    @_cached
     def through_edges(self) -> tuple[str, ...]:
         return tuple(sorted(e for e, ends in self.edge_ends.items()
                             if all(x[0] == HUB for x in ends)))
@@ -114,7 +115,7 @@ class Pattern:
             return (HUB, (p + 1) % self.K)
         return (nid, (p + 1) % 4)
 
-    @cached_property
+    @_cached
     def faces(self) -> tuple[frozenset, ...]:
         all_darts = [(nd.id, p) for nd in self.nodes for p in range(4)]
         all_darts += [(HUB, t) for t in range(self.K)]
@@ -162,14 +163,14 @@ class Pattern:
         if len(reached) != len(self.nodes):
             raise SMGSemanticError("pattern has more than one node component")
 
-    @cached_property
+    @_cached
     def _leg_ends(self) -> tuple:
         """Per leg, the far end of its edge: a node port ``(node id, port)``,
         or the index in ``legs`` of the leg at the other end of a bare strand."""
         ends = (self.alpha(self.hub_dart_of_leg(k)) for k in range(1, self.K + 1))
         return tuple(self.leg_of_hub_dart(x) - 1 if x[0] == HUB else x for x in ends)
 
-    @cached_property
+    @_cached
     def head_map(self) -> dict[str, object]:
         return dict(self.heads)
 
@@ -235,7 +236,7 @@ class MoveSpec:
     def other_side(self, variant: int, direction: str) -> Pattern:
         return self.variants[variant][direction == FORWARD]
 
-    @cached_property
+    @_cached
     def _kept(self) -> tuple[int, ...]:
         """The variants a search expands: all but those covered by an
         earlier one (``catalog._covers``), whose sites give the same results."""
@@ -261,7 +262,7 @@ class Site:
     node_images: tuple[tuple[str, tuple[str, int]], ...]  # pat node -> (host, rot)
     leg_targets: tuple[LegTarget, ...]
 
-    @cached_property
+    @_cached
     def node_image_map(self) -> dict[str, tuple[str, int]]:
         return dict(self.node_images)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .diagram import (
@@ -23,6 +23,7 @@ from .diagram import (
     Diagram,
     OrientedDiagram,
     SMGSemanticError,
+    _cached,
     _port_classes,
     _require_diagram,
     _ties,
@@ -42,7 +43,7 @@ class QuandleTable:
     def op(self, x: int, y: int) -> int:
         return self.table[x - 1][y - 1]
 
-    @cached_property
+    @_cached
     def inv(self) -> tuple[tuple[int, ...], ...]:
         """Column inverses: ``inv[x][y] = z`` with ``z * y = x``."""
         n = self.n
@@ -55,12 +56,12 @@ class QuandleTable:
     def op_inv(self, x: int, y: int) -> int:
         return self.inv[x - 1][y - 1]
 
-    @cached_property
+    @_cached
     def _op(self) -> tuple[tuple[int, ...], ...]:
         """``table`` on 0-indexed elements."""
         return tuple(tuple(z - 1 for z in row) for row in self.table)
 
-    @cached_property
+    @_cached
     def _op_inv(self) -> tuple[tuple[int, ...], ...]:
         """``inv`` on 0-indexed elements."""
         return tuple(tuple(z - 1 for z in row) for row in self.inv)
@@ -70,7 +71,7 @@ class QuandleTable:
         table is a quandle; the scan runs once per table object."""
         self._checked
 
-    @cached_property
+    @_cached
     def _checked(self) -> bool:
         issues = check_quandle(self.table)
         if issues:
@@ -80,13 +81,13 @@ class QuandleTable:
     def is_involutory(self) -> bool:
         return self._involutory
 
-    @cached_property
+    @_cached
     def _involutory(self) -> bool:
         self.check()
         return all(self.op(self.op(x, y), y) == x
                    for x in range(1, self.n + 1) for y in range(1, self.n + 1))
 
-    @cached_property
+    @_cached
     def _alexander(self) -> Optional[int]:
         """``t`` when the table is the Alexander quandle ``x * y = t x +
         (1 - t) y`` over Z/n on its own labelling (element ``k+1`` is ``k``)
@@ -100,7 +101,7 @@ class QuandleTable:
             return None
         return -1 if n > 2 and t == n - 1 else t
 
-    @cached_property
+    @_cached
     def _doubled(self) -> QuandleTable:
         """Kamada's doubled quandle, of order 2n: element ``x + e n`` is the
         pair (x, e), and (x, e) * (y, f) = (x * y if f = 0 else x *^-1 y, e).

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from .diagram import (
@@ -35,6 +35,7 @@ from .diagram import (
     SMGError,
     SMGSemanticError,
     UnionFind,
+    _cached,
     _first_orientation,
     _port_classes,
     _require_diagram,
@@ -87,7 +88,7 @@ class Resolution:
     sign: str
     snode_rot: dict[str, int]
 
-    @cached_property
+    @_cached
     def components(self) -> list[frozenset]:
         return classical_components(self.diagram)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -106,6 +107,46 @@ def test_validate_non_spherical_embedding():
     d = Diagram("t", (Node("a", "X", None, ("e", "f", "e", "f")),))
     codes = {i.code for i in d.validate().issues}
     assert "non-spherical embedding" in codes
+
+
+#: structure no face can be traced on, with ``validate()``'s report: an
+#: unpaired edge, a port collision, and every structural issue at once
+MALFORMED = [
+    (parse_smg("diagram t\nnode a X e f g h\nnode b X e f g k\nend\n", allow_invalid=True),
+     "unpaired edge: edge h has a single endpoint; unpaired edge: edge k has a single endpoint"),
+    (Diagram("t", (Node("a", "X", None, ("e", "e", "e", "f")),
+                   Node("b", "X", None, ("f", "g", "g", "h")),
+                   Node("c", "X", None, ("h", "i", "i", "e")))),
+     "port collision: edge e attached 4 times"),
+    (Diagram("t", (Node("b", "X", 0, ("e", "f", "g", "h")), Node("a", "M", 2, ("h", "g", "f", "k")),
+                   Node("b", "Q", None, ("k", "m", "m", "m")),
+                   Node("c", "S", 1, ("n", "p", "q", "q"))), ("c", "l", "l")),
+     "duplicate id: repeated node id; duplicate id: repeated loop id; duplicate id: node id "
+     "reused as loop id; bad attribute: crossing b carries an attribute; bad attribute: node a "
+     "needs axis/side 0 or 1; bad kind: node b kind 'Q'; unpaired edge: edge e has a single "
+     "endpoint; port collision: edge m attached 3 times; unpaired edge: edge n has a single "
+     "endpoint; unpaired edge: edge p has a single endpoint"),
+]
+
+
+@pytest.mark.parametrize("d, issues", MALFORMED, ids=["unpaired", "collision", "all"])
+def test_malformed_structure_raises_semantic_errors(d, issues):
+    """``validate()`` reports malformed structure, in the order of its
+    checks; every public function that traces faces raises
+    SMGSemanticError naming the same issues, never a bare ValueError."""
+    from smg.catalog import catalog_map
+    from smg.groups import wirtinger_presentation
+    from smg.moves import find_sites
+    from smg.resolution import NEGATIVE, is_admissible, resolve
+
+    assert str(d.validate()) == issues
+    calls = [d.canonical_code, d.faces, lambda: find_sites(d, catalog_map("unoriented")["O1"]),
+             lambda: resolve(d, NEGATIVE), lambda: is_admissible(d),
+             lambda: wirtinger_presentation(d)]
+    for call in calls:
+        with pytest.raises(SMGSemanticError, match=f"^{re.escape(issues)}$"):
+            call()
+    assert str(d.validate()) == issues
 
 
 def test_canonical_code_relabel_invariance():

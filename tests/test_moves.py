@@ -757,6 +757,30 @@ def test_search_holds_no_rewritten_diagram(monkeypatch):
     assert seen and all(seen)
 
 
+def test_criterion_7_search_work_is_pinned(monkeypatch):
+    """Criterion 7's search on ``d2m6`` makes 5,379 applies and computes
+    5,381 canonical codes, each rewrite's and the two inputs', 3,618 of
+    them distinct: a faster rewrite does the same work."""
+    import smg.moves as moves
+    from smg.diagram import Diagram
+
+    d = fixture("d2m6")
+    target = apply_move(d, CAT["O12p"], find_sites(d, CAT["O12p"], FORWARD)[0])
+    _, _, work = watch_states(monkeypatch, moves, (d, target))
+    codes, code = set(), Diagram.canonical_code
+
+    def collect(x):
+        codes.add(out := code(x))
+        return out
+
+    monkeypatch.setattr(Diagram, "canonical_code", collect)
+    seq = search_equivalence(d, target, CAT, ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10",
+                                              "O12"], SearchBudget(12, 100_000))
+    monkeypatch.undo()
+    assert (work["applies"], work["codes"], len(codes)) == (5379, 5381, 3618)
+    assert hashlib.sha256(seq.serialize().encode()).hexdigest()[:16] == "aa451f4c33f9b1aa"
+
+
 def rewrite_texts() -> list[str]:
     """``serialize()`` of every rewrite of every fixture: both catalogs, both
     directions, the oriented catalog under the fixture's first orientation."""
