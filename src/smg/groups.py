@@ -57,14 +57,15 @@ class Presentation:
         ``inv``.  A generator that occurs once in a relator ``u x^e v`` is
         solved as ``x^e = (v u)^-1`` once the others have images."""
         relators = [w for w in self.relators if w]
+        a = _names(self._plan)
 
         def solve(ci: int, x: int) -> tuple[tuple[str, ...], str]:
             w = relators[ci]
             k = next(k for k, l in enumerate(w) if abs(l) - 1 == x)
-            return _product(w[k + 1:] + w[:k]), "x" if w[k] < 0 else "I[x]"
+            return _product(w[k + 1:] + w[:k], a), "x" if w[k] < 0 else "I[x]"
 
-        return _plan_source(self._plan, ("M", "B", "I"), [(_product(w), "x") for w in relators],
-                            solve)
+        return _plan_source(self._plan, ("M", "B", "I"),
+                            [(_product(w, a), "x") for w in relators], solve)
 
     @_cached
     def _abelian(self) -> "AbelianGroup":
@@ -583,12 +584,14 @@ class _Plan(NamedTuple):
     """The shape of a counting problem, independent of the table it is
     counted in: the assignment order as ``(variable, index of the
     constraint that solves it, or -1)``, per position the indices of the
-    constraints whose last variable is set there, and the first position
-    of each connected component."""
+    constraints whose last variable is set there, the first position of
+    each connected component, and per position the last position at which
+    a constraint reads the variable set there."""
 
     order: tuple[tuple[int, int], ...]
     waiting: tuple[tuple[int, ...], ...]
     starts: tuple[int, ...]
+    until: tuple[int, ...]
 
 
 def _build_plan(nvars: int, shapes: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> _Plan:
@@ -636,13 +639,17 @@ def _build_plan(nvars: int, shapes: list[tuple[tuple[int, ...], tuple[int, ...]]
                 if last in shapes[cj][1]:
                     forced.append((last, cj))
     waiting: list[list[int]] = [[] for _ in range(nvars)]
+    until = list(range(nvars))
     for ci, vs in enumerate(distinct):
-        waiting[max(position[v] for v in vs)].append(ci)
-    return _Plan(tuple(order), tuple(map(tuple, waiting)), tuple(starts))
+        done = max(position[v] for v in vs)
+        waiting[done].append(ci)
+        for v in vs:
+            until[position[v]] = max(until[position[v]], done)
+    return _Plan(tuple(order), tuple(map(tuple, waiting)), tuple(starts), tuple(until))
 
 
-#: nested ``for`` loops per generated function; CPython refuses a function
-#: with more than 20 statically nested blocks
+#: ``for`` loops between two cuts of generated code; CPython refuses a
+#: function with more than 20 statically nested blocks
 _LOOPS = 16
 
 #: distinct kernel sources kept compiled, process-wide
@@ -659,73 +666,111 @@ def _plan_source(plan: _Plan, params: tuple[str, ...],
     when ``listing``, returns them as one tuple per assignment over all
     variables.
 
-    Variable ``v`` is ``a<v>``.  ``checks[ci]`` is ``(statements, failed)``:
-    statements run once the last variable of constraint ``ci`` is set,
-    then the expression that is true when it fails.  ``solve(ci, v)`` is
-    ``(statements, value)`` giving ``v`` from constraint ``ci``, which then
-    holds and is not checked again: the tables are checked before they are
-    counted in.  A free variable is a ``for`` loop, a solved one an
-    assignment, and a failed check a ``continue`` of the innermost loop.
+    ``checks[ci]`` is ``(statements, failed)``: statements run once the
+    last variable of constraint ``ci`` is set, then the expression that is
+    true when it fails.  ``solve(ci, v)`` is ``(statements, value)`` giving
+    ``v`` from constraint ``ci``, which then holds and is not checked
+    again: the tables are checked before they are counted in.  Both name
+    the variables as :func:`_names` does.  A free variable is a ``for``
+    loop, a solved one an assignment, and a failed check a ``continue`` of
+    the innermost loop.
 
     A count is the product of the counts of the connected components, as
-    no check spans two of them; a listing nests them all.  Each component
-    is split over chained functions of at most ``_LOOPS`` loops each: the
-    innermost loop of one calls the next with the values set so far and
-    adds up what it returns.  The source holds only integers and fixed
-    names, so one compiled function serves every problem with the same
-    source, and none refers to a problem or a table.  A problem keeps its
-    source, not the function, so that it pickles as before."""
+    no check spans two of them.  Each is summed along the plan: at each cut
+    of :func:`_cuts` the assignments so far are added up in a dict keyed by
+    the values the cut takes in, and the code after it loops over the keys
+    and weights.  The dicts live for one call of ``f0``.  A
+    listing nests every component.  The source holds only integers and
+    fixed names, so one compiled function serves every problem with the
+    same source, and none refers to a problem or a table.  A problem keeps
+    its source, not the function, so that it pickles as before."""
     order = plan.order
-    head = ("n",) + params
+
+    def key(at: tuple[int, ...]) -> str:
+        names = ", ".join(f"a{i}" for i in at)
+        return names if len(at) == 1 else f"({names})"
+
+    lines = [f"def f0({', '.join(('n',) + params)}):"]
     if listing:
-        starts, done = (0,), "push((" + "".join(f"a{v}, " for v in range(len(order))) + "))"
-        main = [f"def f0({', '.join(head)}):", "    out = []", "    push = out.append"]
-        head += ("push",)
+        spans = [(0, len(order))]
+        lines += ["    out = []", "    push = out.append"]
     else:
-        starts, done = plan.starts, "s += 1"
-        main = [f"def f0({', '.join(head)}):", "    c = 1"]
-    chained: list[str] = []
-    nfun = 0
-    for start, stop in zip(starts, starts[1:] + (len(order),)):
+        spans = list(zip(plan.starts, plan.starts[1:] + (len(order),)))
+        lines.append("    c = 1")
+    for start, stop in spans:
         if not listing and stop == start + 1 and not plan.waiting[start]:
-            main.append("    c *= n")
+            lines.append("    c *= n")
             continue
-        names = tuple(f"a{v}" for v, _ in order[start:stop])
-        free = [i for i in range(start, stop) if order[i][1] < 0]
-        cuts = [start] + free[_LOOPS::_LOOPS] + [stop]
-        for j in range(len(cuts) - 1):
-            # a chained function takes the tables and every value set before it
-            body = [f"def f{nfun}({', '.join(head + names[:cuts[j] - start])}):"] if j else main
-            if not listing:
-                body.append("    s = 0")
-            if cuts[j + 1] == stop:
-                inner = done
+        cuts = _cuts(plan, start, stop, listing)
+        for (a, held), (b, kept) in zip(cuts, cuts[1:] + [(stop, None)]):
+            # the first stretch fills ``w``, a later one loops over it into ``v``
+            into, weight = ("v", "e") if held else ("w", "1")
+            if kept is not None:
+                lines.append(f"    {into} = {{}}")
+                inner = f"{into}[{key(kept)}] = {into}.get({key(kept)}, 0) + {weight}"
+            elif listing:
+                inner = f"push(({', '.join(_names(plan))}, ))"
             else:
-                nfun += 1
-                call = f"f{nfun}({', '.join(head + names[:cuts[j + 1] - start])})"
-                inner = call if listing else f"s += {call}"
-            body += _loops(plan, checks, solve, range(cuts[j], cuts[j + 1]), inner)
-            if j:
-                chained += body + ([] if listing else ["    return s"])
+                lines.append("    s = 0")
+                inner = f"s += {weight}"
+            if held:
+                lines.append(f"    for {key(held)}, e in w.items():")
+            lines += _loops(plan, checks, solve, range(a, b), inner, "        " if held else "    ")
+            if held and kept is not None:
+                lines.append("    w = v")
         if not listing:
-            main += ["    c *= s", "    if not c:", "        return 0"]
-    main.append("    return out" if listing else "    return c")
-    return "\n".join(main + chained) + "\n"
+            lines += ["    c *= s", "    if not c:", "        return 0"]
+    lines.append("    return out" if listing else "    return c")
+    return "\n".join(lines) + "\n"
 
 
-def _loops(plan: _Plan, checks, solve, positions: range, inner: str) -> list[str]:
+def _cuts(plan: _Plan, start: int, stop: int, listing: bool) -> list[tuple[int, tuple[int, ...]]]:
+    """The cuts of positions ``start..stop-1`` of ``plan``, as ``(position,
+    positions of the variables it takes in)`` from ``(start, ())`` on.  The
+    rest of a count depends only on the *frontier*: the variables set so
+    far that a constraint not yet complete reads.  A count is cut before
+    each free variable where the frontier is smaller than the variables
+    taken in or set since the last cut, and takes in the frontier, in a
+    dict of at most n^|frontier| entries; a listing takes in every variable
+    set so far.  Both are cut where code would nest over ``_LOOPS`` loops."""
+    order, until = plan.order, plan.until
+    cuts: list[tuple[int, tuple[int, ...]]] = [(start, ())]
+    frontier: list[int] = []
+    held = loops = 0
+    for i in range(start, stop):
+        if order[i][1] < 0:
+            if loops == _LOOPS or (not listing and len(frontier) < held):
+                cuts.append((i, tuple(range(start, i)) if listing else tuple(frontier)))
+                held, loops = len(cuts[-1][1]), 0
+            loops += 1
+        held += 1
+        frontier = [j for j in frontier if until[j] > i] + ([i] if until[i] > i else [])
+    return cuts
+
+
+def _names(plan: _Plan) -> list[str]:
+    """The name of each variable in a kernel source: ``a<i>`` for the one
+    set at position ``i`` of ``plan``, so that problems of one shape share
+    one source and one compiled kernel."""
+    names = [""] * len(plan.order)
+    for i, (v, _) in enumerate(plan.order):
+        names[v] = f"a{i}"
+    return names
+
+
+def _loops(plan: _Plan, checks, solve, positions: range, inner: str, pad: str) -> list[str]:
     """The lines of :func:`_plan_source` that set the variables at
-    ``positions`` and run their checks, one level into a function body,
-    then ``inner``."""
-    out, pad = [], "    "
+    ``positions`` and run their checks, at indent ``pad``, then
+    ``inner``."""
+    out = []
     for i in positions:
         v, ci = plan.order[i]
         if ci < 0:
-            out.append(f"{pad}for a{v} in range(n):")
+            out.append(f"{pad}for a{i} in range(n):")
             pad += "    "
         else:
             pre, value = solve(ci, v)
-            out += [pad + line for line in pre] + [f"{pad}a{v} = {value}"]
+            out += [pad + line for line in pre] + [f"{pad}a{i} = {value}"]
         for k in plan.waiting[i]:
             if k == ci:
                 continue
@@ -763,13 +808,13 @@ def _search_homs(p: Presentation, g: GroupTable) -> int:
     return _compiled(p._kernel_source)(g.n, g.mult, g.by_inverse, g.inv)
 
 
-def _product(word: Word) -> tuple[str, ...]:
+def _product(word: Word, a: list[str]) -> tuple[str, ...]:
     """Statements leaving the product of ``word``'s letters in ``x``, one
-    per letter: ``M`` is the multiplication table, ``B`` multiplies by an
-    inverse and ``I`` inverts."""
+    per letter, generator ``g`` named ``a[g]``: ``M`` is the multiplication
+    table, ``B`` multiplies by an inverse and ``I`` inverts."""
     if not word:
         return ("x = 0",)
-    first = f"a{abs(word[0]) - 1}"
+    first = a[abs(word[0]) - 1]
     out = [f"x = {first}" if word[0] > 0 else f"x = I[{first}]"]
-    out += [f"x = {'M' if l > 0 else 'B'}[x][a{abs(l) - 1}]" for l in word[1:]]
+    out += [f"x = {'M' if l > 0 else 'B'}[x][{a[abs(l) - 1]}]" for l in word[1:]]
     return tuple(out)

@@ -599,7 +599,12 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     ``c<i>``.  Places follow faces.  With ``return_info`` the result is a
     pair ``(diagram, info)`` where info maps the replacement side's
     interior edge and node names to the fresh identifiers used in the
-    result."""
+    result.  A site of another move, or of a variant the move lacks, is a
+    semantic error."""
+    if site.move_id != move.id:
+        raise SMGSemanticError(f"a site of move {site.move_id} applied with move {move.id}")
+    if not 0 <= site.variant < len(move.variants):
+        raise SMGSemanticError(f"move {move.id} has no variant {site.variant}")
     od = d if isinstance(d, OrientedDiagram) else None
     base = d.base if od is not None else d
     pat = move.side(site.variant, site.direction)

@@ -12,7 +12,6 @@ and must fix each other.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -28,7 +27,7 @@ from .diagram import (
     _require_diagram,
     _ties,
 )
-from .groups import (_build_plan, _check_square, _compiled, _diagonal, _Plan, _plan_source,
+from .groups import (_build_plan, _check_square, _compiled, _names, _Plan, _plan_source,
                      _table_rows)
 
 
@@ -86,20 +85,6 @@ class QuandleTable:
         self.check()
         return all(self.op(self.op(x, y), y) == x
                    for x in range(1, self.n + 1) for y in range(1, self.n + 1))
-
-    @_cached
-    def _alexander(self) -> Optional[int]:
-        """``t`` when the table is the Alexander quandle ``x * y = t x +
-        (1 - t) y`` over Z/n on its own labelling (element ``k+1`` is ``k``)
-        with ``gcd(t, n) = 1``, else None.  Trivial tables give 1, and
-        dihedral ones of order above 2 give -1, so that one ``t`` names the
-        same integer matrix at every order."""
-        n, op = self.n, self._op
-        t = op[1][0] if n > 1 else 1
-        if math.gcd(t, n) != 1 or any(op[x][y] != (t * x + (1 - t) * y) % n
-                                      for x in range(n) for y in range(n)):
-            return None
-        return -1 if n > 2 and t == n - 1 else t
 
     @_cached
     def _doubled(self) -> QuandleTable:
@@ -234,14 +219,12 @@ class _Colouring(NamedTuple):
     arcs of :func:`~smg.diagram._port_classes` under the strict ties, so a
     marker joins all four ends), per crossing and double point its node
     id, kind and port classes, the counting plan with one constraint per
-    such node, and, filled as they are asked for, the Smith forms of its
-    Alexander relation matrices (see :func:`_alexander_count`) and the
-    sources of its kernels (see :func:`_colouring_kernel`)."""
+    such node, and the sources of its kernels (see
+    :func:`_colouring_kernel`), filled as they are asked for."""
 
     cls: dict[str, int]
     nodes: list[tuple[str, str, tuple[int, ...]]]
     plan: _Plan
-    smith: dict
     sources: dict
 
 
@@ -266,7 +249,7 @@ def _build_colouring(d: Diagram) -> _Colouring:
         else:
             continue
         nodes.append((nd.id, nd.kind, c))
-    return _Colouring(cls, nodes, _build_plan(len(set(cls.values())), shapes), {}, {})
+    return _Colouring(cls, nodes, _build_plan(len(set(cls.values())), shapes), {})
 
 
 def _colouring_problem(d, q: QuandleTable, orientation: Optional[OrientedDiagram],
@@ -293,18 +276,19 @@ def _colouring_kernel(problem: _Colouring, listing: bool) -> Callable:
     source = problem.sources.get(listing)
     if source is None:
         params, checks, solves = [], [], []
+        a = _names(problem.plan)
         for k, (nid, kind, c) in enumerate(problem.nodes):
             if kind == SINGULAR:
-                x, y = c[0], c[1]
+                x, y = a[c[0]], a[c[1]]
                 params.append(f"t{k}")
-                checks.append(((), f"t{k}[a{x}][a{y}] != a{x} or t{k}[a{y}][a{x}] != a{y}"))
+                checks.append(((), f"t{k}[{x}][{y}] != {x} or t{k}[{y}][{x}] != {y}"))
                 solves.append(None)
                 continue
-            out, inn, over = c[2], c[0], c[1]
+            out, inn, over = a[c[2]], a[c[0]], a[c[1]]
             params += (f"t{k}", f"u{k}")
-            checks.append(((), f"a{out} != t{k}[a{inn}][a{over}]"))
-            solves.append({out: ((), f"t{k}[a{inn}][a{over}]"),
-                           inn: ((), f"u{k}[a{out}][a{over}]")})
+            checks.append(((), f"{out} != t{k}[{inn}][{over}]"))
+            solves.append({c[2]: ((), f"t{k}[{inn}][{over}]"),
+                           c[0]: ((), f"u{k}[{out}][{over}]")})
         source = problem.sources[listing] = _plan_source(
             problem.plan, tuple(params), checks, lambda ci, v: solves[ci][v], listing)
     return _compiled(source)
@@ -345,52 +329,15 @@ def colorings(d: Diagram, q: QuandleTable,
 
 def coloring_count(d: Diagram, q: QuandleTable,
                    orientation: Optional[OrientedDiagram] = None) -> int:
-    """Number of colorings: by linear algebra for an Alexander table
-    (:func:`_alexander_count`), by the backtracking solver otherwise."""
-    problem = _colouring_problem(d, q, orientation, "coloring_count")
-    t = q._alexander
-    if t is None:
-        return _search_count(d, q, orientation)
-    return _alexander_count(problem, q.n, t, orientation)
+    """Number of colorings, for every table by the compiled kernel of the
+    diagram's plan (see :func:`~smg.groups._plan_source`), which keeps per
+    cut only the colours that crossings and double points still to come
+    read: chains of clasped circles and sums of trefoils cost time linear
+    in their length."""
+    _colouring_problem(d, q, orientation, "coloring_count")
+    return _search_count(d, q, orientation)
 
 
 def _search_count(d: Diagram, q: QuandleTable, orientation: Optional[OrientedDiagram]) -> int:
     problem = d._colouring
     return _colouring_kernel(problem, False)(*_tables(problem, q, orientation))
-
-
-def _alexander_count(problem: _Colouring, n: int, t: int,
-                     orientation: Optional[OrientedDiagram]) -> int:
-    """Colorings by ``x * y = t x + (1 - t) y`` over Z/n (Fox 1962; Nelson
-    2003): the solutions mod n of one integer row per node on the colour
-    classes, ``out - t in - (1 - t) over`` at a crossing and
-    ``(1 - t)(x - y)`` at a double point.  As in the solver, ``out`` and
-    ``in`` are ``c[2]`` and ``c[0]`` when the over-strand comes in at port
-    1, and swapped at port 3.  With ``rank`` nonzero invariant factors
-    ``d_i`` there are ``n^(classes - rank) * prod gcd(d_i, n)``.  The Smith
-    form is kept per ``t`` and, unless ``t`` is 1 or -1 (where the swap
-    keeps or negates the row), per the crossings' over ports.  Without an
-    orientation every over port reads as 1."""
-    over = None
-    if orientation is not None and t not in (1, -1):
-        over = tuple(orientation._flows[nid][1] for nid, kind, _ in problem.nodes
-                     if kind == CROSSING)
-    smith = problem.smith.get((t, over))
-    if smith is None:
-        rows = []
-        port = iter(over or ())
-        for nid, kind, c in problem.nodes:
-            if kind == SINGULAR:
-                terms = ((c[0], 1 - t), (c[1], t - 1))
-            else:
-                out, inn = (c[2], c[0]) if next(port, 1) == 1 else (c[0], c[2])
-                terms = ((out, 1), (inn, -t), (c[1], t - 1))
-            row: dict[int, int] = {}
-            for x, v in terms:
-                row[x] = row.get(x, 0) + v
-            rows.append({x: v for x, v in row.items() if v})
-        diag = _diagonal(rows)
-        smith = problem.smith[t, over] = (len(problem.plan.order) - len(diag),
-                                          tuple(v for v in diag if v > 1))
-    free, torsion = smith
-    return n ** free * math.prod(math.gcd(v, n) for v in torsion)

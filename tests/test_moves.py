@@ -460,6 +460,27 @@ def test_site_path_raises_semantic_errors():
         find_sites(fixture("circle"), catalog_map("oriented")["G1"], FORWARD)
 
 
+def test_a_site_applies_only_with_its_own_move_and_variant():
+    """On the trefoil, the first site of each unoriented move and direction
+    applied with every other move, and with a variant its move lacks, is a
+    semantic error: not a stray KeyError or IndexError, nor a rewrite by
+    the wrong move or by the last variant."""
+    import dataclasses
+
+    d = fixture("trefoil")
+    sites = [s for m in CAT.values() for direction in (FORWARD, REVERSE)
+             for s in find_sites(d, m, direction)[:1]]
+    wrong = [(m, s) for s in sites for m in CAT.values() if m.id != s.move_id]
+    assert len(wrong) == 95
+    for m, s in wrong:
+        with pytest.raises(SMGSemanticError, match="applied with move"):
+            apply_move(d, m, s)
+    move = CAT[sites[0].move_id]
+    for variant in (99, -1, len(move.variants)):
+        with pytest.raises(SMGSemanticError, match="no variant"):
+            apply_move(d, move, dataclasses.replace(sites[0], variant=variant))
+
+
 def reference_strand_sites(d, move, direction) -> list[tuple]:
     """``(variant, leg targets)`` of every site of a bare-strand side: the
     product over its strands of every ``(host edge or loop, flip)``, the

@@ -3,9 +3,10 @@
 The counting kernels are Python source compiled at run time.  ``exec``,
 ``eval`` and ``compile`` appear in the library only in the one function
 that compiles a kernel, and every kernel source holds nothing but its
-variables ``a<k>``, its tables ``t<k>`` and ``u<k>``, its chained functions
-``f<k>``, fixed names, integers, keywords and punctuation: no node, edge or
-file name can reach ``exec``.
+variables ``a<k>``, its tables ``t<k>`` and ``u<k>``, its function ``f0``,
+fixed names (among them the dicts ``w`` and ``v`` of its cuts, their
+methods ``get`` and ``items`` and the weight ``e``), integers, keywords and
+punctuation: no node, edge or file name can reach ``exec``.
 """
 
 import ast
@@ -14,6 +15,8 @@ import keyword
 import re
 import tokenize
 from pathlib import Path
+
+from test_transforms import clasped_circles
 
 import smg
 from smg.diagram import enumerate_orientations, parse_smg, serialize
@@ -24,7 +27,8 @@ from smg.quandles import FOUR_QUANDLE, _search_count, colorings, small_quandles
 SRC = Path(smg.__file__).resolve().parent
 RUNNERS = {"exec", "eval", "compile"}
 NUMBERED = re.compile(r"[atuf][0-9]+")
-FIXED = {"n", "M", "B", "I", "x", "s", "c", "out", "push", "append", "range"}
+FIXED = {"n", "M", "B", "I", "x", "s", "c", "out", "push", "append", "range",
+         "w", "v", "e", "get", "items"}
 
 #: a kink whose diagram, node and edge names are Python names and code
 HOSTILE = "diagram exec\nnode __import__ X os.system eval eval os.system\nend\n"
@@ -90,8 +94,10 @@ def test_bad_tokens_are_found():
 
 def test_kernel_sources_hold_only_whitelisted_tokens():
     """The colouring kernels, counting and listing, and the hom kernel of
-    every fixture and of a kink named like code."""
+    every fixture, of a kink named like code and of a chain of clasped
+    circles, whose counts are cut along the plan."""
     texts = [serialize(fixture(name)) for name in fixture_names()] + [HOSTILE]
+    texts.append(serialize(clasped_circles(6)))
     oriented = next(q for q in small_quandles(4) if not q.is_involutory())
     sources = []
     for text in texts:
@@ -102,5 +108,6 @@ def test_kernel_sources_hold_only_whitelisted_tokens():
         _search_homs(p, symmetric_group(3))
         sources += list(d._colouring.sources.values()) + [p._kernel_source]
     assert len(sources) == 3 * len(texts)
+    assert "w.items()" in sources[-3]
     for source in sources:
         assert bad_tokens(source) == [], source

@@ -10,7 +10,8 @@ from smg.diagram import (Diagram, Node, SMGSemanticError, enumerate_orientations
                          serialize)
 from smg.fixtures import fixture
 from smg.groups import abelianization, hom_count, groups_up_to_order, wirtinger_presentation
-from smg.quandles import FOUR_QUANDLE, coloring_count, dihedral_quandle, small_quandles
+from smg.quandles import (FOUR_QUANDLE, coloring_count, dihedral_quandle, small_quandles,
+                          trivial_quandle)
 from smg.resolution import NEGATIVE, classical_components, resolve
 from smg.transforms import (
     KirbyDiagram,
@@ -298,6 +299,20 @@ def test_profile_of_twenty_split_loops_is_one_count_per_table():
     p = profile(d)
     assert time.perf_counter() - start < 1.0
     assert p.is_trivial() and len(p.rates) == len(small_quandles(4))
+
+
+def test_a_chain_of_twenty_clasped_circles_counts_in_time():
+    """A chain of 20 circles has 2^20 orientations and 4^20 colourings by
+    the trivial table of order 4; each count sums along the chain, keeping
+    only the colours that the next clasp reads, so neither is listed."""
+    d = clasped_circles(20)
+    start = time.perf_counter()
+    assert coloring_count(d, trivial_quandle(4)) == 4 ** 20
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    p = profile(d)
+    assert time.perf_counter() - start < 1.0
+    assert p.linking == (1,) * 19 and len(p.rates) == len(small_quandles(4))
 
 
 def test_export_circle():
