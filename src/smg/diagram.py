@@ -435,6 +435,14 @@ class Diagram:
         one.  Plain data, never a diagram."""
         return {}
 
+    @_cached
+    def _tails(self) -> dict:
+        """The family's greedy tails: per shape of a classical diagram
+        (``resolution._shape``), the steps of ``resolution._greedy_reduce``
+        that clear it, shared like ``_family`` but kept apart from it, so
+        that answers and tails never evict each other.  Plain data."""
+        return {}
+
     # -- strand components ---------------------------------------------------
 
     @_cached
@@ -464,6 +472,13 @@ class Diagram:
                 anchor = (node_map.get(anchor[0], anchor[0]), anchor[1])
             anchors.append((pid2, anchor))
         return Diagram(self.name, nodes, loops, tuple(anchors))
+
+
+def _require(x, cls: type, what: str) -> None:
+    """SMGSemanticError naming ``what`` unless ``x`` is a ``cls``."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise SMGSemanticError(f"{what} needs {article} {cls.__name__}, not {type(x).__name__}")
 
 
 def _require_diagram(d, what: str) -> None:
@@ -916,6 +931,7 @@ def enumerate_orientations(d: Diagram) -> list[OrientedDiagram]:
     The inflow flags of the four darts at a node are tied together by parity
     constraints, so the answer is always empty or of size ``2**k``.
     """
+    _require_diagram(d, "enumerate_orientations")
     loops = d.loops
     dirs = [tuple((l, (lbits >> i) & 1) for i, l in enumerate(loops))
             for lbits in range(1 << len(loops))]

@@ -19,7 +19,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .diagram import (CROSSING, MARKER, Diagram, OrientedDiagram, SMGSemanticError,
-                      SMGSyntaxError, StrandParity, _cached, _port_classes, _ties)
+                      SMGSyntaxError, StrandParity, _cached, _port_classes, _require,
+                      _require_diagram, _ties)
 from .resolution import NEGATIVE, POSITIVE, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -149,6 +150,7 @@ def wirtinger_presentation(d: Diagram) -> Presentation:
     resolution; a conjugation relation at every classical crossing, an
     (anti-)equality across every positive marker smoothing, and a
     commutation relation at every double point."""
+    _require_diagram(d, "wirtinger_presentation")
     ao = abstract_orientation(d)
     arc = negative_arcs(d)
     n = len(set(arc.values()))
@@ -198,6 +200,7 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> Presentation:
     rewriting and renumbering every relator at every step made 500,499
     in 1.7 s.
     """
+    _require(p, Presentation, "tietze_simplify")
     rels: dict[int, Word] = {}      # by position among the nonempty relators
     for w in p.relators:
         w = cyclic_reduce(w)
@@ -411,6 +414,7 @@ def _dense_diagonal(m: list[list[int]]) -> list[int]:
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
+    _require(p, Presentation, "abelianization")
     return p._abelian
 
 
@@ -795,6 +799,8 @@ def hom_count(p: Presentation, g: GroupTable) -> int:
     Z^r + Z/d_1 + ...: each free generator goes anywhere and each Z/d_i to
     an element whose order divides d_i.  Any other table is counted by
     :func:`_search_homs`."""
+    _require(p, Presentation, "hom_count")
+    _require(g, GroupTable, "hom_count")
     g.check()
     if g._commutative:
         ab = p._abelian

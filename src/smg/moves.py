@@ -503,10 +503,10 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
     port ``p + turned[v]`` was its port ``p``.  Places follow faces
     (:func:`resolution._places`) when ``beyond`` maps each leg to the host
     dart beyond its cut or to the loop it cuts, and are dropped otherwise.
-    Returns the validated result, which shares ``d``'s family memo
-    (``Diagram._family``), the new edges and loops ``(id, end, end)``,
-    each end a surviving host dart or a pasted port (None for a loop), and
-    per key the pasted node and edge names."""
+    Returns the validated result, which shares ``d``'s family memos
+    (``Diagram._family`` and ``_tails``), the new edges and loops ``(id,
+    end, end)``, each end a surviving host dart or a pasted port (None for
+    a loop), and per key the pasted node and edge names."""
     turned = turned or {}
     fresh = _fresh_ids({*d.node_map, *d.edge_ends, *d.loops})
     ids, inner, edge_at = {}, {}, {}
@@ -580,6 +580,7 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
     result = Diagram(name, tuple(nodes), tuple([l for l in d.loops if l not in cut] + rings),
                      anchors)
     result.__dict__["_family"] = d._family
+    result.__dict__["_tails"] = d._tails
     report = result.validate()
     if not report.ok:
         raise SMGError(f"the splice produced an invalid diagram: {report}")

@@ -24,6 +24,7 @@ from .diagram import (
     SMGSemanticError,
     _cached,
     _port_classes,
+    _require,
     _require_diagram,
     _ties,
 )
@@ -261,6 +262,7 @@ def _colouring_problem(d, q: QuandleTable, orientation: Optional[OrientedDiagram
     if orientation is not None and (not isinstance(orientation, OrientedDiagram)
                                     or orientation.base != d):
         raise SMGSemanticError(f"{what} needs an orientation of {d.name!r}")
+    _require(q, QuandleTable, what)
     q.check()
     if orientation is None and not q.is_involutory():
         raise SMGSemanticError("a non-involutory quandle needs an orientation")

@@ -16,12 +16,16 @@ budget exhaustion reported as UNKNOWN.  A diagram caches its two
 resolutions, so every caller of :func:`resolve` shares one substitution per
 diagram and sign.  The diagrams that the splice derives from one diagram
 share its family memo of triviality answers, so a resolution that recurs
-among a diagram's rewrites is proven once.
+among a diagram's rewrites is proven once, and its memo of greedy tails by
+shape, so a greedy state that recurs up to the names of its edges and loops
+is cleared once.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -30,6 +34,7 @@ from .diagram import (
     CROSSING,
     MARKER,
     SINGULAR,
+    _ROWS,
     Diagram,
     OrientedDiagram,
     SMGError,
@@ -38,6 +43,7 @@ from .diagram import (
     _cached,
     _first_orientation,
     _port_classes,
+    _require,
     _require_diagram,
     _ties,
 )
@@ -303,6 +309,7 @@ def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tupl
 def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
     """Linking numbers between components: half the sum of signs of
     inter-component crossings."""
+    _require(od, OrientedDiagram, "linking_matrix")
     c = od.base
     comps = classical_components(c)
     comp_of = _component_index(comps)
@@ -381,12 +388,61 @@ def _removes_crossings(m: MoveSpec) -> bool:
                for v in range(len(m.variants)))
 
 
-def _greedy_reduce(c: Diagram) -> tuple[Diagram, tuple]:
+#: answers a family memo (``Diagram._family``) keeps, and tails a family's
+#: ``Diagram._tails`` keeps, the oldest dropped first
+_FAMILY_CAP = 128
+
+#: (kind, attribute) -> one byte, for every valid pair
+_ROW_BYTE = {row: i for i, row in enumerate(_ROWS)}
+
+
+def _shape(c: Diagram) -> tuple:
+    """``c`` up to the names of its edges and loops: its node ids, kinds and
+    attributes in ``c.nodes`` order, each piece's integer dart pairing
+    (``Diagram._darts``, packed, with the piece's node ids when there is
+    more than one piece), its number of loops, and its places with each
+    loop named by its index.  The greedy pass takes sites in ``c.nodes``
+    order, and faces and orbits are numbered from the darts, so the pass
+    takes the same steps on two diagrams of one shape: edge and loop names
+    only name its results, and its digests come from canonical codes.
+    Node ids and their order stay in the key, because the steps depend on
+    them."""
+    nodes, darts = c.nodes, c._darts
+    pieces = tuple(array("i", alpha).tobytes() for _, alpha, _ in darts)
+    if len(darts) > 1:
+        pieces += tuple(tuple([nd.id for nd in mine]) for mine, _, _ in darts)
+    places = ()
+    if c.anchors:
+        index = {loop: i for i, loop in enumerate(c.loops)}
+        places = tuple((index.get(pid, pid), anchor) for pid, anchor in c.anchors)
+    # rows are all alike when every node is a crossing, as in every greedy state
+    rows = b"" if c.counts[0] == len(nodes) else bytes([_ROW_BYTE[nd.kind, nd.attr]
+                                                         for nd in nodes])
+    return tuple([nd.id for nd in nodes]), rows, pieces, len(c.loops), places
+
+
+def _greedy_reduce(c: Diagram, tails: Optional[dict] = None) -> tuple[Optional[Diagram], tuple]:
     """Apply the first reverse site of the first crossing-removing move
-    until none has one."""
+    until none has one; returns the diagram reached and the steps.
+
+    ``tails``, a family's ``Diagram._tails``, maps shapes (:func:`_shape`)
+    to the steps that clear them.  With it, a state whose shape it holds
+    takes those steps as the rest of the trace, and the diagram returned is
+    None: the trace clears every crossing.  A run that clears every
+    crossing stores the tails of the last ``_FAMILY_CAP`` states it
+    visited, the oldest tails dropped first past that many; a stuck run
+    stores nothing."""
     steps: tuple = ()
     cur = c
+    visited = deque(maxlen=_FAMILY_CAP)     # (shape, steps before it) per state
     while cur.counts[0] > 0:
+        if tails is not None:
+            shape = _shape(cur)
+            tail = tails.get(shape)
+            if tail is not None:
+                cur, steps = None, steps + tail
+                break
+            visited.append((shape, len(steps)))
         for m in _rmoves()[1]:
             site = next(_sites(cur, m, REVERSE, kept=True), None)
             if site is not None:
@@ -394,7 +450,11 @@ def _greedy_reduce(c: Diagram) -> tuple[Diagram, tuple]:
                 steps += (MoveStep(m.id, site.variant, REVERSE, code_digest(cur)),)
                 break
         else:
-            break
+            return cur, steps
+    if tails is not None:
+        tails.update((shape, steps[i:]) for shape, i in visited)
+        while len(tails) > _FAMILY_CAP:
+            del tails[next(iter(tails))]
     return cur, steps
 
 
@@ -402,8 +462,7 @@ def _require_budget(budget, what: str) -> Budget:
     """``budget``, or the default for None."""
     if budget is None:
         return Budget()
-    if not isinstance(budget, Budget):
-        raise SMGSemanticError(f"{what} needs a Budget, not {type(budget).__name__}")
+    _require(budget, Budget, what)
     return budget
 
 
@@ -463,18 +522,15 @@ def _fox3_count(c: Diagram) -> int:
     return coloring_count(c, dihedral_quandle(3))
 
 
-#: answers a family memo (``Diagram._family``) keeps, the oldest dropped first
-_FAMILY_CAP = 128
-
-
 def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
     """YES with a simplification trace, NO with an invariant obstruction,
     or UNKNOWN when the budget runs out.  A greedy pass that clears every
     crossing is the certificate; only a diagram it leaves crossed has its
     linking numbers and Fox 3-colorings counted (neither refutes an unlink)
     and then goes on to the heap search.  The diagrams derived from one
-    diagram share its answers, keyed by everything but the name; each call
-    returns a fresh copy."""
+    diagram share its answers, keyed by everything but the name, and the
+    tails of its greedy passes, keyed by shape (:func:`_greedy_reduce`);
+    each call returns a fresh copy."""
     _require_classical(c, "is_trivial_unlink")
     budget = _require_budget(budget, "is_trivial_unlink")
     memo = c._family
@@ -489,8 +545,8 @@ def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
 
 def _trivial_unlink(c: Diagram, budget: Budget) -> TriState:
     ncomp = len(classical_components(c))
-    start, presteps = _greedy_reduce(c)
-    if start.counts[0] == 0:
+    start, presteps = _greedy_reduce(c, c._tails)
+    if start is None or start.counts[0] == 0:
         return TriState(YES, components=ncomp, trace=MoveSequence(presteps))
     lk = linking_matrix(_first_orientation(c))
     for i in range(len(lk)):

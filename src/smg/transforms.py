@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Optional
 
 from .diagram import (MARKER, SINGULAR, Diagram, SMGSemanticError, _first_orientation,
-                      _lines, _require_diagram, _strand)
+                      _lines, _require, _require_diagram, _strand)
 from .groups import Presentation, cyclic_reduce
 from .moves import Pattern, parse_pattern
 from .quandles import QuandleTable, coloring_count, small_quandles
@@ -104,6 +104,8 @@ def profile(c: Diagram, panel: Optional[tuple[QuandleTable, ...]] = None) -> Pro
     _require_classical(c, "profile")
     if panel is None:
         panel = small_quandles(4)
+    for q in panel:
+        _require(q, QuandleTable, "profile")
     comps = len(classical_components(c))
     od = _first_orientation(c)
     lk = linking_matrix(od)
@@ -166,6 +168,7 @@ def export_exterior(d: Diagram) -> KirbyDiagram:
 def kirby_group(k: KirbyDiagram) -> Presentation:
     """Generators from dotted circles; one relator per framed component,
     letters collected when the framed strand passes under a dotted one."""
+    _require(k, KirbyDiagram, "kirby_group")
     c = k.diagram
     od = _first_orientation(c)
     if od is None:

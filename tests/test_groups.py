@@ -575,6 +575,39 @@ def test_bad_group_tables_raise_typed_errors(mult, message):
             use(GroupTable(mult))
 
 
+def _misuses():
+    """(the function called, a call that hands it an argument of another
+    type) for the group, orientation and colouring entry points."""
+    from smg.quandles import coloring_count, dihedral_quandle
+    from smg.resolution import linking_matrix
+    from smg.transforms import profile
+
+    d = fixture("trefoil")
+    od, p, g = enumerate_orientations(d)[0], wirtinger_presentation(d), cyclic_group(3)
+    return [
+        ("enumerate_orientations", lambda: enumerate_orientations(od)),
+        ("linking_matrix", lambda: linking_matrix(d)),
+        ("hom_count", lambda: hom_count(d, g)),
+        ("hom_count", lambda: hom_count(p, dihedral_quandle(3))),
+        ("abelianization", lambda: abelianization(d)),
+        ("tietze_simplify", lambda: tietze_simplify(d)),
+        ("coloring_count", lambda: coloring_count(d, g)),
+        ("profile", lambda: profile(d, (g,))),
+        ("kirby_group", lambda: kirby_group(d)),
+        ("wirtinger_presentation", lambda: wirtinger_presentation(od)),
+    ]
+
+
+@pytest.mark.parametrize("k", range(len(_misuses())),
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(_misuses())])
+def test_entry_points_name_themselves_in_type_errors(k):
+    """An argument of the wrong type is a typed error naming the function
+    called, not an ``AttributeError`` from deep inside it."""
+    name, call = _misuses()[k]
+    with pytest.raises(SMGSemanticError, match=f"^{name} needs an? [A-Za-z ]+, not [A-Za-z]+$"):
+        call()
+
+
 # The port rule before it was shared, kept verbatim as the oracle for the
 # one union-find that arcs, colour classes and strand components now use.
 

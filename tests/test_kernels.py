@@ -4,9 +4,9 @@ The backtracking interpreter that bound a counting plan to one table with
 closures is kept here verbatim as the oracle: every count of homs and of
 colourings, and every colouring list, must equal its answer.  Seeded
 random presentations, a component of 48 free generators, relators of 500
-letters and sums of up to 45 trefoils check against it too the chained
-functions that split a component with more free variables than one
-generated function may nest, and the one statement per relator letter.
+letters and sums of up to 45 trefoils check against it too the cuts that
+split a component with more free variables than one generated function
+may nest, and the one statement per relator letter.
 """
 
 from __future__ import annotations
@@ -243,8 +243,8 @@ def test_random_presentations_match_the_interpreter():
 
 def test_wide_components_and_long_relators_match_the_interpreter():
     """``x_{i+1}^2 = x_i^2`` on 48 generators holds no generator once, so
-    one component has 48 free variables, over chained functions; into a
-    group of odd order all images are equal.  A relator of 500 letters,
+    one component has 48 free variables, split by cuts; into a group of
+    odd order all images are equal.  A relator of 500 letters,
     with and without a generator it holds once, is one statement per
     letter."""
     chain = Presentation(48, tuple((i + 2, i + 2, -(i + 1), -(i + 1)) for i in range(47)))

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 import smg
-from smg.diagram import SMGSemanticError, enumerate_orientations, parse_smg, serialize
+from smg.diagram import Diagram, SMGSemanticError, enumerate_orientations, parse_smg, serialize
 from smg.fixtures import fixture, fixture_names
 from smg.moves import FORWARD, REVERSE, apply_move, find_sites, verify_sequence
 from smg.catalog import catalog_map, move_catalog
@@ -322,7 +324,8 @@ def test_family_memo_answers_as_a_fresh_family(monkeypatch):
 
     calls = []
     real = resolution._greedy_reduce
-    monkeypatch.setattr(resolution, "_greedy_reduce", lambda c: calls.append(c) or real(c))
+    monkeypatch.setattr(resolution, "_greedy_reduce",
+                        lambda c, tails=None: calls.append(c) or real(c, tails))
     for name in fixture_names():
         host, greedy, distinct = fixture(name), 0, set()
         for m in move_catalog("unoriented"):
@@ -475,3 +478,100 @@ def test_greedy_certificate_comes_before_the_obstructions(monkeypatch):
     calls.clear()
     t = is_trivial_unlink(kinked, Budget(max_states=1))
     assert (t.value, calls) == ("unknown", ["apply_move", "linking_matrix", "_fox3_count"])
+
+
+def renamed(c: Diagram, rng: random.Random) -> Diagram:
+    """``c`` with its edges and loops renamed by a random bijection onto
+    names that share the prefixes the splice gives to the edges and loops
+    it makes; node ids and their order stay."""
+    n = len(c.edges) + len(c.loops)
+    pool = [x for x in (f"{p}{i}" for p in "ctrqe" for i in range(n + 2)) if x not in c.node_map]
+    names = rng.sample(pool, n)
+    return c.relabeled({}, dict(zip(c.edges, names)), dict(zip(c.loops, names[len(c.edges):])))
+
+
+def test_a_shape_forgets_edge_and_loop_names_but_not_nodes():
+    """Shapes, the keys of the greedy tails, are equal for diagrams that
+    differ only in edge and loop names, and differ when node ids or their
+    order do."""
+    from smg.resolution import _shape
+
+    rng = random.Random(27)
+    host = parse_smg("diagram t\nnode k X b a a b\nnode j X d c c d\nloop c0\nloop c1\n"
+                     "place j in k.1\nplace c1 in j.3\nend\n")
+    for d in (fixture("trefoil"), host):
+        other = renamed(d, rng)
+        assert other.edges != d.edges and _shape(other) == _shape(d)
+        assert _shape(Diagram(d.name, d.nodes[::-1], d.loops, d.anchors)) != _shape(d)
+        assert _shape(d.relabeled({d.nodes[0].id: "z"}, {})) != _shape(d)
+    # the same two loops, placed the other way round
+    swapped = Diagram(host.name, host.nodes, host.loops,
+                      tuple(("c0" if pid == "c1" else pid, a) for pid, a in host.anchors))
+    assert _shape(swapped) != _shape(host)
+
+
+def test_the_greedy_pass_ignores_edge_and_loop_names():
+    """The premise of the greedy tails: on every classical diagram at hand,
+    a copy with its edges and loops renamed at random (node ids and order
+    kept) has the same greedy trace, byte for byte, and so the same
+    certificate when that trace clears every crossing.  The diagrams: both
+    resolutions of every fixture, of every criterion-4 rewrite of it and of
+    every placed host, and the classical hosts with placed loops and pieces
+    with their classical rewrites.  Past the greedy pass names do count: a
+    linking obstruction numbers components by their least edge names, and
+    the heap search tries strands in the order of edge names."""
+    from test_diagram import anchored_hosts
+    from test_transforms import PLACED_HOSTS
+
+    import smg.resolution as resolution
+
+    def rewrites(d):
+        return [apply_move(d, m, s) for m in move_catalog("unoriented")
+                for direction in (FORWARD, REVERSE) for s in find_sites(d, m, direction)]
+
+    hosts = [fixture(name) for name in fixture_names()]
+    hosts += [r for d in list(hosts) for r in rewrites(d)]
+    hosts += [parse_smg(f"diagram h\n{body}end\n") for body in PLACED_HOSTS]
+    placed = anchored_hosts()
+    placed += [r for d in list(placed) for r in rewrites(d) if r.is_classical()]
+    seen = {}       # one diagram per shape: the renamed copies stand for the rest
+    for c in [resolve(d, sign).diagram for d in hosts for sign in (POSITIVE, NEGATIVE)] + placed:
+        seen.setdefault(resolution._shape(c), c)
+    rng, cleared = random.Random(27), 0
+    for c in seen.values():
+        # fresh diagrams, so that neither shares a memo with anything
+        d, other = Diagram(c.name, c.nodes, c.loops, c.anchors), renamed(c, rng)
+        end, steps = resolution._greedy_reduce(d)
+        assert steps == resolution._greedy_reduce(other)[1], serialize(c)
+        if end.counts[0] == 0:
+            cleared += 1
+            assert is_trivial_unlink(d).serialize() == is_trivial_unlink(other).serialize()
+    assert cleared > 500 and sum(bool(c.anchors) for c in seen.values()) > 20
+
+
+def test_fr_admissibility_work_is_pinned(monkeypatch):
+    """Criterion 4's admissibility checks on the rewrites of ``fr``, by every
+    unoriented move in both directions at every site, apply 1,224 moves,
+    all in greedy passes, where proving every greedy state anew applied
+    2,858; the certificates are the same, byte for byte."""
+    import smg.resolution as resolution
+
+    applied, heap = [0], []
+    real, real_heap = resolution.apply_move, resolution._heap_search
+
+    def counted(*args, **kw):
+        applied[0] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(resolution, "apply_move", counted)
+    monkeypatch.setattr(resolution, "_heap_search",
+                        lambda *args: heap.append(args) or real_heap(*args))
+    host, h = fixture("fr"), hashlib.sha256()
+    for m in move_catalog("unoriented"):
+        for direction in (FORWARD, REVERSE):
+            for site in find_sites(host, m, direction):
+                res = is_admissible(apply_move(host, m, site))
+                for sign in (POSITIVE, NEGATIVE):
+                    h.update(res[sign].serialize().encode() + b"\n")
+    assert (applied[0], heap) == (1224, [])
+    assert h.hexdigest()[:16] == "6f567c3588d7041e"
