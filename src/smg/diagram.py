@@ -429,18 +429,11 @@ class Diagram:
         return {}
 
     @_cached
-    def _family(self) -> dict:
-        """The family memo: ``resolution.is_trivial_unlink``'s answers,
-        shared by every diagram that ``moves._splice`` derives from this
-        one.  Plain data, never a diagram."""
-        return {}
-
-    @_cached
     def _tails(self) -> dict:
-        """The family's greedy tails: per shape of a classical diagram
+        """The family memo of greedy tails: per shape of a classical diagram
         (``resolution._shape``), the steps of ``resolution._greedy_reduce``
-        that clear it, shared like ``_family`` but kept apart from it, so
-        that answers and tails never evict each other.  Plain data."""
+        that clear it, shared by every diagram that ``moves._splice``
+        derives from this one.  Plain data, never a diagram."""
         return {}
 
     # -- strand components ---------------------------------------------------
@@ -1092,6 +1085,7 @@ def serialize(d) -> str:
     od = None
     if isinstance(d, OrientedDiagram):
         d, od = d.base, d
+    _require(d, Diagram, "serialize")
     lines = [f"diagram {d.name}"]
     for nd in sorted(d.nodes, key=lambda n: n.id):
         if nd.kind == "X":

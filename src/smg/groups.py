@@ -201,6 +201,7 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> Presentation:
     in 1.7 s.
     """
     _require(p, Presentation, "tietze_simplify")
+    _require(budget, int, "tietze_simplify")
     rels: dict[int, Word] = {}      # by position among the nonempty relators
     for w in p.relators:
         w = cyclic_reduce(w)
@@ -785,8 +786,8 @@ def _loops(plan: _Plan, checks, solve, positions: range, inner: str, pad: str) -
 
 @lru_cache(maxsize=_KERNELS)
 def _compiled(source: str) -> Callable:
-    """The function ``f0`` that ``source`` defines, with the functions it
-    chains to and no builtins but ``range``."""
+    """The function ``f0`` that ``source`` defines, the only function in
+    it, with no builtins but ``range``."""
     namespace: dict = {"__builtins__": {"range": range}}
     exec(source, namespace)
     return namespace["f0"]

@@ -33,6 +33,7 @@ from .diagram import (
     _fresh_ids,
     _lines,
     _read_node,
+    _require,
     _target,
 )
 
@@ -459,6 +460,7 @@ def find_sites(d, move: MoveSpec, direction: str = FORWARD) -> list[Site]:
     """Complete, duplicate-free list of embeddings of the chosen side that
     meet the face and orientation conditions; :func:`apply_move` applies
     each of them."""
+    _require(move, MoveSpec, "find_sites")
     return list(_sites(d, move, direction))
 
 
@@ -503,10 +505,10 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
     port ``p + turned[v]`` was its port ``p``.  Places follow faces
     (:func:`resolution._places`) when ``beyond`` maps each leg to the host
     dart beyond its cut or to the loop it cuts, and are dropped otherwise.
-    Returns the validated result, which shares ``d``'s family memos
-    (``Diagram._family`` and ``_tails``), the new edges and loops ``(id,
-    end, end)``, each end a surviving host dart or a pasted port (None for
-    a loop), and per key the pasted node and edge names."""
+    Returns the validated result, which shares ``d``'s family memo
+    (``Diagram._tails``), the new edges and loops ``(id, end, end)``, each
+    end a surviving host dart or a pasted port (None for a loop), and per
+    key the pasted node and edge names."""
     turned = turned or {}
     fresh = _fresh_ids({*d.node_map, *d.edge_ends, *d.loops})
     ids, inner, edge_at = {}, {}, {}
@@ -579,7 +581,6 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
         anchors = _places(d, nodes, cut, tangles, ids, made, through, beyond)
     result = Diagram(name, tuple(nodes), tuple([l for l in d.loops if l not in cut] + rings),
                      anchors)
-    result.__dict__["_family"] = d._family
     result.__dict__["_tails"] = d._tails
     report = result.validate()
     if not report.ok:
@@ -602,6 +603,7 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     interior edge and node names to the fresh identifiers used in the
     result.  A site of another move, or of a variant the move lacks, is a
     semantic error."""
+    _require(site, Site, "apply_move")
     if site.move_id != move.id:
         raise SMGSemanticError(f"a site of move {site.move_id} applied with move {move.id}")
     if not 0 <= site.variant < len(move.variants):
@@ -746,6 +748,7 @@ def _path(parents: dict, code: bytes, back: bool = False) -> tuple[MoveStep, ...
 
 def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
     """Replay ``s`` from ``d``, failing fast on the first stale step."""
+    _require(s, MoveSequence, "verify_sequence")
     cur = d
     for i, step in enumerate(s.steps):
         if step.move_id not in catalog:
@@ -781,7 +784,8 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     if not (isinstance(d1, Diagram) and isinstance(d2, Diagram)):
         raise SMGSemanticError("search_equivalence compares unoriented diagrams, "
                                f"not {type(d1).__name__} and {type(d2).__name__}")
-    budget = budget or SearchBudget()
+    budget = SearchBudget() if budget is None else budget
+    _require(budget, SearchBudget, "search_equivalence")
     allowed = list(allowed if allowed is not None else catalog)
     unknown = [m for m in allowed if m not in catalog]
     if unknown:

@@ -15,10 +15,9 @@ where the greedy pass stopped, which gives certified YES answers, with
 budget exhaustion reported as UNKNOWN.  A diagram caches its two
 resolutions, so every caller of :func:`resolve` shares one substitution per
 diagram and sign.  The diagrams that the splice derives from one diagram
-share its family memo of triviality answers, so a resolution that recurs
-among a diagram's rewrites is proven once, and its memo of greedy tails by
-shape, so a greedy state that recurs up to the names of its edges and loops
-is cleared once.
+share its memo of greedy tails by shape, so a greedy state that recurs up
+to the names of its edges and loops is cleared once; a classical
+diagram's two resolutions are equal, and admissibility proves them once.
 """
 
 from __future__ import annotations
@@ -388,8 +387,7 @@ def _removes_crossings(m: MoveSpec) -> bool:
                for v in range(len(m.variants)))
 
 
-#: answers a family memo (``Diagram._family``) keeps, and tails a family's
-#: ``Diagram._tails`` keeps, the oldest dropped first
+#: tails a family's ``Diagram._tails`` keeps, the oldest dropped first
 _FAMILY_CAP = 128
 
 #: (kind, attribute) -> one byte, for every valid pair
@@ -528,22 +526,11 @@ def is_trivial_unlink(c: Diagram, budget: Optional[Budget] = None) -> TriState:
     crossing is the certificate; only a diagram it leaves crossed has its
     linking numbers and Fox 3-colorings counted (neither refutes an unlink)
     and then goes on to the heap search.  The diagrams derived from one
-    diagram share its answers, keyed by everything but the name, and the
-    tails of its greedy passes, keyed by shape (:func:`_greedy_reduce`);
-    each call returns a fresh copy."""
+    diagram share the tails of its greedy passes, keyed by shape
+    (:func:`_greedy_reduce`), so a state that an earlier pass cleared costs
+    no move; a pass that gets stuck stores nothing, and is made again."""
     _require_classical(c, "is_trivial_unlink")
     budget = _require_budget(budget, "is_trivial_unlink")
-    memo = c._family
-    key = (c.nodes, c.loops, c.anchors, budget.extra_crossings, budget.max_states)
-    answer = memo.get(key)
-    if answer is None:
-        answer = memo[key] = _trivial_unlink(c, budget)
-        if len(memo) > _FAMILY_CAP:
-            del memo[next(iter(memo))]
-    return replace(answer)
-
-
-def _trivial_unlink(c: Diagram, budget: Budget) -> TriState:
     ncomp = len(classical_components(c))
     start, presteps = _greedy_reduce(c, c._tails)
     if start is None or start.counts[0] == 0:
@@ -565,13 +552,14 @@ def _trivial_unlink(c: Diagram, budget: Budget) -> TriState:
 
 
 def is_admissible(d: Diagram, budget: Optional[Budget] = None) -> dict:
-    """Both resolutions must be trivial unlink diagrams."""
+    """Both resolutions must be trivial unlink diagrams.  The negative one
+    is proven only when it differs from the positive one: a classical
+    diagram's two are equal, and its negative answer is a copy."""
     _require_diagram(d, "is_admissible")
     budget = _require_budget(budget, "is_admissible")
-    res = {}
-    for sign in (POSITIVE, NEGATIVE):
-        r = resolve(d, sign)
-        res[sign] = is_trivial_unlink(r.diagram, budget)
+    pos, neg = resolve(d, POSITIVE).diagram, resolve(d, NEGATIVE).diagram
+    res = {POSITIVE: is_trivial_unlink(pos, budget)}
+    res[NEGATIVE] = replace(res[POSITIVE]) if neg == pos else is_trivial_unlink(neg, budget)
     values = {res[POSITIVE].value, res[NEGATIVE].value}
     if values == {YES}:
         verdict = YES

@@ -2,10 +2,10 @@
 
 A diagram caches its orientation data (heads and crossing flows), its
 colouring problem with the sources of its counting kernels, and its
-resolutions, and shares family memos of admissibility answers and greedy
-tails with the diagrams derived from it.  None of them may refer back to a
-diagram, or every diagram a search or a sweep drops would wait for the
-cyclic garbage collector.
+resolutions, and shares its family memo of greedy tails with the diagrams
+derived from it.  None of them may refer back to a diagram, or every
+diagram a search or a sweep drops would wait for the cyclic garbage
+collector.
 """
 
 import gc
@@ -46,13 +46,12 @@ def test_a_diagram_is_freed_with_its_last_reference(name):
 
 def test_a_rewrite_is_freed_while_its_host_keeps_the_family_memo():
     """Every rewrite of ``fr`` and its resolutions share ``fr``'s family
-    memos of answers and of greedy tails.  Once its admissibility is
-    checked, each is freed with its last reference, while the host and the
-    memos stay; both memos end at their cap, since the rewrites have more
-    distinct resolutions and greedy states than that, and the tails hold
-    steps and plain keys, never a diagram."""
+    memo of greedy tails.  Once its admissibility is checked, each is freed
+    with its last reference, while the host and the memo stay; the memo
+    ends at its cap, since the rewrites have more distinct greedy states
+    than that, and it holds steps and plain keys, never a diagram."""
     host = parse_smg(serialize(fixture("fr")))
-    memo, tails = host._family, host._tails
+    tails = host._tails
     gc.disable()
     try:
         for m in move_catalog("unoriented"):
@@ -62,12 +61,11 @@ def test_a_rewrite_is_freed_while_its_host_keeps_the_family_memo():
                     is_admissible(rewrite)
                     refs = [weakref.ref(rewrite)] + [weakref.ref(resolve(rewrite, sign).diagram)
                                                      for sign in (POSITIVE, NEGATIVE)]
-                    assert all(r()._family is memo and r()._tails is tails for r in refs)
+                    assert all(r()._tails is tails for r in refs)
                     del rewrite
                     assert [r() for r in refs] == [None] * 3, m.id
     finally:
         gc.enable()
-    assert host._family is memo and len(memo) == _FAMILY_CAP
     assert host._tails is tails and len(tails) == _FAMILY_CAP
     held = [*tails, *tails.values()]
     for x in held:      # grows as it is read

@@ -577,13 +577,19 @@ def test_bad_group_tables_raise_typed_errors(mult, message):
 
 def _misuses():
     """(the function called, a call that hands it an argument of another
-    type) for the group, orientation and colouring entry points."""
+    type) for the group, orientation, colouring, move-layer and text entry
+    points."""
+    from smg.catalog import catalog_map
+    from smg.diagram import serialize
+    from smg.moves import search_equivalence, verify_sequence
     from smg.quandles import coloring_count, dihedral_quandle
-    from smg.resolution import linking_matrix
+    from smg.resolution import Budget, linking_matrix
     from smg.transforms import profile
 
     d = fixture("trefoil")
     od, p, g = enumerate_orientations(d)[0], wirtinger_presentation(d), cyclic_group(3)
+    cat = catalog_map("unoriented")
+    move = cat["O1"]
     return [
         ("enumerate_orientations", lambda: enumerate_orientations(od)),
         ("linking_matrix", lambda: linking_matrix(d)),
@@ -595,6 +601,13 @@ def _misuses():
         ("profile", lambda: profile(d, (g,))),
         ("kirby_group", lambda: kirby_group(d)),
         ("wirtinger_presentation", lambda: wirtinger_presentation(od)),
+        ("find_sites", lambda: find_sites(d, "O1")),
+        ("apply_move", lambda: apply_move(d, move, "x")),
+        ("verify_sequence", lambda: verify_sequence(d, "O1 0 forward abc", cat)),
+        ("search_equivalence", lambda: search_equivalence(d, d, cat, None, Budget())),
+        ("search_equivalence", lambda: search_equivalence(d, d, cat, None, 3)),
+        ("tietze_simplify", lambda: tietze_simplify(p, "x")),
+        ("serialize", lambda: serialize(5)),
     ]
 
 

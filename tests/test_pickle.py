@@ -25,19 +25,19 @@ def test_pickles_round_trip_with_every_cache_filled():
     assert d.counts == (4, 0, 2)
     classical_components(resolve(d, POSITIVE).diagram)
     resolve(d, NEGATIVE)
-    is_admissible(d)                    # the family memo
+    is_admissible(d)                    # the family memo of greedy tails
     coloring_count(d, FOUR_QUANDLE, od)     # the colouring problem and its counting kernel
     colorings(d, FOUR_QUANDLE, od)          # and its listing kernel
     p = wirtinger_presentation(d)
     hom_count(p, symmetric_group(3))
     abelianization(p)
     caches = {
-        Diagram: {"_canonical_code", "_colouring", "_darts", "_faces", "_family", "_flows_by_heads",
-                  "_orientations", "_piece_canon", "_resolutions", "counts"},
+        Diagram: {"_canonical_code", "_colouring", "_darts", "_faces", "_flows_by_heads",
+                  "_orientations", "_piece_canon", "_resolutions", "_tails", "counts"},
         type(od): {"_flows", "head_map"},
         type(p): {"_abelian", "_kernel_source", "_plan"},
     }
-    assert set(d._colouring.sources) == {False, True} and d._family
+    assert set(d._colouring.sources) == {False, True} and d._tails
     assert "_components" in vars(d._resolutions[POSITIVE][0])
     for x in (d, od, p):
         assert caches[type(x)] <= vars(x).keys()

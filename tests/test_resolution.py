@@ -311,47 +311,87 @@ def test_admissibility_certificates_are_pinned():
     assert h.hexdigest()[:16] == "aecdf0def7a6aff4"
 
 
-def test_family_memo_answers_as_a_fresh_family(monkeypatch):
-    """A rewrite shares its host's family memo.  On every rewrite of every
-    fixture by every unoriented move, in both directions at every site
-    (criterion 4's set), admissibility answers byte for byte as on a copy
-    with a memo of its own, and gives the verdict of the rewrite's parsed
-    text (which lists nodes by id, so the greedy pass may take other
-    sites).  Per host the greedy pass runs at most once per distinct
-    resolution, and once for both resolutions of a classical diagram,
-    which are equal."""
+def test_shared_tails_answer_as_a_fresh_family(monkeypatch):
+    """A rewrite shares its host's memo of greedy tails.  On every rewrite
+    of every fixture by every unoriented move, in both directions at every
+    site (criterion 4's set), admissibility answers byte for byte as on a
+    copy with a memo of its own, and gives the verdict of the rewrite's
+    parsed text (which lists nodes by id, so the greedy pass may take other
+    sites).  A greedy pass runs once per resolution, and once for both
+    resolutions of a classical diagram, which are equal.  Per host whose
+    tails stay below their cap and whose passes all clear, no move is
+    applied twice at one shape; a host whose passes all get stuck has no
+    tails."""
     import smg.resolution as resolution
 
-    calls = []
-    real = resolution._greedy_reduce
+    calls, shapes = [], []
+    real, real_apply = resolution._greedy_reduce, resolution.apply_move
     monkeypatch.setattr(resolution, "_greedy_reduce",
                         lambda c, tails=None: calls.append(c) or real(c, tails))
+    monkeypatch.setattr(resolution, "apply_move", lambda d, *args, **kw: shapes.append(
+        resolution._shape(d)) or real_apply(d, *args, **kw))
+    once, barren = [], []   # the hosts that apply at distinct shapes, that clear nothing
     for name in fixture_names():
-        host, greedy, distinct = fixture(name), 0, set()
+        host, applied, values = fixture(name), [], set()
         for m in move_catalog("unoriented"):
             for direction in (FORWARD, REVERSE):
                 for site in find_sites(host, m, direction):
                     rewrite = apply_move(host, m, site)
                     calls.clear()
+                    shapes.clear()
                     res = is_admissible(rewrite)
-                    greedy += len(calls)
-                    distinct.update((c.nodes, c.loops, c.anchors) for c in (
-                        resolve(rewrite, sign).diagram for sign in (POSITIVE, NEGATIVE)))
+                    pos, neg = (resolve(rewrite, sign).diagram for sign in (POSITIVE, NEGATIVE))
+                    assert len(calls) == 1 + (neg != pos), (name, m.id)
+                    applied += shapes
+                    values.update(res[sign].value for sign in (POSITIVE, NEGATIVE))
                     fresh = is_admissible(replace(rewrite))
                     for sign in (POSITIVE, NEGATIVE):
                         assert res[sign].serialize() == fresh[sign].serialize(), (name, m.id)
                     parsed = is_admissible(parse_smg(serialize(rewrite)))
                     assert res["verdict"] == fresh["verdict"] == parsed["verdict"], (name, m.id)
-        assert greedy <= len(distinct), name
+        if values == {"no"}:
+            assert host._tails == {}, name
+            barren.append(name)
+        elif values == {"yes"} and len(host._tails) < resolution._FAMILY_CAP:
+            assert len(applied) == len(set(applied)) == len(host._tails), name
+            once.append(name)
+    assert len(once) >= 8 and barren == ["hopf", "trefoil"]
     calls.clear()
-    assert is_admissible(fixture("hopf"))["verdict"] == "no"
-    assert len(calls) == 1
-    # each call hands out its own copy, sharing only the frozen trace
+    res = is_admissible(fixture("hopf"))
+    assert res["verdict"] == "no" and len(calls) == 1
+    # each answer handed out is a copy of its own, sharing only the frozen trace
+    res[NEGATIVE].value = "yes"
+    assert res[POSITIVE].value == "no"
     kink = fixture("kink")
     first = is_trivial_unlink(kink)
     first.value = "no"
+    calls.clear()
+    shapes.clear()
     again = is_trivial_unlink(kink)
-    assert (again.value, again.trace, len(calls)) == ("yes", first.trace, 2)
+    assert (again.value, again.trace, len(calls), shapes) == ("yes", first.trace, 1, [])
+
+
+def test_a_classical_diagram_is_proven_once_at_size(monkeypatch):
+    """Both resolutions of a classical diagram are the diagram itself, so
+    admissibility proves it once: on a chain of 150 kinks the greedy pass
+    applies 150 moves, one per kink, and both certificates are equal.  The
+    tails keep a pass's last states only, so proving the negative
+    resolution again would replay the rest of its kinks."""
+    from test_diagram import kink_chain_text
+
+    import smg.resolution as resolution
+
+    applied, real = [0], resolution.apply_move
+
+    def counted(*args, **kw):
+        applied[0] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(resolution, "apply_move", counted)
+    res = is_admissible(parse_smg(kink_chain_text("X" * 150)))
+    assert (res["verdict"], applied[0]) == ("yes", 150)
+    assert res[POSITIVE].serialize() == res[NEGATIVE].serialize()
+    assert len(res[POSITIVE].trace) == 150
 
 
 NON_CLASSICAL_CHECK = """
