@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .diagram import CROSSING, MARKER, Node, SMGSemanticError, StrandParity, _lines
+from .diagram import CROSSING, MARKER, Node, SMGSemanticError, StrandParity, _lines, _require
 from .moves import HUB, MoveSpec, Pattern, parse_pattern
 
 #: order of the 17 core unoriented moves plus the 3 flagged-derived ones
@@ -236,6 +236,7 @@ def _oriented() -> tuple[MoveSpec, ...]:
 def move_catalog(mode: str = "unoriented") -> list[MoveSpec]:
     """The move catalog: 17 core + 3 derived unoriented moves, or the 22
     oriented moves."""
+    _require(mode, str, "move_catalog")
     mode = mode.lower()
     if mode in ("unoriented", "u"):
         return list(_unoriented())
@@ -245,4 +246,5 @@ def move_catalog(mode: str = "unoriented") -> list[MoveSpec]:
 
 
 def catalog_map(mode: str = "unoriented") -> dict[str, MoveSpec]:
+    _require(mode, str, "catalog_map")
     return {m.id: m for m in move_catalog(mode)}

@@ -1013,6 +1013,7 @@ def _read_node(toks: list[str], lineno: int) -> Node:
 def parse_smg(text: str, *, allow_invalid: bool = False):
     """Parse the SMG format; returns a Diagram or, with an orient block,
     an OrientedDiagram."""
+    _require(text, str, "parse_smg")
     name = None
     nodes: list[Node] = []
     loops: list[str] = []
@@ -1063,20 +1064,16 @@ def parse_smg(text: str, *, allow_invalid: bool = False):
         raise SMGSyntaxError("missing 'end'", len(text.splitlines()) or 1)
 
     d = Diagram(name, tuple(nodes), tuple(loops), tuple(anchors))
-    if not allow_invalid:
-        report = d.validate()
-        if not report.ok:
-            raise SMGSemanticError(str(report))
+    if not allow_invalid and not (report := d.validate()).ok:
+        raise SMGSemanticError(str(report))
     if not saw_orient:
         return d
     for l in d.loops:
         orient_loops.setdefault(l, 0)
     od = OrientedDiagram(d, tuple(sorted(orient_edges.items())),
                          tuple(sorted(orient_loops.items())))
-    if not allow_invalid:
-        report = od.validate()
-        if not report.ok:
-            raise SMGSemanticError(str(report))
+    if not allow_invalid and not (report := od.validate()).ok:
+        raise SMGSemanticError(str(report))
     return od
 
 

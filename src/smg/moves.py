@@ -485,6 +485,60 @@ def _sites(d, move: MoveSpec, direction: str, kept: bool = False) -> Iterator[Si
                        tuple(targets[k] for k in sorted(targets)))
 
 
+def _automorphisms(d: Diagram) -> list[dict]:
+    """Generators of the automorphisms of ``d``, each as node id ->
+    (image id, port shift), moving dart ``(n, p)`` to ``(image, p +
+    shift)``.  Empty unless ``d`` is one graph piece with no loops: then
+    the generators that ``_canonise`` found for the piece
+    (``Diagram._piece_gens``, set once ``d``'s faces or code are built)
+    move the whole diagram."""
+    if d.loops or len(d._darts) != 1:
+        return []
+    nodes = d._darts[0][0]
+    return [{nd.id: (nodes[img[i]].id, shift[i]) for i, nd in enumerate(nodes)}
+            for img, shift in d._piece_gens.get(nodes[0].id, ())]
+
+
+def _site_image(d: Diagram, g: dict, key: tuple) -> tuple:
+    """The key ``(variant, node images, leg targets)`` of a site of ``d``
+    moved by the automorphism ``g`` (:func:`_automorphisms`): a node image
+    moves as a dart does, and a leg target to the edge end that the image
+    of its end is."""
+    variant, images, targets = key
+    ends, node_map = d.edge_ends, d.node_map
+    images = tuple((n, (g[h][0], (r + g[h][1]) % 4)) for n, (h, r) in images)
+    legs = []
+    for _, e, k in targets:
+        n, p = ends[e][k]
+        x = (g[n][0], (p + g[n][1]) % 4)
+        f = node_map[x[0]].ports[x[1]]
+        legs.append(("edge", f, ends[f].index(x)))
+    return variant, images, tuple(legs)
+
+
+def _unrepeated(d: Diagram, sites: Iterable[Site]) -> Iterator[Site]:
+    """``sites``, of one move and direction on ``d``, less each that an
+    automorphism of ``d`` maps a site given before it to: its rewrite is
+    isomorphic to that site's, so it has the same canonical code.  Skips
+    follow the order of ``sites``.  The automorphisms are read after the
+    first site, when ``_sites`` has built ``d``'s faces."""
+    done, gens = set(), None
+    for site in sites:
+        key = (site.variant, site.node_images, site.leg_targets)
+        if key in done:
+            continue
+        yield site
+        if gens is None:
+            gens = _automorphisms(d)
+        todo = [key] if gens else []
+        for k in todo:      # grows as it is read: closes the orbit of ``key``
+            for g in gens:
+                image = _site_image(d, g, k)
+                if image not in done:
+                    done.add(image)
+                    todo.append(image)
+
+
 # ---------------------------------------------------------------------------
 # the splice
 
@@ -779,7 +833,9 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     """Bidirectional breadth-first search over canonical codes.
 
     On success the returned sequence replays from ``d1`` to a diagram with
-    ``d2``'s canonical code.  Failure within budget proves nothing.
+    ``d2``'s canonical code.  Failure within budget proves nothing.  Of the
+    sites in one orbit of a diagram's automorphisms only the first is
+    applied (:func:`_unrepeated`): the rest give codes already stored.
     """
     if not (isinstance(d1, Diagram) and isinstance(d2, Diagram)):
         raise SMGSemanticError("search_equivalence compares unoriented diagrams, "
@@ -805,9 +861,8 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         for here, d in frontier:
             for move in moves:
                 for direction in (FORWARD, REVERSE):
-                    for site in find_sites(d, move, direction):
-                        if site.variant not in move._kept:
-                            continue
+                    sites = find_sites(d, move, direction)
+                    for site in _unrepeated(d, (s for s in sites if s.variant in move._kept)):
                         nxt = apply_move(d, move, site)
                         code = nxt.canonical_code()
                         if code in this_side:

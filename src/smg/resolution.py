@@ -57,6 +57,7 @@ from .moves import (
     _path,
     _sites,
     _splice,
+    _unrepeated,
     apply_move,
     code_digest,
 )
@@ -329,7 +330,11 @@ def linking_matrix(od: OrientedDiagram) -> list[list[int]]:
 
 def crossing_sign(od: OrientedDiagram, node_id: str) -> int:
     """+1 or -1, the sign of crossing ``node_id`` under ``od``."""
-    return od._flows[node_id][2]
+    _require(od, OrientedDiagram, "crossing_sign")
+    flows = od._flows.get(node_id)
+    if flows is None:
+        raise SMGSemanticError(f"crossing_sign needs a crossing of the diagram, not {node_id}")
+    return flows[2]
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +484,9 @@ def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
     """Best-first search over R1/R2/R3 from ``start``, which the greedy pass
     reached from ``c`` by ``presteps``, finishing greedily from every new
     state.  As in ``search_equivalence``, states are codes with parent links
-    and the trace is read once; returns the best diagram found and its trace.
-    It makes at most ``budget.max_states`` states, the start among them."""
+    and the trace is read once, and sites in one orbit of a state's
+    automorphisms are applied once; returns the best diagram found and its
+    trace.  It makes at most ``budget.max_states`` states, the start among them."""
     ceiling = c.counts[0] + budget.extra_crossings
     here = start.canonical_code()
     # code -> (parent code, move id, variant, direction), None at the start
@@ -495,7 +501,7 @@ def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
         _, _, here, d = heapq.heappop(heap)
         for m in _rmoves()[0]:
             for direction in (REVERSE, FORWARD):
-                for site in _sites(d, m, direction, kept=True):
+                for site in _unrepeated(d, _sites(d, m, direction, kept=True)):
                     nxt = apply_move(d, m, site)
                     if nxt.counts[0] > ceiling:
                         continue

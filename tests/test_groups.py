@@ -577,13 +577,13 @@ def test_bad_group_tables_raise_typed_errors(mult, message):
 
 def _misuses():
     """(the function called, a call that hands it an argument of another
-    type) for the group, orientation, colouring, move-layer and text entry
-    points."""
-    from smg.catalog import catalog_map
-    from smg.diagram import serialize
+    type, or a node it lacks) for the group, orientation, crossing-sign,
+    colouring, move-layer, catalog and text entry points."""
+    from smg.catalog import catalog_map, move_catalog
+    from smg.diagram import parse_smg, serialize
     from smg.moves import search_equivalence, verify_sequence
     from smg.quandles import coloring_count, dihedral_quandle
-    from smg.resolution import Budget, linking_matrix
+    from smg.resolution import Budget, crossing_sign, linking_matrix
     from smg.transforms import profile
 
     d = fixture("trefoil")
@@ -608,6 +608,11 @@ def _misuses():
         ("search_equivalence", lambda: search_equivalence(d, d, cat, None, 3)),
         ("tietze_simplify", lambda: tietze_simplify(p, "x")),
         ("serialize", lambda: serialize(5)),
+        ("crossing_sign", lambda: crossing_sign(od, "nope")),
+        ("crossing_sign", lambda: crossing_sign(d, "x")),
+        ("parse_smg", lambda: parse_smg(3)),
+        ("move_catalog", lambda: move_catalog(3)),
+        ("catalog_map", lambda: catalog_map(3)),
     ]
 
 
