@@ -194,9 +194,8 @@ class Diagram:
         # because every edge has its two ends.
         issues: list[Issue] = []
         for nodes, _, orbit in darts:
-            v = len(nodes)
+            v, f = len(nodes), len(set(orbit))
             e = 2 * v
-            f = len(set(orbit))
             if v - e + f != 2:
                 issues.append(
                     Issue("non-spherical embedding",
@@ -249,18 +248,11 @@ class Diagram:
 
     @_cached
     def _darts(self) -> tuple[tuple[list[Node], list[int], list[int]], ...]:
-        """Per graph piece, in the order of its least node id: its nodes
-        sorted by id, ``alpha`` on its integer darts ``4*i + port`` of node
-        ``i`` (the other end of the dart's edge), and the face orbit of
-        every dart.
-
-        One pass over the nodes sorted by id numbers their darts and pairs
-        the two ends of every edge; the pieces are read off that ``alpha``.
-        Orbits are the cycles of ``phi``: cross the edge, then rotate one
-        port.  They are numbered across the pieces in the order of their
-        smallest dart.  Nothing here refers back to the diagram, which
-        caches it.  On structure that orbits cannot be traced on, raises
-        ``SMGSemanticError`` naming the issues (see :meth:`validate`)."""
+        """:func:`_pieces` of the nodes sorted by id, whose darts one pass
+        numbers, pairing the two ends of every edge.  Nothing here refers
+        back to the diagram, which caches it.  On structure that orbits
+        cannot be traced on, raises ``SMGSemanticError`` naming the issues
+        (see :meth:`validate`)."""
         nodes = sorted(self.nodes, key=attrgetter("id"))
         ports = [e for nd in nodes for e in nd.ports]
         alpha, first = [-1] * len(ports), {}
@@ -274,35 +266,7 @@ class Diagram:
         if issues:
             raise _Malformed(issues)
 
-        out, count, piece = [], 0, [-1] * len(nodes)
-        for v in range(len(nodes)):
-            if piece[v] >= 0:
-                continue
-            members, piece[v] = [v], v
-            for u in members:       # grows as it is read
-                for y in alpha[4 * u:4 * u + 4]:
-                    if piece[y >> 2] < 0:
-                        piece[y >> 2] = v
-                        members.append(y >> 2)
-            if len(members) == len(nodes):
-                local, mine = alpha, nodes
-            else:
-                members.sort()
-                at = {u: i for i, u in enumerate(members)}
-                local = [4 * at[y >> 2] + (y & 3) for u in members for y in alpha[4 * u:4 * u + 4]]
-                mine = [nodes[u] for u in members]
-            orbit = [-1] * len(local)
-            for start in range(len(local)):
-                if orbit[start] >= 0:
-                    continue
-                x = start
-                while orbit[x] < 0:
-                    orbit[x] = count
-                    y = local[x]
-                    x = y - 3 if y & 3 == 3 else y + 1
-                count += 1
-            out.append((mine, local, orbit))
-        return tuple(out)
+        return tuple(_pieces(nodes, alpha))
 
     # -- canonical form ---------------------------------------------------
 
@@ -359,7 +323,6 @@ class Diagram:
         # faces only name the places of anchored components: a search codes
         # many more diagrams than it expands, so the rest skip them
         faces = self.faces() if any(a is not None for _, a in self.anchors) else None
-        piece_sigs = sorted((sig, pid) for pid, (sig, _) in self._piece_canon.items())
         # Anchors are resolved into piece-signature-relative face names.  A
         # corner on the host's outward orbit lies in the face the host sits
         # in, so it is named by the host's own place.
@@ -374,17 +337,8 @@ class Diagram:
                 anchor = self.anchor_map.get(host)
             return "outer"
 
-        # "outer" sorts before every face name, so the two never meet in a
-        # comparison; unmixed lists sort as plain values.
-        def key(place):
-            return place != "outer", place
-
-        loop_part = sorted((resolve(l) for l in self.loops), key=key)
-        piece_anchor_part = sorted(
-            ((sig, resolve(pid)) for sig, pid in piece_sigs),
-            key=lambda item: (item[0], key(item[1])),
-        )
-        return repr((piece_anchor_part, loop_part)).encode()
+        return _code([(sig, resolve(pid)) for pid, (sig, _) in self._piece_canon.items()],
+                     map(resolve, self.loops))
 
     # -- faces --------------------------------------------------------------
 
@@ -480,6 +434,54 @@ def _require_diagram(d, what: str) -> None:
     if not isinstance(d, Diagram):
         raise SMGSemanticError(f"{what} needs an unoriented Diagram, not {type(d).__name__}")
     d._darts    # raises on malformed structure
+
+
+def _pieces(nodes: list, alpha: list[int]) -> list[tuple[list, list[int], list[int]]]:
+    """Per connected piece of ``nodes`` with integer darts ``alpha`` (dart
+    ``4*i + port`` of node ``i`` to the other end of its edge), in the order
+    of its first node: its nodes, ``alpha`` renumbered on them, and the face
+    orbit of every dart, a cycle of ``phi`` (cross the edge, then rotate one
+    port), numbered across the pieces in the order of their smallest dart."""
+    out, count, piece = [], 0, [-1] * len(nodes)
+    for v in range(len(nodes)):
+        if piece[v] >= 0:
+            continue
+        members, piece[v] = [v], v
+        for u in members:       # grows as it is read
+            for y in alpha[4 * u:4 * u + 4]:
+                if piece[y >> 2] < 0:
+                    piece[y >> 2] = v
+                    members.append(y >> 2)
+        if len(members) == len(nodes):
+            local, mine = alpha, nodes
+        else:
+            members.sort()
+            at = {u: i for i, u in enumerate(members)}
+            local = [4 * at[y >> 2] + (y & 3) for u in members for y in alpha[4 * u:4 * u + 4]]
+            mine = [nodes[u] for u in members]
+        orbit = [-1] * len(local)
+        for start in range(len(local)):
+            if orbit[start] >= 0:
+                continue
+            x = start
+            while orbit[x] < 0:
+                orbit[x] = count
+                y = local[x]
+                x = y - 3 if y & 3 == 3 else y + 1
+            count += 1
+        out.append((mine, local, orbit))
+    return out
+
+
+def _code(pieces: Iterable[tuple], loops: Iterable) -> bytes:
+    """The bytes of a canonical code: the (signature, place) of each piece
+    and the place of each loop, sorted; "outer" sorts before every face
+    name, so the two never meet in a comparison."""
+    def key(place):
+        return place != "outer", place
+
+    return repr((sorted(pieces, key=lambda item: (item[0], key(item[1]))),
+                 sorted(loops, key=key))).encode()
 
 
 def _rows(kind: str, attr: Optional[int]) -> tuple[tuple, tuple]:
@@ -723,9 +725,7 @@ class Faces:
         self._loop_face = {l: self._face[self._anchor_face(anchor_map.get(l))] for l in d.loops}
 
     def _anchor_face(self, anchor: Optional[tuple[str, int]]) -> int:
-        if anchor is None:
-            return -1
-        return self.orbit_of_corner_index(anchor)
+        return -1 if anchor is None else self.orbit_of_corner_index(anchor)
 
     def orbit_of_dart(self, dart: Dart) -> int:
         n, p = dart

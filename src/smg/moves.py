@@ -30,8 +30,12 @@ from .diagram import (
     SMGSyntaxError,
     StrandParity,
     _cached,
+    _canon_table,
+    _canonise,
+    _code,
     _fresh_ids,
     _lines,
+    _pieces,
     _read_node,
     _require,
     _target,
@@ -170,6 +174,21 @@ class Pattern:
         or the index in ``legs`` of the leg at the other end of a bare strand."""
         ends = (self.alpha(self.hub_dart_of_leg(k)) for k in range(1, self.K + 1))
         return tuple(self.leg_of_hub_dart(x) - 1 if x[0] == HUB else x for x in ends)
+
+    @_cached
+    def _paste(self) -> tuple:
+        """The pattern's nodes on integer darts ``4*i + port``, ``i`` the
+        node's index in ``nodes``: ``alpha`` on the interior edges, -1 at a
+        leg's port, and per leg the far end of its edge (``_leg_ends``), a
+        dart or ``~j`` for ``legs[j]`` at the other end of a bare strand."""
+        at = {nd.id: 4 * i for i, nd in enumerate(self.nodes)}
+        alpha = [-1] * (4 * len(self.nodes))
+        for nd in self.nodes:
+            for p in range(4):
+                m, q = self.alpha((nd.id, p))
+                if m != HUB:
+                    alpha[at[nd.id] + p] = at[m] + q
+        return alpha, tuple(~x if type(x) is int else at[x[0]] + x[1] for x in self._leg_ends)
 
     @_cached
     def head_map(self) -> dict[str, object]:
@@ -460,8 +479,17 @@ def find_sites(d, move: MoveSpec, direction: str = FORWARD) -> list[Site]:
     """Complete, duplicate-free list of embeddings of the chosen side that
     meet the face and orientation conditions; :func:`apply_move` applies
     each of them."""
+    _base(d, "find_sites")
     _require(move, MoveSpec, "find_sites")
     return list(_sites(d, move, direction))
+
+
+def _base(d, what: str) -> Diagram:
+    """The unoriented diagram of ``d``, a diagram or an oriented one; an
+    SMGSemanticError naming ``what`` for anything else."""
+    base = d.base if isinstance(d, OrientedDiagram) else d
+    _require(base, Diagram, what)
+    return base
 
 
 def _sites(d, move: MoveSpec, direction: str, kept: bool = False) -> Iterator[Site]:
@@ -657,13 +685,13 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     interior edge and node names to the fresh identifiers used in the
     result.  A site of another move, or of a variant the move lacks, is a
     semantic error."""
+    base = _base(d, "apply_move")
     _require(site, Site, "apply_move")
     if site.move_id != move.id:
         raise SMGSemanticError(f"a site of move {site.move_id} applied with move {move.id}")
     if not 0 <= site.variant < len(move.variants):
         raise SMGSemanticError(f"move {move.id} has no variant {site.variant}")
     od = d if isinstance(d, OrientedDiagram) else None
-    base = d.base if od is not None else d
     pat = move.side(site.variant, site.direction)
     out = move.other_side(site.variant, site.direction)
     amap = site.node_image_map
@@ -741,6 +769,108 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
 
 
 # ---------------------------------------------------------------------------
+# rewrite codes on integer darts
+
+
+def _host(d: Diagram) -> tuple:
+    """``d``'s table for :func:`_rewrite_code`: the nodes and integer darts
+    of the pieces of ``Diagram._darts`` in turn, and each node's index."""
+    nodes, alpha = [], []
+    for mine, local, _ in d._darts:
+        alpha += [4 * len(nodes) + y for y in local]
+        nodes += mine
+    return nodes, alpha, {nd.id: i for i, nd in enumerate(nodes)}
+
+
+def _rewrite_code(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Optional[bytes]:
+    """``apply_move(d, move, site).canonical_code()``, without building the
+    rewrite, from ``d``'s table ``host`` (:func:`_host`).  None when ``d``
+    has loops or places or the splice closes a strand: then places follow
+    faces (:func:`resolution._places`), and only ``apply_move`` codes it.
+
+    The site's nodes are cut and the other side's pasted after the host's.
+    Each leg joins the host dart beyond its cut (:func:`_host_dart_beyond`),
+    or the leg at the other end of an edge cut near both ends, to a pasted
+    port or the leg at the other end of a bare strand; strands are walked
+    as :func:`_splice` walks them.  As the splice checks, every dart must
+    be paired and every piece a sphere map: a StaleSiteError otherwise, as
+    ``apply_move`` raises."""
+    if d.loops or d.anchors:
+        return None
+    nodes, alpha, index = host
+    pat = move.side(site.variant, site.direction)
+    out = move.other_side(site.variant, site.direction)
+    pasted, inner = out._paste
+    # host node -> its number in the result, -1 if cut; ``new`` is alpha
+    at, kept, new = range(len(nodes)), nodes, alpha[:]
+    if site.node_images:
+        cut = {index[h] for _, (h, _) in site.node_images}
+        at, kept = [-1] * len(nodes), []
+        for i, nd in enumerate(nodes):
+            if i not in cut:
+                at[i] = len(kept)
+                kept.append(nd)
+        new = [-1 if at[y >> 2] < 0 else 4 * at[y >> 2] + (y & 3)
+               for i in range(len(nodes)) if at[i] >= 0 for y in alpha[4 * i:4 * i + 4]]
+    base = len(new)
+    new += [-1 if y < 0 else base + y for y in pasted]
+    inner = [x if x < 0 else base + x for x in inner]
+
+    # the outer connector of each leg: the dart beyond its cut, or ``~j``
+    # for the leg ``j`` at the other end of an edge cut near both ends
+    ends, through, outer, claims = d.edge_ends, pat.through_edges, [], {}
+    for j, (_, e, _) in enumerate(site.leg_targets):
+        claims.setdefault(e, []).append(j)
+    for j, (_, e, end) in enumerate(site.leg_targets):
+        ks, strand = claims[e], pat.legs[j] in through
+        if len(ks) == 2 and not strand:
+            outer.append(~(ks[0] + ks[1] - j))
+            continue
+        n, p = ends[e][end if strand else 1 - end]
+        if at[index[n]] < 0:
+            raise StaleSiteError(f"rewrite produced invalid diagram: leg {j + 1} meets a cut node")
+        outer.append(4 * at[index[n]] + p)
+
+    done = [False] * len(outer)
+    for j in range(len(outer)):
+        if done[j]:
+            continue
+        done[j] = True
+        joined = []
+        for there, back in ((inner, outer), (outer, inner)):
+            x = there[j]
+            while x < 0:
+                x = ~x
+                if x == j:
+                    return None     # the strand closes into a loop
+                done[x] = True
+                there, back = back, there
+                x = there[x]
+            joined.append(x)
+        a, b = joined
+        new[a], new[b] = b, a
+        if a == b:
+            new[a] = -1     # one end is no edge
+    if -1 in new or list(map(new.__getitem__, new)) != list(range(len(new))):
+        raise StaleSiteError("rewrite produced invalid diagram: a dart is not paired")
+    sigs = []
+    for mine, local, orbit in _pieces([*kept, *out.nodes], new):
+        if len(set(orbit)) != len(mine) + 2:
+            raise StaleSiteError("rewrite produced invalid diagram: non-spherical embedding")
+        sigs.append((_canonise(_canon_table(mine, local))[0], "outer"))
+    return _code(sigs, ())
+
+
+def _built(d: Diagram, move: MoveSpec, site: Site, code: bytes) -> Diagram:
+    """``apply_move(d, move, site)``, whose code :func:`_rewrite_code` gave
+    as ``code``; an SMGError if the built diagram's code is another."""
+    nxt = apply_move(d, move, site)
+    if nxt.canonical_code() != code:
+        raise SMGError(f"move {move.id} at {site} codes otherwise when built")
+    return nxt
+
+
+# ---------------------------------------------------------------------------
 # sequences
 
 
@@ -765,6 +895,7 @@ class MoveSequence:
 
     @staticmethod
     def parse(text: str) -> "MoveSequence":
+        _require(text, str, "MoveSequence.parse")
         steps = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -801,18 +932,29 @@ def _path(parents: dict, code: bytes, back: bool = False) -> tuple[MoveStep, ...
 
 
 def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
-    """Replay ``s`` from ``d``, failing fast on the first stale step."""
+    """Replay ``s`` from ``d``, failing fast on the first stale step.  Each
+    step's site is the first whose rewrite has the step's fingerprint, and
+    only that rewrite is built where the others are coded on integer darts
+    (:func:`_rewrite_code`)."""
+    _base(d, "verify_sequence")
     _require(s, MoveSequence, "verify_sequence")
     cur = d
     for i, step in enumerate(s.steps):
         if step.move_id not in catalog:
             raise SMGSemanticError(f"step {i}: unknown move id {step.move_id!r}")
         move = catalog[step.move_id]
-        sites = (s for s in _sites(cur, move, step.direction)
-                 if s.variant == step.variant)
-        cur = next((nxt for nxt in (apply_move(cur, move, s) for s in sites)
-                    if code_digest(nxt) == step.fingerprint), None)
-        if cur is None:
+        host = _host(cur) if isinstance(cur, Diagram) else None
+        for site in (s for s in _sites(cur, move, step.direction) if s.variant == step.variant):
+            code = None if host is None else _rewrite_code(cur, host, move, site)
+            if code is None:
+                nxt = apply_move(cur, move, site)
+                if code_digest(nxt) == step.fingerprint:
+                    cur = nxt
+                    break
+            elif _digest(code) == step.fingerprint:
+                cur = _built(cur, move, site, code)
+                break
+        else:
             raise StaleSiteError(f"stale step {i}: {step.move_id} -> {step.fingerprint}")
     return cur
 
@@ -836,12 +978,20 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     ``d2``'s canonical code.  Failure within budget proves nothing.  Of the
     sites in one orbit of a diagram's automorphisms only the first is
     applied (:func:`_unrepeated`): the rest give codes already stored.
+
+    Rewrites are coded on integer darts (:func:`_rewrite_code`) where they
+    can be, and a state so coded is held as ``(parent, move, site)`` until
+    it is expanded, when :func:`_built` builds it; the others, of diagrams
+    with loops or places or where a strand closes, are built by
+    ``apply_move`` and held without their caches.
     """
     if not (isinstance(d1, Diagram) and isinstance(d2, Diagram)):
         raise SMGSemanticError("search_equivalence compares unoriented diagrams, "
                                f"not {type(d1).__name__} and {type(d2).__name__}")
     budget = SearchBudget() if budget is None else budget
     _require(budget, SearchBudget, "search_equivalence")
+    _require(budget.max_depth, int, "search_equivalence")
+    _require(budget.max_states, int, "search_equivalence")
     allowed = list(allowed if allowed is not None else catalog)
     unknown = [m for m in allowed if m not in catalog]
     if unknown:
@@ -859,17 +1009,21 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     def expand(frontier, this_side, other_side):
         new_frontier = []
         for here, d in frontier:
+            d = _built(*d, here) if type(d) is tuple else d
+            host = _host(d)
             for move in moves:
                 for direction in (FORWARD, REVERSE):
                     sites = find_sites(d, move, direction)
                     for site in _unrepeated(d, (s for s in sites if s.variant in move._kept)):
-                        nxt = apply_move(d, move, site)
-                        code = nxt.canonical_code()
+                        code, nxt = _rewrite_code(d, host, move, site), (d, move, site)
+                        if code is None:
+                            nxt = apply_move(d, move, site)
+                            code = nxt.canonical_code()
                         if code in this_side:
                             continue
                         this_side[code] = (here, move.id, site.variant, direction)
-                        # without its caches: most rewrites are never expanded
-                        new_frontier.append((code, replace(nxt)))
+                        # a built rewrite without its caches: most are never expanded
+                        new_frontier.append((code, nxt if type(nxt) is tuple else replace(nxt)))
                         if code in other_side:
                             return new_frontier, code
                         if len(fwd) + len(bwd) >= budget.max_states:

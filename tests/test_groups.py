@@ -581,7 +581,7 @@ def _misuses():
     colouring, move-layer, catalog and text entry points."""
     from smg.catalog import catalog_map, move_catalog
     from smg.diagram import parse_smg, serialize
-    from smg.moves import search_equivalence, verify_sequence
+    from smg.moves import MoveSequence, SearchBudget, search_equivalence, verify_sequence
     from smg.quandles import coloring_count, dihedral_quandle
     from smg.resolution import Budget, crossing_sign, linking_matrix
     from smg.transforms import profile
@@ -613,6 +613,12 @@ def _misuses():
         ("parse_smg", lambda: parse_smg(3)),
         ("move_catalog", lambda: move_catalog(3)),
         ("catalog_map", lambda: catalog_map(3)),
+        ("find_sites", lambda: find_sites("x", move)),
+        ("apply_move", lambda: apply_move("x", move, find_sites(d, move)[0])),
+        ("verify_sequence", lambda: verify_sequence("x", MoveSequence(()), cat)),
+        ("verify_sequence", lambda: verify_sequence("x", MoveSequence.parse("O1 0 forward a"), cat)),
+        ("MoveSequence.parse", lambda: MoveSequence.parse(None)),
+        ("search_equivalence", lambda: search_equivalence(d, d, cat, None, SearchBudget("2", 10))),
     ]
 
 

@@ -659,11 +659,21 @@ def test_node_sites_match_the_injective_map_reference():
 
 def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
     """A search codes every rewrite but reads faces only where it looks for
-    sites; an unanchored diagram's code needs none."""
+    sites; an unanchored diagram's code needs none, and a rewrite coded on
+    integer darts is no diagram at all."""
     import smg.moves as moves
     from smg.diagram import Diagram, Faces
 
     built, expanded, applied = [], [], []
+    rng = random.Random("trefoil")
+    d = target = fixture("trefoil")
+    for _ in range(2):
+        options = [(CAT[m], s) for m in ("O1", "O2") for direction in (FORWARD, REVERSE)
+                   for s in find_sites(target, CAT[m], direction)]
+        target = apply_move(target, *rng.choice(options))
+    # uncached copies
+    d, target = (Diagram(x.name, x.nodes, x.loops, x.anchors) for x in (d, target))
+    _, _, work = watch_states(monkeypatch, moves, (d, target))
     init, find, apply = Faces.__init__, moves.find_sites, moves.apply_move
 
     def counted_init(self, d):
@@ -679,14 +689,6 @@ def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
         applied.append(apply(d, move, site))
         return applied[-1]
 
-    rng = random.Random("trefoil")
-    d = target = fixture("trefoil")
-    for _ in range(2):
-        options = [(CAT[m], s) for m in ("O1", "O2") for direction in (FORWARD, REVERSE)
-                   for s in find_sites(target, CAT[m], direction)]
-        target = apply_move(target, *rng.choice(options))
-    # uncached copies
-    d, target = (Diagram(x.name, x.nodes, x.loops, x.anchors) for x in (d, target))
     monkeypatch.setattr(Faces, "__init__", counted_init)
     monkeypatch.setattr(moves, "find_sites", recorded_find)
     monkeypatch.setattr(moves, "apply_move", recorded_apply)
@@ -694,25 +696,35 @@ def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
     monkeypatch.undo()
     assert verify_sequence(d, seq, CAT).canonical_code() == target.canonical_code()
     assert not any(r.anchors for r in applied)
-    assert len(applied) > 50 * len(expanded)
+    assert work["applies"] > 50 * len(expanded)
     assert len(built) == len(expanded)
     assert all(any(b is x for x in expanded) for b in built)
 
 
 def watch_states(monkeypatch, module, inputs):
     """Weakly record every result of ``module.apply_move`` and look at each
-    diagram given to ``module._sites`` (which ``find_sites`` goes through)
-    or ``Diagram.canonical_code``.
+    diagram given to ``module._sites`` (which ``find_sites`` goes through),
+    ``moves._host`` or ``Diagram.canonical_code``.
+
+    A rewrite is coded by one of two routes: on integer darts
+    (``moves._rewrite_code``, where ``module`` has it) or built by
+    ``apply_move`` and coded by ``canonical_code``.  A state coded on
+    integer darts is built when it is expanded (``moves._built``), which
+    codes no new rewrite, so nothing inside ``_built`` is counted.
 
     Returns ``(most, fresh, work)``: ``most[0]`` is the largest number of
-    results alive at one look, ``fresh`` has one entry per diagram looked at
-    that is neither a result nor one of ``inputs``, true when its first look
-    found no cached dart table, and ``work`` counts the ``applies`` and the
-    canonical codes computed (``codes``)."""
+    results alive at one look, and ``most[1]`` of those never given to
+    ``_sites``; ``fresh`` has one entry per diagram looked at that is
+    neither a result nor one of ``inputs``, true when its first look found
+    no cached dart table; ``work`` counts the rewrites coded
+    (``applies``), the canonical codes computed (``codes``) and the states
+    built when expanded (``built``), and ``work["distinct"]`` is the set of
+    codes seen."""
     from smg.diagram import Diagram
 
-    results, looked, most, fresh = {}, {}, [0], []
-    work = {"applies": 0, "codes": 0}
+    results, expanded, looked, most, fresh = {}, {}, {}, [0, 0], []
+    work = {"applies": 0, "codes": 0, "built": 0, "distinct": set()}
+    building = [False]
     apply, find, code = module.apply_move, module._sites, Diagram.canonical_code
 
     def keep(table, d):
@@ -720,85 +732,117 @@ def watch_states(monkeypatch, module, inputs):
 
     def look(d):
         most[0] = max(most[0], len(results))
+        most[1] = max(most[1], len(results.keys() - expanded.keys()))
         if id(d) not in results and id(d) not in looked and all(d is not x for x in inputs):
             keep(looked, d)
             fresh.append("_darts" not in d.__dict__)
 
     def watched_apply(*args, **kw):
-        work["applies"] += 1
+        work["applies"] += not building[0]
         out = apply(*args, **kw)
         keep(results, out)
         return out
 
     def watched_find(d, *args, **kw):
+        keep(expanded, d)
         look(d)
         return find(d, *args, **kw)
 
     def watched_code(d):
         look(d)
-        work["codes"] += "_canonical_code" not in d.__dict__
-        return code(d)
+        work["codes"] += "_canonical_code" not in d.__dict__ and not building[0]
+        work["distinct"].add(out := code(d))
+        return out
 
     monkeypatch.setattr(module, "apply_move", watched_apply)
     monkeypatch.setattr(module, "_sites", watched_find)
     monkeypatch.setattr(Diagram, "canonical_code", watched_code)
+    if hasattr(module, "_rewrite_code"):
+        host, integer, built = module._host, module._rewrite_code, module._built
+
+        def watched_host(d):
+            look(d)
+            return host(d)
+
+        def watched_integer(*args):
+            out = integer(*args)
+            if out is not None:
+                work["applies"] += 1
+                work["codes"] += 1
+                work["distinct"].add(out)
+            return out
+
+        def watched_built(*args):
+            work["built"] += 1
+            building[0] = True
+            try:
+                return built(*args)
+            finally:
+                building[0] = False
+
+        monkeypatch.setattr(module, "_host", watched_host)
+        monkeypatch.setattr(module, "_rewrite_code", watched_integer)
+        monkeypatch.setattr(module, "_built", watched_built)
     return most, fresh, work
 
 
 def test_search_holds_no_rewritten_diagram(monkeypatch):
-    """The search keeps its states as codes: a rewrite is dropped once it
-    is coded, and the frontier holds each state's code with a copy that
-    comes without caches, so every diagram is coded once: each rewrite and
-    the two inputs.  Criterion 7's problem on ``d2m5`` is solved at length
-    2, before any rewrite is expanded; a walk of three moves is not."""
+    """The search keeps its states as codes: no diagram is held per
+    rewrite it does not expand.  A rewrite coded on integer darts is held
+    as its parent, move and site, and built only when it is expanded; one
+    built to be coded (on a host with a loop) is dropped once it is coded,
+    and the frontier holds a copy without caches.  Every diagram is coded
+    once: each rewrite and the two inputs.  Criterion 7's problem on
+    ``d2m5`` is solved at length 2, before any rewrite is expanded; walks
+    of three moves, from ``d2m5`` and from the trefoil beside a loop, are
+    not."""
     import smg.moves as moves
     from smg.diagram import Diagram
 
-    d = walk = fixture("d2m5")
-    rng = random.Random("d2m5")
-    for _ in range(3):
-        options = [(CAT[m], s) for m in ("O1", "O2") for direction in (FORWARD, REVERSE)
-                   for s in find_sites(walk, CAT[m], direction)]
-        walk = apply_move(walk, *rng.choice(options))
+    def walk(d, seed):
+        rng = random.Random(seed)
+        for _ in range(3):
+            options = [(CAT[m], s) for m in ("O1", "O2") for direction in (FORWARD, REVERSE)
+                       for s in find_sites(d, CAT[m], direction)]
+            d = apply_move(d, *rng.choice(options))
+        return d
+
+    d = fixture("d2m5")
+    looped = Diagram("t", fixture("trefoil").nodes, ("c9",))
     primed = apply_move(d, CAT["O11p"], find_sites(d, CAT["O11p"], FORWARD)[0])
-    seen = []
-    for target, allowed, depth in [
-        (primed, ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O11"], 12),
-        (walk, ["O1", "O2"], 4),
+    seen, built = [], 0
+    for start, target, allowed, depth in [
+        (d, primed, ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O11"], 12),
+        (d, walk(d, "d2m5"), ["O1", "O2"], 4),
+        (looped, walk(looped, "looped.1"), ["O1", "O2"], 4),
     ]:
         # uncached copies, so that the search codes both inputs itself
-        d, target = (Diagram(x.name, x.nodes, x.loops, x.anchors) for x in (d, target))
-        most, fresh, work = watch_states(monkeypatch, moves, (d, target))
-        seq = search_equivalence(d, target, CAT, allowed, SearchBudget(depth, 100_000))
+        start, target = (Diagram(x.name, x.nodes, x.loops, x.anchors) for x in (start, target))
+        most, fresh, work = watch_states(monkeypatch, moves, (start, target))
+        seq = search_equivalence(start, target, CAT, allowed, SearchBudget(depth, 100_000))
         monkeypatch.undo()
-        assert verify_sequence(d, seq, CAT).canonical_code() == target.canonical_code()
-        assert most[0] <= 1
+        assert verify_sequence(start, seq, CAT).canonical_code() == target.canonical_code()
+        assert most[1] <= 1
+        assert most[0] <= work["built"] + 1
         assert work["codes"] == work["applies"] + 2
         seen += fresh
-    assert seen and all(seen)
+        built += work["built"]
+    assert built and seen and all(seen)
 
 
 def test_criterion_7_search_work_is_pinned(monkeypatch):
-    """Criterion 7's search on ``d2m6`` makes 5,379 applies and computes
-    5,381 canonical codes, each rewrite's and the two inputs', 3,618 of
-    them distinct: a faster rewrite does the same work."""
+    """Criterion 7's search on ``d2m6`` codes 5,379 rewrites, by either
+    route, and computes 5,381 canonical codes, each rewrite's and the two
+    inputs', 3,618 of them distinct: a faster rewrite does the same work."""
     import smg.moves as moves
-    from smg.diagram import Diagram
 
     d = fixture("d2m6")
     target = apply_move(d, CAT["O12p"], find_sites(d, CAT["O12p"], FORWARD)[0])
     _, _, work = watch_states(monkeypatch, moves, (d, target))
-    codes, code = set(), Diagram.canonical_code
-
-    def collect(x):
-        codes.add(out := code(x))
-        return out
-
-    monkeypatch.setattr(Diagram, "canonical_code", collect)
     seq = search_equivalence(d, target, CAT, ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10",
                                               "O12"], SearchBudget(12, 100_000))
     monkeypatch.undo()
-    assert (work["applies"], work["codes"], len(codes)) == (5379, 5381, 3618)
+    assert (work["applies"], work["codes"], len(work["distinct"])) == (5379, 5381, 3618)
     assert hashlib.sha256(seq.serialize().encode()).hexdigest()[:16] == "aa451f4c33f9b1aa"
 
 

@@ -35,7 +35,7 @@ from smg.moves import (
     search_equivalence,
 )
 
-from test_moves import WALK_MOVES
+from test_moves import WALK_MOVES, watch_states
 
 CAT = catalog_map("unoriented")
 
@@ -172,31 +172,19 @@ def reference_search_equivalence(d1, d2, catalog, allowed, budget):
 
 
 def watched(monkeypatch, search, d, target, depth: int):
-    """The answer's text, the applies and the set of codes of ``search``
-    from ``d`` to ``target`` over WALK_MOVES."""
-    codes, applies = set(), [0]
-    code, apply = Diagram.canonical_code, moves.apply_move
-
-    def collect(x):
-        codes.add(out := code(x))
-        return out
-
-    def counted(*args):
-        applies[0] += 1
-        return apply(*args)
-
-    monkeypatch.setattr(Diagram, "canonical_code", collect)
-    monkeypatch.setattr(moves, "apply_move", counted)
+    """The answer's text, the rewrites coded, by either route, and the set
+    of codes of ``search`` from ``d`` to ``target`` over WALK_MOVES."""
+    _, _, work = watch_states(monkeypatch, moves, (d, target))
     seq = search(d, target, CAT, WALK_MOVES, SearchBudget(depth, 100_000))
     monkeypatch.undo()
-    return None if seq is None else seq.serialize(), applies[0], codes
+    return None if seq is None else seq.serialize(), work["applies"], work["distinct"]
 
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_search_answers_and_codes_match_the_unpruned_search(monkeypatch, depth):
     """From every fixture to the end of a seeded walk of ``depth`` moves,
     the search answers byte for byte as the unpruned one, computes the same
-    set of codes, and applies fewer sites in all."""
+    set of codes, and codes fewer rewrites in all."""
     fewer = 0
     for name in fixture_names():
         d = fixture(name)
@@ -211,7 +199,7 @@ def test_search_answers_and_codes_match_the_unpruned_search(monkeypatch, depth):
 
 
 def kink_search() -> tuple:
-    """``(applies, distinct codes, answer text)`` of the search from
+    """``(rewrites coded, distinct codes, answer text)`` of the search from
     ``kink`` to the end of a seeded three-move walk, where the search meets
     many symmetric diagrams."""
     target = walk(fixture("kink"), 3, random.Random("kink.2"))[-1]
@@ -222,9 +210,9 @@ def kink_search() -> tuple:
 
 
 def test_symmetric_search_work_is_pinned():
-    """The unpruned search makes 115 applies on the kink walk and computes
-    49 distinct codes; skipping images of applied sites leaves 63 applies,
-    and the codes and the answer as they were."""
+    """The unpruned search codes 115 rewrites on the kink walk, 49 of them
+    distinct; skipping images of applied sites leaves 63 rewrites coded,
+    by either route, and the codes and the answer as they were."""
     applies, codes, answer = kink_search()
     assert applies < 115
     assert (applies, codes) == (63, 49)
