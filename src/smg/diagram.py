@@ -428,6 +428,16 @@ def _require(x, cls: type, what: str) -> None:
         raise SMGSemanticError(f"{what} needs {article} {cls.__name__}, not {type(x).__name__}")
 
 
+def _require_count(x, what: str) -> None:
+    """SMGSemanticError naming ``what`` unless ``x`` is an int, not a bool,
+    of zero or more: a budget."""
+    if isinstance(x, bool):
+        raise SMGSemanticError(f"{what} needs an int, not bool")
+    _require(x, int, what)
+    if x < 0:
+        raise SMGSemanticError(f"{what} needs an int of zero or more, not negative")
+
+
 def _require_diagram(d, what: str) -> None:
     """``d`` is a ``Diagram`` whose faces can be traced: SMGSemanticError
     otherwise, naming the structural issues."""
@@ -574,8 +584,10 @@ def _canonise(table: tuple) -> tuple:
     because a numbering is fixed by its root; so each new generator at
     least doubles the orbit, there are at most log2(4n) of them, and the
     orbit ends as exactly the tying states.  A state that lost also loses
-    against every later best, which is only smaller, so it is marked lost
-    and a later root in the same state skips the signature.
+    against every later best, which is only smaller, and so does every
+    state in its orbit under the generators found so far, whose signatures
+    are its own: all are marked lost, as the tying states are when a new
+    best beats them, and a later root in a lost state skips the signature.
 
     A signature's first row starts with its root's ``head``, so only roots
     with the least ``head`` of the piece can reach the least signature;
@@ -592,11 +604,12 @@ def _canonise(table: tuple) -> tuple:
             got = _signature(table, root, best)
             if got is None:
                 tied[state] = 2
+                _close([state], gens, tied, 2)
                 continue
             sig, labels, rots = got
             if sig is not best:
                 for s in orbit:
-                    tied[s] = 0
+                    tied[s] = 2
                 best, roots, gens, orbit = sig, [], [], [state]
                 tied[state] = 1
                 best_labels, best_rots = labels, rots
@@ -606,15 +619,22 @@ def _canonise(table: tuple) -> tuple:
                     order[i] = v
                 img = [order[i] for i in best_labels]
                 gens.append((img, [(rots[w] - r) % 4 for w, r in zip(img, best_rots)]))
-                for s in orbit:     # grows as it is read: closes it under gens
-                    v, e = s >> 2, s & 3
-                    for to, turn in gens:
-                        t = 4 * to[v] + (e + turn[v]) % 4
-                        if not tied[t]:
-                            tied[t] = 1
-                            orbit.append(t)
+                _close(orbit, gens, tied, 1)
         roots.append(root)
     return best, roots, gens
+
+
+def _close(states: list, gens: list, tied: bytearray, mark: int) -> None:
+    """Extend ``states``, marked ``mark`` in ``tied``, to their orbit under
+    the automorphisms ``gens`` (see :func:`_canonise`), marking each state
+    added; states already marked are not entered."""
+    for s in states:    # grows as it is read
+        v, e = s >> 2, s & 3
+        for to, turn in gens:
+            t = 4 * to[v] + (e + turn[v]) % 4
+            if not tied[t]:
+                tied[t] = mark
+                states.append(t)
 
 
 def _fresh_ids(taken: set[str]) -> Callable[[str], str]:

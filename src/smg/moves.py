@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -38,6 +39,7 @@ from .diagram import (
     _pieces,
     _read_node,
     _require,
+    _require_count,
     _target,
 )
 
@@ -782,11 +784,12 @@ def _host(d: Diagram) -> tuple:
     return nodes, alpha, {nd.id: i for i, nd in enumerate(nodes)}
 
 
-def _rewrite_code(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Optional[bytes]:
-    """``apply_move(d, move, site).canonical_code()``, without building the
-    rewrite, from ``d``'s table ``host`` (:func:`_host`).  None when ``d``
-    has loops or places or the splice closes a strand: then places follow
-    faces (:func:`resolution._places`), and only ``apply_move`` codes it.
+def _rewrite_pieces(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Optional[list]:
+    """The pieces (:func:`_pieces`) of ``apply_move(d, move, site)``, without
+    building the rewrite, from ``d``'s table ``host`` (:func:`_host`).  None
+    when ``d`` has loops or places or the splice closes a strand: then places
+    follow faces (:func:`resolution._places`), and only ``apply_move`` codes
+    it.
 
     The site's nodes are cut and the other side's pasted after the host's.
     Each leg joins the host dart beyond its cut (:func:`_host_dart_beyond`),
@@ -853,12 +856,36 @@ def _rewrite_code(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Option
             new[a] = -1     # one end is no edge
     if -1 in new or list(map(new.__getitem__, new)) != list(range(len(new))):
         raise StaleSiteError("rewrite produced invalid diagram: a dart is not paired")
-    sigs = []
-    for mine, local, orbit in _pieces([*kept, *out.nodes], new):
+    pieces = _pieces([*kept, *out.nodes], new)
+    for mine, _, orbit in pieces:
         if len(set(orbit)) != len(mine) + 2:
             raise StaleSiteError("rewrite produced invalid diagram: non-spherical embedding")
-        sigs.append((_canonise(_canon_table(mine, local))[0], "outer"))
-    return _code(sigs, ())
+    return pieces
+
+
+def _pieces_code(pieces: list) -> bytes:
+    """The canonical code of a diagram with no loops or places and with
+    ``pieces`` (:func:`_pieces`)."""
+    return _code([(_canonise(_canon_table(mine, local))[0], "outer")
+                  for mine, local, _ in pieces], ())
+
+
+def _rewrite_code(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Optional[bytes]:
+    """``apply_move(d, move, site).canonical_code()``, without building the
+    rewrite: the code of :func:`_rewrite_pieces`, None where it is None."""
+    pieces = _rewrite_pieces(d, host, move, site)
+    return None if pieces is None else _pieces_code(pieces)
+
+
+def _shape_invariant(pieces, loops: int) -> tuple:
+    """A cheap invariant of the isomorphism class of a diagram with
+    ``pieces`` (:func:`_pieces`) and ``loops`` loops: that number and, sorted
+    per piece, its node kinds and its face degrees.  Equal canonical codes
+    give equal invariants.  Attributes are left out: a node's turns with the
+    port it is read from."""
+    return loops, tuple(sorted(("".join(sorted([nd.kind for nd in mine])),
+                                tuple(sorted(Counter(orbit).values())))
+                               for mine, _, orbit in pieces))
 
 
 def _built(d: Diagram, move: MoveSpec, site: Site, code: bytes) -> Diagram:
@@ -979,19 +1006,28 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     sites in one orbit of a diagram's automorphisms only the first is
     applied (:func:`_unrepeated`): the rest give codes already stored.
 
-    Rewrites are coded on integer darts (:func:`_rewrite_code`) where they
-    can be, and a state so coded is held as ``(parent, move, site)`` until
-    it is expanded, when :func:`_built` builds it; the others, of diagrams
-    with loops or places or where a strand closes, are built by
+    Rewrites are spliced on integer darts (:func:`_rewrite_pieces`) where
+    they can be, and a state so found is held as ``(parent, move, site)``
+    until it is expanded, when :func:`_built` builds it; the others, of
+    diagrams with loops or places or where a strand closes, are built by
     ``apply_move`` and held without their caches.
+
+    A spliced rewrite is coded at once only when its shape
+    (:func:`_shape_invariant`) is among the other side's, as it may then
+    meet that side.  The others are pending, held as parent and site with
+    no table, and are coded in the order they were made when their
+    expansion ends without a hit, so states are stored as when every
+    rewrite is coded at once.  While stored and pending states are fewer
+    than ``max_states`` no cut can come before a hit; once they reach it,
+    the pending rewrites are settled and every later one is coded at once.
     """
     if not (isinstance(d1, Diagram) and isinstance(d2, Diagram)):
         raise SMGSemanticError("search_equivalence compares unoriented diagrams, "
                                f"not {type(d1).__name__} and {type(d2).__name__}")
     budget = SearchBudget() if budget is None else budget
     _require(budget, SearchBudget, "search_equivalence")
-    _require(budget.max_depth, int, "search_equivalence")
-    _require(budget.max_states, int, "search_equivalence")
+    _require_count(budget.max_depth, "search_equivalence")
+    _require_count(budget.max_states, "search_equivalence")
     allowed = list(allowed if allowed is not None else catalog)
     unknown = [m for m in allowed if m not in catalog]
     if unknown:
@@ -1004,10 +1040,32 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     # code -> (parent code, move id, variant, direction), None at a root
     fwd: dict[bytes, Optional[tuple]] = {c1: None}
     bwd: dict[bytes, Optional[tuple]] = {c2: None}
+    # the shapes of each side's states
+    shapes_f = {_shape_invariant(d1._darts, len(d1.loops))}
+    shapes_b = {_shape_invariant(d2._darts, len(d2.loops))}
     frontier_f, frontier_b = [(c1, d1)], [(c2, d2)]
+    eager = False       # set once stored and pending states reach max_states
 
-    def expand(frontier, this_side, other_side):
-        new_frontier = []
+    def settle(frontier, this_side, these):
+        """``frontier`` with each pending rewrite coded, in order, and stored
+        unless its code is."""
+        out = []
+        for entry in frontier:
+            if len(entry) == 6:
+                here, d, host, move, site, direction = entry
+                pieces = _rewrite_pieces(d, host, move, site)
+                code = _pieces_code(pieces)
+                if code in this_side:
+                    continue
+                this_side[code] = (here, move.id, site.variant, direction)
+                these.add(_shape_invariant(pieces, 0))
+                entry = code, (d, move, site)
+            out.append(entry)
+        return out
+
+    def expand(frontier, this_side, other_side, these, others):
+        nonlocal eager
+        new_frontier, pending = [], 0
         for here, d in frontier:
             d = _built(*d, here) if type(d) is tuple else d
             host = _host(d)
@@ -1015,28 +1073,41 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
                 for direction in (FORWARD, REVERSE):
                     sites = find_sites(d, move, direction)
                     for site in _unrepeated(d, (s for s in sites if s.variant in move._kept)):
-                        code, nxt = _rewrite_code(d, host, move, site), (d, move, site)
-                        if code is None:
+                        pieces, nxt = _rewrite_pieces(d, host, move, site), (d, move, site)
+                        if pieces is None:
                             nxt = apply_move(d, move, site)
+                            shape = _shape_invariant(nxt._darts, len(nxt.loops))
                             code = nxt.canonical_code()
-                        if code in this_side:
+                        else:
+                            shape = _shape_invariant(pieces, 0)
+                            code = _pieces_code(pieces) if eager or shape in others else None
+                        if code is None:
+                            new_frontier.append((here, d, host, move, site, direction))
+                            pending += 1
+                        elif code in this_side:
                             continue
-                        this_side[code] = (here, move.id, site.variant, direction)
-                        # a built rewrite without its caches: most are never expanded
-                        new_frontier.append((code, nxt if type(nxt) is tuple else replace(nxt)))
-                        if code in other_side:
-                            return new_frontier, code
-                        if len(fwd) + len(bwd) >= budget.max_states:
-                            return new_frontier, StopIteration
-        return new_frontier, None
+                        else:
+                            this_side[code] = (here, move.id, site.variant, direction)
+                            these.add(shape)
+                            # a built rewrite without its caches: most are never expanded
+                            new_frontier.append((code, nxt if type(nxt) is tuple else replace(nxt)))
+                            if code in other_side:
+                                return new_frontier, code
+                        if len(fwd) + len(bwd) + pending >= budget.max_states:
+                            if not eager:
+                                eager, pending = True, 0
+                                new_frontier = settle(new_frontier, this_side, these)
+                            if len(fwd) + len(bwd) >= budget.max_states:
+                                return new_frontier, StopIteration
+        return settle(new_frontier, this_side, these) if pending else new_frontier, None
 
     for _ in range(budget.max_depth):
         if not frontier_f and not frontier_b:
             return None
         if frontier_f and (len(frontier_f) <= len(frontier_b) or not frontier_b):
-            frontier_f, hit = expand(frontier_f, fwd, bwd)
+            frontier_f, hit = expand(frontier_f, fwd, bwd, shapes_f, shapes_b)
         else:
-            frontier_b, hit = expand(frontier_b, bwd, fwd)
+            frontier_b, hit = expand(frontier_b, bwd, fwd, shapes_b, shapes_f)
         if hit is StopIteration:
             return None
         if hit is not None:

@@ -43,6 +43,7 @@ from .diagram import (
     _first_orientation,
     _port_classes,
     _require,
+    _require_count,
     _require_diagram,
     _ties,
 )
@@ -462,10 +463,13 @@ def _greedy_reduce(c: Diagram, tails: Optional[dict] = None) -> tuple[Optional[D
 
 
 def _require_budget(budget, what: str) -> Budget:
-    """``budget``, or the default for None."""
+    """``budget``, or the default for None; an SMGSemanticError naming
+    ``what`` unless its fields are counts."""
     if budget is None:
         return Budget()
     _require(budget, Budget, what)
+    _require_count(budget.extra_crossings, what)
+    _require_count(budget.max_states, what)
     return budget
 
 

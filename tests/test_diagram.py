@@ -281,6 +281,36 @@ def test_symmetric_pieces_take_a_signature_per_generator(monkeypatch):
     assert d.canonical_code() == kept.canonical_code()
 
 
+def test_lost_states_lose_by_orbit(monkeypatch):
+    """A root state that loses takes its orbit under the automorphisms
+    found so far with it, and a beaten best its tying orbit: on kink rings
+    of crossings or double points and on T(2, n), resolved both ways and
+    renamed, a code takes a few signatures per generator, not one per
+    mirror state (n + 2 on a ring of n kinks when each lost alone)."""
+    import smg.diagram as diagram
+    from smg.resolution import NEGATIVE, POSITIVE, resolve
+
+    calls = 0
+    signature = diagram._signature
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return signature(*args)
+
+    monkeypatch.setattr(diagram, "_signature", counted)
+    rng = random.Random(12)
+    for n in (5, 40, 500):
+        for text in (kink_chain_text("X" * n), kink_chain_text("S" * n), t2_text(n)):
+            for d in (parse_smg(text), shuffled_naming(parse_smg(text), rng)):
+                for sign in (POSITIVE, NEGATIVE):
+                    c = resolve(d, sign).diagram
+                    c = Diagram(c.name, c.nodes, c.loops, c.anchors)    # uncached
+                    calls = 0
+                    c.canonical_code()
+                    assert calls <= 2 + 2 * (4 * n).bit_length(), (text[:20], n, sign, calls)
+
+
 def test_canonisation_tries_only_least_head_roots(monkeypatch):
     """A signature's first row starts with its root's head, so a root whose
     head exceeds the piece's least head never gets a signature."""

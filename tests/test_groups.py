@@ -577,13 +577,15 @@ def test_bad_group_tables_raise_typed_errors(mult, message):
 
 def _misuses():
     """(the function called, a call that hands it an argument of another
-    type, or a node it lacks) for the group, orientation, crossing-sign,
-    colouring, move-layer, catalog and text entry points."""
+    type, a node it lacks, or a budget that is a bool or below zero) for the
+    group, orientation, crossing-sign, colouring, move-layer, simplifier,
+    catalog and text entry points."""
     from smg.catalog import catalog_map, move_catalog
     from smg.diagram import parse_smg, serialize
     from smg.moves import MoveSequence, SearchBudget, search_equivalence, verify_sequence
     from smg.quandles import coloring_count, dihedral_quandle
-    from smg.resolution import Budget, crossing_sign, linking_matrix
+    from smg.resolution import (Budget, crossing_sign, is_admissible, is_trivial_unlink,
+                                linking_matrix, reidemeister_simplify)
     from smg.transforms import profile
 
     d = fixture("trefoil")
@@ -619,6 +621,13 @@ def _misuses():
         ("verify_sequence", lambda: verify_sequence("x", MoveSequence.parse("O1 0 forward a"), cat)),
         ("MoveSequence.parse", lambda: MoveSequence.parse(None)),
         ("search_equivalence", lambda: search_equivalence(d, d, cat, None, SearchBudget("2", 10))),
+        ("search_equivalence", lambda: search_equivalence(d, d, cat, None, SearchBudget(-1, 10))),
+        ("search_equivalence", lambda: search_equivalence(d, d, cat, None, SearchBudget(True, 10))),
+        ("search_equivalence", lambda: search_equivalence(d, d, cat, None, SearchBudget(2, -5))),
+        ("reidemeister_simplify", lambda: reidemeister_simplify(d, Budget(max_states=-4))),
+        ("reidemeister_simplify", lambda: reidemeister_simplify(d, Budget(max_states=True))),
+        ("is_trivial_unlink", lambda: is_trivial_unlink(d, Budget(extra_crossings=-1))),
+        ("is_admissible", lambda: is_admissible(d, Budget(extra_crossings=False))),
     ]
 
 

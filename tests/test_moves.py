@@ -658,9 +658,9 @@ def test_node_sites_match_the_injective_map_reference():
 
 
 def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
-    """A search codes every rewrite but reads faces only where it looks for
-    sites; an unanchored diagram's code needs none, and a rewrite coded on
-    integer darts is no diagram at all."""
+    """A search makes every rewrite but reads faces only where it looks for
+    sites; an unanchored diagram's code needs none, and a rewrite spliced
+    on integer darts is no diagram at all."""
     import smg.moves as moves
     from smg.diagram import Diagram, Faces
 
@@ -706,24 +706,29 @@ def watch_states(monkeypatch, module, inputs):
     diagram given to ``module._sites`` (which ``find_sites`` goes through),
     ``moves._host`` or ``Diagram.canonical_code``.
 
-    A rewrite is coded by one of two routes: on integer darts
-    (``moves._rewrite_code``, where ``module`` has it) or built by
-    ``apply_move`` and coded by ``canonical_code``.  A state coded on
-    integer darts is built when it is expanded (``moves._built``), which
-    codes no new rewrite, so nothing inside ``_built`` is counted.
+    A rewrite is made by one of two routes: spliced on integer darts
+    (``moves._rewrite_pieces``, where ``module`` has it) and coded by
+    ``moves._pieces_code``, or built by ``apply_move`` and coded by
+    ``canonical_code``.  A spliced rewrite may be spliced again to be
+    coded later; it counts once, and its code, written here from every
+    splice, joins ``work["distinct"]`` whether or not the search codes it.
+    A state spliced on integer darts is built when it is expanded
+    (``moves._built``), which makes no new rewrite, so nothing inside
+    ``_built`` is counted.
 
     Returns ``(most, fresh, work)``: ``most[0]`` is the largest number of
     results alive at one look, and ``most[1]`` of those never given to
     ``_sites``; ``fresh`` has one entry per diagram looked at that is
     neither a result nor one of ``inputs``, true when its first look found
-    no cached dart table; ``work`` counts the rewrites coded
-    (``applies``), the canonical codes computed (``codes``) and the states
-    built when expanded (``built``), and ``work["distinct"]`` is the set of
-    codes seen."""
+    no cached dart table; ``work`` counts the rewrites made (``applies``),
+    the splices on integer darts (``splices``), the canonical codes
+    computed (``codes``) and the states built when expanded (``built``),
+    and ``work["distinct"]`` is the set of codes of the rewrites made and
+    the diagrams coded."""
     from smg.diagram import Diagram
 
     results, expanded, looked, most, fresh = {}, {}, {}, [0, 0], []
-    work = {"applies": 0, "codes": 0, "built": 0, "distinct": set()}
+    work = {"applies": 0, "splices": 0, "codes": 0, "built": 0, "distinct": set()}
     building = [False]
     apply, find, code = module.apply_move, module._sites, Diagram.canonical_code
 
@@ -757,20 +762,29 @@ def watch_states(monkeypatch, module, inputs):
     monkeypatch.setattr(module, "apply_move", watched_apply)
     monkeypatch.setattr(module, "_sites", watched_find)
     monkeypatch.setattr(Diagram, "canonical_code", watched_code)
-    if hasattr(module, "_rewrite_code"):
-        host, integer, built = module._host, module._rewrite_code, module._built
+    if hasattr(module, "_rewrite_pieces"):
+        host, splice, write, built = (module._host, module._rewrite_pieces, module._pieces_code,
+                                      module._built)
+        spliced = {}    # id(host table) -> (the table, {(move id, site) spliced on it})
 
         def watched_host(d):
             look(d)
             return host(d)
 
-        def watched_integer(*args):
-            out = integer(*args)
+        def watched_splice(d, table, move, site):
+            out = splice(d, table, move, site)
             if out is not None:
-                work["applies"] += 1
-                work["codes"] += 1
-                work["distinct"].add(out)
+                work["splices"] += 1
+                sites = spliced.setdefault(id(table), (table, set()))[1]
+                if (move.id, site) not in sites:
+                    sites.add((move.id, site))
+                    work["applies"] += 1
+                    work["distinct"].add(write(out))
             return out
+
+        def watched_write(pieces):
+            work["codes"] += not building[0]
+            return write(pieces)
 
         def watched_built(*args):
             work["built"] += 1
@@ -781,21 +795,23 @@ def watch_states(monkeypatch, module, inputs):
                 building[0] = False
 
         monkeypatch.setattr(module, "_host", watched_host)
-        monkeypatch.setattr(module, "_rewrite_code", watched_integer)
+        monkeypatch.setattr(module, "_rewrite_pieces", watched_splice)
+        monkeypatch.setattr(module, "_pieces_code", watched_write)
         monkeypatch.setattr(module, "_built", watched_built)
     return most, fresh, work
 
 
 def test_search_holds_no_rewritten_diagram(monkeypatch):
     """The search keeps its states as codes: no diagram is held per
-    rewrite it does not expand.  A rewrite coded on integer darts is held
+    rewrite it does not expand.  A rewrite spliced on integer darts is held
     as its parent, move and site, and built only when it is expanded; one
     built to be coded (on a host with a loop) is dropped once it is coded,
-    and the frontier holds a copy without caches.  Every diagram is coded
-    once: each rewrite and the two inputs.  Criterion 7's problem on
-    ``d2m5`` is solved at length 2, before any rewrite is expanded; walks
-    of three moves, from ``d2m5`` and from the trefoil beside a loop, are
-    not."""
+    and the frontier holds a copy without caches.  At most one code is
+    computed per diagram: the inputs', and each rewrite's unless the
+    expansion that made it met the other side, which it could not meet.
+    Criterion 7's problem on ``d2m5`` is solved at length 2, before any
+    rewrite is expanded; walks of three moves, from ``d2m5`` and from the
+    trefoil beside a loop, are not."""
     import smg.moves as moves
     from smg.diagram import Diagram
 
@@ -810,7 +826,7 @@ def test_search_holds_no_rewritten_diagram(monkeypatch):
     d = fixture("d2m5")
     looped = Diagram("t", fixture("trefoil").nodes, ("c9",))
     primed = apply_move(d, CAT["O11p"], find_sites(d, CAT["O11p"], FORWARD)[0])
-    seen, built = [], 0
+    seen, built, work_done = [], 0, []
     for start, target, allowed, depth in [
         (d, primed, ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O11"], 12),
         (d, walk(d, "d2m5"), ["O1", "O2"], 4),
@@ -824,16 +840,21 @@ def test_search_holds_no_rewritten_diagram(monkeypatch):
         assert verify_sequence(start, seq, CAT).canonical_code() == target.canonical_code()
         assert most[1] <= 1
         assert most[0] <= work["built"] + 1
-        assert work["codes"] == work["applies"] + 2
+        assert work["codes"] <= work["applies"] + 2
+        work_done.append((work["applies"], work["codes"]))
         seen += fresh
         built += work["built"]
     assert built and seen and all(seen)
+    assert work_done == [(92, 34), (562, 213), (802, 682)]
 
 
 def test_criterion_7_search_work_is_pinned(monkeypatch):
-    """Criterion 7's search on ``d2m6`` codes 5,379 rewrites, by either
-    route, and computes 5,381 canonical codes, each rewrite's and the two
-    inputs', 3,618 of them distinct: a faster rewrite does the same work."""
+    """Criterion 7's search on ``d2m6`` makes 5,379 rewrites, by either
+    route, of 3,618 distinct codes: a faster rewrite does the same work.
+    It splices 1,778 of them twice, once to find them and once to code
+    them when their expansion ends, and computes 2,513 canonical codes,
+    the two inputs' among them: the last expansion codes only the
+    rewrites whose shape meets the other side."""
     import smg.moves as moves
 
     d = fixture("d2m6")
@@ -842,7 +863,8 @@ def test_criterion_7_search_work_is_pinned(monkeypatch):
     seq = search_equivalence(d, target, CAT, ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10",
                                               "O12"], SearchBudget(12, 100_000))
     monkeypatch.undo()
-    assert (work["applies"], work["codes"], len(work["distinct"])) == (5379, 5381, 3618)
+    assert (work["applies"], work["splices"], work["codes"], len(work["distinct"])) == (
+        5379, 7157, 2513, 3618)
     assert hashlib.sha256(seq.serialize().encode()).hexdigest()[:16] == "aa451f4c33f9b1aa"
 
 

@@ -5,7 +5,14 @@ canonicalisation finds for the piece move the whole diagram, and a site's
 image under one has an isomorphic rewrite.  Both searches apply one site
 per orbit (``moves._unrepeated``); they store the same codes in the same
 order, so their answers stay byte for byte what the unpruned search
-(``reference_search_equivalence``, kept here as the oracle) gives.
+(``reference_search_equivalence``, kept here as the oracle) gives, except
+where isomorphic rewrites with places get codes that differ (ROADMAP item
+1).
+
+The equivalence search also codes a rewrite only when its shape
+(``moves._shape_invariant``) meets the other side's, or when its
+expansion ends; the oracle, skipping sites by orbit too, codes every
+rewrite at once, and the two must answer alike under every budget.
 """
 
 import hashlib
@@ -19,7 +26,7 @@ import pytest
 
 import smg.moves as moves
 from smg.catalog import catalog_map
-from smg.diagram import Diagram, parse_smg
+from smg.diagram import CROSSING, Diagram, Node, parse_smg
 from smg.fixtures import fixture, fixture_names
 from smg.moves import (
     FORWARD,
@@ -27,7 +34,10 @@ from smg.moves import (
     MoveSequence,
     SearchBudget,
     _automorphisms,
+    _host,
     _path,
+    _rewrite_pieces,
+    _shape_invariant,
     _site_image,
     _unrepeated,
     apply_move,
@@ -127,9 +137,10 @@ def test_nothing_is_skipped_without_a_whole_diagram_symmetry():
     assert symmetric >= 8
 
 
-def reference_search_equivalence(d1, d2, catalog, allowed, budget):
+def reference_search_equivalence(d1, d2, catalog, allowed, budget, unrepeated=False):
     """``search_equivalence`` as it was before it skipped sites by orbit:
-    every kept site is applied."""
+    every kept site is applied, and every rewrite coded at once.  With
+    ``unrepeated``, sites are skipped by orbit as the search skips them."""
     specs = [catalog[m] for m in allowed]
     c1, c2 = d1.canonical_code(), d2.canonical_code()
     if c1 == c2:
@@ -142,9 +153,9 @@ def reference_search_equivalence(d1, d2, catalog, allowed, budget):
         for here, d in frontier:
             for move in specs:
                 for direction in (FORWARD, REVERSE):
-                    for site in moves.find_sites(d, move, direction):
-                        if site.variant not in move._kept:
-                            continue
+                    sites = [s for s in moves.find_sites(d, move, direction)
+                             if s.variant in move._kept]
+                    for site in _unrepeated(d, sites) if unrepeated else sites:
                         nxt = moves.apply_move(d, move, site)
                         code = nxt.canonical_code()
                         if code in this_side:
@@ -171,8 +182,107 @@ def reference_search_equivalence(d1, d2, catalog, allowed, budget):
     return None
 
 
+def text(seq):
+    return None if seq is None else seq.serialize()
+
+
+#: the ``max_states`` of the exactness gate
+GATE_STATES = (3, 10, 30, 100, 100_000)
+
+
+def test_deferred_codes_answer_as_the_eager_search():
+    """Coding a rewrite only when its shape meets the other side, or when
+    its expansion ends, changes no answer: from every fixture to the ends
+    of seeded walks of two and three moves, at every depth from 1 to 3 and
+    every ``max_states`` of GATE_STATES, the search answers byte for byte
+    as the reference search, which codes every rewrite at once, or both
+    answer None.  The reference skips sites by orbit as the search does,
+    so that only the deferred codes differ: unpruned, it answers otherwise
+    on the walk from ``three_loops``, where two rewrites at sites that an
+    automorphism swaps have places and codes that differ (ROADMAP item 1)."""
+    answers = {"found": 0, "none": 0}
+    for name in fixture_names():
+        for steps in (2, 3):
+            target = walk(fixture(name), steps, random.Random(f"{name}.gate.{steps}"))[-1]
+            for depth in (1, 2, 3):
+                for states in GATE_STATES:
+                    budget = SearchBudget(depth, states)
+                    got = search_equivalence(fixture(name), target, CAT, WALK_MOVES, budget)
+                    want = reference_search_equivalence(fixture(name), target, CAT, WALK_MOVES,
+                                                        budget, unrepeated=True)
+                    assert text(got) == text(want), (name, steps, depth, states)
+                    answers["none" if want is None else "found"] += 1
+    assert answers["found"] > 50 and answers["none"] > 50, answers
+
+
+def shape(d) -> tuple:
+    return _shape_invariant(d._darts, len(d.loops))
+
+
+def turned(d, nid: str):
+    """``d`` with node ``nid`` turned, an isomorphic copy: a marker or a
+    double point by one port, its attribute flipped, a crossing by two; a
+    place at one of its corners turns with it."""
+    r = 2 if d.node_map[nid].kind == CROSSING else 1
+    nodes = tuple(nd if nd.id != nid else
+                  Node(nid, nd.kind, None if nd.attr is None else 1 - nd.attr,
+                       nd.ports[r:] + nd.ports[:r]) for nd in d.nodes)
+    anchors = tuple((pid, (nid, (a[1] - r) % 4) if a is not None and a[0] == nid else a)
+                    for pid, a in d.anchors)
+    return Diagram(d.name, nodes, d.loops, anchors)
+
+
+def test_shape_invariants_are_sound():
+    """A rewrite spliced on integer darts has the shape of its built
+    diagram, and diagrams of one code have one shape: on the fixtures,
+    their rewrites by every unoriented move at every site, a seeded
+    renaming of each, and copies of each with one node turned."""
+    from test_diagram import shuffled_naming
+
+    rng, diagrams, spliced = random.Random(4242), [], 0
+    for name in fixture_names():
+        d = fixture(name)
+        diagrams.append(d)
+        host = _host(d)
+        for m in CAT.values():
+            for direction in (FORWARD, REVERSE):
+                for site in find_sites(d, m, direction):
+                    built = apply_move(d, m, site)
+                    pieces = _rewrite_pieces(d, host, m, site)
+                    if pieces is not None:
+                        assert _shape_invariant(pieces, 0) == shape(built), (name, site)
+                        spliced += 1
+                    diagrams.append(built)
+    copies = [shuffled_naming(d, rng) for d in diagrams]
+    copies += [turned(d, nd.id) for d in diagrams for nd in d.nodes]
+    shapes = {}
+    for d in diagrams + copies:
+        shapes.setdefault(d.canonical_code(), set()).add(shape(d))
+    assert len(shapes) == len({d.canonical_code() for d in diagrams})
+    assert all(len(found) == 1 for found in shapes.values())
+    assert spliced > 1000 and len(copies) > 3000 and len(shapes) > 500
+
+
+@pytest.mark.parametrize("states", [3618, 3619, 4400, 100_000])
+def test_criterion_7_answers_as_the_eager_search_under_a_budget(states):
+    """Criterion 7's search on ``d2m6`` stores 3,619 states when it meets
+    the other side: at 3,618 the eager search is cut first, at 3,619 and
+    4,400 the stored and pending states reach the budget in the last
+    expansion, so the rest of it is coded at once, and at 100,000 they do
+    not.  Each answers as the reference search does with sites skipped by
+    orbit."""
+    d = fixture("d2m6")
+    target = apply_move(d, CAT["O12p"], find_sites(d, CAT["O12p"], FORWARD)[0])
+    allowed = ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O12"]
+    budget = SearchBudget(12, states)
+    got = search_equivalence(d, target, CAT, allowed, budget)
+    want = reference_search_equivalence(d, target, CAT, allowed, budget, unrepeated=True)
+    assert text(got) == text(want)
+    assert (got is None) == (states < 3619)
+
+
 def watched(monkeypatch, search, d, target, depth: int):
-    """The answer's text, the rewrites coded, by either route, and the set
+    """The answer's text, the rewrites made, by either route, and the set
     of codes of ``search`` from ``d`` to ``target`` over WALK_MOVES."""
     _, _, work = watch_states(monkeypatch, moves, (d, target))
     seq = search(d, target, CAT, WALK_MOVES, SearchBudget(depth, 100_000))
@@ -183,8 +293,8 @@ def watched(monkeypatch, search, d, target, depth: int):
 @pytest.mark.parametrize("depth", [2, 3])
 def test_search_answers_and_codes_match_the_unpruned_search(monkeypatch, depth):
     """From every fixture to the end of a seeded walk of ``depth`` moves,
-    the search answers byte for byte as the unpruned one, computes the same
-    set of codes, and codes fewer rewrites in all."""
+    the search answers byte for byte as the unpruned one, makes rewrites of
+    the same set of codes, and fewer rewrites in all."""
     fewer = 0
     for name in fixture_names():
         d = fixture(name)
@@ -199,7 +309,7 @@ def test_search_answers_and_codes_match_the_unpruned_search(monkeypatch, depth):
 
 
 def kink_search() -> tuple:
-    """``(rewrites coded, distinct codes, answer text)`` of the search from
+    """``(rewrites made, distinct codes, answer text)`` of the search from
     ``kink`` to the end of a seeded three-move walk, where the search meets
     many symmetric diagrams."""
     target = walk(fixture("kink"), 3, random.Random("kink.2"))[-1]
@@ -210,8 +320,8 @@ def kink_search() -> tuple:
 
 
 def test_symmetric_search_work_is_pinned():
-    """The unpruned search codes 115 rewrites on the kink walk, 49 of them
-    distinct; skipping images of applied sites leaves 63 rewrites coded,
+    """The unpruned search makes 115 rewrites on the kink walk, 49 of them
+    distinct; skipping images of applied sites leaves 63 rewrites made,
     by either route, and the codes and the answer as they were."""
     applies, codes, answer = kink_search()
     assert applies < 115
