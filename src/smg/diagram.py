@@ -424,7 +424,7 @@ class Diagram:
 def _require(x, cls: type, what: str) -> None:
     """SMGSemanticError naming ``what`` unless ``x`` is a ``cls``."""
     if not isinstance(x, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
         raise SMGSemanticError(f"{what} needs {article} {cls.__name__}, not {type(x).__name__}")
 
 

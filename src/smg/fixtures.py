@@ -8,7 +8,7 @@ Fenn-Rolfsen link, and the two semi-invariant separating pairs.
 
 from __future__ import annotations
 
-from .diagram import Diagram, SMGSemanticError, parse_smg
+from .diagram import Diagram, SMGSemanticError, _require, parse_smg
 
 CIRCLE = """\
 diagram circle
@@ -119,6 +119,7 @@ _TEXTS = {
 def fixture(name: str) -> Diagram:
     """Load a named fixture; ``d1m5``/``d1m6`` are the slid partners of
     ``d2m5``/``d2m6``, produced by one slide-move application."""
+    _require(name, str, "fixture")
     name = name.lower()
     if name in _TEXTS:
         return parse_smg(_TEXTS[name])

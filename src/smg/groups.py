@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from .diagram import (CROSSING, MARKER, Diagram, OrientedDiagram, SMGSemanticError,
                       SMGSyntaxError, StrandParity, _cached, _port_classes, _require,
-                      _require_diagram, _ties)
+                      _require_count, _require_diagram, _ties)
 from .resolution import NEGATIVE, POSITIVE, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -32,6 +32,7 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __str__(self) -> str:
+        self._checked
         names = [f"g{i + 1}" for i in range(self.ngens)]
 
         def show(w: Word) -> str:
@@ -39,6 +40,22 @@ class Presentation:
                 names[abs(l) - 1] + ("" if l > 0 else "^-1") for l in w) or "1"
 
         return "⟨ " + ",".join(names) + " | " + ", ".join(show(w) for w in self.relators) + " ⟩"
+
+    @_cached
+    def _checked(self) -> bool:
+        """True, or an SMGSemanticError unless ``ngens`` is a count and every
+        letter of the relators a nonzero int of absolute value at most
+        ``ngens``; the scan runs once per presentation."""
+        _require_count(self.ngens, "Presentation")
+        if not isinstance(self.relators, (tuple, list)) or not all(
+                isinstance(w, (tuple, list)) for w in self.relators):
+            raise SMGSemanticError("Presentation needs its relators as a tuple of words")
+        bad = [l for w in self.relators for l in w
+               if type(l) is not int or not 0 < abs(l) <= self.ngens]
+        if bad:
+            raise SMGSemanticError(f"Presentation letter {bad[0]!r} is not a nonzero int of "
+                                   f"absolute value at most {self.ngens}")
+        return True
 
     @_cached
     def _plan(self) -> "_Plan":
@@ -201,7 +218,8 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> Presentation:
     in 1.7 s.
     """
     _require(p, Presentation, "tietze_simplify")
-    _require(budget, int, "tietze_simplify")
+    p._checked
+    _require_count(budget, "tietze_simplify")
     rels: dict[int, Word] = {}      # by position among the nonempty relators
     for w in p.relators:
         w = cyclic_reduce(w)
@@ -416,6 +434,7 @@ def _dense_diagonal(m: list[list[int]]) -> list[int]:
 
 def abelianization(p: Presentation) -> AbelianGroup:
     _require(p, Presentation, "abelianization")
+    p._checked
     return p._abelian
 
 
@@ -801,6 +820,7 @@ def hom_count(p: Presentation, g: GroupTable) -> int:
     an element whose order divides d_i.  Any other table is counted by
     :func:`_search_homs`."""
     _require(p, Presentation, "hom_count")
+    p._checked
     _require(g, GroupTable, "hom_count")
     g.check()
     if g._commutative:

@@ -16,10 +16,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 from .diagram import (
     CROSSING,
+    KINDS,
     MARKER,
     SINGULAR,
     Diagram,
@@ -266,6 +268,17 @@ class MoveSpec:
 
         skip = {b for _, b, _ in _covers(self.variants)}
         return tuple(v for v in range(len(self.variants)) if v not in skip)
+
+    @_cached
+    def _kind_delta(self) -> dict[tuple[int, str], tuple[int, ...]]:
+        """Per (variant, direction), what a rewrite adds to its host's
+        ``Diagram.counts``: the other side's node kinds less this side's."""
+        def count(pat: Pattern, kind: str) -> int:
+            return sum(nd.kind == kind for nd in pat.nodes)
+
+        return {(v, dr): tuple(count(self.other_side(v, dr), k) - count(self.side(v, dr), k)
+                               for k in KINDS)
+                for v in range(len(self.variants)) for dr in (FORWARD, REVERSE)}
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +701,7 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     result.  A site of another move, or of a variant the move lacks, is a
     semantic error."""
     base = _base(d, "apply_move")
+    _require(move, MoveSpec, "apply_move")
     _require(site, Site, "apply_move")
     if site.move_id != move.id:
         raise SMGSemanticError(f"a site of move {site.move_id} applied with move {move.id}")
@@ -888,6 +902,12 @@ def _shape_invariant(pieces, loops: int) -> tuple:
                                for mine, _, orbit in pieces))
 
 
+def _rewrite_counts(d: Diagram, move: MoveSpec, site: Site) -> tuple[int, ...]:
+    """``apply_move(d, move, site).counts``, from ``d``'s and the move's
+    kind delta (``MoveSpec._kind_delta``), without a splice."""
+    return tuple(map(add, d.counts, move._kind_delta[site.variant, site.direction]))
+
+
 def _built(d: Diagram, move: MoveSpec, site: Site, code: bytes) -> Diagram:
     """``apply_move(d, move, site)``, whose code :func:`_rewrite_code` gave
     as ``code``; an SMGError if the built diagram's code is another."""
@@ -965,6 +985,7 @@ def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
     (:func:`_rewrite_code`)."""
     _base(d, "verify_sequence")
     _require(s, MoveSequence, "verify_sequence")
+    _require(catalog, dict, "verify_sequence")
     cur = d
     for i, step in enumerate(s.steps):
         if step.move_id not in catalog:
@@ -1012,18 +1033,22 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     diagrams with loops or places or where a strand closes, are built by
     ``apply_move`` and held without their caches.
 
-    A spliced rewrite is coded at once only when its shape
-    (:func:`_shape_invariant`) is among the other side's, as it may then
-    meet that side.  The others are pending, held as parent and site with
-    no table, and are coded in the order they were made when their
-    expansion ends without a hit, so states are stored as when every
-    rewrite is coded at once.  While stored and pending states are fewer
-    than ``max_states`` no cut can come before a hit; once they reach it,
-    the pending rewrites are settled and every later one is coded at once.
+    A rewrite is spliced only when its node kinds (:func:`_rewrite_counts`,
+    read off the host and the move without a splice) are among the other
+    side's states', and coded at once only when its shape
+    (:func:`_shape_invariant`) is among theirs too, as it may then meet
+    that side; one built by ``apply_move`` is coded when it is built.  The
+    others are pending, held as parent and site with no table, and are
+    spliced and coded in the order they were made when their expansion
+    ends without a hit, so states are stored as when every rewrite is
+    coded at once.  While stored and pending states are fewer than
+    ``max_states`` no cut can come before a hit; once they reach it, the
+    pending rewrites are settled and every later one is coded at once.
     """
     if not (isinstance(d1, Diagram) and isinstance(d2, Diagram)):
         raise SMGSemanticError("search_equivalence compares unoriented diagrams, "
                                f"not {type(d1).__name__} and {type(d2).__name__}")
+    _require(catalog, dict, "search_equivalence")
     budget = SearchBudget() if budget is None else budget
     _require(budget, SearchBudget, "search_equivalence")
     _require_count(budget.max_depth, "search_equivalence")
@@ -1033,6 +1058,8 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     if unknown:
         raise SMGSemanticError(f"unknown move ids {unknown}")
     moves = [catalog[m] for m in allowed]
+    for m in moves:
+        _require(m, MoveSpec, "search_equivalence")
     c1, c2 = d1.canonical_code(), d2.canonical_code()
     if c1 == c2:
         return MoveSequence(())
@@ -1040,11 +1067,24 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     # code -> (parent code, move id, variant, direction), None at a root
     fwd: dict[bytes, Optional[tuple]] = {c1: None}
     bwd: dict[bytes, Optional[tuple]] = {c2: None}
-    # the shapes of each side's states
-    shapes_f = {_shape_invariant(d1._darts, len(d1.loops))}
-    shapes_b = {_shape_invariant(d2._darts, len(d2.loops))}
+    # the shapes and the node-kind counts of each side's states
+    seen_f = {_shape_invariant(d1._darts, len(d1.loops))}, {d1.counts}
+    seen_b = {_shape_invariant(d2._darts, len(d2.loops))}, {d2.counts}
     frontier_f, frontier_b = [(c1, d1)], [(c2, d2)]
     eager = False       # set once stored and pending states reach max_states
+
+    def rewrite(d, host, move, site, shapes=None):
+        """The rewrite's state, shape and code; the code is None when it is
+        spliced and ``shapes`` is given without its shape."""
+        pieces = _rewrite_pieces(d, host, move, site)
+        if pieces is None:
+            nxt = apply_move(d, move, site)
+            shape, code = _shape_invariant(nxt._darts, len(nxt.loops)), nxt.canonical_code()
+            # a built rewrite without its caches: most are never expanded
+            return replace(nxt), shape, code
+        shape = _shape_invariant(pieces, 0)
+        meets = shapes is None or shape in shapes
+        return (d, move, site), shape, _pieces_code(pieces) if meets else None
 
     def settle(frontier, this_side, these):
         """``frontier`` with each pending rewrite coded, in order, and stored
@@ -1052,14 +1092,14 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         out = []
         for entry in frontier:
             if len(entry) == 6:
-                here, d, host, move, site, direction = entry
-                pieces = _rewrite_pieces(d, host, move, site)
-                code = _pieces_code(pieces)
+                here, d, host, move, site, kinds = entry
+                nxt, shape, code = rewrite(d, host, move, site)
                 if code in this_side:
                     continue
-                this_side[code] = (here, move.id, site.variant, direction)
-                these.add(_shape_invariant(pieces, 0))
-                entry = code, (d, move, site)
+                this_side[code] = (here, move.id, site.variant, site.direction)
+                these[0].add(shape)
+                these[1].add(kinds)
+                entry = code, nxt
             out.append(entry)
         return out
 
@@ -1071,26 +1111,21 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
             host = _host(d)
             for move in moves:
                 for direction in (FORWARD, REVERSE):
-                    sites = find_sites(d, move, direction)
-                    for site in _unrepeated(d, (s for s in sites if s.variant in move._kept)):
-                        pieces, nxt = _rewrite_pieces(d, host, move, site), (d, move, site)
-                        if pieces is None:
-                            nxt = apply_move(d, move, site)
-                            shape = _shape_invariant(nxt._darts, len(nxt.loops))
-                            code = nxt.canonical_code()
-                        else:
-                            shape = _shape_invariant(pieces, 0)
-                            code = _pieces_code(pieces) if eager or shape in others else None
+                    for site in _unrepeated(d, _sites(d, move, direction, kept=True)):
+                        kinds, code = _rewrite_counts(d, move, site), None
+                        if eager or kinds in others[1]:
+                            nxt, shape, code = rewrite(d, host, move, site,
+                                                       None if eager else others[0])
                         if code is None:
-                            new_frontier.append((here, d, host, move, site, direction))
+                            new_frontier.append((here, d, host, move, site, kinds))
                             pending += 1
                         elif code in this_side:
                             continue
                         else:
                             this_side[code] = (here, move.id, site.variant, direction)
-                            these.add(shape)
-                            # a built rewrite without its caches: most are never expanded
-                            new_frontier.append((code, nxt if type(nxt) is tuple else replace(nxt)))
+                            these[0].add(shape)
+                            these[1].add(kinds)
+                            new_frontier.append((code, nxt))
                             if code in other_side:
                                 return new_frontier, code
                         if len(fwd) + len(bwd) + pending >= budget.max_states:
@@ -1105,9 +1140,9 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         if not frontier_f and not frontier_b:
             return None
         if frontier_f and (len(frontier_f) <= len(frontier_b) or not frontier_b):
-            frontier_f, hit = expand(frontier_f, fwd, bwd, shapes_f, shapes_b)
+            frontier_f, hit = expand(frontier_f, fwd, bwd, seen_f, seen_b)
         else:
-            frontier_b, hit = expand(frontier_b, bwd, fwd, shapes_b, shapes_f)
+            frontier_b, hit = expand(frontier_b, bwd, fwd, seen_b, seen_f)
         if hit is StopIteration:
             return None
         if hit is not None:

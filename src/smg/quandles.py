@@ -25,6 +25,7 @@ from .diagram import (
     _cached,
     _port_classes,
     _require,
+    _require_count,
     _require_diagram,
     _ties,
 )
@@ -100,7 +101,10 @@ class QuandleTable:
 
 def check_quandle(raw: Iterable[Iterable[int]]) -> list[str]:
     """Return a list of axiom violations, each with a witness; empty iff the
-    table is a quandle."""
+    table is a quandle.  The table and each of its rows is a tuple or list."""
+    for x in (raw, *raw) if isinstance(raw, (tuple, list)) else (raw,):
+        if not isinstance(x, (tuple, list)):
+            raise SMGSemanticError(f"check_quandle needs a tuple or list, not {type(x).__name__}")
     table = [list(r) for r in raw]
     n = len(table)
     issues = []
@@ -144,9 +148,10 @@ def serialize_quandle(q: QuandleTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)     # typed: 3.0 and True miss the entries of 3 and 1
 def dihedral_quandle(n: int) -> QuandleTable:
     """x * y = 2y - x mod n (1-indexed table)."""
+    _require_count(n, "dihedral_quandle")
     rows = [[((2 * y - x) % n) + 1 for y in range(n)] for x in range(n)]
     return quandle_from_rows(rows)
 
@@ -179,9 +184,10 @@ FOUR_QUANDLE = QuandleTable((
 ))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def small_quandles(max_order: int = 4) -> tuple[QuandleTable, ...]:
     """All quandles of order <= max_order up to isomorphism."""
+    _require_count(max_order, "small_quandles")
     found: list[QuandleTable] = []
     for n in range(1, max_order + 1):
         perms = list(itertools.permutations(range(1, n + 1)))

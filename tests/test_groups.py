@@ -575,6 +575,37 @@ def test_bad_group_tables_raise_typed_errors(mult, message):
             use(GroupTable(mult))
 
 
+@pytest.mark.parametrize("p, message", [
+    (Presentation(2, ((0, 1),)), "Presentation letter 0 is not a nonzero int of absolute "
+                                 "value at most 2"),
+    (Presentation(2, ((5, 1),)), "Presentation letter 5 is not a nonzero int of absolute "
+                                 "value at most 2"),
+    (Presentation(1, ((True,),)), "Presentation letter True is not a nonzero int of absolute "
+                                  "value at most 1"),
+    (Presentation(-1, ()), "Presentation needs an int of zero or more, not negative"),
+    (Presentation(2.0, ()), "Presentation needs an int, not float"),
+    (Presentation(2, (3,)), "Presentation needs its relators as a tuple of words"),
+    (Presentation(2, None), "Presentation needs its relators as a tuple of words"),
+])
+def test_bad_presentations_raise_typed_errors(p, message):
+    """A letter out of range, a negative or non-int generator count, or
+    relators that are no words is a typed error from every use of the
+    presentation, not a wrong free rank, a float count or an
+    ``IndexError``."""
+    for use in (abelianization, tietze_simplify, str,
+                lambda p: hom_count(p, cyclic_group(2)),
+                lambda p: hom_count(p, groups_up_to_order(6)[-1][1])):
+        with pytest.raises(SMGSemanticError, match=f"^{message}$"):
+            use(p)
+
+
+def test_tietze_budgets_are_counts():
+    p = Presentation(1, ((1, 1),))
+    for budget in (-1, True, 2.0):
+        with pytest.raises(SMGSemanticError, match="^tietze_simplify needs an int"):
+            tietze_simplify(p, budget)
+
+
 def _misuses():
     """(the function called, a call that hands it an argument of another
     type, a node it lacks, or a budget that is a bool or below zero) for the
@@ -583,7 +614,8 @@ def _misuses():
     from smg.catalog import catalog_map, move_catalog
     from smg.diagram import parse_smg, serialize
     from smg.moves import MoveSequence, SearchBudget, search_equivalence, verify_sequence
-    from smg.quandles import coloring_count, dihedral_quandle
+    from smg.quandles import (QuandleTable, check_quandle, coloring_count, dihedral_quandle,
+                              small_quandles)
     from smg.resolution import (Budget, crossing_sign, is_admissible, is_trivial_unlink,
                                 linking_matrix, reidemeister_simplify)
     from smg.transforms import profile
@@ -628,6 +660,17 @@ def _misuses():
         ("reidemeister_simplify", lambda: reidemeister_simplify(d, Budget(max_states=True))),
         ("is_trivial_unlink", lambda: is_trivial_unlink(d, Budget(extra_crossings=-1))),
         ("is_admissible", lambda: is_admissible(d, Budget(extra_crossings=False))),
+        ("dihedral_quandle", lambda: dihedral_quandle("3")),
+        ("dihedral_quandle", lambda: dihedral_quandle(3.0)),
+        ("small_quandles", lambda: small_quandles("2")),
+        ("check_quandle", lambda: check_quandle(None)),
+        ("check_quandle", lambda: check_quandle(QuandleTable)),
+        ("fixture", lambda: fixture(None)),
+        ("fixture", lambda: fixture(3)),
+        ("search_equivalence", lambda: search_equivalence(d, d, list(cat.values()))),
+        ("verify_sequence", lambda: verify_sequence(d, MoveSequence.parse("O1 0 forward a"),
+                                                    None)),
+        ("apply_move", lambda: apply_move(d, "O1", find_sites(d, move)[0])),
     ]
 
 
@@ -639,6 +682,57 @@ def test_entry_points_name_themselves_in_type_errors(k):
     name, call = _misuses()[k]
     with pytest.raises(SMGSemanticError, match=f"^{name} needs an? [A-Za-z ]+, not [A-Za-z]+$"):
         call()
+
+
+def test_public_callables_raise_only_typed_errors():
+    """Every callable that ``smg`` exports, given None, a str or an int in
+    one required position and fitting arguments in the others, returns or
+    raises ``SMGError`` or ``StaleSiteError``: never a stray ``TypeError``
+    or ``AttributeError``.  Each call runs under an alarm, so that a bad
+    argument that starts a long computation fails the test instead."""
+    import inspect
+    import signal
+
+    import smg
+    from smg.moves import StaleSiteError
+
+    d = fixture("trefoil")
+    cat = smg.catalog_map("unoriented")
+    fitting = {"d": d, "d1": d, "d2": d, "c": d, "od": enumerate_orientations(d)[0],
+               "move": cat["O1"], "site": find_sites(d, cat["O1"])[0], "catalog": cat,
+               "s": smg.MoveSequence(()), "p": wirtinger_presentation(d), "g": cyclic_group(3),
+               "q": smg.FOUR_QUANDLE, "name": "trefoil", "text": smg.serialize(d),
+               "raw": smg.FOUR_QUANDLE.table, "n": 3, "sign": POSITIVE, "kind": "M5",
+               "k": export_exterior(d)}
+
+    def alarm(*_):
+        raise TimeoutError
+
+    calls, previous = 0, signal.signal(signal.SIGALRM, alarm)
+    try:
+        for name in smg.__all__:
+            f = getattr(smg, name)
+            if not callable(f) or isinstance(f, type) and issubclass(f, BaseException):
+                continue
+            required = [q.name for q in inspect.signature(f).parameters.values()
+                        if q.default is q.empty and q.kind == q.POSITIONAL_OR_KEYWORD]
+            for i in range(len(required)):
+                for bad in (None, "x", 3):
+                    args = [fitting.get(r) for r in required]
+                    args[i] = bad
+                    signal.setitimer(signal.ITIMER_REAL, 10)
+                    try:
+                        f(*args)
+                    except (smg.SMGError, StaleSiteError):
+                        pass
+                    except Exception as exc:
+                        raise AssertionError(f"{name} at {required[i]}={bad!r}") from exc
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                    calls += 1
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert calls > 100
 
 
 # The port rule before it was shared, kept verbatim as the oracle for the

@@ -9,8 +9,9 @@ order, so their answers stay byte for byte what the unpruned search
 where isomorphic rewrites with places get codes that differ (ROADMAP item
 1).
 
-The equivalence search also codes a rewrite only when its shape
-(``moves._shape_invariant``) meets the other side's, or when its
+The equivalence search also splices a rewrite only when its node-kind
+counts (``moves._rewrite_counts``) meet the other side's, and codes it
+only when its shape (``moves._shape_invariant``) does too, or when its
 expansion ends; the oracle, skipping sites by orbit too, codes every
 rewrite at once, and the two must answer alike under every budget.
 """
@@ -261,6 +262,34 @@ def test_shape_invariants_are_sound():
     assert len(shapes) == len({d.canonical_code() for d in diagrams})
     assert all(len(found) == 1 for found in shapes.values())
     assert spliced > 1000 and len(copies) > 3000 and len(shapes) > 500
+
+
+def test_kind_deltas_are_sound():
+    """A rewrite's node-kind counts, read off its host and the move's
+    cached kind delta without a splice, are those of the built rewrite:
+    at every site of every unoriented move, both directions, on the
+    fixtures, their one-move rewrites, hosts with places and hosts with
+    a loop."""
+    from test_diagram import anchored_hosts
+    from test_groups import fixtures_and_first_rewrites
+    from tests.test_transforms import PLACED_HOSTS
+
+    from smg.moves import _rewrite_counts
+
+    hosts = list(fixtures_and_first_rewrites()) + anchored_hosts()
+    hosts.append(Diagram("t", fixture("trefoil").nodes, ("c9",)))
+    hosts += [parse_smg(f"diagram h\n{body}end\n") for body in UNMOVED]
+    hosts += [parse_smg(f"diagram h\n{body}loop z9\nend\n") for body in PLACED_HOSTS]
+    checked, changed = 0, 0
+    for d in hosts:
+        for m in CAT.values():
+            for direction in (FORWARD, REVERSE):
+                for site in find_sites(d, m, direction):
+                    want = apply_move(d, m, site).counts
+                    assert _rewrite_counts(d, m, site) == want, (d.name, m.id, site)
+                    checked += 1
+                    changed += want != d.counts
+    assert checked > 20_000 and changed > 10_000, (checked, changed)
 
 
 @pytest.mark.parametrize("states", [3618, 3619, 4400, 100_000])
