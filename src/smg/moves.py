@@ -1068,14 +1068,14 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     fwd: dict[bytes, Optional[tuple]] = {c1: None}
     bwd: dict[bytes, Optional[tuple]] = {c2: None}
     # the shapes and the node-kind counts of each side's states
-    seen_f = {_shape_invariant(d1._darts, len(d1.loops))}, {d1.counts}
-    seen_b = {_shape_invariant(d2._darts, len(d2.loops))}, {d2.counts}
+    shapes_f, kinds_f = {_shape_invariant(d1._darts, len(d1.loops))}, {d1.counts}
+    shapes_b, kinds_b = {_shape_invariant(d2._darts, len(d2.loops))}, {d2.counts}
     frontier_f, frontier_b = [(c1, d1)], [(c2, d2)]
     eager = False       # set once stored and pending states reach max_states
 
-    def rewrite(d, host, move, site, shapes=None):
+    def rewrite(d, host, move, site, eager, shapes):
         """The rewrite's state, shape and code; the code is None when it is
-        spliced and ``shapes`` is given without its shape."""
+        spliced, not ``eager`` and its shape is not in ``shapes``."""
         pieces = _rewrite_pieces(d, host, move, site)
         if pieces is None:
             nxt = apply_move(d, move, site)
@@ -1083,27 +1083,26 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
             # a built rewrite without its caches: most are never expanded
             return replace(nxt), shape, code
         shape = _shape_invariant(pieces, 0)
-        meets = shapes is None or shape in shapes
-        return (d, move, site), shape, _pieces_code(pieces) if meets else None
+        return (d, move, site), shape, _pieces_code(pieces) if eager or shape in shapes else None
 
-    def settle(frontier, this_side, these):
+    def settle(frontier, this_side, shapes, kinds):
         """``frontier`` with each pending rewrite coded, in order, and stored
         unless its code is."""
         out = []
         for entry in frontier:
             if len(entry) == 6:
-                here, d, host, move, site, kinds = entry
-                nxt, shape, code = rewrite(d, host, move, site)
+                here, d, host, move, site, direction = entry
+                nxt, shape, code = rewrite(d, host, move, site, True, shapes)
                 if code in this_side:
                     continue
-                this_side[code] = (here, move.id, site.variant, site.direction)
-                these[0].add(shape)
-                these[1].add(kinds)
+                this_side[code] = (here, move.id, site.variant, direction)
+                shapes.add(shape)
+                kinds.add(_rewrite_counts(d, move, site))
                 entry = code, nxt
             out.append(entry)
         return out
 
-    def expand(frontier, this_side, other_side, these, others):
+    def expand(frontier, this_side, other_side, shapes, kinds, other_shapes, other_kinds):
         nonlocal eager
         new_frontier, pending = [], 0
         for here, d in frontier:
@@ -1111,38 +1110,38 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
             host = _host(d)
             for move in moves:
                 for direction in (FORWARD, REVERSE):
-                    for site in _unrepeated(d, _sites(d, move, direction, kept=True)):
-                        kinds, code = _rewrite_counts(d, move, site), None
-                        if eager or kinds in others[1]:
-                            nxt, shape, code = rewrite(d, host, move, site,
-                                                       None if eager else others[0])
+                    sites = find_sites(d, move, direction)
+                    for site in _unrepeated(d, (s for s in sites if s.variant in move._kept)):
+                        counts, code = _rewrite_counts(d, move, site), None
+                        if eager or counts in other_kinds:
+                            nxt, shape, code = rewrite(d, host, move, site, eager, other_shapes)
                         if code is None:
-                            new_frontier.append((here, d, host, move, site, kinds))
+                            new_frontier.append((here, d, host, move, site, direction))
                             pending += 1
                         elif code in this_side:
                             continue
                         else:
                             this_side[code] = (here, move.id, site.variant, direction)
-                            these[0].add(shape)
-                            these[1].add(kinds)
+                            shapes.add(shape)
+                            kinds.add(counts)
                             new_frontier.append((code, nxt))
                             if code in other_side:
                                 return new_frontier, code
                         if len(fwd) + len(bwd) + pending >= budget.max_states:
                             if not eager:
                                 eager, pending = True, 0
-                                new_frontier = settle(new_frontier, this_side, these)
+                                new_frontier = settle(new_frontier, this_side, shapes, kinds)
                             if len(fwd) + len(bwd) >= budget.max_states:
                                 return new_frontier, StopIteration
-        return settle(new_frontier, this_side, these) if pending else new_frontier, None
+        return settle(new_frontier, this_side, shapes, kinds) if pending else new_frontier, None
 
     for _ in range(budget.max_depth):
         if not frontier_f and not frontier_b:
             return None
         if frontier_f and (len(frontier_f) <= len(frontier_b) or not frontier_b):
-            frontier_f, hit = expand(frontier_f, fwd, bwd, seen_f, seen_b)
+            frontier_f, hit = expand(frontier_f, fwd, bwd, shapes_f, kinds_f, shapes_b, kinds_b)
         else:
-            frontier_b, hit = expand(frontier_b, bwd, fwd, seen_b, seen_f)
+            frontier_b, hit = expand(frontier_b, bwd, fwd, shapes_b, kinds_b, shapes_f, kinds_f)
         if hit is StopIteration:
             return None
         if hit is not None:

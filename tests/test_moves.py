@@ -675,23 +675,23 @@ def test_search_builds_faces_only_for_the_diagrams_it_expands(monkeypatch):
     # uncached copies
     d, target = (Diagram(x.name, x.nodes, x.loops, x.anchors) for x in (d, target))
     _, _, work = watch_states(monkeypatch, moves, (d, target))
-    init, find, apply = Faces.__init__, moves._sites, moves.apply_move
+    init, find, apply = Faces.__init__, moves.find_sites, moves.apply_move
 
     def counted_init(self, d):
         built.append(d)
         init(self, d)
 
-    def recorded_find(d, *args, **kw):
+    def recorded_find(d, move, direction=FORWARD):
         if not any(x is d for x in expanded):
             expanded.append(d)
-        return find(d, *args, **kw)
+        return find(d, move, direction)
 
     def recorded_apply(d, move, site):
         applied.append(apply(d, move, site))
         return applied[-1]
 
     monkeypatch.setattr(Faces, "__init__", counted_init)
-    monkeypatch.setattr(moves, "_sites", recorded_find)
+    monkeypatch.setattr(moves, "find_sites", recorded_find)
     monkeypatch.setattr(moves, "apply_move", recorded_apply)
     seq = search_equivalence(d, target, CAT, ["O1", "O2"], SearchBudget(3, 100_000))
     monkeypatch.undo()
