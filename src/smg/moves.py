@@ -7,13 +7,15 @@ move is performed in.  Matching embeds a fragment into a host diagram
 injectively, preserving rotation, decorations and face structure; application
 cuts the matched disk out and sews the other side in along the same legs, by
 the one splice (:func:`_splice`) that the resolutions and transforms use too.
+The search's splice on integer darts (:func:`_rewrite_pieces`) reads a
+site's legs by the same rule (:func:`_legs`) and walks strands by the same
+walk (:func:`_strand`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add
@@ -173,18 +175,11 @@ class Pattern:
             raise SMGSemanticError("pattern has more than one node component")
 
     @_cached
-    def _leg_ends(self) -> tuple:
-        """Per leg, the far end of its edge: a node port ``(node id, port)``,
-        or the index in ``legs`` of the leg at the other end of a bare strand."""
-        ends = (self.alpha(self.hub_dart_of_leg(k)) for k in range(1, self.K + 1))
-        return tuple(self.leg_of_hub_dart(x) - 1 if x[0] == HUB else x for x in ends)
-
-    @_cached
     def _paste(self) -> tuple:
         """The pattern's nodes on integer darts ``4*i + port``, ``i`` the
         node's index in ``nodes``: ``alpha`` on the interior edges, -1 at a
-        leg's port, and per leg the far end of its edge (``_leg_ends``), a
-        dart or ``~j`` for ``legs[j]`` at the other end of a bare strand."""
+        leg's port, and per leg the far end of its edge, a dart or ``~j``
+        for ``legs[j]`` at the other end of a bare strand."""
         at = {nd.id: 4 * i for i, nd in enumerate(self.nodes)}
         alpha = [-1] * (4 * len(self.nodes))
         for nd in self.nodes:
@@ -192,7 +187,9 @@ class Pattern:
                 m, q = self.alpha((nd.id, p))
                 if m != HUB:
                     alpha[at[nd.id] + p] = at[m] + q
-        return alpha, tuple(~x if type(x) is int else at[x[0]] + x[1] for x in self._leg_ends)
+        ends = (self.alpha(self.hub_dart_of_leg(k)) for k in range(1, self.K + 1))
+        return alpha, tuple(~(self.leg_of_hub_dart(x) - 1) if x[0] == HUB else at[x[0]] + x[1]
+                            for x in ends)
 
     @_cached
     def head_map(self) -> dict[str, object]:
@@ -586,72 +583,100 @@ def _unrepeated(d: Diagram, sites: Iterable[Site]) -> Iterator[Site]:
 # the splice
 
 
-def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, prefix: str,
-            turned: Optional[dict] = None, beyond: Optional[dict] = None):
+def _strand(j: int, inner, outer, through, mark):
+    """The two ends of the strand through leg ``j``, or None when it closes.
+    ``inner[k]`` and ``outer[k]`` are what leg ``k`` joins on either side of
+    its cut, a dart or ``~i`` for leg ``i``; the strand leaves ``j`` both
+    ways, crossing each leg it meets, and sets ``through[k] = mark`` for
+    each leg ``k`` it passes, ``j`` too."""
+    through[j] = mark
+    ends = []
+    for there, back in ((inner, outer), (outer, inner)):
+        x = there[j]
+        while type(x) is int and x < 0:
+            x = ~x
+            if x == j:
+                return None
+            through[x] = mark
+            there, back = back, there
+            x = there[x]
+        ends.append(x)
+    return ends
+
+
+def _legs(d: Diagram, pat: Pattern, site: Site) -> tuple[list, list]:
+    """Per leg ``j`` of ``site``, on ``pat.legs[j]``: the host dart just
+    beyond its cut (:func:`_host_dart_beyond`) or the loop it cuts, and what
+    the leg joins outside the disk, that dart, or ``~k`` for the leg ``k``
+    at the other end of a loop or of an edge cut near both ends (a
+    through-strand keeps both darts)."""
+    targets = dict(enumerate(site.leg_targets, start=1))
+    beyond = [_host_dart_beyond(d, pat, pat.hub_dart_of_leg(k), None, targets) or t[1]
+              for k, t in targets.items()]
+    outer, claims = beyond[:], {}
+    for j, t in enumerate(site.leg_targets):
+        claims.setdefault(t[:2], []).append(j)
+    for (kind, _), ks in claims.items():
+        if len(ks) == 2 and (kind == "loop" or pat.legs[ks[0]] not in pat.through_edges):
+            outer[ks[0]], outer[ks[1]] = ~ks[1], ~ks[0]
+    return beyond, outer
+
+
+def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: list, order, prefix: str,
+            turned: Optional[dict] = None, beyond: Optional[list] = None):
     """Cut the nodes and loops of ``cut`` out of ``d`` and paste tangles in.
 
-    ``tangles[key] = (pattern, legs)`` puts leg ``k`` of a pattern at
-    ``legs[k - 1]`` and its nodes in place of host node ``key`` (after the
-    host's nodes for ``key`` None).  A leg joins ``outer[leg]``, a surviving
-    host dart or the leg at the other end of a cut arc or loop, to a pasted
-    port or the leg at the other end of a bare strand.  Each strand, walked
-    once through alternating connectors, becomes an edge ``prefix<i>``, or a
-    loop ``c<i>`` when it closes, named in ``order``: legs, and host edges
+    ``tangles[key]`` is a pattern whose nodes go in place of host node
+    ``key`` (after the host's nodes for ``key`` None).  Legs are numbered
+    from 0 across the tangles in turn, and ``~k`` stands for leg ``k``.
+    Leg ``k`` joins ``outer[k]``, a surviving host dart or the leg at the
+    other end of a cut arc or loop, to its pasted port or the leg at the
+    other end of a bare strand (``Pattern._paste``).  Each strand, walked
+    once (:func:`_strand`), becomes an edge ``prefix<i>``, or a loop
+    ``c<i>`` when it closes, named in ``order``: legs, and host edges
     between surviving darts to cut whole.  Pasted nodes are ``q<i>`` and
     interior edges ``t<i>``.  A node of ``turned`` becomes a crossing whose
     port ``p + turned[v]`` was its port ``p``.  Places follow faces
-    (:func:`resolution._places`) when ``beyond`` maps each leg to the host
-    dart beyond its cut or to the loop it cuts, and are dropped otherwise.
+    (:func:`resolution._places`) when ``beyond[k]`` is the host dart beyond
+    leg ``k``'s cut or the loop it cuts, and are dropped otherwise.
     Returns the validated result, which shares ``d``'s family memo
     (``Diagram._tails``), the new edges and loops ``(id, end, end)``, each
     end a surviving host dart or a pasted port (None for a loop), and per
     key the pasted node and edge names."""
     turned = turned or {}
     fresh = _fresh_ids({*d.node_map, *d.edge_ends, *d.loops})
-    ids, inner, edge_at = {}, {}, {}
-    for key, (pat, legs) in tangles.items():
+    ids, inner, laid, edge_at = {}, [], {}, {}
+    for key, pat in tangles.items():
         new = {nd.id: fresh("q") for nd in pat.nodes}
         mid = {e: fresh("t") for e in pat.interior_edges}
         ids[key] = (new, mid)
         if mid:
             edge_at.update({(new[t.id], q): mid[e]
                             for t in pat.nodes for q, e in enumerate(t.ports) if e in mid})
-        for leg, end in zip(legs, pat._leg_ends):
-            inner[leg] = legs[end] if type(end) is int else (new[end[0]], end[1])
+        first, names = len(inner), [new[nd.id] for nd in pat.nodes]
+        laid[key] = (pat, range(first, first + pat.K))
+        inner += [(names[y >> 2], y & 3) if y >= 0 else ~(first + ~y) for y in pat._paste[1]]
 
     made, rings = [], []    # (id, end, end) per new edge, (id, None, None) per new loop
-    through = {}            # leg -> index in ``made`` of its strand
-
-    def follow(leg, there, back):
-        """The strand's end beyond ``leg`` via ``there``; None if it closes."""
-        x = there[leg]
-        while x in inner:
-            if x == leg:
-                return None
-            through[x] = len(made)
-            there, back = back, there
-            x = there[x]
-        return x
-
+    through = {}            # leg -> index in ``made`` of its strand, in walk order
     edge_ends = d.edge_ends
     for x in order:
-        if x not in inner:      # a host edge between surviving darts
+        if type(x) is str:      # a host edge between surviving darts
             a, b = edge_ends[x]
         elif x in through:
             continue
         else:
-            through[x] = len(made)
-            a = follow(x, inner, outer)
-            if a is None:
+            ends = _strand(x, inner, outer, through, len(made))
+            if ends is None:
                 rings.append(fresh("c"))
                 made.append((rings[-1], None, None))
                 continue
-            b = follow(x, outer, inner)
+            a, b = ends
         e = edge_at[a] = edge_at[b] = fresh(prefix)
         made.append((e, a, b))
 
     pasted = {}     # key -> its tangle's nodes, for tangles with nodes
-    for key, (pat, _) in tangles.items():
+    for key, pat in tangles.items():
         if pat.nodes:
             new = ids[key][0]
             pasted[key] = [Node(m := new[t.id], t.kind, t.attr,
@@ -675,7 +700,7 @@ def _splice(d: Diagram, name: str, cut: set, tangles: dict, outer: dict, order, 
     if beyond is not None and (d.anchors or rings):
         from .resolution import _places     # resolution imports this module
 
-        anchors = _places(d, nodes, cut, tangles, ids, made, through, beyond)
+        anchors = _places(d, nodes, cut, laid, ids, made, through, beyond)
     result = Diagram(name, tuple(nodes), tuple([l for l in d.loops if l not in cut] + rings),
                      anchors)
     result.__dict__["_tails"] = d._tails
@@ -711,7 +736,6 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
     pat = move.side(site.variant, site.direction)
     out = move.other_side(site.variant, site.direction)
     amap = site.node_image_map
-    targets = {k + 1: t for k, t in enumerate(site.leg_targets)}
 
     # -- presence checks
     edge_img: dict[str, str] = {}
@@ -729,29 +753,18 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
                 raise StaleSiteError("edge image inconsistent")
     consumed = {hid for hid, _ in amap.values()}
     consumed_edges = {edge_img[e] for e in pat.interior_edges}
-    claims: dict[tuple[str, str], list[int]] = {}
-    for k, t in targets.items():
+    for t in site.leg_targets:
         if t[0] == "edge":
             if t[1] not in base.edge_ends or t[1] in consumed_edges:
                 raise StaleSiteError(f"cut edge {t[1]} unavailable")
         elif t[1] not in base.loops:
             raise StaleSiteError(f"cut loop {t[1]} gone")
-        claims.setdefault(t[:2], []).append(k)
 
-    # -- legs: the host dart just beyond each cut, or the loop it cuts, and
-    # the outer connector: that dart, or the leg at the other end of a loop
-    # or of an edge cut near both ends (a through-strand keeps both darts)
-    beyond = {k: _host_dart_beyond(base, pat, pat.hub_dart_of_leg(k), amap, targets) or t[1]
-              for k, t in targets.items()}
-    outer = dict(beyond)
-    for (kind, _), ks in claims.items():
-        if len(ks) == 2 and (kind == "loop" or pat.legs[ks[0] - 1] not in pat.through_edges):
-            outer[ks[0]], outer[ks[1]] = ks[1], ks[0]
-
-    cut = consumed | {t[1] for t in targets.values() if t[0] == "loop"}
+    beyond, outer = _legs(base, pat, site)
+    cut = consumed | {t[1] for t in site.leg_targets if t[0] == "loop"}
     try:
-        result, made, ids = _splice(base, base.name, cut, {None: (out, list(targets))},
-                                    outer, targets, "t", beyond=beyond)
+        result, made, ids = _splice(base, base.name, cut, {None: out}, outer, range(len(outer)),
+                                    "t", beyond=beyond)
     except SMGError as exc:
         raise StaleSiteError(f"rewrite produced invalid diagram: {exc}") from exc
     node_ids, int_eids = ids[None]
@@ -805,12 +818,10 @@ def _rewrite_pieces(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Opti
     follow faces (:func:`resolution._places`), and only ``apply_move`` codes
     it.
 
-    The site's nodes are cut and the other side's pasted after the host's.
-    Each leg joins the host dart beyond its cut (:func:`_host_dart_beyond`),
-    or the leg at the other end of an edge cut near both ends, to a pasted
-    port or the leg at the other end of a bare strand; strands are walked
-    as :func:`_splice` walks them.  As the splice checks, every dart must
-    be paired and every piece a sphere map: a StaleSiteError otherwise, as
+    The site's nodes are cut and the other side's pasted after the host's,
+    with the leg rule (:func:`_legs`) and the strand walk (:func:`_strand`)
+    of ``apply_move``'s splice.  As the splice checks, every dart must be
+    paired and every piece a sphere map: a StaleSiteError otherwise, as
     ``apply_move`` raises."""
     if d.loops or d.anchors:
         return None
@@ -832,39 +843,23 @@ def _rewrite_pieces(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Opti
     base = len(new)
     new += [-1 if y < 0 else base + y for y in pasted]
     inner = [x if x < 0 else base + x for x in inner]
-
-    # the outer connector of each leg: the dart beyond its cut, or ``~j``
-    # for the leg ``j`` at the other end of an edge cut near both ends
-    ends, through, outer, claims = d.edge_ends, pat.through_edges, [], {}
-    for j, (_, e, _) in enumerate(site.leg_targets):
-        claims.setdefault(e, []).append(j)
-    for j, (_, e, end) in enumerate(site.leg_targets):
-        ks, strand = claims[e], pat.legs[j] in through
-        if len(ks) == 2 and not strand:
-            outer.append(~(ks[0] + ks[1] - j))
-            continue
-        n, p = ends[e][end if strand else 1 - end]
-        if at[index[n]] < 0:
-            raise StaleSiteError(f"rewrite produced invalid diagram: leg {j + 1} meets a cut node")
-        outer.append(4 * at[index[n]] + p)
+    outer = _legs(d, pat, site)[1]
+    for j, x in enumerate(outer):
+        if type(x) is tuple:
+            i = at[index[x[0]]]
+            if i < 0:
+                raise StaleSiteError(
+                    f"rewrite produced invalid diagram: leg {j + 1} meets a cut node")
+            outer[j] = 4 * i + x[1]
 
     done = [False] * len(outer)
     for j in range(len(outer)):
         if done[j]:
             continue
-        done[j] = True
-        joined = []
-        for there, back in ((inner, outer), (outer, inner)):
-            x = there[j]
-            while x < 0:
-                x = ~x
-                if x == j:
-                    return None     # the strand closes into a loop
-                done[x] = True
-                there, back = back, there
-                x = there[x]
-            joined.append(x)
-        a, b = joined
+        ends = _strand(j, inner, outer, done, True)
+        if ends is None:
+            return None     # the strand closes into a loop
+        a, b = ends
         new[a], new[b] = b, a
         if a == b:
             new[a] = -1     # one end is no edge
@@ -889,17 +884,6 @@ def _rewrite_code(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Option
     rewrite: the code of :func:`_rewrite_pieces`, None where it is None."""
     pieces = _rewrite_pieces(d, host, move, site)
     return None if pieces is None else _pieces_code(pieces)
-
-
-def _shape_invariant(pieces, loops: int) -> tuple:
-    """A cheap invariant of the isomorphism class of a diagram with
-    ``pieces`` (:func:`_pieces`) and ``loops`` loops: that number and, sorted
-    per piece, its node kinds and its face degrees.  Equal canonical codes
-    give equal invariants.  Attributes are left out: a node's turns with the
-    port it is read from."""
-    return loops, tuple(sorted(("".join(sorted([nd.kind for nd in mine])),
-                                tuple(sorted(Counter(orbit).values())))
-                               for mine, _, orbit in pieces))
 
 
 def _rewrite_counts(d: Diagram, move: MoveSpec, site: Site) -> tuple[int, ...]:
@@ -1033,17 +1017,16 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     diagrams with loops or places or where a strand closes, are built by
     ``apply_move`` and held without their caches.
 
-    A rewrite is spliced only when its node kinds (:func:`_rewrite_counts`,
-    read off the host and the move without a splice) are among the other
-    side's states', and coded at once only when its shape
-    (:func:`_shape_invariant`) is among theirs too, as it may then meet
-    that side; one built by ``apply_move`` is coded when it is built.  The
-    others are pending, held as parent and site with no table, and are
-    spliced and coded in the order they were made when their expansion
-    ends without a hit, so states are stored as when every rewrite is
-    coded at once.  While stored and pending states are fewer than
-    ``max_states`` no cut can come before a hit; once they reach it, the
-    pending rewrites are settled and every later one is coded at once.
+    A rewrite is made and coded at once only when its node kinds
+    (:func:`_rewrite_counts`, read off the host and the move without a
+    splice) are among the other side's states', as it may then meet that
+    side.  The others are pending, held as parent and site with no table,
+    and are made and coded in the order they were taken up when their
+    expansion ends without a hit, so states are stored as when every
+    rewrite is coded at once, and no rewrite is made twice.  While stored
+    and pending states are fewer than ``max_states`` no cut can come before
+    a hit; once they reach it, the pending rewrites are settled and every
+    later one is coded at once.
     """
     if not (isinstance(d1, Diagram) and isinstance(d2, Diagram)):
         raise SMGSemanticError("search_equivalence compares unoriented diagrams, "
@@ -1067,42 +1050,35 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     # code -> (parent code, move id, variant, direction), None at a root
     fwd: dict[bytes, Optional[tuple]] = {c1: None}
     bwd: dict[bytes, Optional[tuple]] = {c2: None}
-    # the shapes and the node-kind counts of each side's states
-    shapes_f, kinds_f = {_shape_invariant(d1._darts, len(d1.loops))}, {d1.counts}
-    shapes_b, kinds_b = {_shape_invariant(d2._darts, len(d2.loops))}, {d2.counts}
+    kinds_f, kinds_b = {d1.counts}, {d2.counts}     # the node-kind counts of each side's states
     frontier_f, frontier_b = [(c1, d1)], [(c2, d2)]
     eager = False       # set once stored and pending states reach max_states
 
-    def rewrite(d, host, move, site, eager, shapes):
-        """The rewrite's state, shape and code; the code is None when it is
-        spliced, not ``eager`` and its shape is not in ``shapes``."""
+    def store(this_side, kinds, held, counts):
+        """Make, code and store the rewrite ``held``, ``(parent code, parent,
+        its table, move, site, direction)``, of node-kind counts ``counts``:
+        its entry ``(code, state)``, or None when its code is stored."""
+        here, d, host, move, site, direction = held
         pieces = _rewrite_pieces(d, host, move, site)
         if pieces is None:
             nxt = apply_move(d, move, site)
-            shape, code = _shape_invariant(nxt._darts, len(nxt.loops)), nxt.canonical_code()
             # a built rewrite without its caches: most are never expanded
-            return replace(nxt), shape, code
-        shape = _shape_invariant(pieces, 0)
-        return (d, move, site), shape, _pieces_code(pieces) if eager or shape in shapes else None
+            nxt, code = replace(nxt), nxt.canonical_code()
+        else:
+            nxt, code = (d, move, site), _pieces_code(pieces)
+        if code in this_side:
+            return None
+        this_side[code] = (here, move.id, site.variant, direction)
+        kinds.add(counts)
+        return code, nxt
 
-    def settle(frontier, this_side, shapes, kinds):
-        """``frontier`` with each pending rewrite coded, in order, and stored
-        unless its code is."""
-        out = []
-        for entry in frontier:
-            if len(entry) == 6:
-                here, d, host, move, site, direction = entry
-                nxt, shape, code = rewrite(d, host, move, site, True, shapes)
-                if code in this_side:
-                    continue
-                this_side[code] = (here, move.id, site.variant, direction)
-                shapes.add(shape)
-                kinds.add(_rewrite_counts(d, move, site))
-                entry = code, nxt
-            out.append(entry)
-        return out
+    def settle(frontier, this_side, kinds):
+        """``frontier`` with each pending rewrite stored, in order."""
+        out = [store(this_side, kinds, e, _rewrite_counts(e[1], e[3], e[4])) if len(e) == 6
+               else e for e in frontier]
+        return [e for e in out if e is not None]
 
-    def expand(frontier, this_side, other_side, shapes, kinds, other_shapes, other_kinds):
+    def expand(frontier, this_side, other_side, kinds, other_kinds):
         nonlocal eager
         new_frontier, pending = [], 0
         for here, d in frontier:
@@ -1112,36 +1088,33 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
                 for direction in (FORWARD, REVERSE):
                     sites = find_sites(d, move, direction)
                     for site in _unrepeated(d, (s for s in sites if s.variant in move._kept)):
-                        counts, code = _rewrite_counts(d, move, site), None
-                        if eager or counts in other_kinds:
-                            nxt, shape, code = rewrite(d, host, move, site, eager, other_shapes)
-                        if code is None:
-                            new_frontier.append((here, d, host, move, site, direction))
+                        held = (here, d, host, move, site, direction)
+                        counts = _rewrite_counts(d, move, site)
+                        if not eager and counts not in other_kinds:
+                            new_frontier.append(held)
                             pending += 1
-                        elif code in this_side:
-                            continue
                         else:
-                            this_side[code] = (here, move.id, site.variant, direction)
-                            shapes.add(shape)
-                            kinds.add(counts)
-                            new_frontier.append((code, nxt))
-                            if code in other_side:
-                                return new_frontier, code
+                            entry = store(this_side, kinds, held, counts)
+                            if entry is None:
+                                continue
+                            new_frontier.append(entry)
+                            if entry[0] in other_side:
+                                return new_frontier, entry[0]
                         if len(fwd) + len(bwd) + pending >= budget.max_states:
                             if not eager:
                                 eager, pending = True, 0
-                                new_frontier = settle(new_frontier, this_side, shapes, kinds)
+                                new_frontier = settle(new_frontier, this_side, kinds)
                             if len(fwd) + len(bwd) >= budget.max_states:
                                 return new_frontier, StopIteration
-        return settle(new_frontier, this_side, shapes, kinds) if pending else new_frontier, None
+        return settle(new_frontier, this_side, kinds) if pending else new_frontier, None
 
     for _ in range(budget.max_depth):
         if not frontier_f and not frontier_b:
             return None
         if frontier_f and (len(frontier_f) <= len(frontier_b) or not frontier_b):
-            frontier_f, hit = expand(frontier_f, fwd, bwd, shapes_f, kinds_f, shapes_b, kinds_b)
+            frontier_f, hit = expand(frontier_f, fwd, bwd, kinds_f, kinds_b)
         else:
-            frontier_b, hit = expand(frontier_b, bwd, fwd, shapes_b, kinds_b, shapes_f, kinds_f)
+            frontier_b, hit = expand(frontier_b, bwd, fwd, kinds_b, kinds_f)
         if hit is StopIteration:
             return None
         if hit is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .diagram import (
@@ -23,6 +22,7 @@ from .diagram import (
     OrientedDiagram,
     SMGSemanticError,
     _cached,
+    _CountCache,
     _port_classes,
     _require,
     _require_count,
@@ -99,12 +99,18 @@ class QuandleTable:
                                   for e in (0, 1) for x in range(n)))
 
 
+def _require_rows(raw, what: str) -> None:
+    """SMGSemanticError naming ``what`` unless ``raw`` and each of its rows
+    is a tuple or list."""
+    for x in (raw, *raw) if isinstance(raw, (tuple, list)) else (raw,):
+        if not isinstance(x, (tuple, list)):
+            raise SMGSemanticError(f"{what} needs a tuple or list, not {type(x).__name__}")
+
+
 def check_quandle(raw: Iterable[Iterable[int]]) -> list[str]:
     """Return a list of axiom violations, each with a witness; empty iff the
     table is a quandle.  The table and each of its rows is a tuple or list."""
-    for x in (raw, *raw) if isinstance(raw, (tuple, list)) else (raw,):
-        if not isinstance(x, (tuple, list)):
-            raise SMGSemanticError(f"check_quandle needs a tuple or list, not {type(x).__name__}")
+    _require_rows(raw, "check_quandle")
     table = [list(r) for r in raw]
     n = len(table)
     issues = []
@@ -138,31 +144,34 @@ def quandle_from_rows(rows: Iterable[Iterable[int]]) -> QuandleTable:
 
 def parse_quandle(text: str) -> QuandleTable:
     """Quandle file: first line n, then n rows of n 1-indexed entries."""
+    _require(text, str, "parse_quandle")
     return quandle_from_rows(_table_rows(text, "quandle"))
 
 
 def serialize_quandle(q: QuandleTable) -> str:
+    _require(q, QuandleTable, "serialize_quandle")
     lines = [str(q.n)]
     for r in q.table:
         lines.append(" ".join(map(str, r)))
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None, typed=True)     # typed: 3.0 and True miss the entries of 3 and 1
+@_CountCache
 def dihedral_quandle(n: int) -> QuandleTable:
     """x * y = 2y - x mod n (1-indexed table)."""
-    _require_count(n, "dihedral_quandle")
     rows = [[((2 * y - x) % n) + 1 for y in range(n)] for x in range(n)]
     return quandle_from_rows(rows)
 
 
 def trivial_quandle(n: int) -> QuandleTable:
+    _require_count(n, "trivial_quandle")
     return quandle_from_rows([[x + 1] * n for x in range(n)])
 
 
 def conjugation_quandle(mult: list[list[int]]) -> QuandleTable:
     """Conjugation quandle of a group given by a 0-indexed multiplication
     table: x * y = y^-1 x y, returned 1-indexed."""
+    _require_rows(mult, "conjugation_quandle")
     n = len(mult)
     _check_square(mult, 0)
     identity = next((e for e in range(n) if all(mult[e][x] == x for x in range(n))), None)
@@ -184,10 +193,9 @@ FOUR_QUANDLE = QuandleTable((
 ))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_CountCache
 def small_quandles(max_order: int = 4) -> tuple[QuandleTable, ...]:
     """All quandles of order <= max_order up to isomorphism."""
-    _require_count(max_order, "small_quandles")
     found: list[QuandleTable] = []
     for n in range(1, max_order + 1):
         perms = list(itertools.permutations(range(1, n + 1)))

@@ -3,8 +3,8 @@
 The positive/negative resolution smooths every marker and resolves every
 singular vertex into a classical crossing; what remains is a classical link
 diagram.  It is one vertex substitution (``_substitute``, shared with the
-semi-invariant transforms and the Kirby export), which turns each port of a
-replaced vertex into a leg of the one splice that moves use too
+semi-invariant transforms and the Kirby export), which numbers the ports of
+the replaced vertices as the legs of the one splice that moves use too
 (``moves._splice``); the splice's place rule by faces (``_places``) lives
 here.  Triviality of classical diagrams is semi-decided, in this order: a
 greedy pass of crossing-removing R1/R2 moves whose trace, when it clears
@@ -155,15 +155,12 @@ def resolve(d: Diagram, sign: str) -> Resolution:
     return Resolution(c, sign, dict(snode_rot))
 
 
-#: the ports of a vertex, from the one that leg 1 of a tangle turned by ``r`` sits on
-_TURNS = tuple(tuple((k + r) % 4 for k in range(4)) for r in range(4))
-
-
 def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
                 turned: Optional[dict[str, int]] = None, places: bool = False):
     """Replace each node ``v`` of ``subs`` by its tangle in one splice
     (:func:`moves._splice`), with leg ``k`` on port ``(k - 1 + rot) % 4`` of
-    ``v`` for ``subs[v] = (tangle, rot)``: each port of ``v`` is a leg.
+    ``v`` for ``subs[v] = (tangle, rot)``: the ports of the replaced nodes
+    are the splice's legs, numbered in turn.
 
     Every edge of ``d`` is cut, so every edge of the result is new, named
     ``r<i>`` in ``d.edges`` order: a strand at its first edge that ends at
@@ -172,34 +169,37 @@ def _substitute(d: Diagram, subs: dict[str, tuple[Pattern, int]], name: str,
     ``p``.  Places are dropped unless ``places``.  Returns the validated
     result and, per replaced node, its tangle's node and interior edge
     names mapped to their new ids."""
-    tangles, bare = {}, set()       # bare: the vertices whose tangle has bare strands only
-    for v, (pat, rot) in subs.items():
-        p0, p1, p2, p3 = _TURNS[rot % 4]
-        tangles[v] = (pat, ((v, p0), (v, p1), (v, p2), (v, p3)))
+    legs, bare = {}, set()      # bare: the vertices whose tangle has bare strands only
+    for i, (v, (pat, rot)) in enumerate(subs.items()):
+        for k in range(4):
+            legs[v, (k + rot) % 4] = 4 * i + k
         if not pat.nodes:
             bare.add(v)
-    outer, order, loops, edge_ends = {}, [], [], d.edge_ends
+    beyond, outer = [None] * len(legs), [None] * len(legs)
+    order, loops, edge_ends = [], [], d.edge_ends
     for e in d.edges:
         a, b = edge_ends[e]
-        if a[0] in subs:
-            outer[a] = b
-        if b[0] in subs:
-            outer[b] = a
+        ja, jb = legs.get(a), legs.get(b)
+        if ja is not None:
+            beyond[ja], outer[ja] = b, b if jb is None else ~jb
+        if jb is not None:
+            beyond[jb], outer[jb] = a, a if ja is None else ~ja
         if a[0] in bare:
-            loops.append(a)
+            loops.append(ja)
             if b[0] in bare:
                 continue    # an edge inside a strand
-            a, b = b, a
-        # the strand ending at ``a``: entered at a leg, or the edge itself
-        order.append(a if a[0] in subs else b if b[0] in subs else e)
+            ja, jb = jb, ja
+        # the strand through ``e``: entered at a leg, or the edge itself
+        order.append(ja if ja is not None else jb if jb is not None else e)
     order += loops
-    out, _, ids = _splice(d, name, set(subs), tangles, outer, order, "r", turned,
-                          outer if places else None)
+    out, _, ids = _splice(d, name, set(subs), {v: pat for v, (pat, _) in subs.items()}, outer,
+                          order, "r", turned, beyond if places else None)
     return out, ids
 
 
 def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tuple:
-    """Places for :func:`_splice`'s result, by faces.  Host faces that one
+    """Places for :func:`_splice`'s result, by faces; ``tangles`` maps
+    each key to its pattern and the range of its legs.  Host faces that one
     face of a tangle touches between its legs, or that lie either side of a
     new loop (loops are transparent), become one face.  A place keeps its
     corner while the corner survives off the component, on the piece that

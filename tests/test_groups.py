@@ -613,9 +613,11 @@ def _misuses():
     catalog and text entry points."""
     from smg.catalog import catalog_map, move_catalog
     from smg.diagram import parse_smg, serialize
+    from smg.groups import dihedral_group, product_group, symmetric_group
     from smg.moves import MoveSequence, SearchBudget, search_equivalence, verify_sequence
-    from smg.quandles import (QuandleTable, check_quandle, coloring_count, dihedral_quandle,
-                              small_quandles)
+    from smg.quandles import (QuandleTable, check_quandle, coloring_count, conjugation_quandle,
+                              dihedral_quandle, parse_quandle, serialize_quandle, small_quandles,
+                              trivial_quandle)
     from smg.resolution import (Budget, crossing_sign, is_admissible, is_trivial_unlink,
                                 linking_matrix, reidemeister_simplify)
     from smg.transforms import profile
@@ -671,6 +673,17 @@ def _misuses():
         ("verify_sequence", lambda: verify_sequence(d, MoveSequence.parse("O1 0 forward a"),
                                                     None)),
         ("apply_move", lambda: apply_move(d, "O1", find_sites(d, move)[0])),
+        ("trivial_quandle", lambda: trivial_quandle("x")),
+        ("conjugation_quandle", lambda: conjugation_quandle(None)),
+        ("cyclic_group", lambda: cyclic_group("x")),
+        ("symmetric_group", lambda: symmetric_group(None)),
+        ("dihedral_group", lambda: dihedral_group([3])),
+        ("parse_quandle", lambda: parse_quandle(None)),
+        ("serialize_quandle", lambda: serialize_quandle(None)),
+        ("product_group", lambda: product_group(None, None)),
+        ("dihedral_quandle", lambda: dihedral_quandle([3])),
+        ("small_quandles", lambda: small_quandles([2])),
+        ("groups_up_to_order", lambda: groups_up_to_order([3])),
     ]
 
 
@@ -685,15 +698,17 @@ def test_entry_points_name_themselves_in_type_errors(k):
 
 
 def test_public_callables_raise_only_typed_errors():
-    """Every callable that ``smg`` exports, given None, a str or an int in
-    one required position and fitting arguments in the others, returns or
-    raises ``SMGError`` or ``StaleSiteError``: never a stray ``TypeError``
-    or ``AttributeError``.  Each call runs under an alarm, so that a bad
+    """Every callable that ``smg`` exports, and the group and quandle table
+    constructors it does not, given None, a str or an int in one required
+    position and fitting arguments in the others, returns or raises
+    ``SMGError`` or ``StaleSiteError``: never a stray ``TypeError`` or
+    ``AttributeError``.  Each call runs under an alarm, so that a bad
     argument that starts a long computation fails the test instead."""
     import inspect
     import signal
 
     import smg
+    from smg import groups, quandles
     from smg.moves import StaleSiteError
 
     d = fixture("trefoil")
@@ -703,15 +718,19 @@ def test_public_callables_raise_only_typed_errors():
                "s": smg.MoveSequence(()), "p": wirtinger_presentation(d), "g": cyclic_group(3),
                "q": smg.FOUR_QUANDLE, "name": "trefoil", "text": smg.serialize(d),
                "raw": smg.FOUR_QUANDLE.table, "n": 3, "sign": POSITIVE, "kind": "M5",
-               "k": export_exterior(d)}
+               "k": export_exterior(d), "h": cyclic_group(2), "mult": cyclic_group(3).mult}
+    tables = [groups.cyclic_group, groups.product_group, groups.symmetric_group,
+              groups.dihedral_group, groups.groups_up_to_order, quandles.trivial_quandle,
+              quandles.conjugation_quandle, quandles.parse_quandle, quandles.serialize_quandle,
+              quandles.dihedral_quandle, quandles.small_quandles]
 
     def alarm(*_):
         raise TimeoutError
 
     calls, previous = 0, signal.signal(signal.SIGALRM, alarm)
     try:
-        for name in smg.__all__:
-            f = getattr(smg, name)
+        for name, f in [(n, getattr(smg, n)) for n in smg.__all__] + [
+                (f.__name__, f) for f in tables]:
             if not callable(f) or isinstance(f, type) and issubclass(f, BaseException):
                 continue
             required = [q.name for q in inspect.signature(f).parameters.values()

@@ -712,10 +712,10 @@ def watch_states(monkeypatch, module, inputs):
     ``moves._pieces_code``, or built by ``apply_move`` and coded by
     ``canonical_code``.  The search takes up each rewrite by reading its
     node-kind counts (``moves._rewrite_counts``), and may hold it back
-    unmade.  A rewrite counts once, whether made at once, held back, or
-    spliced again to be coded later; its code, written here when it is
-    first taken up or made, uncounted, joins ``work["distinct"]`` whether
-    or not the search codes it.  A state spliced on integer darts is built
+    unmade.  A rewrite counts once, whether made at once or held back and
+    made when its expansion ends; its code, written here when it is first
+    taken up or made, uncounted, joins ``work["distinct"]`` whether or not
+    the search codes it.  A state spliced on integer darts is built
     when it is expanded (``moves._built``), which makes no new rewrite, so
     nothing inside ``_built`` is counted.
 
@@ -836,9 +836,10 @@ def test_search_holds_no_rewritten_diagram(monkeypatch):
     expansion that took it up met the other side, which it could not
     meet.  Criterion 7's problem on ``d2m5`` is solved at length 2, before
     any rewrite is expanded; walks of three moves, from ``d2m5`` and from
-    the trefoil beside a loop, are not.  On the latter, a rewrite whose
-    node kinds miss the other side is held back unbuilt, so 275 codes
-    are computed for 802 rewrites."""
+    the trefoil beside a loop, are not.  A rewrite whose node kinds miss
+    the other side is held back unbuilt, and coded only if its expansion
+    ends without a hit: 389 codes are computed for 562 rewrites on the
+    former, and 275 for 802 on the latter."""
     import smg.moves as moves
     from smg.diagram import Diagram
 
@@ -872,18 +873,16 @@ def test_search_holds_no_rewritten_diagram(monkeypatch):
         seen += fresh
         built += work["built"]
     assert built and seen and all(seen)
-    assert work_done == [(92, 34), (562, 213), (802, 275)]
+    assert work_done == [(92, 34), (562, 389), (802, 275)]
 
 
 def test_criterion_7_search_work_is_pinned(monkeypatch):
     """Criterion 7's search on ``d2m6`` takes up 5,379 rewrites, by either
     route, of 3,618 distinct codes: a faster rewrite does the same work.
-    It splices 3,363 of them, 1,671 twice, once to find them and once to
-    code them when their expansion ends, for 5,034 splices; the other
-    2,016, in the last expansion, have node kinds that miss the other
-    side and are never spliced.  It computes 2,513 canonical codes, the
-    two inputs' among them: the last expansion codes only the rewrites
-    whose shape meets the other side."""
+    It splices 3,363 of them, each once, and codes each it splices; the
+    other 2,016, in the last expansion, have node kinds that miss the
+    other side and are never spliced.  With the two inputs' it computes
+    3,365 canonical codes."""
     import smg.moves as moves
 
     d = fixture("d2m6")
@@ -893,7 +892,7 @@ def test_criterion_7_search_work_is_pinned(monkeypatch):
                                               "O12"], SearchBudget(12, 100_000))
     monkeypatch.undo()
     assert (work["applies"], work["splices"], work["codes"], len(work["distinct"])) == (
-        5379, 5034, 2513, 3618)
+        5379, 3363, 3365, 3618)
     assert hashlib.sha256(seq.serialize().encode()).hexdigest()[:16] == "aa451f4c33f9b1aa"
 
 
