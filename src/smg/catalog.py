@@ -89,7 +89,8 @@ def _with_mirrors(variants):
     Some mirrors kept here are isomorphic copies or leg turns of an earlier
     variant (:func:`_covers`).  They stay, because traces name variants by
     index and :func:`find_sites` returns every variant's sites; the search
-    and the simplifier expand only ``MoveSpec._kept``."""
+    and the simplifier match only the kept ones, through the restricted
+    move ``MoveSpec._searched``."""
     out = list(variants)
     seen = {(v[0].nodes, v[0].legs, v[1].nodes, v[1].legs) for v in out}
     for lhs, rhs in variants:

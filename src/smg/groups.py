@@ -533,8 +533,16 @@ class GroupTable:
         return tuple(out)
 
 
+def _require_order(n, what: str) -> None:
+    """SMGSemanticError naming ``what`` unless ``n`` is an int of one or
+    more: a group has at least its identity."""
+    _require_count(n, what)
+    if n == 0:
+        raise SMGSemanticError(f"{what} needs an int of one or more, not zero")
+
+
 def cyclic_group(n: int) -> GroupTable:
-    _require_count(n, "cyclic_group")
+    _require_order(n, "cyclic_group")
     return GroupTable(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
 
 
@@ -553,14 +561,16 @@ def product_group(g: GroupTable, h: GroupTable) -> GroupTable:
 
 
 def symmetric_group(n: int) -> GroupTable:
+    """The permutations of ``range(n)``; ``symmetric_group(0)`` is the
+    trivial group, of the one empty permutation."""
     _require_count(n, "symmetric_group")
     return _table(sorted(itertools.permutations(range(n))),
                   lambda p, q: tuple(p[q[i]] for i in range(n)))
 
 
 def dihedral_group(n: int) -> GroupTable:
-    """Order 2n: elements (r, s) = rotation r, flip s."""
-    _require_count(n, "dihedral_group")
+    """Order 2n, for n >= 1: elements (r, s) = rotation r, flip s."""
+    _require_order(n, "dihedral_group")
 
     def mul(a, b):
         r1, s1 = a
@@ -588,7 +598,10 @@ def quaternion_group() -> GroupTable:
 
 @_CountCache
 def groups_up_to_order(n: int) -> tuple[tuple[str, GroupTable], ...]:
-    """One representative per isomorphism class of order <= n (n <= 8)."""
+    """One representative per isomorphism class of order <= n.  The list
+    stops at order 8: a larger ``n`` is an SMGSemanticError."""
+    if n > 8:
+        raise SMGSemanticError("groups_up_to_order needs an int of eight or less, not more")
     out: list[tuple[str, GroupTable]] = []
     for k in range(1, n + 1):
         if k in (1, 2, 3, 5, 7):

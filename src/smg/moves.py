@@ -267,6 +267,15 @@ class MoveSpec:
         return tuple(v for v in range(len(self.variants)) if v not in skip)
 
     @_cached
+    def _searched(self) -> MoveSpec:
+        """This move with only its ``_kept`` variants, in order, which the
+        searches match and apply: variant ``v`` of one of its sites is
+        variant ``self._kept[v]`` here.  ``self`` when no variant is covered."""
+        if len(self._kept) == len(self.variants):
+            return self
+        return replace(self, variants=tuple(self.variants[v] for v in self._kept))
+
+    @_cached
     def _kind_delta(self) -> dict[tuple[int, str], tuple[int, ...]]:
         """Per (variant, direction), what a rewrite adds to its host's
         ``Diagram.counts``: the other side's node kinds less this side's."""
@@ -504,18 +513,17 @@ def _base(d, what: str) -> Diagram:
     return base
 
 
-def _sites(d, move: MoveSpec, direction: str, kept: bool = False) -> Iterator[Site]:
+def _sites(d, move: MoveSpec, direction: str) -> Iterator[Site]:
     """The sites of :func:`find_sites`, in its order, found one at a time
-    for callers that stop at the first one they use.  With ``kept``, only
-    the sites of the variants in ``move._kept``: a caller that stops at the
-    first site then skips matching the variants whose sites repeat an
+    for callers that stop at the first one they use.  The searches give it
+    ``move._searched``, so that they match no variant whose sites repeat an
     earlier variant's."""
     od = d if isinstance(d, OrientedDiagram) else None
     base = d.base if od is not None else d
     if move.oriented and od is None:
         raise SMGSemanticError(f"move {move.id} requires an oriented diagram")
     faces = base.faces()
-    for variant in move._kept if kept else range(len(move.variants)):
+    for variant in range(len(move.variants)):
         pat = move.side(variant, direction)
         for amap, targets in _iter_embeddings(base, faces, pat):
             if od is not None and pat.heads and not _orientation_ok(od, base, pat, amap, targets):
@@ -1010,6 +1018,9 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     ``d2``'s canonical code.  Failure within budget proves nothing.  Of the
     sites in one orbit of a diagram's automorphisms only the first is
     applied (:func:`_unrepeated`): the rest give codes already stored.
+    Only the variants each move keeps are matched: the search finds the
+    sites of ``MoveSpec._searched`` and applies each with that move, and
+    its steps name the catalog's variants (``MoveSpec._kept``).
 
     Rewrites are spliced on integer darts (:func:`_rewrite_pieces`) where
     they can be, and a state so found is held as ``(parent, move, site)``
@@ -1040,9 +1051,9 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     unknown = [m for m in allowed if m not in catalog]
     if unknown:
         raise SMGSemanticError(f"unknown move ids {unknown}")
-    moves = [catalog[m] for m in allowed]
-    for m in moves:
-        _require(m, MoveSpec, "search_equivalence")
+    for m in allowed:
+        _require(catalog[m], MoveSpec, "search_equivalence")
+    moves = [(catalog[m]._kept, catalog[m]._searched) for m in allowed]
     c1, c2 = d1.canonical_code(), d2.canonical_code()
     if c1 == c2:
         return MoveSequence(())
@@ -1055,10 +1066,10 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     eager = False       # set once stored and pending states reach max_states
 
     def store(this_side, kinds, held, counts):
-        """Make, code and store the rewrite ``held``, ``(parent code, parent,
-        its table, move, site, direction)``, of node-kind counts ``counts``:
-        its entry ``(code, state)``, or None when its code is stored."""
-        here, d, host, move, site, direction = held
+        """Make, code and store the rewrite ``held``, ``(parent link, parent,
+        its table, move, site)``, of node-kind counts ``counts``: its entry
+        ``(code, state)``, or None when its code is stored."""
+        link, d, host, move, site = held
         pieces = _rewrite_pieces(d, host, move, site)
         if pieces is None:
             nxt = apply_move(d, move, site)
@@ -1068,13 +1079,13 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
             nxt, code = (d, move, site), _pieces_code(pieces)
         if code in this_side:
             return None
-        this_side[code] = (here, move.id, site.variant, direction)
+        this_side[code] = link
         kinds.add(counts)
         return code, nxt
 
     def settle(frontier, this_side, kinds):
         """``frontier`` with each pending rewrite stored, in order."""
-        out = [store(this_side, kinds, e, _rewrite_counts(e[1], e[3], e[4])) if len(e) == 6
+        out = [store(this_side, kinds, e, _rewrite_counts(e[1], e[3], e[4])) if len(e) == 5
                else e for e in frontier]
         return [e for e in out if e is not None]
 
@@ -1084,11 +1095,11 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         for here, d in frontier:
             d = _built(*d, here) if type(d) is tuple else d
             host = _host(d)
-            for move in moves:
+            for kept, move in moves:
                 for direction in (FORWARD, REVERSE):
-                    sites = find_sites(d, move, direction)
-                    for site in _unrepeated(d, (s for s in sites if s.variant in move._kept)):
-                        held = (here, d, host, move, site, direction)
+                    for site in _unrepeated(d, find_sites(d, move, direction)):
+                        held = ((here, move.id, kept[site.variant], direction),
+                                d, host, move, site)
                         counts = _rewrite_counts(d, move, site)
                         if not eager and counts not in other_kinds:
                             new_frontier.append(held)

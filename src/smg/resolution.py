@@ -427,7 +427,9 @@ def _shape(c: Diagram) -> tuple:
 
 def _greedy_reduce(c: Diagram, tails: Optional[dict] = None) -> tuple[Optional[Diagram], tuple]:
     """Apply the first reverse site of the first crossing-removing move
-    until none has one; returns the diagram reached and the steps.
+    until none has one; returns the diagram reached and the steps.  Only
+    each move's kept variants are matched (``MoveSpec._searched``), and
+    the steps name the catalog's variants.
 
     ``tails``, a family's ``Diagram._tails``, maps shapes (:func:`_shape`)
     to the steps that clear them.  With it, a state whose shape it holds
@@ -448,10 +450,10 @@ def _greedy_reduce(c: Diagram, tails: Optional[dict] = None) -> tuple[Optional[D
                 break
             visited.append((shape, len(steps)))
         for m in _rmoves()[1]:
-            site = next(_sites(cur, m, REVERSE, kept=True), None)
+            site = next(_sites(cur, m._searched, REVERSE), None)
             if site is not None:
-                cur = apply_move(cur, m, site)
-                steps += (MoveStep(m.id, site.variant, REVERSE, code_digest(cur)),)
+                cur = apply_move(cur, m._searched, site)
+                steps += (MoveStep(m.id, m._kept[site.variant], REVERSE, code_digest(cur)),)
                 break
         else:
             return cur, steps
@@ -505,14 +507,14 @@ def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
         _, _, here, d = heapq.heappop(heap)
         for m in _rmoves()[0]:
             for direction in (REVERSE, FORWARD):
-                for site in _unrepeated(d, _sites(d, m, direction, kept=True)):
-                    nxt = apply_move(d, m, site)
+                for site in _unrepeated(d, _sites(d, m._searched, direction)):
+                    nxt = apply_move(d, m._searched, site)
                     if nxt.counts[0] > ceiling:
                         continue
                     code = nxt.canonical_code()
                     if code in parents:
                         continue
-                    parents[code] = (here, m.id, site.variant, direction)
+                    parents[code] = (here, m.id, m._kept[site.variant], direction)
                     tail, tailsteps = _greedy_reduce(nxt)
                     if tail.counts[0] < best[0].counts[0]:
                         best = (tail, code, tailsteps)

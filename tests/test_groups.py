@@ -175,6 +175,17 @@ def test_group_tables_are_groups():
     assert len(groups_up_to_order(8)) == 14
 
 
+def test_group_orders_at_the_ends():
+    """S0 is the trivial group, of the one empty permutation, and the least
+    cyclic and dihedral tables have orders 1 and 2; order zero of those two
+    and orders past 8 of the small-group list are refused (``_misuses``)."""
+    from smg.groups import dihedral_group, symmetric_group
+
+    assert symmetric_group(0) == GroupTable(((0,),))
+    assert groups_up_to_order(0) == ()
+    assert cyclic_group(1).n == 1 and dihedral_group(1).n == 2
+
+
 def test_presentation_printing():
     p = Presentation(2, ((1, -2),))
     assert "g1" in str(p) and "g2^-1" in str(p)
@@ -608,7 +619,8 @@ def test_tietze_budgets_are_counts():
 
 def _misuses():
     """(the function called, a call that hands it an argument of another
-    type, a node it lacks, or a budget that is a bool or below zero) for the
+    type, a node it lacks, a budget that is a bool or below zero, or an
+    order that no table of it has) for the
     group, orientation, crossing-sign, colouring, move-layer, simplifier,
     catalog and text entry points."""
     from smg.catalog import catalog_map, move_catalog
@@ -684,6 +696,9 @@ def _misuses():
         ("dihedral_quandle", lambda: dihedral_quandle([3])),
         ("small_quandles", lambda: small_quandles([2])),
         ("groups_up_to_order", lambda: groups_up_to_order([3])),
+        ("groups_up_to_order", lambda: groups_up_to_order(9)),
+        ("cyclic_group", lambda: cyclic_group(0)),
+        ("dihedral_group", lambda: dihedral_group(0)),
     ]
 
 

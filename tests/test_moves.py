@@ -389,6 +389,33 @@ def test_covers_are_pinned():
         assert dropped == {b for _, b, _ in COVERS.get(m.id, [])}, m.id
 
 
+def test_searched_moves_match_the_kept_variants_sites():
+    """``MoveSpec._searched`` finds exactly the sites of its move's kept
+    variants, in ``find_sites``' order, with each ``variant`` renumbered
+    through ``_kept``: for every move of both catalogs, both directions, on
+    every fixture and its first orientation.  A move with no covered
+    variant is its own restriction."""
+    from dataclasses import replace
+
+    from smg.diagram import _first_orientation
+
+    restricted = 0
+    for name in fixture_names():
+        d = fixture(name)
+        for host, mode in ((d, "unoriented"), (_first_orientation(d), "oriented")):
+            for m in move_catalog(mode) if host is not None else ():
+                searched = m._searched
+                assert searched.id == m.id and searched._kept == tuple(range(len(m._kept)))
+                assert (searched is m) == (len(m._kept) == len(m.variants))
+                restricted += searched is not m
+                renumber = {v: i for i, v in enumerate(m._kept)}
+                for direction in (FORWARD, REVERSE):
+                    want = [replace(s, variant=renumber[s.variant])
+                            for s in find_sites(host, m, direction) if s.variant in renumber]
+                    assert find_sites(host, searched, direction) == want, (name, m.id)
+    assert restricted
+
+
 #: the two targets three WALK_MOVES from ``two_loops`` and ``circle`` on
 #: which the search's answer does not replay (ROADMAP item 1)
 DEFECT_TARGETS = [
@@ -894,6 +921,36 @@ def test_criterion_7_search_work_is_pinned(monkeypatch):
     assert (work["applies"], work["splices"], work["codes"], len(work["distinct"])) == (
         5379, 3363, 3365, 3618)
     assert hashlib.sha256(seq.serialize().encode()).hexdigest()[:16] == "aa451f4c33f9b1aa"
+
+
+def test_criterion_7_search_sites_are_pinned(monkeypatch):
+    """Criterion 7's searches match only the kept variants of each move,
+    through ``find_sites``: on ``d2m5`` it returns 92 sites over 33 calls,
+    and on ``d2m6`` 5,379 over 1,221.  Matching every variant and dropping
+    the covered ones after returned twice as many (180 and 10,668)."""
+    import smg.moves as moves
+
+    find, work = moves.find_sites, [0, 0]
+
+    def counted_find(*args):
+        out = find(*args)
+        work[0] += len(out)
+        work[1] += 1
+        return out
+
+    got = {}
+    for host, primed, allowed in [
+        ("d2m5", "O11p", ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O11"]),
+        ("d2m6", "O12p", ["O1", "O2", "O3", "O4", "O4p", "O9", "O9p", "O10", "O12"]),
+    ]:
+        d = fixture(host)
+        target = apply_move(d, CAT[primed], find_sites(d, CAT[primed], FORWARD)[0])
+        work[:] = [0, 0]
+        monkeypatch.setattr(moves, "find_sites", counted_find)
+        assert search_equivalence(d, target, CAT, allowed, SearchBudget(12, 100_000))
+        monkeypatch.undo()
+        got[host] = tuple(work)
+    assert got == {"d2m5": (92, 33), "d2m6": (5379, 1221)}
 
 
 def rewrite_texts() -> list[str]:
