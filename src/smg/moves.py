@@ -7,9 +7,11 @@ move is performed in.  Matching embeds a fragment into a host diagram
 injectively, preserving rotation, decorations and face structure; application
 cuts the matched disk out and sews the other side in along the same legs, by
 the one splice (:func:`_splice`) that the resolutions and transforms use too.
-The search's splice on integer darts (:func:`_rewrite_pieces`) reads a
-site's legs by the same rule (:func:`_legs`) and walks strands by the same
-walk (:func:`_strand`).
+The search's splice on integer darts (:func:`_rewrite_pieces`) reads a site's
+legs by the same rule (:func:`_legs`) and walks strands by the same walk
+(:func:`_strand`).  The bounded searches take their sites from one walk
+(:func:`_rewrites`), and the equivalence search and the replay code by one
+coder (:func:`_coded`).
 """
 
 from __future__ import annotations
@@ -587,6 +589,17 @@ def _unrepeated(d: Diagram, sites: Iterable[Site]) -> Iterator[Site]:
                     todo.append(image)
 
 
+def _rewrites(d, moves: Iterable[MoveSpec], directions: tuple[str, ...]) -> Iterator[tuple]:
+    """Each rewrite a search makes from ``d``, as ``(step, searched move,
+    site)``: per move and direction, the sites of ``MoveSpec._searched``,
+    one per orbit (:func:`_unrepeated`); ``step`` is ``(move id, catalog
+    variant, direction)``."""
+    for move in moves:
+        for direction in directions:
+            for site in _unrepeated(d, find_sites(d, move._searched, direction)):
+                yield (move.id, move._kept[site.variant], direction), move._searched, site
+
+
 # ---------------------------------------------------------------------------
 # the splice
 
@@ -810,7 +823,7 @@ def apply_move(d, move: MoveSpec, site: Site, return_info: bool = False):
 
 
 def _host(d: Diagram) -> tuple:
-    """``d``'s table for :func:`_rewrite_code`: the nodes and integer darts
+    """``d``'s table for :func:`_coded`: the nodes and integer darts
     of the pieces of ``Diagram._darts`` in turn, and each node's index."""
     nodes, alpha = [], []
     for mine, local, _ in d._darts:
@@ -887,25 +900,31 @@ def _pieces_code(pieces: list) -> bytes:
                   for mine, local, _ in pieces], ())
 
 
-def _rewrite_code(d: Diagram, host: tuple, move: MoveSpec, site: Site) -> Optional[bytes]:
-    """``apply_move(d, move, site).canonical_code()``, without building the
-    rewrite: the code of :func:`_rewrite_pieces`, None where it is None."""
-    pieces = _rewrite_pieces(d, host, move, site)
-    return None if pieces is None else _pieces_code(pieces)
-
-
 def _rewrite_counts(d: Diagram, move: MoveSpec, site: Site) -> tuple[int, ...]:
     """``apply_move(d, move, site).counts``, from ``d``'s and the move's
     kind delta (``MoveSpec._kind_delta``), without a splice."""
     return tuple(map(add, d.counts, move._kind_delta[site.variant, site.direction]))
 
 
-def _built(d: Diagram, move: MoveSpec, site: Site, code: bytes) -> Diagram:
-    """``apply_move(d, move, site)``, whose code :func:`_rewrite_code` gave
-    as ``code``; an SMGError if the built diagram's code is another."""
+def _coded(d, host: Optional[tuple], move: MoveSpec, site: Site) -> tuple[bytes, object]:
+    """The code of ``apply_move(d, move, site)`` and the state to hold: ``(d,
+    move, site)`` where :func:`_rewrite_pieces` splices on ``d``'s table
+    ``host``, else the rewrite built, less its caches (most are never expanded)."""
+    pieces = None if host is None else _rewrite_pieces(d, host, move, site)
+    if pieces is not None:
+        return _pieces_code(pieces), (d, move, site)
     nxt = apply_move(d, move, site)
+    return _base(nxt, "_coded").canonical_code(), replace(nxt)
+
+
+def _built(state, code: bytes):
+    """The diagram of ``state``, held as :func:`_coded` gave it with
+    ``code``; an SMGError if a spliced state codes otherwise when built."""
+    if type(state) is not tuple:
+        return state
+    nxt = apply_move(*state)
     if nxt.canonical_code() != code:
-        raise SMGError(f"move {move.id} at {site} codes otherwise when built")
+        raise SMGError(f"move {state[1].id} at {state[2]} codes otherwise when built")
     return nxt
 
 
@@ -972,27 +991,26 @@ def _path(parents: dict, code: bytes, back: bool = False) -> tuple[MoveStep, ...
 
 def verify_sequence(d, s: MoveSequence, catalog: dict[str, MoveSpec]):
     """Replay ``s`` from ``d``, failing fast on the first stale step.  Each
-    step's site is the first whose rewrite has the step's fingerprint, and
-    only that rewrite is built where the others are coded on integer darts
-    (:func:`_rewrite_code`)."""
+    step's site is the first whose rewrite has the step's fingerprint; the
+    rewrites are coded as the search codes them (:func:`_coded`), and only
+    the one taken is built."""
     _base(d, "verify_sequence")
     _require(s, MoveSequence, "verify_sequence")
     _require(catalog, dict, "verify_sequence")
     cur = d
     for i, step in enumerate(s.steps):
+        _require(step, MoveStep, "verify_sequence")
         if step.move_id not in catalog:
             raise SMGSemanticError(f"step {i}: unknown move id {step.move_id!r}")
         move = catalog[step.move_id]
+        _require(move, MoveSpec, "verify_sequence")
+        if step.variant not in range(len(move.variants)):
+            raise SMGSemanticError(f"step {i}: move {step.move_id} has no variant {step.variant}")
         host = _host(cur) if isinstance(cur, Diagram) else None
         for site in (s for s in _sites(cur, move, step.direction) if s.variant == step.variant):
-            code = None if host is None else _rewrite_code(cur, host, move, site)
-            if code is None:
-                nxt = apply_move(cur, move, site)
-                if code_digest(nxt) == step.fingerprint:
-                    cur = nxt
-                    break
-            elif _digest(code) == step.fingerprint:
-                cur = _built(cur, move, site, code)
+            code, state = _coded(cur, host, move, site)
+            if _digest(code) == step.fingerprint:
+                cur = _built(state, code)
                 break
         else:
             raise StaleSiteError(f"stale step {i}: {step.move_id} -> {step.fingerprint}")
@@ -1015,18 +1033,10 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
     """Bidirectional breadth-first search over canonical codes.
 
     On success the returned sequence replays from ``d1`` to a diagram with
-    ``d2``'s canonical code.  Failure within budget proves nothing.  Of the
-    sites in one orbit of a diagram's automorphisms only the first is
-    applied (:func:`_unrepeated`): the rest give codes already stored.
-    Only the variants each move keeps are matched: the search finds the
-    sites of ``MoveSpec._searched`` and applies each with that move, and
-    its steps name the catalog's variants (``MoveSpec._kept``).
-
-    Rewrites are spliced on integer darts (:func:`_rewrite_pieces`) where
-    they can be, and a state so found is held as ``(parent, move, site)``
-    until it is expanded, when :func:`_built` builds it; the others, of
-    diagrams with loops or places or where a strand closes, are built by
-    ``apply_move`` and held without their caches.
+    ``d2``'s canonical code.  Failure within budget proves nothing.  A
+    state's rewrites are those of :func:`_rewrites`, coded and held as
+    :func:`_coded` gives them, and a state is built when it is expanded
+    (:func:`_built`).
 
     A rewrite is made and coded at once only when its node kinds
     (:func:`_rewrite_counts`, read off the host and the move without a
@@ -1053,7 +1063,7 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         raise SMGSemanticError(f"unknown move ids {unknown}")
     for m in allowed:
         _require(catalog[m], MoveSpec, "search_equivalence")
-    moves = [(catalog[m]._kept, catalog[m]._searched) for m in allowed]
+    moves = [catalog[m] for m in allowed]
     c1, c2 = d1.canonical_code(), d2.canonical_code()
     if c1 == c2:
         return MoveSequence(())
@@ -1069,19 +1079,13 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         """Make, code and store the rewrite ``held``, ``(parent link, parent,
         its table, move, site)``, of node-kind counts ``counts``: its entry
         ``(code, state)``, or None when its code is stored."""
-        link, d, host, move, site = held
-        pieces = _rewrite_pieces(d, host, move, site)
-        if pieces is None:
-            nxt = apply_move(d, move, site)
-            # a built rewrite without its caches: most are never expanded
-            nxt, code = replace(nxt), nxt.canonical_code()
-        else:
-            nxt, code = (d, move, site), _pieces_code(pieces)
+        link, *rewrite = held
+        code, state = _coded(*rewrite)
         if code in this_side:
             return None
         this_side[code] = link
         kinds.add(counts)
-        return code, nxt
+        return code, state
 
     def settle(frontier, this_side, kinds):
         """``frontier`` with each pending rewrite stored, in order."""
@@ -1093,30 +1097,27 @@ def search_equivalence(d1: Diagram, d2: Diagram, catalog: dict[str, MoveSpec],
         nonlocal eager
         new_frontier, pending = [], 0
         for here, d in frontier:
-            d = _built(*d, here) if type(d) is tuple else d
+            d = _built(d, here)
             host = _host(d)
-            for kept, move in moves:
-                for direction in (FORWARD, REVERSE):
-                    for site in _unrepeated(d, find_sites(d, move, direction)):
-                        held = ((here, move.id, kept[site.variant], direction),
-                                d, host, move, site)
-                        counts = _rewrite_counts(d, move, site)
-                        if not eager and counts not in other_kinds:
-                            new_frontier.append(held)
-                            pending += 1
-                        else:
-                            entry = store(this_side, kinds, held, counts)
-                            if entry is None:
-                                continue
-                            new_frontier.append(entry)
-                            if entry[0] in other_side:
-                                return new_frontier, entry[0]
-                        if len(fwd) + len(bwd) + pending >= budget.max_states:
-                            if not eager:
-                                eager, pending = True, 0
-                                new_frontier = settle(new_frontier, this_side, kinds)
-                            if len(fwd) + len(bwd) >= budget.max_states:
-                                return new_frontier, StopIteration
+            for step, move, site in _rewrites(d, moves, (FORWARD, REVERSE)):
+                held = ((here, *step), d, host, move, site)
+                counts = _rewrite_counts(d, move, site)
+                if not eager and counts not in other_kinds:
+                    new_frontier.append(held)
+                    pending += 1
+                else:
+                    entry = store(this_side, kinds, held, counts)
+                    if entry is None:
+                        continue
+                    new_frontier.append(entry)
+                    if entry[0] in other_side:
+                        return new_frontier, entry[0]
+                if len(fwd) + len(bwd) + pending >= budget.max_states:
+                    if not eager:
+                        eager, pending = True, 0
+                        new_frontier = settle(new_frontier, this_side, kinds)
+                    if len(fwd) + len(bwd) >= budget.max_states:
+                        return new_frontier, StopIteration
         return settle(new_frontier, this_side, kinds) if pending else new_frontier, None
 
     for _ in range(budget.max_depth):

@@ -56,9 +56,10 @@ from .moves import (
     MoveStep,
     Pattern,
     _path,
+    _rewrite_counts,
+    _rewrites,
     _sites,
     _splice,
-    _unrepeated,
     apply_move,
     code_digest,
 )
@@ -490,9 +491,10 @@ def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
     """Best-first search over R1/R2/R3 from ``start``, which the greedy pass
     reached from ``c`` by ``presteps``, finishing greedily from every new
     state.  As in ``search_equivalence``, states are codes with parent links
-    and the trace is read once, and sites in one orbit of a state's
-    automorphisms are applied once; returns the best diagram found and its
-    trace.  It makes at most ``budget.max_states`` states, the start among them."""
+    and the trace is read once, and the rewrites are those of
+    ``moves._rewrites``; each under the crossing ceiling is built and
+    coded.  Returns the best diagram found and its trace.  It makes at most
+    ``budget.max_states`` states, the start among them."""
     ceiling = c.counts[0] + budget.extra_crossings
     here = start.canonical_code()
     # code -> (parent code, move id, variant, direction), None at the start
@@ -505,24 +507,20 @@ def _heap_search(c: Diagram, start: Diagram, presteps: tuple, budget: Budget):
 
     while heap and len(parents) < budget.max_states:
         _, _, here, d = heapq.heappop(heap)
-        for m in _rmoves()[0]:
-            for direction in (REVERSE, FORWARD):
-                for site in _unrepeated(d, _sites(d, m._searched, direction)):
-                    nxt = apply_move(d, m._searched, site)
-                    if nxt.counts[0] > ceiling:
-                        continue
-                    code = nxt.canonical_code()
-                    if code in parents:
-                        continue
-                    parents[code] = (here, m.id, m._kept[site.variant], direction)
-                    tail, tailsteps = _greedy_reduce(nxt)
-                    if tail.counts[0] < best[0].counts[0]:
-                        best = (tail, code, tailsteps)
-                    if tail.counts[0] == 0:
-                        return answer(*best)
-                    if len(parents) >= budget.max_states:
-                        return answer(*best)
-                    heapq.heappush(heap, (nxt.counts[0], len(parents), code, replace(nxt)))
+        for step, move, site in _rewrites(d, _rmoves()[0], (REVERSE, FORWARD)):
+            if _rewrite_counts(d, move, site)[0] > ceiling:
+                continue
+            nxt = apply_move(d, move, site)
+            code = nxt.canonical_code()
+            if code in parents:
+                continue
+            parents[code] = (here, *step)
+            tail, tailsteps = _greedy_reduce(nxt)
+            if tail.counts[0] < best[0].counts[0]:
+                best = (tail, code, tailsteps)
+            if tail.counts[0] == 0 or len(parents) >= budget.max_states:
+                return answer(*best)
+            heapq.heappush(heap, (nxt.counts[0], len(parents), code, replace(nxt)))
     return answer(*best)
 
 

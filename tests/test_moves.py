@@ -242,6 +242,21 @@ def test_unknown_move_id_is_a_semantic_error():
         search_equivalence(d, fixture("kink"), CAT, ["O1", "O99"])
 
 
+def test_missing_variant_is_a_semantic_error():
+    """A step naming a variant its move lacks, by a number too large or
+    negative (which ``MoveSequence.parse`` reads), is a semantic error, as
+    ``apply_move`` reports it, not a stale step."""
+    from smg.diagram import SMGSemanticError
+    from smg.moves import MoveStep
+
+    d = fixture("circle")
+    for seq in (MoveSequence((MoveStep("O2", 99, FORWARD, code_digest(d)),)),
+                MoveSequence.parse(f"O2 -1 forward {code_digest(d)}")):
+        variant = seq.steps[0].variant
+        with pytest.raises(SMGSemanticError, match=f"^step 0: move O2 has no variant {variant}$"):
+            verify_sequence(d, seq, CAT)
+
+
 def test_search_of_an_oriented_diagram_is_a_semantic_error():
     """The search compares unoriented codes, so either side oriented is an
     error, not a stray AttributeError."""
@@ -837,11 +852,13 @@ def watch_states(monkeypatch, module, inputs):
             work["codes"] += not building[0]
             return write(pieces)
 
-        def watched_built(*args):
-            work["built"] += 1
+        def watched_built(state, code):
+            # ``_built`` returns a diagram state as it is: only a held
+            # splice is built
+            work["built"] += type(state) is tuple
             building[0] = True
             try:
-                return built(*args)
+                return built(state, code)
             finally:
                 building[0] = False
 

@@ -1,7 +1,7 @@
 """Canonical codes are written by one function.
 
 A diagram's code (``Diagram._canonical_code``) and a rewrite's code on
-integer darts (``moves._rewrite_code``) must be equal byte for byte, so both
+integer darts (``moves._pieces_code``) must be equal byte for byte, so both
 hand their parts to ``diagram._code``, the one place that writes the bytes
 as ``repr(...).encode()``.  A second writer could drift from it unnoticed.
 """

@@ -285,12 +285,16 @@ def test_simplifier_heap_holds_no_rewritten_diagram(monkeypatch):
     """The heap holds copies without caches, so the rewrites the
     simplifier makes are dropped once it has looked at them.  Alive at
     most: the greedy start, the best tail, and a rewrite with the greedy
-    tails of it and of the rewrite before."""
+    tails of it and of the rewrite before.  The heap's rewrites are made
+    in ``resolution`` and its states' sites found by ``moves._rewrites``,
+    so both modules' site finders are watched."""
+    import smg.moves as moves
     import smg.resolution as resolution
     from test_moves import watch_states
 
     dead_end = parse_smg(KINKED_DEAD_END)
     most, fresh, _ = watch_states(monkeypatch, resolution, (dead_end,))
+    monkeypatch.setattr(moves, "_sites", resolution._sites)
     simp, _ = reidemeister_simplify(dead_end, Budget(max_states=200))
     monkeypatch.undo()
     assert simp.counts[0] == 3

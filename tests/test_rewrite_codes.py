@@ -1,9 +1,10 @@
 """Rewrites are coded on integer darts exactly as ``apply_move`` codes them.
 
-``moves._rewrite_code`` gives ``apply_move(d, move, site).canonical_code()``
-without building the rewrite, from ``d``'s integer dart table
-(``moves._host``).  It gives None, and its callers build the rewrite, exactly
-when ``d`` has loops or places or the splice closes a strand.  The gate runs
+``moves._coded`` gives ``apply_move(d, move, site).canonical_code()`` and
+the state a search holds.  It splices on ``d``'s integer dart table
+(``moves._host``) without building the rewrite, and holds the state as
+``(d, move, site)``, except exactly when ``d`` has loops or places or the
+splice closes a strand: then it builds the rewrite.  The gate runs
 every unoriented move, in both directions, at every site of the fixtures,
 seeded walk states, hosts of several pieces and T(2, n); of the many
 one-move rewrites of the fixtures it takes one per code, every site of a
@@ -20,7 +21,7 @@ import pytest
 from smg.catalog import catalog_map, move_catalog
 from smg.diagram import Diagram, parse_smg
 from smg.fixtures import fixture, fixture_names
-from smg.moves import FORWARD, REVERSE, StaleSiteError, _host, _rewrite_code, apply_move, find_sites
+from smg.moves import FORWARD, REVERSE, StaleSiteError, _coded, _host, apply_move, find_sites
 
 from test_diagram import t2_text
 from test_moves import WALK_MOVES
@@ -86,16 +87,17 @@ def sites(d, rng=None):
 
 
 def check(d, pairs, seen) -> None:
-    """Both routes code each rewrite alike, or the integer one declines
-    where it must; ``seen`` counts the cases."""
+    """``_coded`` codes each rewrite as it is built, on integer darts but
+    where that route must decline; ``seen`` counts the cases."""
     host = _host(d)
     for m, s in pairs:
-        got, built = _rewrite_code(d, host, m, s), apply_move(d, m, s)
+        (got, state), built = _coded(d, host, m, s), apply_move(d, m, s)
+        assert got == built.canonical_code(), (d.name, m.id, s)
         if d.loops or d.anchors or built.loops:
-            assert got is None, (d.name, m.id, s)
+            assert type(state) is not tuple, (d.name, m.id, s)
             seen["host" if d.loops or d.anchors else "closed"] += 1
             continue
-        assert got == built.canonical_code(), (d.name, m.id, s)
+        assert state == (d, m, s), (d.name, m.id, s)
         pat = m.side(s.variant, s.direction)
         seen["coded"] += 1
         seen["pieces"] += len(built.graph_pieces) > 1
@@ -120,10 +122,10 @@ def test_integer_codes_equal_built_codes_on_one_move_rewrites():
     assert seen["strands"] > 2000 and seen["paired"] > 400
 
 
-def outcome(code):
-    """What coding a rewrite gave: its code, None, or the typed error."""
+def outcome(call):
+    """What ``call`` gave: its result, or the typed error."""
     try:
-        return code()
+        return call()
     except StaleSiteError:
         return StaleSiteError
 
@@ -132,8 +134,9 @@ def outcome(code):
 def test_tampered_leg_targets_fail_as_the_splice_fails(name):
     """A site with two of its leg targets swapped, or one repeated in place
     of another, may join strands into a map that is no sphere, or leave a
-    dart unpaired: the integer route then raises the StaleSiteError that
-    ``apply_move`` raises, and otherwise codes the rewrite as it is built.  On a loop-free fixture and
+    dart unpaired: ``_coded`` then raises the StaleSiteError that
+    ``apply_move`` raises, and otherwise codes the rewrite as it is built,
+    building it exactly where a strand closes.  On a loop-free fixture and
     the states of a seeded three-move walk from it, every site of a node
     pattern and a seeded draw of those of bare strands."""
     counts, rng = {"raised": 0, "coded": 0}, random.Random(f"{name}.swap")
@@ -151,11 +154,11 @@ def test_tampered_leg_targets_fail_as_the_splice_fails(name):
                 tampered = replace(s, leg_targets=tuple(targets))
                 want = outcome(lambda: apply_move(d, m, tampered))
                 if want is not StaleSiteError:
-                    want = None if want.loops else want.canonical_code()
-                got = outcome(lambda: _rewrite_code(d, host, m, tampered))
-                # where a strand closes, the callers build the rewrite, which
-                # may then fail
-                assert got == want or (got, want) == (None, StaleSiteError), (
-                    d.name, m.id, tampered)
+                    want = want.canonical_code(), bool(want.loops)
+                got = outcome(lambda: _coded(d, host, m, tampered))
+                if got is not StaleSiteError:
+                    # built, not held as a splice, exactly where a strand closes
+                    got = got[0], type(got[1]) is not tuple
+                assert got == want, (d.name, m.id, tampered)
                 counts["raised" if want is StaleSiteError else "coded"] += 1
     assert counts["raised"] > 0 and counts["coded"] > 0, counts

@@ -328,7 +328,8 @@ def test_symmetric_search_repeats_under_other_hash_seeds():
 def test_heap_search_answers_as_when_every_site_is_applied(monkeypatch):
     """The simplifier's heap skips by orbit too: on the kinked dead end at
     500 states it gives the trace it gives when every kept site is applied,
-    with 1,703 applies instead of 1,789."""
+    with 1,703 applies instead of 1,789: the trace of its 200-state pin
+    (``test_simplifier_heap_answer_is_pinned``)."""
     import smg.resolution as resolution
     from smg.resolution import Budget, reidemeister_simplify
     from test_resolution import KINKED_DEAD_END
@@ -340,7 +341,7 @@ def test_heap_search_answers_as_when_every_site_is_applied(monkeypatch):
             applies[0] += 1
             return apply(*args)
 
-        monkeypatch.setattr(resolution, "_unrepeated", unrepeated)
+        monkeypatch.setattr(moves, "_unrepeated", unrepeated)
         monkeypatch.setattr(resolution, "apply_move", counted)
         _, trace = reidemeister_simplify(parse_smg(KINKED_DEAD_END), Budget(max_states=500))
         monkeypatch.undo()
@@ -348,4 +349,5 @@ def test_heap_search_answers_as_when_every_site_is_applied(monkeypatch):
 
     (got, applies), (want, every) = run(_unrepeated), run(lambda d, sites: sites)
     assert got == want
+    assert hashlib.sha256(got.encode()).hexdigest()[:12] == "bab6ca695883"
     assert (applies, every) == (1703, 1789)
