@@ -684,9 +684,6 @@ def _misuses():
         ("search_equivalence", lambda: search_equivalence(d, d, list(cat.values()))),
         ("verify_sequence", lambda: verify_sequence(d, MoveSequence.parse("O1 0 forward a"),
                                                     None)),
-        ("verify_sequence", lambda: verify_sequence(d, MoveSequence.parse("O1 0 forward a"),
-                                                    {"O1": 3})),
-        ("verify_sequence", lambda: verify_sequence(d, MoveSequence(("junk",)), cat)),
         ("apply_move", lambda: apply_move(d, "O1", find_sites(d, move)[0])),
         ("trivial_quandle", lambda: trivial_quandle("x")),
         ("conjugation_quandle", lambda: conjugation_quandle(None)),
@@ -702,6 +699,9 @@ def _misuses():
         ("groups_up_to_order", lambda: groups_up_to_order(9)),
         ("cyclic_group", lambda: cyclic_group(0)),
         ("dihedral_group", lambda: dihedral_group(0)),
+        ("verify_sequence", lambda: verify_sequence(d, MoveSequence.parse("O1 0 forward a"),
+                                                    {"O1": 3})),
+        ("verify_sequence", lambda: verify_sequence(d, MoveSequence(("junk",)), cat)),
     ]
 
 
