@@ -108,8 +108,8 @@ class ValidationReport:
 
 
 class _Malformed(SMGSemanticError):
-    """Structure that no face can be traced on; ``issues`` lists what
-    :meth:`Diagram.validate` reports for it."""
+    """Structure or places that faces cannot be read from; ``issues``
+    lists what :meth:`Diagram.validate` reports for them."""
 
     def __init__(self, issues: list[Issue]):
         super().__init__(str(ValidationReport(issues)))
@@ -202,7 +202,15 @@ class Diagram:
                     Issue("non-spherical embedding",
                           f"piece {nodes[0].id}: V-E+F = {v}-{e}+{f} = {v - e + f}"))
 
-        known, placed = set(self.piece_ids), set()
+        return ValidationReport(issues + self._placement_issues())
+
+    def _placement_issues(self) -> list[Issue]:
+        """The issues of the places: a piece unknown or placed twice, a
+        corner of no node and port or of its own piece.  Faces needs none."""
+        if not self.anchors:
+            return []
+        known, placed, issues = set(self.piece_ids), set(), []
+        own = dict(zip(self.piece_ids, self.graph_pieces))     # graph pieces come first
         for pid, anchor in self.anchors:
             if pid not in known:
                 issues.append(Issue("bad placement", f"unknown piece {pid}"))
@@ -213,9 +221,9 @@ class Diagram:
                 nid, k = anchor
                 if nid not in self.node_map or not 0 <= k <= 3:
                     issues.append(Issue("bad placement", f"bad corner {anchor}"))
-                elif any(nid in piece and pid == min(piece) for piece in self.graph_pieces):
+                elif nid in own.get(pid, ()):
                     issues.append(Issue("bad placement", f"piece {pid} anchored to itself"))
-        return ValidationReport(issues)
+        return issues
 
     def _structure_issues(self, paired: bool) -> list[Issue]:
         """The issues that make face tracing unsafe: repeated ids, bad
@@ -271,23 +279,15 @@ class Diagram:
 
     # -- canonical form ---------------------------------------------------
 
-    #: piece id -> generators of the piece's automorphism group (see
-    #: :func:`_canonise`).  ``_piece_canon`` sets it on a diagram only when
-    #: some piece has an automorphism, so that the many asymmetric diagrams
-    #: a search holds store nothing for it.  Nothing mutates it.
-    _piece_gens = {}
-
     @_cached
     def _piece_canon(self) -> dict[str, tuple]:
-        """piece id -> (signature, tuple of minimizing root darts)."""
-        out, gens = {}, {}
+        """piece id -> (signature, tuple of minimizing root darts, generators
+        of the piece's automorphism group), as :func:`_canonise` finds them."""
+        out = {}
         for nodes, alpha, _ in self._darts:
-            best, roots, found = _canonise(_canon_table(nodes, alpha))
-            out[nodes[0].id] = (best, tuple((nodes[r >> 2].id, r & 3) for r in roots))
-            if found:
-                gens[nodes[0].id] = found
-        if gens:
-            self.__dict__["_piece_gens"] = gens
+            best, roots, gens = _canonise(_canon_table(nodes, alpha))
+            out[nodes[0].id] = (best, tuple((nodes[r >> 2].id, r & 3) for r in roots),
+                                tuple(gens))
         return out
 
     def _canonical_face_name(self, pid: str, darts: tuple[int, ...]) -> tuple:
@@ -300,10 +300,11 @@ class Diagram:
         root gives the face's images under the automorphisms; the
         generators ``_canonise`` found reach every image."""
         nodes, alpha, orbit = next(t for t in self._darts if t[0][0].id == pid)
-        n, p = self._piece_canon[pid][1][0]
+        _, roots, gens = self._piece_canon[pid]
+        n, p = roots[0]
         i = next(i for i, nd in enumerate(nodes) if nd.id == n)
         _, labels, rots = _signature(_canon_table(nodes, alpha), 4 * i + p)
-        members, gens = self.faces().orbits, self._piece_gens.get(pid, ())
+        members = self.faces().orbits
         images, seen = [darts], {orbit[darts[0]]}
         for face in images:
             x = face[0]
@@ -321,25 +322,21 @@ class Diagram:
 
     @_cached
     def _canonical_code(self) -> bytes:
-        # faces only name the places of anchored components: a search codes
-        # many more diagrams than it expands, so the rest skip them
-        faces = self.faces() if any(a is not None for _, a in self.anchors) else None
-        # Anchors are resolved into piece-signature-relative face names.  A
-        # corner on the host's outward orbit lies in the face the host sits
-        # in, so it is named by the host's own place.
-        def resolve(pid: str):
-            anchor, seen = self.anchor_map.get(pid), {pid}
-            while anchor is not None:
-                host = faces.piece_of_corner(anchor)
-                if host in seen or faces.orbit_of_corner_index(anchor) != faces.outward[host]:
-                    return (self._piece_canon[host][0],
-                            self._canonical_face_name(host, faces.orbit_of_corner(anchor)))
-                seen.add(host)
-                anchor = self.anchor_map.get(host)
-            return "outer"
+        """Each piece's signature and each component's place: "outer" or
+        the host piece's signature and face name (:meth:`Faces.host`).  A
+        search codes many more diagrams than it expands: with no places,
+        no Faces."""
+        faces = self.faces() if self.anchors else None
 
-        return _code([(sig, resolve(pid)) for pid, (sig, _) in self._piece_canon.items()],
-                     map(resolve, self.loops))
+        def place(pid: str):
+            up = None if faces is None else faces.host(self.anchor_map.get(pid))
+            if up is None:
+                return "outer"
+            host, orbit = up
+            return self._piece_canon[host][0], self._canonical_face_name(host, faces.orbits[orbit])
+
+        return _code([(sig, place(pid)) for pid, (sig, _, _) in self._piece_canon.items()],
+                     map(place, self.loops))
 
     # -- faces --------------------------------------------------------------
 
@@ -723,16 +720,21 @@ class Faces:
     """Face structure of the assembled (placed) diagram.
 
     Faces of each graph piece are the orbits of the permutation
-    ``dart -> rotate(cross(dart))``; placement merges one face per piece into
-    the face it is anchored to (the common outer face by default).  Loops are
+    ``dart -> rotate(cross(dart))``; placement merges one face per piece,
+    its outward orbit, into the face it is placed in (the common outer
+    face by default).  :meth:`host` is the one reader of places: faces,
+    codes and the splice all ask it which face a corner names.  Loops are
     treated as transparent markers sitting inside a face: they do not split
-    it.
+    it.  On places that :meth:`Diagram.validate` rejects, raises
+    ``SMGSemanticError`` naming the same issues.
     """
 
     def __init__(self, d: Diagram):
         # No reference back to ``d``: ``d`` caches its Faces, and the cycle
         # would keep every diagram a search drops alive until the cyclic
         # garbage collector happens to run.
+        if issues := d._placement_issues():
+            raise _Malformed(issues)
         #: per orbit, its integer darts within its piece (``Diagram._darts``)
         self.orbits: list[tuple[int, ...]] = []
         self._piece_of: list[str] = []
@@ -747,22 +749,42 @@ class Faces:
                 darts.setdefault(o, []).append(x)
             self.orbits += map(tuple, darts.values())
             self._piece_of += [nodes[0].id] * len(darts)
+        self._anchors = anchors = d.anchor_map
+        #: piece id -> its outward orbit, the one merged into its place
+        self.outward = {pid: min(self.orbit_of_dart(r) for r in roots)
+                        for pid, (_, roots, _) in d._piece_canon.items()}
         # Union-find over orbit ids plus the virtual outer face (-1); a
         # face is named by the root of its class.
         uf = UnionFind(range(-1, len(self.orbits)))
-        anchor_map = d.anchor_map
-        #: piece id -> its outward orbit, the one merged into its place
-        self.outward = {pid: min(self.orbit_of_dart(r) for r in roots)
-                        for pid, (_, roots) in d._piece_canon.items()}
         for pid, outward in self.outward.items():
-            uf.union(outward, self._anchor_face(anchor_map.get(pid)))
+            up = self.host(anchors.get(pid))
+            uf.union(outward, -1 if up is None else up[1])
         # the outer sentinel's face last, so that index -1 reads it
         self._face = [uf.find(i) for i in range(len(self.orbits))] + [uf.find(-1)]
         self._merged = Counter(self._face[:-1])     # face -> number of its orbits
-        self._loop_face = {l: self._face[self._anchor_face(anchor_map.get(l))] for l in d.loops}
+        self._loop_face = {l: self._face[-1] if anchors.get(l) is None else
+                           self.face_of_corner(anchors[l]) for l in d.loops}
 
-    def _anchor_face(self, anchor: Optional[tuple[str, int]]) -> int:
-        return -1 if anchor is None else self.orbit_of_corner_index(anchor)
+    def host(self, corner: Optional[tuple[str, int]]) -> Optional[tuple[str, int]]:
+        """The piece and orbit index of the inner face that ``corner``
+        names, or None for the outer face.  A corner on a piece's outward
+        orbit names the piece's own place; a walk of those that comes back
+        to a piece, so to its place, names the outer face, the only one no
+        other piece bounds."""
+        passed = set()
+        while corner is not None and corner not in passed:
+            passed.add(corner)
+            orbit = self.orbit_of_corner_index(corner)
+            pid = self._piece_of[orbit]
+            if orbit != self.outward[pid]:
+                return pid, orbit
+            corner = self._anchors.get(pid)
+        return None
+
+    def is_outward(self, corner: tuple[str, int]) -> bool:
+        """True when ``corner`` is on its piece's outward orbit (see :meth:`host`)."""
+        orbit = self.orbit_of_corner_index(corner)
+        return orbit == self.outward[self._piece_of[orbit]]
 
     def orbit_of_dart(self, dart: Dart) -> int:
         n, p = dart

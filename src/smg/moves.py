@@ -539,14 +539,13 @@ def _automorphisms(d: Diagram) -> list[dict]:
     """Generators of the automorphisms of ``d``, each as node id ->
     (image id, port shift), moving dart ``(n, p)`` to ``(image, p +
     shift)``.  Empty unless ``d`` is one graph piece with no loops: then
-    the generators that ``_canonise`` found for the piece
-    (``Diagram._piece_gens``, set once ``d``'s faces or code are built)
-    move the whole diagram."""
+    the generators that ``_canonise`` found for the piece (the last field
+    of its ``Diagram._piece_canon`` record) move the whole diagram."""
     if d.loops or len(d._darts) != 1:
         return []
     nodes = d._darts[0][0]
     return [{nd.id: (nodes[img[i]].id, shift[i]) for i, nd in enumerate(nodes)}
-            for img, shift in d._piece_gens.get(nodes[0].id, ())]
+            for img, shift in d._piece_canon[nodes[0].id][2]]
 
 
 def _site_image(d: Diagram, g: dict, key: tuple) -> tuple:
@@ -570,16 +569,13 @@ def _unrepeated(d: Diagram, sites: Iterable[Site]) -> Iterator[Site]:
     """``sites``, of one move and direction on ``d``, less each that an
     automorphism of ``d`` maps a site given before it to: its rewrite is
     isomorphic to that site's, so it has the same canonical code.  Skips
-    follow the order of ``sites``.  The automorphisms are read after the
-    first site, when ``_sites`` has built ``d``'s faces."""
-    done, gens = set(), None
+    follow the order of ``sites``."""
+    done, gens = set(), _automorphisms(d)
     for site in sites:
         key = (site.variant, site.node_images, site.leg_targets)
         if key in done:
             continue
         yield site
-        if gens is None:
-            gens = _automorphisms(d)
         todo = [key] if gens else []
         for k in todo:      # grows as it is read: closes the orbit of ``key``
             for g in gens:

@@ -33,7 +33,6 @@ from .diagram import (
     CROSSING,
     MARKER,
     SINGULAR,
-    _ROWS,
     Diagram,
     OrientedDiagram,
     SMGError,
@@ -204,7 +203,8 @@ def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tupl
     face of a tangle touches between its legs, or that lie either side of a
     new loop (loops are transparent), become one face.  A place keeps its
     corner while the corner survives off the component, on the piece that
-    holds the face, in a face that no two faces of one tangle split.
+    holds the face (``Faces.host``; a corner on an outward face only
+    aliases it), in a face that no two faces of one tangle split.
     Otherwise it goes to the first result corner of its face off the
     component, as each new loop does, or else to the outer face.  A
     component follows its surviving nodes and the strands through its legs,
@@ -240,33 +240,20 @@ def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tupl
     # in order: first the surviving ones of the piece that holds the face,
     # then those of a host piece's outward face, which only alias the face
     # that piece is in, then pasted ones
-    find, outward = uf.find, set(faces.outward.values())
     asked = [face(leg) for leg in rings.values()]
     asked += [faces.face_of_corner(a) for _, a in d.anchors if a is not None]
-    corners = {find(f): ([], [], []) for f in asked}
+    corners = {uf.find(f): ([], [], []) for f in asked}
     for nd in nodes:
         survives = nd.id in d.node_map
         for k in range(4):
             c = (nd.id, k)
             f = faces.face_of_corner(c) if survives else host_face.get(c)
-            ranked = corners.get(find(f)) if f is not None else None
+            ranked = corners.get(uf.find(f)) if f is not None else None
             if ranked is not None:
-                ranked[faces.orbit_of_corner_index(c) in outward if survives else 2].append(c)
+                ranked[faces.is_outward(c) if survives else 2].append(c)
 
     def settle(f: int, own=()) -> Optional[tuple[str, int]]:
         return next((c for cs in corners.get(uf.find(f), ()) for c in cs if c[0] not in own), None)
-
-    def holder(corner) -> Optional[str]:
-        """The host piece with ``corner``'s face as an inner face, or None
-        for the outer face (an outward face is where its piece is placed)."""
-        for _ in d.anchors:
-            pid = faces.piece_of_corner(corner)
-            if faces.orbit_of_corner_index(corner) != faces.outward[pid]:
-                return pid
-            corner = d.anchor_map.get(pid)
-            if corner is None:
-                break
-        return None
 
     places, lands = {}, {}  # host component -> the result pieces it lands in
     if d.anchors:
@@ -283,16 +270,15 @@ def _places(d: Diagram, nodes, cut, tangles, ids, made, through, beyond) -> tupl
     for pid, anchor in d.anchors:
         if anchor is None:
             continue
-        up, f = holder(anchor), faces.face_of_corner(anchor)
+        up, f = faces.host(anchor), faces.face_of_corner(anchor)
         if pid in d.loops and pid not in cut:
             own, parts = (), [pid]
         else:
             mine = set(lands.get(pid, ()))
-            if up is not None:      # a part that took in its holder is not inside it
-                mine -= lands[up]
+            if up is not None:      # a part that took in its host is not inside it
+                mine -= lands[up[0]]
             own, parts = set().union(*mine), sorted(min(p) for p in mine)
-        if anchor[0] in cut or anchor[0] in own or f in split or (
-                up != faces.piece_of_corner(anchor)):   # an outward face's corner
+        if anchor[0] in cut or anchor[0] in own or f in split or faces.is_outward(anchor):
             anchor = settle(f, own)
         if anchor is not None:
             for part in parts:
@@ -397,13 +383,10 @@ def _removes_crossings(m: MoveSpec) -> bool:
 #: tails a family's ``Diagram._tails`` keeps, the oldest dropped first
 _FAMILY_CAP = 128
 
-#: (kind, attribute) -> one byte, for every valid pair
-_ROW_BYTE = {row: i for i, row in enumerate(_ROWS)}
-
 
 def _shape(c: Diagram) -> tuple:
-    """``c`` up to the names of its edges and loops: its node ids, kinds and
-    attributes in ``c.nodes`` order, each piece's integer dart pairing
+    """A classical ``c`` up to the names of its edges and loops: its node
+    ids in ``c.nodes`` order, each piece's integer dart pairing
     (``Diagram._darts``, packed, with the piece's node ids when there is
     more than one piece), its number of loops, and its places with each
     loop named by its index.  The greedy pass takes sites in ``c.nodes``
@@ -411,7 +394,8 @@ def _shape(c: Diagram) -> tuple:
     takes the same steps on two diagrams of one shape: edge and loop names
     only name its results, and its digests come from canonical codes.
     Node ids and their order stay in the key, because the steps depend on
-    them."""
+    them; kinds do not, since only ``is_trivial_unlink`` keeps tails, of a
+    classical input that R1 and R2 keep classical."""
     nodes, darts = c.nodes, c._darts
     pieces = tuple(array("i", alpha).tobytes() for _, alpha, _ in darts)
     if len(darts) > 1:
@@ -420,10 +404,7 @@ def _shape(c: Diagram) -> tuple:
     if c.anchors:
         index = {loop: i for i, loop in enumerate(c.loops)}
         places = tuple((index.get(pid, pid), anchor) for pid, anchor in c.anchors)
-    # rows are all alike when every node is a crossing, as in every greedy state
-    rows = b"" if c.counts[0] == len(nodes) else bytes([_ROW_BYTE[nd.kind, nd.attr]
-                                                         for nd in nodes])
-    return tuple([nd.id for nd in nodes]), rows, pieces, len(c.loops), places
+    return tuple([nd.id for nd in nodes]), pieces, len(c.loops), places
 
 
 def _greedy_reduce(c: Diagram, tails: Optional[dict] = None) -> tuple[Optional[Diagram], tuple]:
